@@ -39,7 +39,7 @@ fn build_instance(n: usize, m: usize, seed: u64) -> ScheduleInput {
                 id,
                 arrival: SimTime::from_millis(id),
                 deadline: SimTime::from_millis(rng.random_range(60..400)),
-                utilities,
+                utilities: utilities.into(),
                 score: rng.random_range(0.0..1.0),
             }
         })

@@ -4,10 +4,13 @@
 //! (buffer size × ensemble size) grid and reports, per configuration:
 //!
 //! * `dp_n{n}_m{m}_ns` — mean wall-clock nanoseconds per plan. Machine
-//!   dependent, so gated loosely (4x) like `bench_serve`'s wall numbers.
-//! * `dp_n{n}_m{m}_nodes` — DP nodes expanded per plan. Fully deterministic
-//!   (fixed seed, integer DP), so gated tightly: any drift is an algorithm
-//!   change, not noise.
+//!   dependent, so gated loosely (4x) like `bench_serve`'s wall numbers —
+//!   except `dp_n16_m8_ns`, which also has to stay under an absolute 2 ms:
+//!   a planner for 40 ms deadlines must fit inside them (ROADMAP).
+//! * `dp_n{n}_m{m}_nodes` — candidates the DP visited per plan
+//!   ([`DpStats::nodes_expanded`](schemble_core::scheduler::DpStats)). Fully
+//!   deterministic (fixed seed, integer DP), so gated tightly: any drift is
+//!   an algorithm change, not noise.
 //!
 //! plus one global:
 //!
@@ -36,7 +39,7 @@ use schemble_sim::rng::stream_rng;
 use schemble_sim::{SimDuration, SimTime};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Heap-allocation counter, active only under `--features bench-alloc` so
 /// the default build keeps the system allocator untouched.
@@ -90,6 +93,18 @@ fn alloc_count() -> Option<u64> {
 const GRID: [(usize, usize); 9] =
     [(4, 3), (4, 5), (4, 8), (16, 3), (16, 5), (16, 8), (24, 3), (24, 5), (24, 8)];
 
+/// Steady-state measuring time per grid point. Plans run from about a
+/// microsecond (n=4, m=3) to about a millisecond (n=24, m=8), so a time
+/// budget gives every point thousands of plans without a per-shape table of
+/// iteration counts to keep in step with the planner's speed.
+const MEASURE_BUDGET: Duration = Duration::from_millis(300);
+
+/// Plans per clock read, so the timer stays out of the microsecond points.
+const PLANS_PER_CLOCK_READ: u64 = 16;
+
+/// The absolute ceiling on `dp_n16_m8_ns`, checked on every `--check`.
+const N16_M8_CEILING_NS: f64 = 2_000_000.0;
+
 /// Same synthetic-instance recipe as the criterion `scheduler` bench:
 /// monotone subset utilities, latencies 15–50 ms, deadlines 60–400 ms.
 fn build_instance(n: usize, m: usize, seed: u64) -> ScheduleInput {
@@ -120,7 +135,7 @@ fn build_instance(n: usize, m: usize, seed: u64) -> ScheduleInput {
                 id,
                 arrival: SimTime::from_millis(id),
                 deadline: SimTime::from_millis(rng.random_range(60..400)),
-                utilities,
+                utilities: utilities.into(),
                 score: rng.random_range(0.0..1.0),
             }
         })
@@ -181,20 +196,20 @@ fn run_bench() -> BenchResult {
             dp.plan_into(&input, &mut scratch, &mut plan);
         }
         let nodes_per_plan = scratch.stats().nodes_expanded;
-        // Plans cost ~40 µs (n=4, m=3) to ~100 ms (n=24, m=8); scale the
-        // iteration count so every configuration stays near a second.
-        let iters: u64 = match m {
-            8 => 10,
-            5 => 50,
-            _ => 400,
-        };
         let allocs_before = alloc_count();
+        let mut iters = 0u64;
         let t0 = Instant::now();
-        for _ in 0..iters {
-            dp.plan_into(black_box(&input), &mut scratch, &mut plan);
-            black_box(&plan);
-        }
-        let elapsed = t0.elapsed();
+        let elapsed = loop {
+            for _ in 0..PLANS_PER_CLOCK_READ {
+                dp.plan_into(black_box(&input), &mut scratch, &mut plan);
+                black_box(&plan);
+            }
+            iters += PLANS_PER_CLOCK_READ;
+            let elapsed = t0.elapsed();
+            if elapsed >= MEASURE_BUDGET {
+                break elapsed;
+            }
+        };
         if let (Some(before), Some(after)) = (allocs_before, alloc_count()) {
             steady_allocs += after - before;
             steady_plans += iters;
@@ -242,6 +257,11 @@ fn check(result: &BenchResult, baseline_path: &str) -> Result<(), String> {
         let ns_key = format!("dp_n{}_m{}_ns", c.n, c.m);
         if let Err(e) = gate(&ns_key, c.ns_per_plan, json_number(&text, &ns_key)?, 3.0) {
             failures.push(e);
+        }
+        if (c.n, c.m) == (16, 8) {
+            if let Err(e) = gate("dp_n16_m8_ns (abs)", c.ns_per_plan, N16_M8_CEILING_NS, 0.0) {
+                failures.push(e);
+            }
         }
     }
     let base_allocs = json_number(&text, "allocs_per_plan")?;

@@ -75,7 +75,7 @@ fn heavy_instance() -> schemble_core::scheduler::ScheduleInput {
                 id,
                 arrival: SimTime::from_millis(id),
                 deadline: SimTime::from_millis(90 + 12 * id),
-                utilities,
+                utilities: utilities.into(),
                 score: 0.4,
             }
         })

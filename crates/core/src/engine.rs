@@ -305,7 +305,9 @@ struct QState {
     /// Earliest dispatch (arrival + predictor latency).
     ready_at: SimTime,
     score: f64,
-    utilities: Vec<f64>,
+    /// The profile's row for the query's difficulty bin, shared with the
+    /// profile and with every plan input the query appears in.
+    utilities: Arc<[f64]>,
     set: ModelSet,
     started: ModelSet,
     /// Set once any task starts: the model set is committed and the query
@@ -364,11 +366,12 @@ pub struct SchembleEngine<'a> {
     /// never changes a decision.
     score_cache: Vec<f64>,
     score_ready: Vec<bool>,
-    /// Availability scratch, refilled via
-    /// [`ExecutionBackend::availability_into`] each re-plan and recovered
-    /// from the `ScheduleInput` afterwards — planning allocates no fresh
-    /// availability vector even when batching multiplies the queries.
-    avail_buf: Vec<SimTime>,
+    /// The scheduler's input, held across re-plans so building one
+    /// allocates nothing: `latencies` is filled once (the ensemble's planned
+    /// latencies never change), `availability` is refilled in place via
+    /// [`ExecutionBackend::availability_into`], and `queries` is cleared and
+    /// refilled with refcount bumps of each query's utility row.
+    plan_input: ScheduleInput,
     /// Second availability scratch for the raw (unadjusted) lookups the
     /// ForceAll fallback and explainability paths need.
     avail_raw: Vec<SimTime>,
@@ -393,7 +396,12 @@ impl<'a> SchembleEngine<'a> {
             plan_buf: SchedulePlan::empty(0),
             score_cache: vec![0.0; workload.len()],
             score_ready: vec![false; workload.len()],
-            avail_buf: Vec::new(),
+            plan_input: ScheduleInput {
+                now: SimTime::ZERO,
+                availability: Vec::new(),
+                latencies: ensemble.planned_latencies(),
+                queries: Vec::new(),
+            },
             avail_raw: Vec::new(),
         }
     }
@@ -615,70 +623,63 @@ impl<'a> SchembleEngine<'a> {
 
     /// Re-plans the unstarted buffer; updates when the new plan takes effect.
     fn replan(&mut self, now: SimTime, backend: &mut dyn ExecutionBackend) {
-        let mut ids: Vec<u64> =
-            self.open.iter().filter(|(_, s)| !s.frozen && !s.closed).map(|(&id, _)| id).collect();
-        if ids.is_empty() {
+        let input = &mut self.plan_input;
+        input.queries.clear();
+        input.queries.extend(self.open.iter().filter(|(_, s)| !s.frozen && !s.closed).map(
+            |(&id, s)| BufferedQuery {
+                id,
+                arrival: s.arrival,
+                deadline: s.deadline,
+                utilities: Arc::clone(&s.utilities),
+                score: s.score,
+            },
+        ));
+        if input.queries.is_empty() {
             self.plan_ready_at = self.plan_ready_at.max(now);
             return;
         }
-        ids.sort_unstable();
+        // Hash-map order is arbitrary; plans and traces go by ascending id.
+        input.queries.sort_unstable_by_key(|q| q.id);
+        input.now = now;
         // Availability must account for *committed* work: tasks of frozen
         // (already-started) queries that have not begun executing yet will
         // occupy their models before anything planned now — without this, the
         // planner overcommits and every plan completes late.
-        backend.availability_into(now, &mut self.avail_buf);
-        let mut availability = std::mem::take(&mut self.avail_buf);
+        backend.availability_into(now, &mut input.availability);
         for state in self.open.values() {
             if state.closed || !state.frozen {
                 continue;
             }
             for k in state.set.iter() {
                 if !state.started.contains(k) {
-                    availability[k] += self.ensemble.latency(k).planned();
+                    input.availability[k] += input.latencies[k];
                 }
             }
         }
-        let queries: Vec<BufferedQuery> = ids
-            .iter()
-            .map(|id| {
-                let s = &self.open[id];
-                BufferedQuery {
-                    id: *id,
-                    arrival: s.arrival,
-                    deadline: s.deadline,
-                    utilities: s.utilities.clone(),
-                    score: s.score,
-                }
-            })
-            .collect();
-        let input = ScheduleInput {
-            now,
-            availability,
-            latencies: self.ensemble.planned_latencies(),
-            queries,
-        };
-        let config = self.config;
+        let input = &self.plan_input;
         let plan_t0 = Instant::now();
-        config.scheduler.plan_into(&input, &mut self.sched_scratch, &mut self.plan_buf);
+        self.config.scheduler.plan_into(input, &mut self.sched_scratch, &mut self.plan_buf);
         self.trace.planning.record(self.plan_buf.work, plan_t0.elapsed());
         // Explainability bookkeeping is gated on `observing()` so the silent
         // hot path pays nothing; nothing below feeds back into a decision.
         let observing = self.trace.observing();
-        let prev_sets: Vec<ModelSet> =
-            if observing { ids.iter().map(|id| self.open[id].set).collect() } else { Vec::new() };
-        for (pos, id) in ids.iter().enumerate() {
-            let set = self.plan_buf.assignments[pos];
-            self.open.get_mut(id).expect("present").set = set;
+        let prev_sets: Vec<ModelSet> = if observing {
+            input.queries.iter().map(|q| self.open[&q.id].set).collect()
+        } else {
+            Vec::new()
+        };
+        for (q, &set) in input.queries.iter().zip(&self.plan_buf.assignments) {
+            self.open.get_mut(&q.id).expect("present").set = set;
         }
         // Forced mode: queries the plan abandoned but that must run get the
         // least-loaded single model.
         if self.config.admission == AdmissionMode::ForceAll {
             backend.availability_into(now, &mut self.avail_raw);
-            for id in &ids {
-                let s = self.open.get_mut(id).expect("present");
+            for q in &input.queries {
+                let s = self.open.get_mut(&q.id).expect("present");
                 if s.set.is_empty() {
-                    let best = (0..self.ensemble.m())
-                        .min_by_key(|&k| self.avail_raw[k] + self.ensemble.latency(k).planned())
+                    let best = (0..input.m())
+                        .min_by_key(|&k| self.avail_raw[k] + input.latencies[k])
                         .expect("non-empty ensemble");
                     s.set = ModelSet::singleton(best);
                 }
@@ -690,8 +691,8 @@ impl<'a> SchembleEngine<'a> {
         self.plan_ready_at = now + cost;
         self.trace.emit(TraceEvent::Plan {
             t: now,
-            buffer: ids.len() as u32,
-            scheduled: self.plan_buf.assignments.iter().filter(|s| !s.is_empty()).count() as u32,
+            buffer: input.queries.len() as u32,
+            scheduled: self.plan_buf.scheduled_count() as u32,
             work: self.plan_buf.work,
             cost,
         });
@@ -703,31 +704,27 @@ impl<'a> SchembleEngine<'a> {
             // stream stays deterministic.
             let completions = input.completions(&self.plan_buf);
             backend.availability_into(now, &mut self.avail_raw);
-            for (pos, id) in ids.iter().enumerate() {
-                let set = self.open[id].set;
+            for (pos, q) in input.queries.iter().enumerate() {
+                let set = self.open[&q.id].set;
                 if set == prev_sets[pos] {
                     continue;
                 }
                 let predicted_finish = completions[pos].unwrap_or_else(|| {
                     let mut finish = SimTime::ZERO;
                     for k in set.iter() {
-                        let done = self.avail_raw[k].max(now) + self.ensemble.latency(k).planned();
-                        finish = finish.max(done);
+                        finish = finish.max(self.avail_raw[k].max(now) + input.latencies[k]);
                     }
                     finish
                 });
                 self.trace.emit(TraceEvent::PlanAssign {
                     t: now,
-                    query: *id,
+                    query: q.id,
                     set: set.0,
                     predicted_finish,
                     frontier: self.plan_buf.frontier,
                 });
             }
         }
-        // Reclaim the availability vector's capacity for the next re-plan.
-        self.avail_buf = input.availability;
-        self.avail_buf.clear();
     }
 
     /// Starts tasks on idle executors per the current plan, in EDF order.
@@ -860,9 +857,9 @@ impl<'a> SchembleEngine<'a> {
             // target at the latest on the last task (acc is the full set
             // there), so at worst everything is kept and the plan runs to
             // completion as planned.
-            let latencies = self.ensemble.planned_latencies();
+            let latencies = &self.plan_input.latencies;
             let mut order = Vec::with_capacity(remaining.len());
-            gain_order_into(&state.utilities, &latencies, produced, remaining_set, &mut order);
+            gain_order_into(&state.utilities, latencies, produced, remaining_set, &mut order);
             let mut acc = produced;
             for &k in &order {
                 acc = acc.with(k);

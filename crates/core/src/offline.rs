@@ -132,7 +132,7 @@ pub fn budgeted_selection(
 
 /// Utility rows for a batch of scores under a profile.
 pub fn utility_rows(profile: &AccuracyProfile, scores: &[f64]) -> Vec<Vec<f64>> {
-    scores.iter().map(|&s| profile.utility_vector(s)).collect()
+    scores.iter().map(|&s| profile.utility_vector(s).to_vec()).collect()
 }
 
 /// The Random baseline: uniformly random non-empty sets, re-drawn until the

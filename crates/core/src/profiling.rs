@@ -16,6 +16,7 @@
 //!   factor `γ_k` (Fig. 20a checks the estimation error).
 
 use schemble_models::{Ensemble, ModelSet, Sample};
+use std::sync::Arc;
 
 /// The per-bin subset-accuracy table.
 #[derive(Debug, Clone)]
@@ -23,7 +24,10 @@ pub struct AccuracyProfile {
     bins: usize,
     m: usize,
     /// `table[bin][set.0]` = accuracy of `set` in `bin` (index 0 = ∅ = 0.0).
-    table: Vec<Vec<f64>>,
+    /// Rows are shared with every query scored into the bin
+    /// ([`AccuracyProfile::utility_vector`]), so they are immutable once
+    /// fitting is done.
+    table: Vec<Arc<[f64]>>,
     /// Samples observed per bin.
     counts: Vec<usize>,
 }
@@ -119,12 +123,19 @@ impl AccuracyProfile {
             }
         }
 
+        let table = table.into_iter().map(Arc::from).collect();
         let mut profile = Self { bins, m, table, counts };
         if cutoff < m {
             profile.estimate_large_sets(ensemble, cutoff);
         }
         profile.monotone_repair();
         profile
+    }
+
+    /// Bin `b`'s row for in-place edits. Only fitting calls this, before
+    /// the profile (and so any clone of a row) has left `fit_with_assembler`.
+    fn row_mut(&mut self, b: usize) -> &mut [f64] {
+        Arc::get_mut(&mut self.table[b]).expect("rows are unshared while fitting")
     }
 
     /// Eq. 3: estimate utilities of sets larger than `cutoff` from smaller
@@ -144,37 +155,38 @@ impl AccuracyProfile {
         // γ fitted on the transition from size cutoff-1 → cutoff where both
         // sides are known: γ = observed_gain / predicted_raw_gain, averaged.
         let gamma = self.fit_gamma(&order, cutoff);
+        let m = self.m;
         for b in 0..self.bins {
+            let row = self.row_mut(b);
             // Build up ordered prefix sets {m1}, {m1,m2}, … estimating each
             // missing size from the previous one.
-            for k in cutoff..self.m {
+            for k in cutoff..m {
                 let prefix = ModelSet::from_indices(&order[..k]);
                 let next_model = order[k];
                 let grown = prefix.with(next_model);
                 if grown.len() <= cutoff {
                     continue;
                 }
-                let base = self.table[b][prefix.0 as usize];
+                let base = row[prefix.0 as usize];
                 let mut marginal = 0.0;
                 for &q in &order[..k] {
                     let pair = ModelSet::from_indices(&[q, next_model]);
                     let single = ModelSet::singleton(q);
-                    marginal += self.table[b][pair.0 as usize] - self.table[b][single.0 as usize];
+                    marginal += row[pair.0 as usize] - row[single.0 as usize];
                 }
                 marginal /= k as f64;
-                self.table[b][grown.0 as usize] = (base + gamma * marginal).clamp(0.0, 1.0);
+                row[grown.0 as usize] = (base + gamma * marginal).clamp(0.0, 1.0);
                 // Non-prefix large sets get the estimate of their own best
                 // prefix-style recursion: approximate by the grown-prefix
                 // value of the same size (the scheduler only needs ordered
                 // growth in practice — large ensembles run ordered subsets).
-                for set in ModelSet::all_nonempty(self.m) {
-                    if set.len() == grown.len() && self.table[b][set.0 as usize] == 0.0 {
+                for set in ModelSet::all_nonempty(m) {
+                    if set.len() == grown.len() && row[set.0 as usize] == 0.0 {
                         let approx: f64 = set
                             .iter()
-                            .map(|i| self.table[b][ModelSet::singleton(i).0 as usize])
+                            .map(|i| row[ModelSet::singleton(i).0 as usize])
                             .fold(0.0, f64::max);
-                        self.table[b][set.0 as usize] =
-                            approx.max(self.table[b][grown.0 as usize] * 0.98);
+                        row[set.0 as usize] = approx.max(row[grown.0 as usize] * 0.98);
                     }
                 }
             }
@@ -217,19 +229,20 @@ impl AccuracyProfile {
     fn monotone_repair(&mut self) {
         let n_sets = 1usize << self.m;
         for b in 0..self.bins {
+            let row = self.row_mut(b);
             // Process sets in increasing popcount order.
             let mut by_size: Vec<u32> = (1..n_sets as u32).collect();
             by_size.sort_by_key(|s| s.count_ones());
             for &set in &by_size {
                 let set = ModelSet(set);
-                let mut best = self.table[b][set.0 as usize];
+                let mut best = row[set.0 as usize];
                 for k in set.iter() {
                     let smaller = set.without(k);
                     if !smaller.is_empty() {
-                        best = best.max(self.table[b][smaller.0 as usize]);
+                        best = best.max(row[smaller.0 as usize]);
                     }
                 }
-                self.table[b][set.0 as usize] = best;
+                row[set.0 as usize] = best;
             }
         }
     }
@@ -248,9 +261,10 @@ impl AccuracyProfile {
     }
 
     /// Utility vector over all `2^m` subsets for a score — the per-query
-    /// reward input of Alg. 1.
-    pub fn utility_vector(&self, score: f64) -> Vec<f64> {
-        self.table[self.bin_of(score)].clone()
+    /// reward input of Alg. 1. This is the bin's own row, shared: a refcount
+    /// bump per call, and every query of a bin holds the same pointer.
+    pub fn utility_vector(&self, score: f64) -> Arc<[f64]> {
+        Arc::clone(&self.table[self.bin_of(score)])
     }
 
     /// Number of bins.

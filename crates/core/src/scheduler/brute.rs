@@ -67,7 +67,7 @@ mod tests {
 
     #[test]
     fn finds_the_sharing_optimum() {
-        let utilities = vec![0.0, 0.9, 0.9, 1.0];
+        let utilities: std::sync::Arc<[f64]> = vec![0.0, 0.9, 0.9, 1.0].into();
         let mk = |id| BufferedQuery {
             id,
             arrival: SimTime::ZERO,
@@ -94,7 +94,7 @@ mod tests {
             id: 0,
             arrival: SimTime::ZERO,
             deadline: SimTime::from_millis(10),
-            utilities: vec![0.0; 1 << 4],
+            utilities: vec![0.0; 1 << 4].into(),
             score: 0.0,
         };
         let input = ScheduleInput {

@@ -12,8 +12,12 @@
 //! pruning rule is strengthened to full Pareto dominance across cells —
 //! solution A dominates B when `A.u ≥ B.u` and `A.times ≤ B.times`
 //! element-wise (any completion achievable from B is achievable from A at no
-//! less reward, so dropping B is exact). A frontier cap bounds worst-case
-//! cost; the default is far above what quantized instances reach in practice.
+//! less reward, so dropping B is exact). Each layer keeps at most
+//! `max_frontier` nodes, the first that many survivors in (reward descending,
+//! finish-time total ascending, generation order) — a beam. At `m = 3` the
+//! exact frontier rarely reaches the default cap; at `m = 8` it does in most
+//! layers (58 % of them on the benchmark's `c8_poisson_dark`), so there the
+//! cap decides both the plan and how much of a layer is ever looked at.
 //!
 //! The returned [`SchedulePlan::work`] charges the *dense* table cost of
 //! Alg. 1 as written — `Σ_i (i/δ) · 2^m` cell updates — which the serving
@@ -24,20 +28,50 @@
 //!
 //! # Hot path
 //!
-//! [`DpScheduler::plan_into`] is allocation-free in steady state: all working
-//! memory lives in the caller's [`SchedScratch`] (finish times in a flat
-//! `node*m+k` arena, node metadata with *cached* dominance keys, per-query
-//! feasible-subset lists filtered once per plan), and the result is written
-//! into a reusable [`SchedulePlan`]. Every optimisation preserves the plan
-//! bit-for-bit against the naive formulation — the retained reference
-//! implementation under `#[cfg(test)]` and the differential property test
-//! pin this.
+//! A layer is defined as: generate a skip-copy and every feasible extension
+//! of every frontier node, sort by (`u` desc, total asc, generation index
+//! asc), keep the non-dominated ones in that order, stop at the cap. The
+//! retained `reference` implementation under `#[cfg(test)]` does literally
+//! that. [`DpScheduler::plan_into`] produces the same layers — bit-for-bit,
+//! pinned by the differential tests — while touching only the candidates
+//! that can survive:
+//!
+//! * **Subset prefilter** (`subset_list`). Subset `s` is dropped from a
+//!   query's list when a proper non-empty `s' ⊂ s` has `⌊U(s')/δ⌋ ≥
+//!   ⌊U(s)/δ⌋`. From any parent, `s'` is feasible whenever `s` is, yields
+//!   reward ≥ and finish times ≤ element-wise, and sorts strictly earlier
+//!   (on a full tie `s'` has the smaller mask, hence the smaller generation
+//!   index). So when the sorted scan reaches `s`, either `s'` or whatever
+//!   dominated `s'` has been kept and dominates `s`, or the cap already
+//!   ended the layer: `s` is never kept and never the final best, and
+//!   removing it changes nothing. Lists depend only on the utility table,
+//!   `δ` and the latencies, so queries sharing a table (same difficulty
+//!   bin) share one list per plan.
+//! * **Ordered merge** (`Merge`). Sorting a list once by (`⌊U/δ⌋` desc,
+//!   Σ latency asc, mask asc) fixes the order of every parent's extensions,
+//!   with the skip-copy last (extensions add reward ≥ 1). A k-way merge
+//!   over the parents through a heap keyed (`u` desc, total asc, parent
+//!   asc) therefore pops candidates in exactly the sorted order — lazily,
+//!   so the ones behind the cap are never generated, and only a popped
+//!   candidate gets a finish-time row. Feasibility is one subset test
+//!   against the parent's "models that finish by the deadline" mask.
+//! * **Final layer.** Its only consumer is the best-node pick, and the best
+//!   node is the first one in sorted order: the maximum over each parent's
+//!   first feasible candidate. No layer is materialised.
+//!
+//! All working memory lives in the caller's [`SchedScratch`] and the result
+//! is written into a reusable [`SchedulePlan`], so a steady-state call
+//! allocates nothing.
 
 use super::input::{ScheduleInput, SchedulePlan};
-use super::scratch::{FeasibleSet, NodeMeta, SchedScratch};
+use super::scratch::{MergeEntry, NodeMeta, SchedScratch, SubsetCand};
 use super::Scheduler;
 use schemble_models::ModelSet;
-use schemble_sim::SimTime;
+use schemble_sim::{SimDuration, SimTime};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Alg. 1 with quantization step `delta`.
 ///
@@ -54,7 +88,7 @@ use schemble_sim::SimTime;
 ///     id,
 ///     arrival: SimTime::ZERO,
 ///     deadline: SimTime::from_millis(25),
-///     utilities: vec![0.0, 0.9, 0.9, 0.95, 0.9, 0.95, 0.95, 1.0],
+///     utilities: vec![0.0, 0.9, 0.9, 0.95, 0.9, 0.95, 0.95, 1.0].into(),
 ///     score: 0.2,
 /// };
 /// let input = ScheduleInput {
@@ -71,9 +105,9 @@ use schemble_sim::SimTime;
 pub struct DpScheduler {
     /// Reward quantization step δ (paper default 0.01).
     pub delta: f64,
-    /// Pareto-frontier cap (beam width); the exact frontier rarely exceeds a
-    /// few dozen nodes on quantized instances, so the default cap is
-    /// effectively exact while bounding adversarial cases.
+    /// Pareto-frontier cap (beam width). Small ensembles seldom reach the
+    /// default, so for them it only bounds adversarial cases; at `m = 8` it
+    /// binds in most layers and is part of the algorithm.
     pub max_frontier: usize,
     /// At most this many EDF-first queries are planned per round; the rest
     /// stay buffered for the next invocation.
@@ -133,7 +167,7 @@ impl Scheduler for DpScheduler {
         }
         let cap = self.max_frontier.max(1);
         // Layers 0..planned_len hold the pruned frontiers (root at 0); the
-        // final layer is streamed, never materialised.
+        // final layer is never materialised.
         scratch.begin_plan(planned_len);
 
         // Root: one node at the models' start times.
@@ -150,46 +184,22 @@ impl Scheduler for DpScheduler {
             choice: ModelSet::EMPTY,
         });
 
-        // Feasible-subset lists, filtered once per query instead of once per
-        // frontier node: zero quantized reward is skip-equivalent, and a
-        // subset whose *best-case* completion (from the start times — node
-        // times only ever grow) misses the deadline can never be feasible.
-        // Mask order is preserved: candidate generation order decides ties,
-        // so reordering here would change plans.
-        scratch.feas_bounds.push(0);
-        for &qi in planned {
-            let q = &input.queries[qi];
-            for set in ModelSet::all_nonempty(m) {
-                let quantized = (q.utilities[set.0 as usize] / delta).floor() as u64;
-                if quantized == 0 {
-                    continue;
-                }
-                let mut c_min = SimTime::ZERO;
-                let mut add_micros = 0u64;
-                for k in set.iter() {
-                    c_min = c_min.max(scratch.prev_times[k] + input.latencies[k]);
-                    add_micros += input.latencies[k].as_micros();
-                }
-                if c_min > q.deadline {
-                    continue;
-                }
-                scratch.feas.push(FeasibleSet { set, quantized, add_micros });
-            }
-            scratch.feas_bounds.push(scratch.feas.len() as u32);
+        // One sorted subset list per distinct utility table. The engine
+        // hands every query of a difficulty bin the same `Arc`, so pointer
+        // identity finds the sharing without comparing `2^m` floats.
+        for (step, &qi) in planned.iter().enumerate() {
+            let utilities = &input.queries[qi].utilities;
+            let shared = planned[..step]
+                .iter()
+                .position(|&earlier| Arc::ptr_eq(&input.queries[earlier].utilities, utilities));
+            let list = match shared {
+                Some(earlier) => scratch.lists[earlier].clone(),
+                None => subset_list(scratch, utilities, &input.latencies, delta),
+            };
+            scratch.lists.push(list);
         }
 
-        // Best terminal candidate, tracked on the fly over the streamed final
-        // layer. Post-prune frontiers are sorted by (u desc, total asc) with
-        // ties kept in generation order, so the old code's "pick the best of
-        // the pruned last layer" always picked the first-sorted = first-
-        // generated maximum — exactly what this running fold computes.
-        let mut best: Option<NodeMeta> = None;
-        let consider = |best: &mut Option<NodeMeta>, c: NodeMeta| match best {
-            Some(b) if c.u > b.u || (c.u == b.u && c.total < b.total) => *best = Some(c),
-            Some(_) => {}
-            None => *best = Some(c),
-        };
-
+        let mut best: Option<MergeEntry> = None;
         for (step, &qi) in planned.iter().enumerate() {
             // `work` models the cost of Alg. 1 as written: a dense table over
             // (queries × quantized reward levels × subsets). The Pareto-
@@ -199,100 +209,73 @@ impl Scheduler for DpScheduler {
             // makes δ = 0.001 lose end-to-end (Fig. 12/21).
             let dense_levels = (((step + 1) as f64) / delta).ceil() as u64;
             out.work += dense_levels * (1u64 << m);
-            let q = &input.queries[qi];
-            let feas_range =
-                scratch.feas_bounds[step] as usize..scratch.feas_bounds[step + 1] as usize;
-            let prev_len = scratch.layers[step].len();
-            out.frontier = out.frontier.max(prev_len as u32);
-            let last_step = step + 1 == planned_len;
 
-            if last_step {
-                // The final layer's only consumer is the best-node scan, so
-                // stream candidates through the fold instead of materialising
-                // and pruning them. An extension whose reward *strictly*
-                // undershoots the current best cannot win (equal reward can
-                // still win on a smaller finish-time total) — skip it before
-                // touching its time row.
-                for pi in 0..prev_len {
-                    let pmeta = scratch.layers[step][pi];
-                    let ptimes = &scratch.prev_times[pi * m..(pi + 1) * m];
-                    scratch.stats.nodes_expanded += 1;
-                    consider(
-                        &mut best,
-                        NodeMeta { parent: pi as u32, choice: ModelSet::EMPTY, ..pmeta },
-                    );
-                    for fi in feas_range.clone() {
-                        let fs = scratch.feas[fi];
-                        if best.as_ref().is_some_and(|b| pmeta.u + fs.quantized < b.u) {
-                            continue;
-                        }
-                        let mut completion = SimTime::ZERO;
-                        for k in fs.set.iter() {
-                            completion = completion.max(ptimes[k] + input.latencies[k]);
-                        }
-                        if completion > q.deadline {
-                            continue;
-                        }
-                        scratch.stats.nodes_expanded += 1;
-                        consider(
-                            &mut best,
-                            NodeMeta {
-                                u: pmeta.u + fs.quantized,
-                                total: pmeta.total + fs.add_micros as u128,
-                                parent: pi as u32,
-                                choice: fs.set,
-                            },
-                        );
-                    }
-                }
-                continue;
+            let SchedScratch {
+                prev_times,
+                next_times,
+                layers,
+                subsets,
+                lists,
+                ok_masks,
+                heap,
+                stats,
+                ..
+            } = scratch;
+            let list = &subsets[lists[step].clone()];
+            let (done, rest) = layers.split_at_mut(step + 1);
+            let parents = &done[step][..];
+            out.frontier = out.frontier.max(parents.len() as u32);
+            ok_masks.clear();
+            ok_masks.extend((0..parents.len()).map(|p| {
+                let row = &prev_times[p * m..(p + 1) * m];
+                finishing_by(input.queries[qi].deadline, row, &input.latencies)
+            }));
+
+            if step + 1 == planned_len {
+                // The best terminal node is the first candidate in merge
+                // order; each parent's first is its first feasible one.
+                stats.nodes_expanded += parents.len() as u64;
+                best = first_candidates(parents, ok_masks, list).max();
+                break;
             }
 
-            // Candidate generation: for every frontier node, a skip-copy
-            // (cell copy in Alg. 1) plus one candidate per feasible subset.
-            // Times are copied row-to-row in the arena; `total` is bumped by
-            // the precomputed per-subset increment.
-            scratch.cand.clear();
-            scratch.cand_times.clear();
-            for pi in 0..prev_len {
-                let pmeta = scratch.layers[step][pi];
-                let row = pi * m;
-                scratch.stats.nodes_expanded += 1;
-                scratch.cand.push(NodeMeta { parent: pi as u32, choice: ModelSet::EMPTY, ..pmeta });
-                let (dst, src) = (&mut scratch.cand_times, &scratch.prev_times);
-                dst.extend_from_slice(&src[row..row + m]);
-                for fi in feas_range.clone() {
-                    let fs = scratch.feas[fi];
-                    let ptimes = &scratch.prev_times[row..row + m];
-                    let mut completion = SimTime::ZERO;
-                    for k in fs.set.iter() {
-                        completion = completion.max(ptimes[k] + input.latencies[k]);
-                    }
-                    if completion > q.deadline {
-                        continue;
-                    }
-                    scratch.stats.nodes_expanded += 1;
-                    scratch.cand.push(NodeMeta {
-                        u: pmeta.u + fs.quantized,
-                        total: pmeta.total + fs.add_micros as u128,
-                        parent: pi as u32,
-                        choice: fs.set,
-                    });
-                    let base = scratch.cand_times.len();
-                    let (dst, src) = (&mut scratch.cand_times, &scratch.prev_times);
-                    dst.extend_from_slice(&src[row..row + m]);
-                    for k in fs.set.iter() {
-                        scratch.cand_times[base + k] = ptimes[k] + input.latencies[k];
-                    }
+            let kept = &mut rest[0];
+            debug_assert!(kept.is_empty(), "begin_plan must have cleared the layer");
+            next_times.clear();
+            for cand in Merge::new(heap, parents, ok_masks, list) {
+                stats.nodes_expanded += 1;
+                let choice = choice_at(list, cand.rank);
+                let parent_row = cand.parent as usize * m;
+                let base = next_times.len();
+                next_times.extend_from_slice(&prev_times[parent_row..parent_row + m]);
+                for k in choice.iter() {
+                    next_times[base + k] += input.latencies[k];
+                }
+                // Kept nodes were visited earlier, so their reward is
+                // already ≥ the candidate's; dominance is down to the time
+                // rows, and a larger total rules it out without a row walk.
+                let (kept_rows, row) = next_times.split_at(base);
+                let dominated = kept.iter().enumerate().any(|(j, k)| {
+                    k.total <= cand.total
+                        && kept_rows[j * m..(j + 1) * m].iter().zip(row).all(|(a, b)| a <= b)
+                });
+                if dominated {
+                    next_times.truncate(base);
+                    continue;
+                }
+                kept.push(NodeMeta { u: cand.u, total: cand.total, parent: cand.parent, choice });
+                if kept.len() >= cap {
+                    break;
                 }
             }
-
-            prune_into_next_layer(scratch, step, m, cap);
+            stats.nodes_kept += kept.len() as u64;
+            std::mem::swap(prev_times, next_times);
         }
 
         // Backtrack choices through the layers.
-        let best = best.expect("final layer has at least the skip-copies");
-        out.assignments[planned[planned_len - 1]] = best.choice;
+        let best = best.expect("the final layer holds at least the root's skip-copy");
+        let last_list = &scratch.subsets[scratch.lists[planned_len - 1].clone()];
+        out.assignments[planned[planned_len - 1]] = choice_at(last_list, best.rank);
         let mut idx = best.parent as usize;
         for layer in (1..planned_len).rev() {
             let node = scratch.layers[layer][idx];
@@ -306,45 +289,144 @@ impl Scheduler for DpScheduler {
     }
 }
 
-/// Pareto pruning of the candidate layer into `layers[step + 1]` (metadata)
-/// and the recompacted `prev_times` arena (time rows), capped at `cap`.
-///
-/// Candidates are visited in (reward descending, cached total-micros
-/// ascending) order so dominators come first, making the scan
-/// O(kept · candidates); a candidate is dropped iff an already-kept node has
-/// `u` ≥ and all times ≤ element-wise. Ties on (u, total) are resolved by
-/// generation order: the sort breaks them on candidate index, so the
-/// earliest-generated of equal nodes is kept and the later ones are dropped
-/// as dominated — the same rule the pre-refactor stable sort implemented
-/// implicitly.
-fn prune_into_next_layer(scratch: &mut SchedScratch, step: usize, m: usize, cap: usize) {
-    let SchedScratch { prev_times, cand_times, cand, layers, perm, stats, .. } = scratch;
-    perm.clear();
-    perm.extend(0..cand.len() as u32);
-    perm.sort_unstable_by(|&a, &b| {
-        let (ca, cb) = (&cand[a as usize], &cand[b as usize]);
-        cb.u.cmp(&ca.u).then(ca.total.cmp(&cb.total)).then(a.cmp(&b))
-    });
-    let (_prev, next) = layers.split_at_mut(step + 1);
-    let kept_meta = &mut next[0];
-    debug_assert!(kept_meta.is_empty(), "begin_plan must have cleared the layer");
-    prev_times.clear();
-    for &ci in perm.iter() {
-        let c = cand[ci as usize];
-        let ctimes = &cand_times[ci as usize * m..(ci as usize + 1) * m];
-        let dominated = kept_meta.iter().enumerate().any(|(kj, k)| {
-            k.u >= c.u && prev_times[kj * m..(kj + 1) * m].iter().zip(ctimes).all(|(a, b)| a <= b)
-        });
-        if dominated {
-            continue;
-        }
-        kept_meta.push(c);
-        prev_times.extend_from_slice(ctimes);
-        if kept_meta.len() >= cap {
-            break;
+/// Appends the sorted extension list of one utility table to
+/// `scratch.subsets` and returns its range: every subset with a non-zero
+/// quantized reward that strictly beats all of its proper non-empty subsets
+/// (the module docs argue why the rest can never be kept), ordered by
+/// (`quantized` desc, `add_micros` asc, mask asc) — the order in which any
+/// one parent's extensions appear in the sorted candidate layer.
+fn subset_list(
+    scratch: &mut SchedScratch,
+    utilities: &[f64],
+    latencies: &[SimDuration],
+    delta: f64,
+) -> Range<usize> {
+    let SchedScratch { quant, best_sub, subsets, .. } = scratch;
+    let m = latencies.len();
+    quant.clear();
+    quant.push(0); // ∅ is the skip-copy, not a subset to beat.
+    quant.extend(
+        ModelSet::all_nonempty(m).map(|s| (utilities[s.0 as usize] / delta).floor() as u64),
+    );
+    proper_subset_max(quant, best_sub);
+    let start = subsets.len();
+    for set in ModelSet::all_nonempty(m) {
+        let quantized = quant[set.0 as usize];
+        if quantized > best_sub[set.0 as usize] {
+            let add_micros = set.iter().map(|k| latencies[k].as_micros()).sum();
+            subsets.push(SubsetCand { set, quantized, add_micros });
         }
     }
-    stats.nodes_kept += kept_meta.len() as u64;
+    subsets[start..].sort_unstable_by(|a, b| {
+        (b.quantized.cmp(&a.quantized))
+            .then(a.add_micros.cmp(&b.add_micros))
+            .then(a.set.0.cmp(&b.set.0))
+    });
+    start..subsets.len()
+}
+
+/// `best_sub[s]` = the highest `quant` over the proper subsets of mask `s`.
+/// One sweep in mask order: dropping one element from `s` gives a smaller
+/// mask, whose own entry already covers everything below it.
+fn proper_subset_max(quant: &[u64], best_sub: &mut Vec<u64>) {
+    best_sub.clear();
+    best_sub.resize(quant.len(), 0);
+    for s in 1..quant.len() {
+        let set = ModelSet(s as u32);
+        best_sub[s] = set
+            .iter()
+            .map(|k| set.without(k).0 as usize)
+            .map(|sub| quant[sub].max(best_sub[sub]))
+            .max()
+            .unwrap_or(0);
+    }
+}
+
+/// The models that finish by `deadline` when started after `times`.
+fn finishing_by(deadline: SimTime, times: &[SimTime], latencies: &[SimDuration]) -> ModelSet {
+    let mut ok = ModelSet::EMPTY;
+    for (k, (&t, &latency)) in times.iter().zip(latencies).enumerate() {
+        if t + latency <= deadline {
+            ok = ok.with(k);
+        }
+    }
+    ok
+}
+
+/// Rank of the first subset at or after `from` that fits inside `ok`;
+/// `list.len()` — the skip-copy's rank — when none does.
+fn first_fitting(list: &[SubsetCand], ok: ModelSet, from: usize) -> usize {
+    list[from..].iter().position(|c| c.set.is_subset_of(ok)).map_or(list.len(), |i| from + i)
+}
+
+/// Candidate `rank` of frontier node `parent`: the extension by
+/// `list[rank]`, or the skip-copy at `rank == list.len()`.
+fn candidate(parents: &[NodeMeta], parent: usize, list: &[SubsetCand], rank: usize) -> MergeEntry {
+    let node = parents[parent];
+    let (gain, add_micros) = list.get(rank).map_or((0, 0), |c| (c.quantized, c.add_micros));
+    MergeEntry {
+        u: node.u + gain,
+        total: node.total + add_micros as u128,
+        parent: parent as u32,
+        rank: rank as u32,
+    }
+}
+
+/// Every frontier node's first candidate in merge order: its first feasible
+/// extension, or its skip-copy when nothing fits.
+fn first_candidates<'a>(
+    parents: &'a [NodeMeta],
+    ok_masks: &'a [ModelSet],
+    list: &'a [SubsetCand],
+) -> impl Iterator<Item = MergeEntry> + 'a {
+    (0..parents.len())
+        .map(move |p| candidate(parents, p, list, first_fitting(list, ok_masks[p], 0)))
+}
+
+/// The subset a candidate of rank `rank` assigns (∅ for the skip-copy).
+fn choice_at(list: &[SubsetCand], rank: u32) -> ModelSet {
+    list.get(rank as usize).map_or(ModelSet::EMPTY, |c| c.set)
+}
+
+/// One layer's candidates in sorted order, produced lazily: a k-way merge
+/// over the frontier nodes, each contributing its feasible extensions in
+/// list order and then its skip-copy. Infeasible extensions are skipped
+/// without entering the heap; nothing past the last `next()` is generated.
+struct Merge<'a> {
+    heap: &'a mut BinaryHeap<MergeEntry>,
+    parents: &'a [NodeMeta],
+    ok_masks: &'a [ModelSet],
+    list: &'a [SubsetCand],
+}
+
+impl<'a> Merge<'a> {
+    fn new(
+        heap: &'a mut BinaryHeap<MergeEntry>,
+        parents: &'a [NodeMeta],
+        ok_masks: &'a [ModelSet],
+        list: &'a [SubsetCand],
+    ) -> Self {
+        heap.clear();
+        heap.extend(first_candidates(parents, ok_masks, list));
+        Self { heap, parents, ok_masks, list }
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = MergeEntry;
+
+    fn next(&mut self) -> Option<MergeEntry> {
+        let mut top = self.heap.peek_mut()?;
+        let cand = *top;
+        if (cand.rank as usize) < self.list.len() {
+            let parent = cand.parent as usize;
+            let next = first_fitting(self.list, self.ok_masks[parent], cand.rank as usize + 1);
+            *top = candidate(self.parents, parent, self.list, next);
+        } else {
+            PeekMut::pop(top);
+        }
+        Some(cand)
+    }
 }
 
 /// The pre-refactor implementation, retained verbatim as the differential
@@ -475,7 +557,8 @@ mod tests {
         SimTime::from_millis(x)
     }
 
-    fn query(id: u64, deadline_ms: u64, utilities: Vec<f64>) -> BufferedQuery {
+    fn query(id: u64, deadline_ms: u64, utilities: impl Into<Arc<[f64]>>) -> BufferedQuery {
+        let utilities = utilities.into();
         BufferedQuery { id, arrival: at(0), deadline: at(deadline_ms), utilities, score: 0.5 }
     }
 
@@ -623,6 +706,119 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The regime the ordered merge and the subset prefilter change:
+        /// ensembles up to m = 8 (the cap binds), utilities on a 0.05 grid
+        /// so subsets and supersets tie after quantization, a zero-latency
+        /// model (full ties that fall through to mask order), queries
+        /// sharing one table, and a query cap below the buffer size.
+        #[test]
+        fn differential_plan_equality_with_ties_and_binding_caps(
+            seed in 0u64..10_000,
+            n in 1usize..=16,
+            m in 1usize..=8,
+            delta_idx in 0usize..3,
+            cap_idx in 0usize..4,
+            max_queries in 1usize..=20,
+        ) {
+            let delta = [0.01, 0.05, 0.1][delta_idx];
+            let max_frontier = [1, 2, 8, 64][cap_idx];
+            let input = tied_instance(seed, n, m);
+            let sched = DpScheduler { delta, max_frontier, max_queries };
+            prop_assert_eq!(sched.plan(&input), reference::plan(&sched, &input));
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_at_m8() {
+        // Two queries over eight models: 2^16 joint choices for the brute
+        // force, and a first layer wide enough that only an exact prefilter
+        // and merge can still find the optimum.
+        for seed in 0..6u64 {
+            let input = random_instance(seed, 2, 8);
+            let dp = DpScheduler { delta: 1e-4, max_frontier: 4096, max_queries: 24 }.plan(&input);
+            let best = optimal_plan(&input);
+            assert!(input.plan_is_feasible(&dp));
+            let (dp_u, opt_u) = (input.plan_utility(&dp), input.plan_utility(&best));
+            assert!((dp_u - opt_u).abs() < 1e-6, "seed {seed}: dp {dp_u} vs opt {opt_u}");
+        }
+    }
+
+    #[test]
+    fn subset_max_sweep_matches_naive_scan() {
+        use rand::Rng;
+        let mut rng = schemble_sim::rng::stream_rng(17, "subset-max");
+        let mut best_sub = Vec::new();
+        for m in 0..=6usize {
+            for _ in 0..20 {
+                let mut quant: Vec<u64> = (0..1u32 << m).map(|_| rng.random_range(0..6)).collect();
+                quant[0] = 0;
+                proper_subset_max(&quant, &mut best_sub);
+                for s in 0..quant.len() {
+                    let naive = (1..s).filter(|sub| sub & s == *sub).map(|sub| quant[sub]).max();
+                    assert_eq!(best_sub[s], naive.unwrap_or(0), "m {m} mask {s:#b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_visits_candidates_in_generate_and_sort_order() {
+        use rand::Rng;
+        let mut rng = schemble_sim::rng::stream_rng(23, "merge-order");
+        let mut scratch = SchedScratch::new();
+        for round in 0..200 {
+            let m = rng.random_range(1..=6usize);
+            // Coarse rewards and latencies (one of them zero) force ties on
+            // every key of the order.
+            let utilities: Vec<f64> =
+                (0..1u32 << m).map(|_| 0.05 * rng.random_range(0..8) as f64).collect();
+            let mut latencies: Vec<SimDuration> =
+                (0..m).map(|_| ms(5 * rng.random_range(1..4u64))).collect();
+            latencies[rng.random_range(0..m)] = ms(0);
+            scratch.begin_plan(1);
+            let range = subset_list(&mut scratch, &utilities, &latencies, 0.05);
+            let list = &scratch.subsets[range];
+            let parents: Vec<NodeMeta> = (0..rng.random_range(1..12u32))
+                .map(|_| NodeMeta {
+                    u: rng.random_range(0..4),
+                    total: 5000 * rng.random_range(0..4u32) as u128,
+                    parent: 0,
+                    choice: ModelSet::EMPTY,
+                })
+                .collect();
+            let ok_masks: Vec<ModelSet> =
+                parents.iter().map(|_| ModelSet(rng.random_range(0..1u32 << m))).collect();
+
+            // The old formulation: per parent a skip-copy, then its feasible
+            // extensions in mask order; sort by (u desc, total asc, index).
+            let mut by_mask = list.to_vec();
+            by_mask.sort_by_key(|c| c.set.0);
+            let mut generated: Vec<(u64, u128, u32, ModelSet)> = Vec::new();
+            for (p, node) in parents.iter().enumerate() {
+                generated.push((node.u, node.total, p as u32, ModelSet::EMPTY));
+                for c in by_mask.iter().filter(|c| c.set.is_subset_of(ok_masks[p])) {
+                    let total = node.total + c.add_micros as u128;
+                    generated.push((node.u + c.quantized, total, p as u32, c.set));
+                }
+            }
+            let mut perm: Vec<usize> = (0..generated.len()).collect();
+            perm.sort_by(|&a, &b| {
+                let (ca, cb) = (&generated[a], &generated[b]);
+                cb.0.cmp(&ca.0).then(ca.1.cmp(&cb.1)).then(a.cmp(&b))
+            });
+            let expected: Vec<_> = perm.into_iter().map(|i| generated[i]).collect();
+
+            let mut heap = BinaryHeap::new();
+            let merged: Vec<_> = Merge::new(&mut heap, &parents, &ok_masks, list)
+                .map(|c| (c.u, c.total, c.parent, choice_at(list, c.rank)))
+                .collect();
+            assert_eq!(merged, expected, "round {round} m {m}");
+        }
+    }
+
     #[test]
     fn scratch_reuse_leaks_no_state() {
         // Two consecutive plans through ONE scratch must equal two plans
@@ -634,6 +830,7 @@ mod tests {
             random_instance(9, 2, 6),
             random_instance(1, 5, 1),
             random_instance(7, 1, 3),
+            tied_instance(5, 6, 8),
         ];
         let mut shared = SchedScratch::new();
         let mut out = SchedulePlan::empty(0);
@@ -645,6 +842,8 @@ mod tests {
                     let mut fresh_out = SchedulePlan::empty(0);
                     sched.plan_into(input, &mut fresh, &mut fresh_out);
                     assert_eq!(out, fresh_out, "scratch state leaked between plans");
+                    assert_eq!(out.frontier, fresh_out.frontier);
+                    assert_eq!(shared.stats(), fresh.stats());
                 }
             }
         }
@@ -681,6 +880,27 @@ mod tests {
         assert!(first.nodes_expanded > 0 && first.nodes_kept > 0);
         sched.plan_into(&input, &mut scratch, &mut out);
         assert_eq!(scratch.stats(), first);
+    }
+
+    /// Instances built to tie: utilities snapped to a 0.05 grid (after the
+    /// monotone repair, so supersets often equal their subsets), one model
+    /// with zero latency, and queries drawing from at most three shared
+    /// utility tables.
+    fn tied_instance(seed: u64, n: usize, m: usize) -> ScheduleInput {
+        use rand::Rng;
+        let mut rng = schemble_sim::rng::stream_rng(seed, "sched-tied-instance");
+        let mut input = random_instance(seed, n, m);
+        input.latencies[rng.random_range(0..m)] = ms(0);
+        let tables: Vec<Arc<[f64]>> = input
+            .queries
+            .iter()
+            .take(3)
+            .map(|q| q.utilities.iter().map(|u| (u / 0.05).round() * 0.05).collect())
+            .collect();
+        for q in &mut input.queries {
+            q.utilities = Arc::clone(&tables[rng.random_range(0..tables.len())]);
+        }
+        input
     }
 
     /// Deterministic pseudo-random small instance generator for tests.

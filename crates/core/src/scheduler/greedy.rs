@@ -145,14 +145,14 @@ mod tests {
                     id: 0,
                     arrival: at(0),
                     deadline: at(100),
-                    utilities: vec![0.0, 0.6, 0.7, 1.0],
+                    utilities: vec![0.0, 0.6, 0.7, 1.0].into(),
                     score: 0.9,
                 },
                 BufferedQuery {
                     id: 1,
                     arrival: at(2),
                     deadline: at(40),
-                    utilities: vec![0.0, 0.6, 0.7, 1.0],
+                    utilities: vec![0.0, 0.6, 0.7, 1.0].into(),
                     score: 0.1,
                 },
             ],
@@ -180,7 +180,8 @@ mod tests {
         // The defining failure: greedy gives the first query everything and
         // starves the second; DP shares. Construct the §I two-easy-queries
         // situation and observe greedy scheduling strictly fewer queries.
-        let utilities = vec![0.0, 0.9, 0.9, 0.92, 0.9, 0.92, 0.92, 1.0];
+        let utilities: std::sync::Arc<[f64]> =
+            vec![0.0, 0.9, 0.9, 0.92, 0.9, 0.92, 0.92, 1.0].into();
         let mk = |id| BufferedQuery {
             id,
             arrival: at(id),

@@ -2,6 +2,7 @@
 
 use schemble_models::ModelSet;
 use schemble_sim::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// One query waiting in the buffer.
 #[derive(Debug, Clone)]
@@ -13,7 +14,10 @@ pub struct BufferedQuery {
     /// Absolute deadline.
     pub deadline: SimTime,
     /// Reward per subset, indexed by `ModelSet.0` (`utilities[0]` = ∅ = 0).
-    pub utilities: Vec<f64>,
+    /// Shared, not owned: the engine hands every query of a difficulty bin
+    /// the profile's own row, so building a plan input copies no table (and
+    /// the DP recognises queries that share one by pointer).
+    pub utilities: Arc<[f64]>,
     /// Predicted discrepancy score (SJF ordering input).
     pub score: f64,
 }
@@ -163,14 +167,14 @@ mod tests {
                     id: 0,
                     arrival: at(0),
                     deadline: at(100),
-                    utilities: vec![0.0, 0.5, 0.6, 1.0],
+                    utilities: vec![0.0, 0.5, 0.6, 1.0].into(),
                     score: 0.1,
                 },
                 BufferedQuery {
                     id: 1,
                     arrival: at(1),
                     deadline: at(50),
-                    utilities: vec![0.0, 0.5, 0.6, 1.0],
+                    utilities: vec![0.0, 0.5, 0.6, 1.0].into(),
                     score: 0.9,
                 },
             ],
@@ -219,7 +223,7 @@ mod tests {
                     id,
                     arrival: at(next() % 40),
                     deadline: at(40 + next() % 5), // frequent ties
-                    utilities: vec![0.0, 1.0],
+                    utilities: vec![0.0, 1.0].into(),
                     score: 0.5,
                 })
                 .collect();

@@ -74,7 +74,7 @@ mod tests {
     pub(crate) fn tight_instance() -> ScheduleInput {
         let latencies = vec![SimDuration::from_millis(10), SimDuration::from_millis(20)];
         // Utility vectors indexed by subset mask: [∅, {0}, {1}, {0,1}].
-        let utilities = vec![0.0, 0.6, 0.7, 1.0];
+        let utilities: std::sync::Arc<[f64]> = vec![0.0, 0.6, 0.7, 1.0].into();
         let queries = (0..3)
             .map(|i| BufferedQuery {
                 id: i,

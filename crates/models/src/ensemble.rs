@@ -89,7 +89,7 @@ impl Ensemble {
     /// deadlines ("all deadlines assigned are larger than the time delay of
     /// the slowest model", §VIII).
     pub fn slowest_planned_latency(&self) -> SimDuration {
-        self.planned_latencies().into_iter().max().unwrap_or(SimDuration::ZERO)
+        self.models.iter().map(|bm| bm.latency.planned()).max().unwrap_or(SimDuration::ZERO)
     }
 
     /// Planned makespan of running `set` in parallel (its slowest member).

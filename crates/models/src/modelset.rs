@@ -53,12 +53,14 @@ impl ModelSet {
     }
 
     /// This set plus model `k`.
+    #[inline]
     pub fn with(self, k: usize) -> ModelSet {
         assert!(k < 32);
         ModelSet(self.0 | (1 << k))
     }
 
     /// This set minus model `k`.
+    #[inline]
     pub fn without(self, k: usize) -> ModelSet {
         ModelSet(self.0 & !(1 << k))
     }
@@ -82,13 +84,23 @@ impl ModelSet {
     }
 
     /// True if `self ⊆ other`.
+    #[inline]
     pub fn is_subset_of(self, other: ModelSet) -> bool {
         self.0 & other.0 == self.0
     }
 
-    /// Iterates over member indices, ascending.
+    /// Iterates over member indices, ascending — one step per member, not
+    /// per bit position (the DP walks these in its innermost loops).
+    #[inline]
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..32u32).filter(move |&k| (self.0 >> k) & 1 == 1).map(|k| k as usize)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let k = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                k
+            })
+        })
     }
 
     /// All non-empty subsets of an `m`-model ensemble (2^m − 1 of them).

@@ -16,7 +16,8 @@ use schemble::sim::{SimDuration, SimTime};
 
 fn main() {
     // Three equal models, 20 ms each; two queries, both due at 25 ms.
-    let utilities = vec![0.0, 0.90, 0.90, 0.95, 0.90, 0.95, 0.95, 1.00];
+    let utilities: std::sync::Arc<[f64]> =
+        vec![0.0, 0.90, 0.90, 0.95, 0.90, 0.95, 0.95, 1.00].into();
     let mk = |id: u64| BufferedQuery {
         id,
         arrival: SimTime::from_millis(id),

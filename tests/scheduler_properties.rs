@@ -43,7 +43,7 @@ fn arb_instance() -> impl Strategy<Value = ScheduleInput> {
                             id: id as u64,
                             arrival: SimTime::from_millis(id as u64),
                             deadline: SimTime::from_millis(d),
-                            utilities,
+                            utilities: utilities.into(),
                             score: base,
                         }
                     })

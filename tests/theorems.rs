@@ -52,7 +52,7 @@ fn instance(seed: u64, n: usize, m: usize, tight: bool) -> ScheduleInput {
                 id,
                 arrival: SimTime::from_millis(id),
                 deadline: SimTime::from_millis(rng.random_range(horizon)),
-                utilities,
+                utilities: utilities.into(),
                 score: rng.random_range(0.0..1.0),
             }
         })
