@@ -11,20 +11,18 @@
 //! the runtime drives the *identical* engine code over a [`SimBackend`], so
 //! its admission decisions match the DES pipeline's by construction.
 //!
+//! What an executor *is* — idle/busy/down, FIFO backlog, open and launched
+//! batches, fault fates, cancellation, crash casualties, busy accounting —
+//! is implemented once, in [`crate::executor::ExecutorBank`]; a backend is
+//! that bank plus a way to time its passes.
+//!
 //! Executors are indexed `0..executors()`. For the Schemble pipeline the
 //! executor index *is* the base-model index (identity deployment); the
 //! immediate-selection family maps instances to base models through its
 //! `Deployment`.
 
-use rand::rngs::StdRng;
-use schemble_sim::rng::stream_rng;
-use schemble_sim::{
-    BatchConfig, EventQueue, FaultPlan, FaultState, FaultTransition, LatencyModel, ServerBank,
-    SimDuration, SimTime, TaskFate, TaskId,
-};
-use schemble_trace::{TraceEvent, TraceSink};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use crate::executor::{ExecutorBank, PassStart};
+use schemble_sim::{EventQueue, SimTime};
 
 /// An event surfaced by a backend to the engine driving it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,12 +96,15 @@ pub trait ExecutionBackend {
         true
     }
 
-    /// Indices of currently idle executors, ascending.
-    fn idle_executors(&self) -> Vec<usize>;
+    /// Indices of currently idle executors, ascending (allocating
+    /// convenience over [`Self::is_idle`]).
+    fn idle_executors(&self) -> Vec<usize> {
+        (0..self.executors()).filter(|&k| self.is_idle(k)).collect()
+    }
 
     /// True when any executor is idle.
     fn any_idle(&self) -> bool {
-        !self.idle_executors().is_empty()
+        (0..self.executors()).any(|k| self.is_idle(k))
     }
 
     /// Earliest time `executor` could start a new task, counting its
@@ -180,158 +181,64 @@ pub trait ExecutionBackend {
     fn usage(&self) -> Vec<ExecutorUsage>;
 }
 
-/// An open (still accepting) batch on one executor: members with their
-/// pre-drawn durations and fault fates, waiting for the batch to fill or
-/// its window to expire.
-struct OpenBatch {
-    /// `(query, sampled duration, doomed)`, in submission order.
-    members: Vec<(u64, SimDuration, bool)>,
-    opened_at: SimTime,
+/// What the simulator's event heap holds.
+enum Timer {
+    /// Surfaces as is: arrivals, wakes, fault transitions (applied to the
+    /// bank when they pop) and the `TaskFailed` of each crash casualty.
+    Event(BackendEvent),
+    /// A pass's service time elapsed.
+    PassEnd { executor: usize, pass: u64 },
 }
 
-/// A launched batch occupying one executor until `completes_at`.
-struct RunningBatch {
-    /// Members whose completion/failure events are still queued.
-    members: Vec<u64>,
-    completes_at: SimTime,
-    /// Batched service time, charged to busy accounting once at retirement.
-    duration: SimDuration,
-}
-
-/// The discrete-event-simulation backend: a [`ServerBank`] plus an
-/// [`EventQueue`], with synthetic latencies drawn from a named RNG stream.
+/// The discrete-event-simulation backend: an [`ExecutorBank`] plus an
+/// [`EventQueue`] that times its passes and orders them against arrivals,
+/// wake-ups and fault transitions.
 ///
 /// [`SimBackend::pop_event`] is the simulation loop's clock: it advances
 /// virtual time to the next event and performs the executor-side mechanics
 /// of completions (retiring the finished task and starting the next backlog
 /// task) before handing the event to the engine.
 pub struct SimBackend {
-    servers: ServerBank,
-    events: EventQueue<BackendEvent>,
-    latencies: Vec<LatencyModel>,
-    rng: StdRng,
-    trace: Arc<TraceSink>,
-    /// Fault-plan interpreter; `None` keeps the backend byte-identical to
-    /// the pre-fault behaviour (no fault RNG draws, no extra events).
-    faults: Option<FaultState>,
-    /// Up/down transitions from the plan (sorted), for recovery-time lookups.
-    transitions: Vec<FaultTransition>,
-    /// Per-executor timeout derived from the plan's latency quantile.
-    timeouts: Vec<Option<SimDuration>>,
-    /// Whether each executor is currently inside a crash window.
-    down: Vec<bool>,
-    /// Failure flag per *backlogged* task, parallel to each server's FIFO
-    /// backlog (fates are decided at submission, consumed at start).
-    pending_fate: Vec<VecDeque<bool>>,
-    /// Stale completion/failure events of crash-killed tasks, keyed by
-    /// `(executor, query, scheduled_time)`; swallowed when they pop.
-    suppressed: Vec<(usize, u64, SimTime)>,
-    /// Cross-query batching; `None` (or an inactive config) keeps the
-    /// backend byte-identical to an unbatched build.
-    batching: Option<BatchConfig>,
-    /// Open batch per executor (batched execution runs beside the
-    /// [`ServerBank`], which only ever sees unbatched tasks).
-    open_batches: Vec<Option<OpenBatch>>,
-    /// Launched batch per executor.
-    running_batches: Vec<Option<RunningBatch>>,
-    /// Monotonic batch-id source for [`TraceEvent::BatchFormed`].
-    batch_seq: u64,
-    /// Busy time accrued by batched passes, per executor.
-    batch_busy: Vec<SimDuration>,
-    /// Tasks completed through batched passes, per executor.
-    batch_tasks: Vec<u64>,
-    /// Total tasks launched as batch members (counters backfill).
-    tasks_batched: u64,
-    /// Size of every launched batch in launch order (histogram backfill).
-    batch_sizes: Vec<u32>,
+    bank: ExecutorBank,
+    events: EventQueue<Timer>,
+    /// A batched pass whose timer popped but which still has members to
+    /// retire, one per `pop_event` call, at the current instant.
+    draining: Option<(usize, u64)>,
 }
 
 impl SimBackend {
-    /// A backend with one executor per entry of `latencies`, drawing
-    /// execution times from the `(seed, stream)` RNG stream.
-    pub fn new(latencies: Vec<LatencyModel>, seed: u64, stream: &str) -> Self {
-        let n = latencies.len();
-        Self {
-            servers: ServerBank::new(n),
-            events: EventQueue::new(),
-            latencies,
-            rng: stream_rng(seed, stream),
-            trace: TraceSink::disabled(),
-            faults: None,
-            transitions: Vec::new(),
-            timeouts: vec![None; n],
-            down: vec![false; n],
-            pending_fate: (0..n).map(|_| VecDeque::new()).collect(),
-            suppressed: Vec::new(),
-            batching: None,
-            open_batches: (0..n).map(|_| None).collect(),
-            running_batches: (0..n).map(|_| None).collect(),
-            batch_seq: 0,
-            batch_busy: vec![SimDuration::ZERO; n],
-            batch_tasks: vec![0; n],
-            tasks_batched: 0,
-            batch_sizes: Vec::new(),
+    /// A backend timing `bank`'s executors. The fault plan's up/down
+    /// transitions are pushed into the event queue *now*, before any
+    /// arrival, so every backend constructed this way observes them in the
+    /// same total order.
+    pub fn new(bank: ExecutorBank) -> Self {
+        let mut events = EventQueue::new();
+        for tr in bank.transitions() {
+            let event = if tr.up {
+                BackendEvent::ExecutorUp { executor: tr.executor }
+            } else {
+                BackendEvent::ExecutorDown { executor: tr.executor }
+            };
+            events.push(tr.at, Timer::Event(event));
         }
-    }
-
-    /// Emits task lifecycle events into `trace` (virtual timestamps).
-    pub fn with_trace(mut self, trace: Arc<TraceSink>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Enables cross-query batching. An inactive config (`batch_max <= 1`)
-    /// is ignored entirely, keeping the backend byte-identical to an
-    /// unbatched build — the off switch `--batch-max 1` relies on.
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        if config.active() {
-            self.batching = Some(config);
-        }
-        self
+        Self { bank, events, draining: None }
     }
 
     /// Total tasks launched as batch members so far (feeds the
     /// `tasks_batched_total` counter in virtual-clock runs).
     pub fn tasks_batched(&self) -> u64 {
-        self.tasks_batched
+        self.bank.counters().batched
     }
 
     /// Sizes of every batch launched so far, in launch order (feeds the
     /// `batch_size` histogram in virtual-clock runs).
     pub fn batch_sizes(&self) -> &[u32] {
-        &self.batch_sizes
-    }
-
-    /// Arms the backend with a fault plan, seeding the dedicated `"faults"`
-    /// RNG stream from `seed`. The plan's up/down transitions are pushed
-    /// into the event queue *now*, before any arrival, so every backend
-    /// constructed this way observes them in the same total order.
-    pub fn with_faults(mut self, plan: FaultPlan, seed: u64) -> Self {
-        if plan.is_noop() {
-            return self;
-        }
-        let transitions = plan.transitions();
-        let state = FaultState::new(plan, seed);
-        self.timeouts = self.latencies.iter().map(|l| state.timeout_for(l)).collect();
-        for tr in &transitions {
-            if tr.executor >= self.latencies.len() {
-                continue;
-            }
-            let ev = if tr.up {
-                BackendEvent::ExecutorUp { executor: tr.executor }
-            } else {
-                BackendEvent::ExecutorDown { executor: tr.executor }
-            };
-            self.events.push(tr.at, ev);
-        }
-        self.transitions = transitions;
-        self.faults = Some(state);
-        self
+        self.bank.batch_sizes()
     }
 
     /// Schedules `Arrival(index)` at `at`.
     pub fn push_arrival(&mut self, at: SimTime, index: usize) {
-        self.events.push(at, BackendEvent::Arrival(index));
+        self.events.push(at, Timer::Event(BackendEvent::Arrival(index)));
     }
 
     /// The virtual time of the next event this backend would surface,
@@ -341,615 +248,242 @@ impl SimBackend {
     /// event strictly *before* a boundary first, so DES and virtual-clock
     /// serving cut their epochs at identical instants.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let head = self.events.peek_time();
-        match self.next_due_launch() {
+        let head = self.head_time();
+        match self.bank.next_launch_due() {
             Some((due, _)) => Some(head.map_or(due, |t| t.min(due))),
             None => head,
         }
     }
 
+    /// Time of the next timer: now while a batched pass is draining.
+    fn head_time(&self) -> Option<SimTime> {
+        match self.draining {
+            Some(_) => Some(self.events.now()),
+            None => self.events.peek_time(),
+        }
+    }
+
     /// Advances to and returns the next event, or `None` once drained.
     ///
-    /// Completions are applied to the server bank here (including starting
-    /// the executor's next backlog task), so by the time the engine sees
+    /// Completions are applied to the bank here (including starting the
+    /// executor's next backlog task), so by the time the engine sees
     /// [`BackendEvent::TaskDone`] the executor is already idle or re-busy.
     /// Failures are applied the same way; crash transitions kill the running
-    /// task and drop the backlog, surfacing one [`BackendEvent::TaskFailed`]
-    /// per affected task at the crash instant.
+    /// pass and drop the backlog, surfacing one [`BackendEvent::TaskFailed`]
+    /// per affected task at the crash instant — through the heap, so they
+    /// queue behind whatever else was already due at that instant.
     pub fn pop_event(&mut self) -> Option<(SimTime, BackendEvent)> {
         loop {
             // A full batch launches synchronously in `submit_batch`; an
             // unfilled one launches when its window expires. Launching due
             // batches *before* popping any event at or past their deadline
             // means virtual time never slides past a pending launch.
-            if let Some((due, k)) = self.next_due_launch() {
-                if self.events.peek_time().is_none_or(|t| due <= t) {
-                    self.launch_batch(k, due);
+            if let Some((due, k)) = self.bank.next_launch_due() {
+                if self.head_time().is_none_or(|t| due <= t) {
+                    let pass = self.bank.launch_batch(k, due);
+                    self.time(Some(pass));
                     continue;
                 }
             }
-            let (now, event) = self.events.pop()?;
-            match event {
-                BackendEvent::TaskDone { executor, query } => {
-                    if self.take_suppressed(executor, query, now) {
-                        continue;
+            let (now, timer) = match self.draining.take() {
+                Some((executor, pass)) => (self.events.now(), Timer::PassEnd { executor, pass }),
+                None => self.events.pop()?,
+            };
+            let event = match timer {
+                Timer::PassEnd { executor, pass } => {
+                    // A stale timer (pass killed by a crash or a cancel) is
+                    // swallowed; the clock has still advanced to it.
+                    let Some(retired) = self.bank.retire(executor, pass, now) else { continue };
+                    self.time(retired.next);
+                    if self.bank.running_pass(executor) == Some(pass) {
+                        self.draining = Some((executor, pass));
                     }
-                    if self.is_batch_member(executor, query) {
-                        self.retire_batch_member(executor, query, now, false);
-                    } else {
-                        self.servers.get_mut(executor).complete(TaskId(query), now);
-                        self.trace.emit(TraceEvent::TaskDone {
-                            t: now,
-                            query,
-                            executor: executor as u16,
-                        });
-                        self.start_next_from_backlog(executor, now);
-                    }
+                    retired.event
                 }
-                BackendEvent::TaskFailed { executor, query } => {
-                    if self.take_suppressed(executor, query, now) {
-                        continue;
-                    }
-                    if self.is_batch_member(executor, query) {
-                        self.retire_batch_member(executor, query, now, true);
-                        return Some((now, event));
-                    }
-                    // Scheduled failures (transient/timeout) still occupy the
-                    // server; crash notifications pushed by `ExecutorDown`
-                    // already released it and pass through untouched.
-                    let occupies =
-                        self.servers.get(executor).running().is_some_and(|r| r.task.0 == query);
-                    if occupies {
-                        self.servers.get_mut(executor).fail(TaskId(query), now);
-                        self.trace.emit(TraceEvent::TaskFailed {
-                            t: now,
-                            query,
-                            executor: executor as u16,
-                        });
-                        self.start_next_from_backlog(executor, now);
-                    }
-                }
-                BackendEvent::ExecutorDown { executor } => {
-                    self.down[executor] = true;
-                    self.trace.emit(TraceEvent::ExecutorDown { t: now, executor: executor as u16 });
-                    if let Some(run) = self.servers.get(executor).running() {
-                        // Its completion/failure event is still queued;
-                        // remember to swallow it when it pops.
-                        self.suppressed.push((executor, run.task.0, run.completes_at));
-                    }
-                    let mut casualties = Vec::new();
-                    let server = self.servers.get_mut(executor);
-                    casualties.extend(server.kill(now));
-                    casualties.extend(server.drain_backlog());
-                    self.pending_fate[executor].clear();
-                    // An open batch's members die like backlog casualties
-                    // (nothing ran); a launched batch is killed mid-pass:
-                    // partial batch time is charged and the members' queued
-                    // completions are swallowed when they pop.
-                    if let Some(open) = self.open_batches[executor].take() {
-                        casualties.extend(open.members.iter().map(|&(q, _, _)| TaskId(q)));
-                    }
-                    if let Some(run) = self.running_batches[executor].take() {
-                        let left = run.completes_at.saturating_since(now);
-                        let spent = SimDuration::from_micros(
-                            run.duration.as_micros().saturating_sub(left.as_micros()),
-                        );
-                        self.batch_busy[executor] = self.batch_busy[executor] + spent;
-                        for &query in &run.members {
-                            self.suppressed.push((executor, query, run.completes_at));
+                Timer::Event(event) => {
+                    match event {
+                        BackendEvent::ExecutorDown { executor } => {
+                            for &query in self.bank.crash(executor, now) {
+                                let failed = BackendEvent::TaskFailed { executor, query };
+                                self.events.push(now, Timer::Event(failed));
+                            }
                         }
-                        casualties.extend(run.members.into_iter().map(TaskId));
+                        BackendEvent::ExecutorUp { executor } => self.bank.recover(executor, now),
+                        _ => {}
                     }
-                    for task in casualties {
-                        self.trace.emit(TraceEvent::TaskFailed {
-                            t: now,
-                            query: task.0,
-                            executor: executor as u16,
-                        });
-                        self.events.push(now, BackendEvent::TaskFailed { executor, query: task.0 });
-                    }
+                    event
                 }
-                BackendEvent::ExecutorUp { executor } => {
-                    self.down[executor] = false;
-                    self.trace.emit(TraceEvent::ExecutorUp { t: now, executor: executor as u16 });
-                }
-                BackendEvent::Arrival(_) | BackendEvent::Wake => {}
-            }
+            };
             return Some((now, event));
         }
     }
 
-    fn take_suppressed(&mut self, executor: usize, query: u64, at: SimTime) -> bool {
-        match self.suppressed.iter().position(|&(e, q, t)| e == executor && q == query && t == at) {
-            Some(i) => {
-                self.suppressed.remove(i);
-                true
-            }
-            None => false,
+    /// Schedules the end of a pass the bank just started.
+    fn time(&mut self, pass: Option<PassStart>) {
+        if let Some(p) = pass {
+            self.events.push(p.completes_at, Timer::PassEnd { executor: p.executor, pass: p.pass });
         }
-    }
-
-    fn fate_for(&mut self, executor: usize, now: SimTime, sampled: SimDuration) -> TaskFate {
-        match self.faults.as_mut() {
-            Some(f) => f.task_fate(executor, now, sampled, self.timeouts[executor]),
-            None => TaskFate { duration: sampled, failed: false },
-        }
-    }
-
-    fn start_next_from_backlog(&mut self, executor: usize, now: SimTime) {
-        if self.down[executor] {
-            return;
-        }
-        if let Some(run) = self.servers.get_mut(executor).start_next(now) {
-            let failed = self.pending_fate[executor].pop_front().unwrap_or(false);
-            let ev = if failed {
-                BackendEvent::TaskFailed { executor, query: run.task.0 }
-            } else {
-                BackendEvent::TaskDone { executor, query: run.task.0 }
-            };
-            self.events.push(run.completes_at, ev);
-            self.trace.emit(TraceEvent::TaskStart {
-                t: now,
-                query: run.task.0,
-                executor: executor as u16,
-            });
-        }
-    }
-
-    /// Earliest open-batch launch deadline `(at, executor)`, if any.
-    /// Executor order breaks ties, deterministically.
-    fn next_due_launch(&self) -> Option<(SimTime, usize)> {
-        let window = self.batching.as_ref()?.window;
-        let mut due: Option<(SimTime, usize)> = None;
-        for (k, slot) in self.open_batches.iter().enumerate() {
-            if let Some(open) = slot {
-                let at = open.opened_at + window;
-                if due.is_none_or(|(t, _)| at < t) {
-                    due = Some((at, k));
-                }
-            }
-        }
-        due
-    }
-
-    /// Launches `executor`'s open batch at `at`: one batched pass covering
-    /// every member, with the service time of the longest member scaled by
-    /// the batch curve. Members' completion/failure events all land at the
-    /// batched finish instant.
-    fn launch_batch(&mut self, executor: usize, at: SimTime) {
-        let Some(open) = self.open_batches[executor].take() else { return };
-        let cfg = self.batching.expect("batching configured");
-        let size = open.members.len();
-        let longest = open.members.iter().map(|&(_, d, _)| d).max().expect("non-empty batch");
-        let duration = cfg.curve.scale(longest, size);
-        let completes_at = at + duration;
-        let batch = self.batch_seq;
-        self.batch_seq += 1;
-        self.tasks_batched += size as u64;
-        self.batch_sizes.push(size as u32);
-        let mut members = Vec::with_capacity(size);
-        for &(query, _, doomed) in &open.members {
-            self.trace.emit(TraceEvent::TaskStart { t: at, query, executor: executor as u16 });
-            let ev = if doomed {
-                BackendEvent::TaskFailed { executor, query }
-            } else {
-                BackendEvent::TaskDone { executor, query }
-            };
-            self.events.push(completes_at, ev);
-            members.push(query);
-        }
-        self.trace.emit(TraceEvent::BatchFormed {
-            t: at,
-            executor: executor as u16,
-            batch,
-            size: size as u32,
-        });
-        self.running_batches[executor] = Some(RunningBatch { members, completes_at, duration });
-    }
-
-    /// Whether `query` is an in-flight member of `executor`'s launched batch.
-    fn is_batch_member(&self, executor: usize, query: u64) -> bool {
-        self.running_batches[executor].as_ref().is_some_and(|r| r.members.contains(&query))
-    }
-
-    /// Retires one member of `executor`'s launched batch; the last member
-    /// out releases the executor and charges the batched pass's busy time.
-    fn retire_batch_member(&mut self, executor: usize, query: u64, now: SimTime, failed: bool) {
-        let run = self.running_batches[executor].as_mut().expect("member checked");
-        let i = run.members.iter().position(|&q| q == query).expect("member checked");
-        run.members.swap_remove(i);
-        let done = run.members.is_empty();
-        let ev = if failed {
-            TraceEvent::TaskFailed { t: now, query, executor: executor as u16 }
-        } else {
-            self.batch_tasks[executor] += 1;
-            TraceEvent::TaskDone { t: now, query, executor: executor as u16 }
-        };
-        self.trace.emit(ev);
-        if done {
-            let duration = run.duration;
-            self.batch_busy[executor] = self.batch_busy[executor] + duration;
-            self.running_batches[executor] = None;
-        }
-    }
-
-    /// First recovery instant after `now` for a down executor.
-    fn recovery_time(&self, executor: usize, now: SimTime) -> SimTime {
-        self.transitions
-            .iter()
-            .find(|t| t.executor == executor && t.up && t.at > now)
-            .map_or(now, |t| t.at)
     }
 }
 
 impl ExecutionBackend for SimBackend {
     fn executors(&self) -> usize {
-        self.latencies.len()
+        self.bank.executors()
     }
 
     fn is_idle(&self, executor: usize) -> bool {
-        // An *open* batch leaves the executor idle — it is still accepting
-        // members; only a launched batch occupies it.
-        !self.down[executor]
-            && self.servers.get(executor).is_idle()
-            && self.running_batches[executor].is_none()
+        self.bank.is_idle(executor)
     }
 
     fn is_up(&self, executor: usize) -> bool {
-        !self.down[executor]
-    }
-
-    fn idle_executors(&self) -> Vec<usize> {
-        (0..self.executors()).filter(|&k| self.is_idle(k)).collect()
-    }
-
-    fn any_idle(&self) -> bool {
-        (0..self.executors()).any(|k| self.is_idle(k))
+        self.bank.is_up(executor)
     }
 
     fn available_at(&self, executor: usize, now: SimTime) -> SimTime {
-        let mut base = self.servers.get(executor).available_at(now);
-        if let Some(run) = &self.running_batches[executor] {
-            base = base.max(run.completes_at);
-        }
-        if let (Some(cfg), Some(open)) = (&self.batching, &self.open_batches[executor]) {
-            // Quote the *marginal* cost of joining the open batch: it
-            // launches at `opened_at + window` at the latest and would then
-            // run one pass of `s + 1` members, so the instant that makes
-            // `available_at + planned` equal the predicted joined finish is
-            // `launch + (gamma(s + 1) - 1) · planned`. The DP thereby prices
-            // joining an open batch against opening a fresh one elsewhere.
-            let planned = self.latencies[executor].planned();
-            let gamma = cfg.curve.gamma(open.members.len() + 1);
-            let marginal = SimDuration::from_micros(
-                (planned.as_micros() as f64 * (gamma - 1.0)).round() as u64,
-            );
-            base = base.max(open.opened_at + cfg.window + marginal);
-        }
-        if self.down[executor] {
-            base.max(self.recovery_time(executor, now))
-        } else {
-            base
-        }
+        self.bank.available_at(executor, now)
     }
 
     fn start_task(&mut self, executor: usize, query: u64, now: SimTime) {
-        assert!(!self.down[executor], "start_task on a down executor");
-        debug_assert!(
-            self.open_batches[executor].is_none() && self.running_batches[executor].is_none(),
-            "start_task alongside a batch on executor {executor}"
-        );
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        let fate = self.fate_for(executor, now, sampled);
-        let run =
-            self.servers.get_mut(executor).start_immediately(TaskId(query), now, fate.duration);
-        let ev = if fate.failed {
-            BackendEvent::TaskFailed { executor, query }
-        } else {
-            BackendEvent::TaskDone { executor, query }
-        };
-        self.events.push(run.completes_at, ev);
-        self.trace.emit(TraceEvent::TaskStart { t: now, query, executor: executor as u16 });
+        let pass = self.bank.start_task(executor, query, now);
+        self.time(Some(pass));
     }
 
     fn enqueue_task(&mut self, executor: usize, query: u64, now: SimTime) {
-        debug_assert!(!self.down[executor], "enqueue onto a down executor");
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        let fate = self.fate_for(executor, now, sampled);
-        let server = self.servers.get_mut(executor);
-        let was_idle = server.is_idle();
-        server.enqueue(TaskId(query), fate.duration);
-        self.pending_fate[executor].push_back(fate.failed);
-        if was_idle {
-            self.start_next_from_backlog(executor, now);
-        } else {
-            self.trace.emit(TraceEvent::TaskEnqueue { t: now, query, executor: executor as u16 });
-        }
+        let pass = self.bank.enqueue_task(executor, query, now);
+        self.time(pass);
     }
 
     fn cancel_task(&mut self, executor: usize, query: u64, now: SimTime) -> bool {
-        // A member of a not-yet-launched open batch never ran: remove it
-        // outright, no busy time, no stale events.
-        if let Some(open) = self.open_batches[executor].as_mut() {
-            if let Some(i) = open.members.iter().position(|&(q, _, _)| q == query) {
-                open.members.remove(i);
-                if open.members.is_empty() {
-                    self.open_batches[executor] = None;
-                }
-                return true;
-            }
-        }
-        // A launched batch shares one pass; a single member cannot be shed
-        // mid-flight. Refuse — the caller keeps it and its completion lands
-        // normally.
-        if self.is_batch_member(executor, query) {
-            return false;
-        }
-        let Some((task, completes_at)) =
-            self.servers.get(executor).running().map(|r| (r.task.0, r.completes_at))
-        else {
-            return false;
-        };
-        if task != query {
-            return false;
-        }
-        // The task's completion (or scheduled failure) event is still
-        // queued; swallow it when it pops — same mechanism as a crash kill.
-        self.suppressed.push((executor, task, completes_at));
-        // `kill` charges the partial busy time; unlike `ExecutorDown`, the
-        // casualty is discarded (a quit is not a failure, so no `TaskFailed`
-        // surfaces) and the backlog is left intact.
-        let _ = self.servers.get_mut(executor).kill(now);
-        self.start_next_from_backlog(executor, now);
-        true
+        let (cancelled, next) = self.bank.cancel_task(executor, query, now);
+        self.time(next);
+        cancelled
     }
 
     fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime) {
-        let Some(cfg) = self.batching else {
-            self.start_task(executor, query, now);
-            return;
-        };
-        assert!(!self.down[executor], "submit_batch on a down executor");
-        debug_assert!(
-            self.running_batches[executor].is_none() && self.servers.get(executor).is_idle(),
-            "open batches only exist while executor {executor} is idle"
-        );
-        // Same draw discipline as `start_task`: duration then fate, in
-        // submission order, so a fixed seed yields the same per-task numbers
-        // whether or not tasks end up co-batched.
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        let fate = self.fate_for(executor, now, sampled);
-        // `TaskEnqueue` marks the batch-queue wait; `TaskStart` lands at the
-        // launch instant, so exporters see queue-wait vs service split.
-        self.trace.emit(TraceEvent::TaskEnqueue { t: now, query, executor: executor as u16 });
-        let batch = self.open_batches[executor]
-            .get_or_insert_with(|| OpenBatch { members: Vec::new(), opened_at: now });
-        batch.members.push((query, fate.duration, fate.failed));
-        if batch.members.len() >= cfg.batch_max {
-            self.launch_batch(executor, now);
-        }
+        let pass = self.bank.submit_batch(executor, query, now);
+        self.time(pass);
     }
 
     fn open_batch_len(&self, executor: usize) -> usize {
-        self.open_batches[executor].as_ref().map_or(0, |b| b.members.len())
+        self.bank.open_batch_len(executor)
     }
 
     fn request_wake(&mut self, at: SimTime) {
-        self.events.push(at, BackendEvent::Wake);
+        self.events.push(at, Timer::Event(BackendEvent::Wake));
     }
 
     fn usage(&self) -> Vec<ExecutorUsage> {
-        (0..self.latencies.len())
-            .map(|k| ExecutorUsage {
-                busy_secs: (self.servers.get(k).busy_time() + self.batch_busy[k]).as_secs_f64(),
-                tasks: self.servers.get(k).completed_tasks() + self.batch_tasks[k],
-            })
-            .collect()
+        self.bank.usage()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! What the executors themselves do is tested on the bank
+    //! ([`crate::executor`]); these cover what the simulator adds — the
+    //! heap's timing and same-instant ordering.
     use super::*;
-    use schemble_sim::SimDuration;
+    use schemble_sim::{BatchConfig, FaultPlan, LatencyModel, SimDuration};
 
-    fn lat(ms: f64) -> LatencyModel {
-        LatencyModel::constant_millis(ms)
+    fn bank(ms: &[f64]) -> ExecutorBank {
+        let latencies = ms.iter().map(|&m| LatencyModel::constant_millis(m)).collect();
+        ExecutorBank::new(latencies, 1, "test")
     }
 
     #[test]
-    fn start_task_surfaces_completion() {
-        let mut b = SimBackend::new(vec![lat(10.0), lat(20.0)], 1, "test");
+    fn pass_timers_surface_completions_and_chain_the_backlog() {
+        let mut b = SimBackend::new(bank(&[10.0, 20.0]));
         assert_eq!(b.executors(), 2);
-        assert!(b.any_idle());
-        b.start_task(0, 7, SimTime::ZERO);
-        assert!(!b.is_idle(0));
-        assert!(b.is_idle(1));
+        assert_eq!(b.idle_executors(), vec![0, 1]);
+        b.enqueue_task(0, 7, SimTime::ZERO);
+        b.enqueue_task(0, 8, SimTime::ZERO);
+        assert!(!b.is_idle(0) && b.any_idle());
+        assert_eq!(b.idle_executors(), vec![1]);
+        assert_eq!(b.peek_time(), Some(SimTime::from_millis(10)));
         let (t, ev) = b.pop_event().expect("completion queued");
-        assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(10));
-        assert_eq!(ev, BackendEvent::TaskDone { executor: 0, query: 7 });
-        assert!(b.is_idle(0));
-        assert_eq!(b.usage()[0].tasks, 1);
-    }
-
-    #[test]
-    fn enqueue_chains_backlog_tasks() {
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test");
-        b.enqueue_task(0, 1, SimTime::ZERO);
-        b.enqueue_task(0, 2, SimTime::ZERO);
-        assert_eq!(b.available_at(0, SimTime::ZERO), SimTime::ZERO + SimDuration::from_millis(20));
-        let (t1, e1) = b.pop_event().expect("first completion");
-        assert_eq!(e1, BackendEvent::TaskDone { executor: 0, query: 1 });
-        assert_eq!(t1, SimTime::ZERO + SimDuration::from_millis(10));
-        // Backlog task auto-started at the completion instant.
-        let (t2, e2) = b.pop_event().expect("second completion");
-        assert_eq!(e2, BackendEvent::TaskDone { executor: 0, query: 2 });
-        assert_eq!(t2, SimTime::ZERO + SimDuration::from_millis(20));
-        assert!(b.pop_event().is_none());
-    }
-
-    #[test]
-    fn crash_kills_running_task_and_drops_backlog() {
-        let plan = FaultPlan::parse("crash 0 0.015 0.040").unwrap();
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_faults(plan, 1);
-        b.enqueue_task(0, 1, SimTime::ZERO); // runs 0..10ms... restarts as q2 at 10ms
-        b.enqueue_task(0, 2, SimTime::ZERO); // running at crash time 15ms → killed
-        b.enqueue_task(0, 3, SimTime::ZERO); // backlogged at crash → dropped
-        assert_eq!(b.pop_event().unwrap().1, BackendEvent::TaskDone { executor: 0, query: 1 });
-        let (t, ev) = b.pop_event().unwrap();
-        assert_eq!(ev, BackendEvent::ExecutorDown { executor: 0 });
-        assert_eq!(t, SimTime::from_micros(15_000));
-        assert!(!b.is_up(0));
-        assert!(!b.is_idle(0), "down executor is not idle");
-        // Killed running task and dropped backlog task surface as failures
-        // at the crash instant; the stale completion of q2 is swallowed.
-        assert_eq!(b.pop_event().unwrap().1, BackendEvent::TaskFailed { executor: 0, query: 2 });
-        assert_eq!(b.pop_event().unwrap().1, BackendEvent::TaskFailed { executor: 0, query: 3 });
-        // Down executor advertises its recovery time.
-        assert_eq!(b.available_at(0, t), SimTime::from_micros(40_000));
-        let (t_up, up) = b.pop_event().unwrap();
-        assert_eq!(up, BackendEvent::ExecutorUp { executor: 0 });
-        assert_eq!(t_up, SimTime::from_micros(40_000));
-        assert!(b.is_up(0) && b.is_idle(0));
-        assert!(b.pop_event().is_none(), "stale completion was suppressed");
-        // Partial busy time of the killed task (10..15ms) is charged.
-        assert!((b.usage()[0].busy_secs - 0.015).abs() < 1e-9);
-        assert_eq!(b.usage()[0].tasks, 1, "killed tasks don't count as completed");
-    }
-
-    #[test]
-    fn timeout_surfaces_task_failed_at_the_cap() {
-        // 3x straggler pushes the 10ms task past the q=1.0 timeout (= 10ms
-        // nominal with zero jitter), so it is killed at the cap.
-        let plan = FaultPlan::parse("straggle 0 0 1 3.0\ntimeout-q 1.0").unwrap();
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_faults(plan, 1);
-        b.start_task(0, 9, SimTime::ZERO);
-        let (t, ev) = b.pop_event().unwrap();
-        assert_eq!(ev, BackendEvent::TaskFailed { executor: 0, query: 9 });
-        assert_eq!(t, SimTime::from_micros(10_000), "killed at the timeout, not at 30ms");
-        assert!(b.is_idle(0), "failed task releases the executor");
-        assert_eq!(b.usage()[0].tasks, 0);
-    }
-
-    #[test]
-    fn noop_fault_plan_changes_nothing() {
-        let mut plain = SimBackend::new(vec![lat(10.0)], 7, "test");
-        let mut armed =
-            SimBackend::new(vec![lat(10.0)], 7, "test").with_faults(FaultPlan::default(), 7);
-        for b in [&mut plain, &mut armed] {
-            b.start_task(0, 1, SimTime::ZERO);
-        }
-        assert_eq!(plain.pop_event(), armed.pop_event());
-    }
-
-    #[test]
-    fn batch_launches_when_window_expires() {
-        let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
-        b.submit_batch(0, 1, SimTime::ZERO);
-        b.submit_batch(0, 2, SimTime::ZERO);
-        assert_eq!(b.open_batch_len(0), 2);
-        assert!(b.is_idle(0), "an open batch keeps the executor joinable");
-        // Launched at the 2ms window expiry; gamma(2) = 1.15 scales the 10ms
-        // pass to 11.5ms, so both members finish at 13.5ms.
-        let (t1, e1) = b.pop_event().unwrap();
-        assert_eq!(e1, BackendEvent::TaskDone { executor: 0, query: 1 });
-        assert_eq!(t1, SimTime::from_micros(13_500));
-        let (t2, e2) = b.pop_event().unwrap();
-        assert_eq!(e2, BackendEvent::TaskDone { executor: 0, query: 2 });
-        assert_eq!(t2, t1, "batch members finish together");
-        assert!(b.pop_event().is_none());
-        assert_eq!(b.tasks_batched(), 2);
+        assert_eq!(
+            (t, ev),
+            (SimTime::from_millis(10), BackendEvent::TaskDone { executor: 0, query: 7 })
+        );
+        // The backlog task was started, and timed, at the completion instant.
+        let (t, ev) = b.pop_event().expect("second completion");
+        assert_eq!(
+            (t, ev),
+            (SimTime::from_millis(20), BackendEvent::TaskDone { executor: 0, query: 8 })
+        );
+        assert!(b.pop_event().is_none() && b.is_idle(0));
         assert_eq!(b.usage()[0].tasks, 2);
-        // One shared pass: 11.5ms of busy time, not 20ms.
-        assert!((b.usage()[0].busy_secs - 0.0115).abs() < 1e-9);
-    }
-
-    #[test]
-    fn full_batch_launches_immediately() {
-        let cfg = BatchConfig::new(2, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
-        b.submit_batch(0, 1, SimTime::ZERO);
-        assert_eq!(b.open_batch_len(0), 1);
-        b.submit_batch(0, 2, SimTime::ZERO);
-        assert_eq!(b.open_batch_len(0), 0, "reaching batch_max launches synchronously");
-        assert!(!b.is_idle(0), "a launched batch occupies the executor");
-        let (t, _) = b.pop_event().unwrap();
-        assert_eq!(t, SimTime::from_micros(11_500), "no window wait when the batch fills");
-    }
-
-    #[test]
-    fn cancel_removes_open_member_but_refuses_launched_member() {
-        let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
-        b.submit_batch(0, 1, SimTime::ZERO);
-        b.submit_batch(0, 2, SimTime::ZERO);
-        assert!(b.cancel_task(0, 1, SimTime::ZERO), "open members are removable");
-        assert_eq!(b.open_batch_len(0), 1);
-        // The survivor launches alone at the window and costs the plain 10ms.
-        let (t, ev) = b.pop_event().unwrap();
-        assert_eq!(ev, BackendEvent::TaskDone { executor: 0, query: 2 });
-        assert_eq!(t, SimTime::from_micros(12_000));
-        assert!(b.pop_event().is_none(), "cancelled member left no stale events");
-
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test")
-            .with_batching(BatchConfig::new(2, SimDuration::from_millis(2)));
-        b.submit_batch(0, 1, SimTime::ZERO);
-        b.submit_batch(0, 2, SimTime::ZERO); // fills → launches
-        assert!(!b.cancel_task(0, 1, SimTime::ZERO), "launched members cannot be shed");
-    }
-
-    #[test]
-    fn crash_kills_open_and_running_batches() {
-        let plan = FaultPlan::parse("crash 0 0.015 0.040").unwrap();
-        let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b =
-            SimBackend::new(vec![lat(20.0)], 1, "test").with_faults(plan, 1).with_batching(cfg);
-        b.submit_batch(0, 1, SimTime::ZERO);
-        b.submit_batch(0, 2, SimTime::ZERO);
-        // The pass launches at 2ms and would run 23ms (gamma(2)·20ms); the
-        // crash at 15ms kills it mid-flight.
-        let (t, ev) = b.pop_event().unwrap();
-        assert_eq!(ev, BackendEvent::ExecutorDown { executor: 0 });
-        assert_eq!(t, SimTime::from_micros(15_000));
-        assert_eq!(b.pop_event().unwrap().1, BackendEvent::TaskFailed { executor: 0, query: 1 });
-        assert_eq!(b.pop_event().unwrap().1, BackendEvent::TaskFailed { executor: 0, query: 2 });
-        assert_eq!(b.pop_event().unwrap().1, BackendEvent::ExecutorUp { executor: 0 });
-        assert!(b.pop_event().is_none(), "stale batch completions were suppressed");
-        // Partial pass time 2..15ms is charged; no member completed.
-        assert!((b.usage()[0].busy_secs - 0.013).abs() < 1e-9);
-        assert_eq!(b.usage()[0].tasks, 0);
-    }
-
-    #[test]
-    fn open_batch_quotes_marginal_join_cost() {
-        let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
-        let mut b = SimBackend::new(vec![lat(10.0)], 1, "test").with_batching(cfg);
-        assert_eq!(b.available_at(0, SimTime::ZERO), SimTime::ZERO);
-        b.submit_batch(0, 1, SimTime::ZERO);
-        // Joining makes a batch of two: launch at 2ms, plus (gamma(2)−1) of
-        // the 10ms planned latency = 1.5ms, so avail = 3.5ms and
-        // avail + planned = 13.5ms — exactly the joined finish instant.
-        assert_eq!(b.available_at(0, SimTime::ZERO), SimTime::from_micros(3_500));
-    }
-
-    #[test]
-    fn inactive_batching_is_plain_start_task() {
-        let cfg = BatchConfig::new(1, SimDuration::from_millis(2));
-        let mut plain = SimBackend::new(vec![lat(10.0)], 7, "test");
-        let mut off = SimBackend::new(vec![lat(10.0)], 7, "test").with_batching(cfg);
-        plain.start_task(0, 1, SimTime::ZERO);
-        off.submit_batch(0, 1, SimTime::ZERO);
-        assert_eq!(plain.pop_event(), off.pop_event());
-        assert_eq!(off.tasks_batched(), 0);
     }
 
     #[test]
     fn wakes_and_arrivals_interleave_in_time_order() {
-        let mut b = SimBackend::new(vec![lat(1.0)], 1, "test");
+        let mut b = SimBackend::new(bank(&[1.0]));
         b.push_arrival(SimTime::ZERO + SimDuration::from_millis(5), 0);
         b.request_wake(SimTime::ZERO + SimDuration::from_millis(2));
         assert_eq!(b.pop_event().unwrap().1, BackendEvent::Wake);
         assert_eq!(b.pop_event().unwrap().1, BackendEvent::Arrival(0));
+    }
+
+    #[test]
+    fn crash_casualties_queue_behind_events_already_due_at_that_instant() {
+        let plan = FaultPlan::parse("crash 0 0.015 0.040").unwrap();
+        let mut b = SimBackend::new(bank(&[10.0]).with_faults(Some(&plan), 1));
+        b.push_arrival(SimTime::from_millis(15), 0);
+        b.enqueue_task(0, 1, SimTime::ZERO);
+        b.enqueue_task(0, 2, SimTime::ZERO); // running at the crash → killed
+        b.enqueue_task(0, 3, SimTime::ZERO); // backlogged at the crash → dropped
+        assert_eq!(b.pop_event().unwrap().1, BackendEvent::TaskDone { executor: 0, query: 1 });
+        let crash = SimTime::from_millis(15);
+        assert_eq!(b.pop_event().unwrap(), (crash, BackendEvent::ExecutorDown { executor: 0 }));
+        assert!(!b.is_up(0));
+        // The arrival was already queued for this instant; the casualties
+        // were pushed when the crash popped, so they follow it.
+        assert_eq!(b.pop_event().unwrap(), (crash, BackendEvent::Arrival(0)));
+        assert_eq!(
+            b.pop_event().unwrap(),
+            (crash, BackendEvent::TaskFailed { executor: 0, query: 2 })
+        );
+        assert_eq!(
+            b.pop_event().unwrap(),
+            (crash, BackendEvent::TaskFailed { executor: 0, query: 3 })
+        );
+        let up = (SimTime::from_millis(40), BackendEvent::ExecutorUp { executor: 0 });
+        assert_eq!(b.pop_event().unwrap(), up, "the killed task's stale timer was swallowed");
+        assert!(b.is_up(0) && b.is_idle(0));
+        assert!(b.pop_event().is_none());
+    }
+
+    #[test]
+    fn batch_launches_at_its_window_and_members_surface_one_per_pop() {
+        let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
+        let mut b = SimBackend::new(bank(&[10.0]).with_batching(Some(cfg)));
+        b.submit_batch(0, 1, SimTime::ZERO);
+        b.submit_batch(0, 2, SimTime::ZERO);
+        b.request_wake(SimTime::from_millis(5));
+        assert_eq!(b.open_batch_len(0), 2);
+        assert_eq!(b.peek_time(), Some(SimTime::from_millis(2)), "the launch is the next event");
+        // Launched at the 2ms window expiry, before time moves past it;
+        // gamma(2) = 1.15 scales the 10ms pass to 11.5ms, so both members
+        // finish at 13.5ms.
+        assert_eq!(b.pop_event().unwrap(), (SimTime::from_millis(5), BackendEvent::Wake));
+        assert!(b.open_batch_len(0) == 0 && !b.is_idle(0));
+        let finish = SimTime::from_micros(13_500);
+        b.request_wake(finish);
+        assert_eq!(
+            b.pop_event().unwrap(),
+            (finish, BackendEvent::TaskDone { executor: 0, query: 1 })
+        );
+        assert!(!b.is_idle(0), "occupied until the last member is out");
+        assert_eq!(b.peek_time(), Some(finish), "the second member is due now");
+        assert_eq!(
+            b.pop_event().unwrap(),
+            (finish, BackendEvent::TaskDone { executor: 0, query: 2 })
+        );
+        assert!(b.is_idle(0));
+        // Members come out back to back, ahead of anything queued for the
+        // same instant after the launch.
+        assert_eq!(b.pop_event().unwrap(), (finish, BackendEvent::Wake));
+        assert!(b.pop_event().is_none() && b.peek_time().is_none());
+        assert_eq!((b.tasks_batched(), b.batch_sizes()), (2, &[2][..]));
     }
 }

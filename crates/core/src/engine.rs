@@ -466,9 +466,8 @@ impl<'a> SchembleEngine<'a> {
         // Fast path (§VIII): empty buffer + an idle model ⇒ skip
         // prediction and scheduling, run the fastest idle model now.
         if self.config.fast_path && self.open.is_empty() && backend.any_idle() {
-            let k = backend
-                .idle_executors()
-                .into_iter()
+            let k = (0..backend.executors())
+                .filter(|&k| backend.is_idle(k))
                 .min_by_key(|&k| self.ensemble.latency(k).planned())
                 .expect("an idle server exists");
             self.trace.emit(TraceEvent::Admission {
@@ -733,7 +732,12 @@ impl<'a> SchembleEngine<'a> {
         let mut ids: Vec<u64> = self.open.keys().copied().collect();
         ids.sort_by_key(|id| (self.open[id].deadline, *id));
         let batching = self.batching();
-        for k in backend.idle_executors() {
+        for k in 0..backend.executors() {
+            // Dispatching onto `k` never changes another executor's
+            // idleness, so the live check sees what a snapshot would.
+            if !backend.is_idle(k) {
+                continue;
+            }
             // With batching active an idle executor accepts up to
             // `batch_max` members (counting an already-open batch); without
             // it, exactly one task as before.

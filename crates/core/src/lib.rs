@@ -34,6 +34,7 @@ pub mod backend;
 pub mod calibration;
 pub mod discrepancy;
 pub mod engine;
+pub mod executor;
 pub mod experiment;
 pub mod filling;
 pub mod offline;

@@ -9,6 +9,7 @@
 use super::{AdmissionMode, ResultAssembler};
 use crate::backend::{ExecutionBackend, SimBackend};
 use crate::engine::{ImmediateEngine, PipelineEngine};
+use crate::executor::ExecutorBank;
 use schemble_data::{Query, Workload};
 use schemble_metrics::RunSummary;
 use schemble_models::{Ensemble, ModelSet};
@@ -129,8 +130,8 @@ pub fn run_immediate_traced(
     trace: Arc<TraceSink>,
 ) -> RunSummary {
     let latencies = deployment.hosts.iter().map(|&h| ensemble.latency(h)).collect();
-    let mut backend =
-        SimBackend::new(latencies, seed, "immediate-latency").with_trace(trace.clone());
+    let bank = ExecutorBank::new(latencies, seed, "immediate-latency").with_trace(trace.clone());
+    let mut backend = SimBackend::new(bank);
     for (i, q) in workload.queries.iter().enumerate() {
         backend.push_arrival(q.arrival, i);
     }

@@ -13,6 +13,7 @@
 use super::{AdmissionMode, ResultAssembler};
 use crate::backend::{ExecutionBackend, SimBackend};
 use crate::engine::{AnytimePolicy, FailurePolicy, PipelineEngine, SchembleEngine};
+use crate::executor::ExecutorBank;
 use crate::predictor::OnlineScorer;
 use crate::profiling::AccuracyProfile;
 use crate::scheduler::Scheduler;
@@ -143,14 +144,11 @@ pub fn run_schemble_faulted(
     faults: Option<&FaultPlan>,
 ) -> RunSummary {
     let latencies = (0..ensemble.m()).map(|k| ensemble.latency(k)).collect();
-    let mut backend =
-        SimBackend::new(latencies, seed, "schemble-latency").with_trace(trace.clone());
-    if let Some(plan) = faults {
-        backend = backend.with_faults(plan.clone(), seed);
-    }
-    if let Some(batching) = config.batching {
-        backend = backend.with_batching(batching);
-    }
+    let bank = ExecutorBank::new(latencies, seed, "schemble-latency")
+        .with_trace(trace.clone())
+        .with_faults(faults, seed)
+        .with_batching(config.batching);
+    let mut backend = SimBackend::new(bank);
     for (i, q) in workload.queries.iter().enumerate() {
         backend.push_arrival(q.arrival, i);
     }

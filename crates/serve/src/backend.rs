@@ -1,182 +1,74 @@
 //! The threaded execution backend.
 //!
-//! [`ThreadedBackend`] implements [`ExecutionBackend`] over a
-//! [`WorkerPool`]: `start_task` samples the task's synthetic execution time
-//! (same latency models and RNG stream discipline as the simulator) and
-//! hands it to the executor's worker thread, which sleeps the dilated
-//! duration and reports completion. FIFO backlogs for the
-//! immediate-selection pipelines live here, mirroring the simulator's
-//! split between a server's running slot and its queue; per-executor
-//! backlog length is bounded by `queue_capacity`.
+//! [`ThreadedBackend`] is the wall-clock adapter of the shared
+//! [`ExecutorBank`]: the bank decides everything about an executor (draws,
+//! backlog, batches, fates, cancellation, crash casualties, accounting) and
+//! this type only *times* the passes the bank starts — each one becomes one
+//! job on the executor's [`WorkerPool`] thread, keyed by the pass id, which
+//! sleeps the dilated duration and reports back. The runtime hands that
+//! report to [`ThreadedBackend::retire`]. A pass killed by a crash or a
+//! cancel keeps its worker sleeping (threads cannot be cancelled); its late
+//! report carries a pass id the bank no longer runs and is swallowed.
 //!
-//! Faults: [`ThreadedBackend::with_faults`] installs the same seeded
-//! [`FaultPlan`] semantics the simulator honours — each task's fate
-//! (straggler-stretched duration, transient failure, timeout) is drawn from
-//! the dedicated `"faults"` RNG stream at submission, and crash windows
-//! surface as [`BackendEvent::ExecutorDown`]/[`BackendEvent::ExecutorUp`]
-//! via [`ThreadedBackend::take_due_fault_events`]. A worker killed by a
-//! crash keeps sleeping (threads cannot be cancelled); its eventual report
-//! is recorded as a *zombie* and swallowed. Dead worker threads (panics)
-//! are detected by [`ThreadedBackend::reap_dead`] and fold into the same
-//! executor-down path, permanently.
-//!
-//! All methods run on the runtime's scheduler thread; the shared
-//! [`RuntimeMetrics`] atomics exist so observer threads can snapshot state
-//! without locks.
+//! Beside the bank live the things only a wall clock needs: the wake heap,
+//! the cursor over the fault plan's crash/recovery schedule
+//! ([`ThreadedBackend::take_due_fault_events`]), dead-worker detection
+//! ([`ThreadedBackend::reap_dead`], permanent executor-down), the
+//! `queue_capacity` bound, and the mirror of the bank's state into the
+//! shared [`RuntimeMetrics`] atomics so observer threads can snapshot
+//! without locks. All methods run on the runtime's scheduler thread.
 
 use crate::clock::DilatedClock;
 use crate::worker::WorkerPool;
-use rand::rngs::StdRng;
 use schemble_core::backend::{BackendEvent, ExecutionBackend, ExecutorUsage};
+use schemble_core::executor::{ExecutorBank, PassStart};
 use schemble_metrics::RuntimeMetrics;
-use schemble_sim::rng::stream_rng;
-use schemble_sim::{
-    BatchConfig, FaultPlan, FaultState, FaultTransition, LatencyModel, SimDuration, SimTime,
-};
-use schemble_trace::{TraceEvent, TraceSink};
+use schemble_sim::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-struct RunningTask {
-    query: u64,
-    /// Sampled execution time, charged to busy accounting at completion.
-    duration: SimDuration,
-    /// `started + duration`: the availability estimate while running.
-    completes_at: SimTime,
-}
-
-/// A not-yet-launched cross-query batch: `(query, sampled duration, doomed)`
-/// members accumulated while the executor idles, launched when full or when
-/// the batching window expires.
-struct OpenBatch {
-    members: Vec<(u64, SimDuration, bool)>,
-    opened_at: SimTime,
-}
-
-/// A launched batch: one worker job (keyed by `rep`) stands in for the whole
-/// pass; member fates are resolved together when its report arrives.
-struct RunningBatch {
-    rep: u64,
-    /// `(query, doomed)` per member.
-    members: Vec<(u64, bool)>,
-    /// Batch-curve-dilated service time of the whole pass.
-    duration: SimDuration,
-    completes_at: SimTime,
-}
-
 /// [`ExecutionBackend`] over per-executor worker threads.
 pub struct ThreadedBackend {
-    latencies: Vec<LatencyModel>,
-    rng: StdRng,
+    bank: ExecutorBank,
     pool: WorkerPool,
     clock: DilatedClock,
-    running: Vec<Option<RunningTask>>,
-    /// FIFO backlog per executor: `(query, sampled duration, doomed)`,
-    /// duration and fate drawn at enqueue time like the simulator's
-    /// `Server::enqueue`.
-    backlog: Vec<VecDeque<(u64, SimDuration, bool)>>,
     queue_capacity: usize,
     /// Pending wake-ups requested by the engine.
     wakes: BinaryHeap<Reverse<SimTime>>,
-    busy: Vec<SimDuration>,
-    tasks: Vec<u64>,
     metrics: Arc<RuntimeMetrics>,
-    trace: Arc<TraceSink>,
-    /// Seeded fault-fate sampler; `None` without a plan.
-    faults: Option<FaultState>,
-    /// Crash/recovery schedule, sorted by time; `cursor` marks the next
-    /// transition not yet surfaced.
-    transitions: Vec<FaultTransition>,
+    /// Next fault-plan transition not yet surfaced.
     cursor: usize,
-    /// Per-task timeout derived from the plan's latency quantile.
-    timeouts: Vec<Option<SimDuration>>,
-    down: Vec<bool>,
     /// Worker thread exited (panic); never recovers.
     dead: Vec<bool>,
-    /// Queries whose running task was killed while the worker slept: the
-    /// worker's eventual report must be swallowed, in FIFO order.
-    zombies: Vec<VecDeque<u64>>,
-    /// Cross-query batching; `None` keeps every path byte-identical to an
-    /// unbatched backend.
-    batching: Option<BatchConfig>,
-    open_batches: Vec<Option<OpenBatch>>,
-    running_batches: Vec<Option<RunningBatch>>,
-    /// Monotonic batch-id source for [`TraceEvent::BatchFormed`].
-    batch_seq: u64,
+    /// Launched batches already recorded in the `batch_size` histogram.
+    batches_published: usize,
 }
 
 impl ThreadedBackend {
-    /// A backend with one worker per entry of `latencies`, sampling
-    /// execution times from the `(seed, stream)` RNG stream.
+    /// A backend timing `bank`'s executors on `pool`'s workers, one each.
     pub fn new(
-        latencies: Vec<LatencyModel>,
-        seed: u64,
-        stream: &str,
+        bank: ExecutorBank,
         pool: WorkerPool,
         clock: DilatedClock,
         queue_capacity: usize,
         metrics: Arc<RuntimeMetrics>,
     ) -> Self {
-        assert_eq!(pool.len(), latencies.len(), "one worker per executor");
-        assert_eq!(metrics.executors.len(), latencies.len());
-        let n = latencies.len();
+        assert_eq!(pool.len(), bank.executors(), "one worker per executor");
+        assert_eq!(metrics.executors.len(), bank.executors());
+        let dead = vec![false; bank.executors()];
         Self {
-            latencies,
-            rng: stream_rng(seed, stream),
+            bank,
             pool,
             clock,
-            running: (0..n).map(|_| None).collect(),
-            backlog: (0..n).map(|_| VecDeque::new()).collect(),
             queue_capacity,
             wakes: BinaryHeap::new(),
-            busy: vec![SimDuration::ZERO; n],
-            tasks: vec![0; n],
-            metrics: Arc::clone(&metrics),
-            trace: TraceSink::disabled(),
-            faults: None,
-            transitions: Vec::new(),
+            metrics,
             cursor: 0,
-            timeouts: vec![None; n],
-            down: vec![false; n],
-            dead: vec![false; n],
-            zombies: (0..n).map(|_| VecDeque::new()).collect(),
-            batching: None,
-            open_batches: (0..n).map(|_| None).collect(),
-            running_batches: (0..n).map(|_| None).collect(),
-            batch_seq: 0,
+            dead,
+            batches_published: 0,
         }
-    }
-
-    /// Enables cross-query batching. An inactive config (`batch_max <= 1`)
-    /// is ignored, keeping the backend byte-identical to an unbatched one.
-    pub fn with_batching(mut self, config: BatchConfig) -> Self {
-        if config.active() {
-            self.batching = Some(config);
-        }
-        self
-    }
-
-    /// Emits task lifecycle events into `trace` (dilated-sim timestamps).
-    pub fn with_trace(mut self, trace: Arc<TraceSink>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Installs a seeded fault plan: identical fate-draw discipline to
-    /// [`SimBackend::with_faults`](schemble_core::backend::SimBackend), so a
-    /// wall run and a virtual run under the same plan inject the same
-    /// per-task fates. A no-op plan changes nothing.
-    pub fn with_faults(mut self, plan: FaultPlan, seed: u64) -> Self {
-        if plan.is_noop() {
-            return self;
-        }
-        let state = FaultState::new(plan.clone(), seed);
-        self.timeouts = self.latencies.iter().map(|l| state.timeout_for(l)).collect();
-        self.transitions = plan.transitions();
-        self.faults = Some(state);
-        self
     }
 
     /// Access to the worker pool (fault-injection tests poison workers).
@@ -184,142 +76,57 @@ impl ThreadedBackend {
         &self.pool
     }
 
-    fn fate(&mut self, executor: usize, now: SimTime) -> (SimDuration, bool) {
-        let sampled = self.latencies[executor].sample(&mut self.rng);
-        match &mut self.faults {
-            Some(f) => {
-                let fate = f.task_fate(executor, now, sampled, self.timeouts[executor]);
-                (fate.duration, fate.failed)
-            }
-            None => (sampled, false),
+    /// Hands a pass the bank just started on `executor` (if any) to its
+    /// worker, then mirrors the executor's state into the metrics block.
+    /// The job is a pure timer keyed by the pass id: member fates are the
+    /// bank's to apply at retirement, so it always reports `TaskDone`.
+    fn run(&mut self, executor: usize, pass: Option<PassStart>) {
+        if let Some(p) = pass {
+            self.pool.submit(executor, p.pass, self.clock.dilate(p.duration), false);
         }
+        self.publish(executor);
     }
 
-    fn launch(
-        &mut self,
-        executor: usize,
-        query: u64,
-        duration: SimDuration,
-        doomed: bool,
-        now: SimTime,
-    ) {
-        debug_assert!(self.running[executor].is_none());
-        self.pool.submit(executor, query, self.clock.dilate(duration), doomed);
-        self.running[executor] =
-            Some(RunningTask { query, duration, completes_at: now + duration });
-        self.metrics.counters.tasks_started.fetch_add(1, Relaxed);
-        self.metrics.executors[executor].running.store(1, Relaxed);
-        self.trace.emit(TraceEvent::TaskStart { t: now, query, executor: executor as u16 });
-    }
-
-    fn start_backlog_next(&mut self, executor: usize, now: SimTime) {
-        if self.down[executor] {
-            return;
-        }
-        if let Some((next_query, dur, doomed)) = self.backlog[executor].pop_front() {
-            self.metrics.executors[executor]
-                .queue_depth
-                .store(self.backlog[executor].len() as u64, Relaxed);
-            self.launch(executor, next_query, dur, doomed, now);
-        }
-    }
-
-    /// Retires `executor`'s finished task and starts its next backlog task,
-    /// if any. Call on receipt of the worker's completion message, before
-    /// handing the event to the engine (mirrors `SimBackend::pop_event`).
-    /// Returns `false` when the report belonged to a task already killed by
-    /// a crash (a zombie) and must not reach the engine.
-    pub fn complete(&mut self, executor: usize, query: u64, now: SimTime) -> bool {
-        if self.zombies[executor].front() == Some(&query) {
-            self.zombies[executor].pop_front();
-            return false;
-        }
-        let task = self.running[executor].take().expect("completion from idle executor");
-        assert_eq!(task.query, query, "completion for the wrong task");
-        self.busy[executor] = self.busy[executor] + task.duration;
-        self.tasks[executor] += 1;
+    /// Mirrors `executor`'s gauges and the bank's task totals into the
+    /// shared atomics.
+    fn publish(&mut self, executor: usize) {
         let g = &self.metrics.executors[executor];
-        g.running.store(0, Relaxed);
-        g.busy_micros.fetch_add(task.duration.as_micros(), Relaxed);
-        g.tasks.fetch_add(1, Relaxed);
-        self.metrics.counters.tasks_completed.fetch_add(1, Relaxed);
-        self.trace.emit(TraceEvent::TaskDone { t: now, query, executor: executor as u16 });
-        self.start_backlog_next(executor, now);
-        true
-    }
-
-    /// Retires `executor`'s *failed* task (transient fault or timeout): its
-    /// time is charged to busy accounting but it does not count as a
-    /// completion. Returns `false` for zombie reports, like
-    /// [`Self::complete`].
-    pub fn fail(&mut self, executor: usize, query: u64, now: SimTime) -> bool {
-        if self.zombies[executor].front() == Some(&query) {
-            self.zombies[executor].pop_front();
-            return false;
+        g.queue_depth.store(self.bank.backlog_len(executor) as u64, Relaxed);
+        g.running.store(self.bank.running_pass(executor).is_some() as u64, Relaxed);
+        g.up.store(self.bank.is_up(executor) as u64, Relaxed);
+        g.busy_micros.store(self.bank.busy(executor).as_micros(), Relaxed);
+        g.tasks.store(self.bank.tasks(executor), Relaxed);
+        let totals = self.bank.counters();
+        let c = &self.metrics.counters;
+        c.tasks_started.store(totals.started, Relaxed);
+        c.tasks_completed.store(totals.completed, Relaxed);
+        c.tasks_batched.store(totals.batched, Relaxed);
+        for &size in &self.bank.batch_sizes()[self.batches_published..] {
+            self.metrics.batch_size.record(size as f64);
         }
-        let task = self.running[executor].take().expect("failure from idle executor");
-        assert_eq!(task.query, query, "failure for the wrong task");
-        self.busy[executor] = self.busy[executor] + task.duration;
-        let g = &self.metrics.executors[executor];
-        g.running.store(0, Relaxed);
-        g.busy_micros.fetch_add(task.duration.as_micros(), Relaxed);
-        self.trace.emit(TraceEvent::TaskFailed { t: now, query, executor: executor as u16 });
-        self.start_backlog_next(executor, now);
-        true
+        self.batches_published = self.bank.batch_sizes().len();
     }
 
-    /// Marks `executor` down: kills its running task (the worker keeps
-    /// sleeping; the report becomes a zombie), drops its backlog, and
-    /// returns the events the engine must observe, `ExecutorDown` first.
-    fn bring_down(&mut self, executor: usize, now: SimTime) -> Vec<BackendEvent> {
-        let mut out = Vec::new();
-        self.down[executor] = true;
-        self.metrics.executors[executor].up.store(0, Relaxed);
-        self.trace.emit(TraceEvent::ExecutorDown { t: now, executor: executor as u16 });
+    /// Applies the report of `executor`'s worker for `pass`: retires the
+    /// pass's next member (starting the next backlog task after the last)
+    /// and returns the event the engine must see. Call until `None`: a
+    /// batched pass retires one member per call, so the engine handles each
+    /// before the next retires, as in the simulator. `None` straight away
+    /// means the report was stale — its pass was killed by a crash or a
+    /// cancel and the engine has already been told.
+    pub fn retire(&mut self, executor: usize, pass: u64, now: SimTime) -> Option<BackendEvent> {
+        let retired = self.bank.retire(executor, pass, now)?;
+        self.run(executor, retired.next);
+        Some(retired.event)
+    }
+
+    /// Takes `executor` down, appending to `out` the events the engine must
+    /// observe, `ExecutorDown` first.
+    fn bring_down(&mut self, executor: usize, now: SimTime, out: &mut Vec<BackendEvent>) {
         out.push(BackendEvent::ExecutorDown { executor });
-        if let Some(task) = self.running[executor].take() {
-            self.zombies[executor].push_back(task.query);
-            // Charge only the time actually spent before the crash.
-            let left = task.completes_at.saturating_since(now);
-            let spent = SimDuration::from_micros(
-                task.duration.as_micros().saturating_sub(left.as_micros()),
-            );
-            self.busy[executor] = self.busy[executor] + spent;
-            let g = &self.metrics.executors[executor];
-            g.running.store(0, Relaxed);
-            g.busy_micros.fetch_add(spent.as_micros(), Relaxed);
-            self.trace.emit(TraceEvent::TaskFailed {
-                t: now,
-                query: task.query,
-                executor: executor as u16,
-            });
-            out.push(BackendEvent::TaskFailed { executor, query: task.query });
-        }
-        let mut casualties: Vec<u64> =
-            self.backlog[executor].drain(..).map(|(q, _, _)| q).collect();
-        self.metrics.executors[executor].queue_depth.store(0, Relaxed);
-        // Batch members die with the executor: open members never ran; a
-        // launched batch charges the time spent before the crash and its
-        // rep's eventual worker report becomes a zombie.
-        if let Some(open) = self.open_batches[executor].take() {
-            casualties.extend(open.members.iter().map(|&(q, _, _)| q));
-        }
-        if let Some(run) = self.running_batches[executor].take() {
-            self.zombies[executor].push_back(run.rep);
-            let left = run.completes_at.saturating_since(now);
-            let spent =
-                SimDuration::from_micros(run.duration.as_micros().saturating_sub(left.as_micros()));
-            self.busy[executor] = self.busy[executor] + spent;
-            let g = &self.metrics.executors[executor];
-            g.running.store(0, Relaxed);
-            g.busy_micros.fetch_add(spent.as_micros(), Relaxed);
-            casualties.extend(run.members.iter().map(|&(q, _)| q));
-        }
-        for query in casualties {
-            self.trace.emit(TraceEvent::TaskFailed { t: now, query, executor: executor as u16 });
-            out.push(BackendEvent::TaskFailed { executor, query });
-        }
-        out
+        let lost = self.bank.crash(executor, now);
+        out.extend(lost.iter().map(|&query| BackendEvent::TaskFailed { executor, query }));
+        self.publish(executor);
     }
 
     /// Surfaces fault-plan transitions due at or before `now` as backend
@@ -327,22 +134,17 @@ impl ThreadedBackend {
     /// top of the scheduler loop, before waiting on the channel.
     pub fn take_due_fault_events(&mut self, now: SimTime) -> Vec<BackendEvent> {
         let mut out = Vec::new();
-        while self.cursor < self.transitions.len() && self.transitions[self.cursor].at <= now {
-            let tr = self.transitions[self.cursor];
+        while let Some(&tr) = self.bank.transitions().get(self.cursor).filter(|t| t.at <= now) {
             self.cursor += 1;
-            if tr.executor >= self.latencies.len() {
-                continue;
-            }
-            if tr.up {
-                if self.dead[tr.executor] {
-                    continue; // a dead worker never recovers
+            if !tr.up {
+                if self.bank.is_up(tr.executor) {
+                    self.bring_down(tr.executor, now, &mut out);
                 }
-                self.down[tr.executor] = false;
-                self.metrics.executors[tr.executor].up.store(1, Relaxed);
-                self.trace.emit(TraceEvent::ExecutorUp { t: now, executor: tr.executor as u16 });
+            } else if !self.dead[tr.executor] {
+                // (a dead worker never recovers)
+                self.bank.recover(tr.executor, now);
+                self.publish(tr.executor);
                 out.push(BackendEvent::ExecutorUp { executor: tr.executor });
-            } else if !self.down[tr.executor] {
-                out.extend(self.bring_down(tr.executor, now));
             }
         }
         out
@@ -353,128 +155,38 @@ impl ThreadedBackend {
     /// this from the scheduler loop's timeout path.
     pub fn reap_dead(&mut self, now: SimTime) -> Vec<BackendEvent> {
         let mut out = Vec::new();
-        for e in 0..self.latencies.len() {
+        for e in 0..self.dead.len() {
             if self.dead[e] || !self.pool.is_finished(e) {
                 continue;
             }
             self.dead[e] = true;
-            if !self.down[e] {
-                out.extend(self.bring_down(e, now));
+            if self.bank.is_up(e) {
+                self.bring_down(e, now, &mut out);
             }
         }
         out
-    }
-
-    /// Launches `executor`'s open batch: one worker job covering every
-    /// member, with the service time of the longest member scaled by the
-    /// batch curve. The job is keyed by the first member (`rep`); member
-    /// fates are resolved together when its report arrives.
-    fn launch_batch(&mut self, executor: usize, now: SimTime) {
-        let Some(open) = self.open_batches[executor].take() else { return };
-        let cfg = self.batching.expect("batching configured");
-        let size = open.members.len();
-        let longest = open.members.iter().map(|&(_, d, _)| d).max().expect("non-empty batch");
-        let duration = cfg.curve.scale(longest, size);
-        let rep = open.members[0].0;
-        // The rep job is a pure timer for the batched pass: per-member fates
-        // are applied at retirement, so it always reports `TaskDone`.
-        self.pool.submit(executor, rep, self.clock.dilate(duration), false);
-        let batch = self.batch_seq;
-        self.batch_seq += 1;
-        self.metrics.counters.tasks_started.fetch_add(size as u64, Relaxed);
-        self.metrics.counters.tasks_batched.fetch_add(size as u64, Relaxed);
-        self.metrics.batch_size.record(size as f64);
-        self.metrics.executors[executor].running.store(1, Relaxed);
-        let mut members = Vec::with_capacity(size);
-        for &(query, _, doomed) in &open.members {
-            self.trace.emit(TraceEvent::TaskStart { t: now, query, executor: executor as u16 });
-            members.push((query, doomed));
-        }
-        self.trace.emit(TraceEvent::BatchFormed {
-            t: now,
-            executor: executor as u16,
-            batch,
-            size: size as u32,
-        });
-        self.running_batches[executor] =
-            Some(RunningBatch { rep, members, duration, completes_at: now + duration });
     }
 
     /// Launches every open batch whose window expired at or before `now`.
     /// Poll from the scheduler loop's top, before waiting on the channel
     /// ([`Self::next_wake`] includes the earliest launch deadline).
     pub fn launch_due_batches(&mut self, now: SimTime) {
-        let Some(cfg) = self.batching else { return };
-        for k in 0..self.latencies.len() {
-            if self.down[k] || self.running_batches[k].is_some() {
-                continue;
-            }
-            let due = match &self.open_batches[k] {
-                Some(open) => open.opened_at + cfg.window <= now,
-                None => false,
-            };
-            if due {
-                self.launch_batch(k, now);
-            }
+        while let Some((_, k)) = self.bank.next_launch_due().filter(|&(due, _)| due <= now) {
+            let pass = self.bank.launch_batch(k, now);
+            self.run(k, Some(pass));
         }
-    }
-
-    /// Resolves a worker report that stands in for a whole batched pass: if
-    /// `query` is the rep of `executor`'s running batch, the batch is
-    /// retired (busy charged once, per-member lifecycle traces emitted) and
-    /// its `(query, doomed)` members are returned for the caller to fan out
-    /// to the engine. `None` means the report was an ordinary single task
-    /// (or a zombie) and must take the normal [`Self::complete`] path.
-    pub fn batch_members(
-        &mut self,
-        executor: usize,
-        query: u64,
-        now: SimTime,
-    ) -> Option<Vec<(u64, bool)>> {
-        if self.running_batches[executor].as_ref().map(|b| b.rep) != Some(query) {
-            return None;
-        }
-        let run = self.running_batches[executor].take().expect("matched above");
-        self.busy[executor] = self.busy[executor] + run.duration;
-        let g = &self.metrics.executors[executor];
-        g.running.store(0, Relaxed);
-        g.busy_micros.fetch_add(run.duration.as_micros(), Relaxed);
-        for &(q, doomed) in &run.members {
-            if doomed {
-                self.trace.emit(TraceEvent::TaskFailed {
-                    t: now,
-                    query: q,
-                    executor: executor as u16,
-                });
-            } else {
-                self.tasks[executor] += 1;
-                g.tasks.fetch_add(1, Relaxed);
-                self.metrics.counters.tasks_completed.fetch_add(1, Relaxed);
-                self.trace.emit(TraceEvent::TaskDone {
-                    t: now,
-                    query: q,
-                    executor: executor as u16,
-                });
-            }
-        }
-        Some(run.members)
     }
 
     /// True when no executor is running or holding backlog.
     pub fn all_idle(&self) -> bool {
-        self.running.iter().all(Option::is_none)
-            && self.backlog.iter().all(VecDeque::is_empty)
-            && self.open_batches.iter().all(Option::is_none)
-            && self.running_batches.iter().all(Option::is_none)
+        self.bank.all_idle()
     }
 
     /// Earliest pending wake-up, fault transition, or batch-window expiry.
     pub fn next_wake(&self) -> Option<SimTime> {
         let wake = self.wakes.peek().map(|Reverse(t)| *t);
-        let fault = self.transitions.get(self.cursor).map(|t| t.at);
-        let launch = self.batching.and_then(|cfg| {
-            self.open_batches.iter().flatten().map(|open| open.opened_at + cfg.window).min()
-        });
+        let fault = self.bank.transitions().get(self.cursor).map(|t| t.at);
+        let launch = self.bank.next_launch_due().map(|(due, _)| due);
         [wake, fault, launch].into_iter().flatten().min()
     }
 
@@ -496,162 +208,54 @@ impl ThreadedBackend {
 
 impl ExecutionBackend for ThreadedBackend {
     fn executors(&self) -> usize {
-        self.latencies.len()
+        self.bank.executors()
     }
 
     fn is_idle(&self, executor: usize) -> bool {
-        // An *open* batch leaves the executor idle — it is still accepting
-        // members; only a launched batch occupies it.
-        !self.down[executor]
-            && self.running[executor].is_none()
-            && self.running_batches[executor].is_none()
+        self.bank.is_idle(executor)
     }
 
     fn is_up(&self, executor: usize) -> bool {
-        !self.down[executor]
-    }
-
-    fn idle_executors(&self) -> Vec<usize> {
-        (0..self.running.len()).filter(|&k| self.is_idle(k)).collect()
+        self.bank.is_up(executor)
     }
 
     fn available_at(&self, executor: usize, now: SimTime) -> SimTime {
-        let mut at = match &self.running[executor] {
-            Some(task) => task.completes_at.max(now),
-            None => now,
-        };
-        for (_, dur, _) in &self.backlog[executor] {
-            at += *dur;
-        }
-        if let Some(run) = &self.running_batches[executor] {
-            at = at.max(run.completes_at);
-        }
-        if let (Some(cfg), Some(open)) = (&self.batching, &self.open_batches[executor]) {
-            // Quote the *marginal* cost of joining the open batch (same
-            // arithmetic as `SimBackend::available_at`): it launches at
-            // `opened_at + window` at the latest and would then run one pass
-            // of `s + 1` members, so `available_at + planned` equals the
-            // predicted joined finish.
-            let planned = self.latencies[executor].planned();
-            let gamma = cfg.curve.gamma(open.members.len() + 1);
-            let marginal = SimDuration::from_micros(
-                (planned.as_micros() as f64 * (gamma - 1.0)).round() as u64,
-            );
-            at = at.max(open.opened_at + cfg.window + marginal);
-        }
-        if self.down[executor] {
-            // A crashed executor frees up at its scheduled recovery; a dead
-            // worker never does (steer the planner far away).
-            let recovery = self.transitions[self.cursor..]
-                .iter()
-                .find(|t| t.executor == executor && t.up && t.at > now)
-                .map(|t| t.at);
-            at = match recovery {
-                Some(r) if !self.dead[executor] => at.max(r),
-                _ => at.max(now + SimDuration::from_micros(3_600_000_000)),
-            };
+        let at = self.bank.available_at(executor, now);
+        if self.dead[executor] {
+            // A dead worker never recovers: steer the planner far away.
+            return at.max(now + SimDuration::from_micros(3_600_000_000));
         }
         at
     }
 
     fn start_task(&mut self, executor: usize, query: u64, now: SimTime) {
-        assert!(self.running[executor].is_none(), "start_task on a busy executor");
-        debug_assert!(!self.down[executor], "start_task on a down executor");
-        debug_assert!(
-            self.open_batches[executor].is_none() && self.running_batches[executor].is_none(),
-            "start_task alongside a batch on executor {executor}"
-        );
-        let (duration, doomed) = self.fate(executor, now);
-        self.launch(executor, query, duration, doomed, now);
-    }
-
-    fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime) {
-        let Some(cfg) = self.batching else {
-            self.start_task(executor, query, now);
-            return;
-        };
-        assert!(!self.down[executor], "submit_batch on a down executor");
-        debug_assert!(
-            self.running[executor].is_none() && self.running_batches[executor].is_none(),
-            "open batches only exist while executor {executor} is idle"
-        );
-        // Same draw discipline as `start_task`: duration then fate, in
-        // submission order, so a fixed seed yields the same per-task numbers
-        // whether or not tasks end up co-batched.
-        let (duration, doomed) = self.fate(executor, now);
-        // `TaskEnqueue` marks the batch-queue wait; `TaskStart` lands at the
-        // launch instant, so exporters see queue-wait vs service split.
-        self.trace.emit(TraceEvent::TaskEnqueue { t: now, query, executor: executor as u16 });
-        let batch = self.open_batches[executor]
-            .get_or_insert_with(|| OpenBatch { members: Vec::new(), opened_at: now });
-        batch.members.push((query, duration, doomed));
-        if batch.members.len() >= cfg.batch_max {
-            self.launch_batch(executor, now);
-        }
-    }
-
-    fn open_batch_len(&self, executor: usize) -> usize {
-        self.open_batches[executor].as_ref().map_or(0, |b| b.members.len())
+        let pass = self.bank.start_task(executor, query, now);
+        self.run(executor, Some(pass));
     }
 
     fn enqueue_task(&mut self, executor: usize, query: u64, now: SimTime) {
-        debug_assert!(!self.down[executor], "enqueue_task on a down executor");
-        let (duration, doomed) = self.fate(executor, now);
-        if self.running[executor].is_none() {
-            self.launch(executor, query, duration, doomed, now);
-            return;
-        }
+        let pass = self.bank.enqueue_task(executor, query, now);
         assert!(
-            self.backlog[executor].len() < self.queue_capacity,
+            self.bank.backlog_len(executor) <= self.queue_capacity,
             "executor {executor} backlog exceeded queue capacity {}",
             self.queue_capacity
         );
-        self.backlog[executor].push_back((query, duration, doomed));
-        self.metrics.executors[executor]
-            .queue_depth
-            .store(self.backlog[executor].len() as u64, Relaxed);
-        self.trace.emit(TraceEvent::TaskEnqueue { t: now, query, executor: executor as u16 });
+        self.run(executor, pass);
     }
 
     fn cancel_task(&mut self, executor: usize, query: u64, now: SimTime) -> bool {
-        // A member of a not-yet-launched open batch never ran: remove it
-        // outright, no busy time, no worker job.
-        if let Some(open) = self.open_batches[executor].as_mut() {
-            if let Some(i) = open.members.iter().position(|&(q, _, _)| q == query) {
-                open.members.remove(i);
-                if open.members.is_empty() {
-                    self.open_batches[executor] = None;
-                }
-                return true;
-            }
-        }
-        // A launched batch shares one worker pass; a single member cannot be
-        // shed mid-flight. Refuse — the caller keeps it and its completion
-        // lands normally.
-        if self.running_batches[executor]
-            .as_ref()
-            .is_some_and(|b| b.members.iter().any(|&(q, _)| q == query))
-        {
-            return false;
-        }
-        if self.running[executor].as_ref().map(|t| t.query) != Some(query) {
-            return false;
-        }
-        let task = self.running[executor].take().expect("matched above");
-        // The worker keeps sleeping (threads cannot be cancelled); its
-        // eventual report must be swallowed, exactly like a crash kill. The
-        // backlog is untouched — unlike `bring_down`, the executor is fine.
-        self.zombies[executor].push_back(task.query);
-        // Charge only the time actually spent before the cancellation.
-        let left = task.completes_at.saturating_since(now);
-        let spent =
-            SimDuration::from_micros(task.duration.as_micros().saturating_sub(left.as_micros()));
-        self.busy[executor] = self.busy[executor] + spent;
-        let g = &self.metrics.executors[executor];
-        g.running.store(0, Relaxed);
-        g.busy_micros.fetch_add(spent.as_micros(), Relaxed);
-        self.start_backlog_next(executor, now);
-        true
+        let (cancelled, next) = self.bank.cancel_task(executor, query, now);
+        self.run(executor, next);
+        cancelled
+    }
+
+    fn submit_batch(&mut self, executor: usize, query: u64, now: SimTime) {
+        let pass = self.bank.submit_batch(executor, query, now);
+        self.run(executor, pass);
+    }
+
+    fn open_batch_len(&self, executor: usize) -> usize {
+        self.bank.open_batch_len(executor)
     }
 
     fn request_wake(&mut self, at: SimTime) {
@@ -659,72 +263,70 @@ impl ExecutionBackend for ThreadedBackend {
     }
 
     fn usage(&self) -> Vec<ExecutorUsage> {
-        (0..self.latencies.len())
-            .map(|k| ExecutorUsage { busy_secs: self.busy[k].as_secs_f64(), tasks: self.tasks[k] })
-            .collect()
+        self.bank.usage()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! What the executors themselves do is tested on the bank
+    //! (`schemble_core::executor`); these cover what the threads add.
     use super::*;
     use crate::worker::RuntimeMsg;
-    use schemble_sim::SimTime;
+    use schemble_sim::{BatchConfig, FaultPlan, LatencyModel};
+    use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
     fn backend(
         ms: &[f64],
         dilation: f64,
-    ) -> (ThreadedBackend, std::sync::mpsc::Receiver<RuntimeMsg>) {
+        arm: impl FnOnce(ExecutorBank) -> ExecutorBank,
+    ) -> (ThreadedBackend, Receiver<RuntimeMsg>) {
         let latencies: Vec<LatencyModel> =
             ms.iter().map(|&m| LatencyModel::constant_millis(m)).collect();
         let (tx, rx) = std::sync::mpsc::sync_channel(64);
         let pool = WorkerPool::spawn(latencies.len(), tx);
         let clock = DilatedClock::start(dilation);
         let metrics = Arc::new(RuntimeMetrics::new(latencies.len()));
-        (ThreadedBackend::new(latencies, 1, "test", pool, clock, 8, metrics), rx)
+        let bank = arm(ExecutorBank::new(latencies, 1, "test"));
+        (ThreadedBackend::new(bank, pool, clock, 8, metrics), rx)
+    }
+
+    /// The pass id carried by the next worker report.
+    fn report(rx: &Receiver<RuntimeMsg>) -> u64 {
+        match rx.recv_timeout(Duration::from_secs(2)).expect("worker report") {
+            RuntimeMsg::TaskDone { executor: 0, query: pass } => pass,
+            other => panic!("unexpected report {other:?}"),
+        }
     }
 
     #[test]
-    fn started_tasks_complete_through_workers() {
-        let (mut b, rx) = backend(&[5.0, 5.0], 50.0);
-        let now = SimTime::ZERO;
-        b.start_task(0, 1, now);
-        assert!(!b.is_idle(0));
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("completion");
-        assert_eq!(msg, RuntimeMsg::TaskDone { executor: 0, query: 1 });
-        assert!(b.complete(0, 1, now + SimDuration::from_millis(5)));
-        assert!(b.is_idle(0));
-        assert!(b.all_idle());
-        assert_eq!(b.usage()[0].tasks, 1);
-        b.shutdown();
-    }
-
-    #[test]
-    fn backlog_feeds_executor_on_completion() {
-        let (mut b, rx) = backend(&[2.0], 50.0);
+    fn passes_round_trip_through_workers_and_mirror_into_the_gauges() {
+        let (mut b, rx) = backend(&[2.0], 50.0, |bank| bank);
         let now = SimTime::ZERO;
         b.enqueue_task(0, 1, now);
         b.enqueue_task(0, 2, now);
-        assert_eq!(
-            b.available_at(0, now),
-            now + SimDuration::from_millis(4),
-            "running + backlog at sampled durations"
-        );
-        let first = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(first, RuntimeMsg::TaskDone { executor: 0, query: 1 });
-        assert!(b.complete(0, 1, now + SimDuration::from_millis(2)));
-        // complete() must have launched query 2 automatically.
-        let second = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(second, RuntimeMsg::TaskDone { executor: 0, query: 2 });
-        assert!(b.complete(0, 2, now + SimDuration::from_millis(4)));
+        let gauges = &b.metrics.executors[0];
+        assert_eq!((gauges.running.load(Relaxed), gauges.queue_depth.load(Relaxed)), (1, 1));
+        let first = report(&rx);
+        let done = b.retire(0, first, now + SimDuration::from_millis(2));
+        assert_eq!(done, Some(BackendEvent::TaskDone { executor: 0, query: 1 }));
+        assert_eq!(b.retire(0, first, now), None, "one member, one event");
+        // Retiring the first task handed the backlog head to the worker.
+        let second = report(&rx);
+        let done = b.retire(0, second, now + SimDuration::from_millis(4));
+        assert_eq!(done, Some(BackendEvent::TaskDone { executor: 0, query: 2 }));
         assert!(b.all_idle());
+        let gauges = &b.metrics.executors[0];
+        assert_eq!((gauges.running.load(Relaxed), gauges.queue_depth.load(Relaxed)), (0, 0));
+        assert_eq!((gauges.tasks.load(Relaxed), gauges.busy_micros.load(Relaxed)), (2, 4_000));
+        assert_eq!(b.metrics.counters.tasks_completed.load(Relaxed), 2);
         b.shutdown();
     }
 
     #[test]
     fn wake_heap_orders_and_fires() {
-        let (mut b, _rx) = backend(&[1.0], 1000.0);
+        let (mut b, _rx) = backend(&[1.0], 1000.0, |bank| bank);
         b.request_wake(SimTime::from_millis(30));
         b.request_wake(SimTime::from_millis(10));
         assert_eq!(b.next_wake(), Some(SimTime::from_millis(10)));
@@ -735,146 +337,74 @@ mod tests {
     }
 
     #[test]
-    fn crash_window_downs_executor_and_swallows_zombie() {
-        let (b, rx) = backend(&[5.0], 100.0);
-        let mut plan = FaultPlan::default();
-        plan.crashes.push(schemble_sim::CrashWindow {
-            executor: 0,
-            from: SimTime::from_millis(1),
-            until: SimTime::from_millis(20),
-        });
-        let mut b = b.with_faults(plan, 1);
-        b.start_task(0, 7, SimTime::ZERO);
-        assert_eq!(b.next_wake(), Some(SimTime::from_millis(1)));
-        let events = b.take_due_fault_events(SimTime::from_millis(1));
-        assert_eq!(
-            events,
-            vec![
-                BackendEvent::ExecutorDown { executor: 0 },
-                BackendEvent::TaskFailed { executor: 0, query: 7 },
-            ]
-        );
-        assert!(!b.is_up(0) && !b.is_idle(0));
-        // Down executor advertises its recovery time.
-        assert_eq!(b.available_at(0, SimTime::from_millis(1)), SimTime::from_millis(20));
-        // The worker's late report is a zombie: swallowed, not delivered.
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("zombie report");
-        assert_eq!(msg, RuntimeMsg::TaskDone { executor: 0, query: 7 });
-        assert!(!b.complete(0, 7, SimTime::from_millis(5)));
-        let events = b.take_due_fault_events(SimTime::from_millis(20));
-        assert_eq!(events, vec![BackendEvent::ExecutorUp { executor: 0 }]);
-        assert!(b.is_up(0) && b.is_idle(0));
-        b.shutdown();
-    }
-
-    #[test]
-    fn cancel_frees_executor_and_swallows_zombie_report() {
-        let (mut b, rx) = backend(&[5.0], 100.0);
-        b.start_task(0, 3, SimTime::ZERO);
-        assert!(b.cancel_task(0, 3, SimTime::from_millis(2)));
-        assert!(b.is_idle(0), "cancelled executor is free for new work");
-        assert_eq!(b.usage()[0].tasks, 0, "a quit task is not a completion");
-        // A second cancel (or one for a query not running) is refused.
-        assert!(!b.cancel_task(0, 3, SimTime::from_millis(2)));
-        // The worker's late report is a zombie: swallowed, not delivered.
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("zombie report");
-        assert_eq!(msg, RuntimeMsg::TaskDone { executor: 0, query: 3 });
-        assert!(!b.complete(0, 3, SimTime::from_millis(5)));
-        b.shutdown();
-    }
-
-    #[test]
-    fn full_batch_launches_and_resolves_members_from_one_report() {
-        let (b, rx) = backend(&[5.0], 100.0);
-        let mut b = b.with_batching(BatchConfig::new(2, SimDuration::from_millis(2)));
-        let now = SimTime::ZERO;
-        b.submit_batch(0, 1, now);
-        assert_eq!(b.open_batch_len(0), 1);
-        assert!(b.is_idle(0), "an open batch keeps the executor joinable");
-        assert!(!b.all_idle(), "an open batch holds work");
-        b.submit_batch(0, 2, now);
-        // Full: launched as one worker job keyed by the first member.
-        assert_eq!(b.open_batch_len(0), 0);
-        assert!(!b.is_idle(0));
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("rep report");
-        assert_eq!(msg, RuntimeMsg::TaskDone { executor: 0, query: 1 });
-        // gamma(2) = 1.15 scales the 5ms pass to 5.75ms.
-        let done = now + SimDuration::from_micros(5_750);
-        assert_eq!(b.batch_members(0, 9, done), None, "not the rep");
-        let members = b.batch_members(0, 1, done).expect("rep resolves the batch");
-        assert_eq!(members, vec![(1, false), (2, false)]);
-        assert!(b.all_idle());
-        assert_eq!(b.usage()[0].tasks, 2, "both members completed");
-        assert!((b.usage()[0].busy_secs - 0.00575).abs() < 1e-9, "busy charged once per pass");
-        b.shutdown();
-    }
-
-    #[test]
-    fn window_expiry_launches_the_open_batch() {
-        let (b, rx) = backend(&[5.0], 100.0);
-        let mut b = b.with_batching(BatchConfig::new(4, SimDuration::from_millis(2)));
+    fn window_expiry_is_a_wake_and_launches_one_worker_job_per_batch() {
+        let cfg = BatchConfig::new(4, SimDuration::from_millis(2));
+        let (mut b, rx) = backend(&[5.0], 100.0, |bank| bank.with_batching(Some(cfg)));
         b.submit_batch(0, 7, SimTime::ZERO);
+        b.submit_batch(0, 8, SimTime::ZERO);
         assert_eq!(b.next_wake(), Some(SimTime::from_millis(2)), "launch deadline is a wake");
         b.launch_due_batches(SimTime::from_millis(1));
-        assert_eq!(b.open_batch_len(0), 1, "window not expired yet");
+        assert_eq!(b.open_batch_len(0), 2, "window not expired yet");
         b.launch_due_batches(SimTime::from_millis(2));
         assert_eq!(b.open_batch_len(0), 0);
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("rep report");
-        assert_eq!(msg, RuntimeMsg::TaskDone { executor: 0, query: 7 });
-        // A singleton pass runs at gamma(1) = 1: plain 5ms.
-        let members = b.batch_members(0, 7, SimTime::from_millis(7)).expect("resolved");
-        assert_eq!(members, vec![(7, false)]);
+        assert_eq!(b.metrics.counters.tasks_batched.load(Relaxed), 2);
+        // One report stands in for the whole pass; members retire in turn.
+        let pass = report(&rx);
+        let now = SimTime::from_micros(7_750);
+        assert_eq!(b.retire(0, pass, now), Some(BackendEvent::TaskDone { executor: 0, query: 7 }));
+        assert_eq!(b.retire(0, pass, now), Some(BackendEvent::TaskDone { executor: 0, query: 8 }));
+        assert_eq!(b.retire(0, pass, now), None);
         assert!(b.all_idle());
         b.shutdown();
     }
 
+    /// Regression (wall mode): a crash kills a launched batch led by query
+    /// 4, the executor recovers and the engine's retry launches a new batch
+    /// led by query 4 again while the killed pass's worker still sleeps. Its
+    /// late report used to be matched by that query id and retired the *new*
+    /// batch before its service time had elapsed.
     #[test]
-    fn cancel_removes_open_member_but_refuses_launched_member() {
-        let (b, _rx) = backend(&[5.0], 100.0);
-        let mut b = b.with_batching(BatchConfig::new(2, SimDuration::from_millis(2)));
-        b.submit_batch(0, 1, SimTime::ZERO);
-        assert!(b.cancel_task(0, 1, SimTime::ZERO), "open member is removable");
-        assert!(b.all_idle(), "cancelled singleton dissolves the batch");
-        b.submit_batch(0, 2, SimTime::ZERO);
-        b.submit_batch(0, 3, SimTime::ZERO); // full → launched
-        assert!(!b.cancel_task(0, 3, SimTime::from_millis(1)), "launched member is committed");
-        b.shutdown();
-    }
-
-    #[test]
-    fn crash_kills_batches_and_swallows_the_rep_report() {
-        let (b, rx) = backend(&[5.0], 100.0);
-        let mut plan = FaultPlan::default();
-        plan.crashes.push(schemble_sim::CrashWindow {
-            executor: 0,
-            from: SimTime::from_millis(1),
-            until: SimTime::from_millis(20),
+    fn killed_batchs_late_report_is_swallowed_and_spares_the_retried_batch() {
+        let plan = FaultPlan::parse("crash 0 0.001 0.002").unwrap();
+        let cfg = BatchConfig::new(2, SimDuration::from_millis(2));
+        let (mut b, rx) = backend(&[50.0], 100.0, |bank| {
+            bank.with_faults(Some(&plan), 1).with_batching(Some(cfg))
         });
-        let b = b.with_faults(plan, 1);
-        let mut b = b.with_batching(BatchConfig::new(2, SimDuration::from_millis(2)));
         b.submit_batch(0, 4, SimTime::ZERO);
         b.submit_batch(0, 5, SimTime::ZERO); // full → launched
-        let events = b.take_due_fault_events(SimTime::from_millis(1));
+        assert_eq!(b.next_wake(), Some(SimTime::from_millis(1)), "the crash is a wake");
+        let down = vec![
+            BackendEvent::ExecutorDown { executor: 0 },
+            BackendEvent::TaskFailed { executor: 0, query: 4 },
+            BackendEvent::TaskFailed { executor: 0, query: 5 },
+        ];
+        assert_eq!(b.take_due_fault_events(SimTime::from_millis(1)), down);
+        assert!(!b.is_up(0) && b.metrics.executors[0].up.load(Relaxed) == 0);
+        assert_eq!(b.available_at(0, SimTime::from_millis(1)), SimTime::from_millis(2));
+        let up = vec![BackendEvent::ExecutorUp { executor: 0 }];
+        assert_eq!(b.take_due_fault_events(SimTime::from_millis(2)), up);
+        b.submit_batch(0, 4, SimTime::from_millis(4));
+        b.submit_batch(0, 5, SimTime::from_millis(4)); // the retry, launched
+        let killed = report(&rx);
+        assert_eq!(b.retire(0, killed, SimTime::from_millis(58)), None, "stale report");
+        assert!(!b.is_idle(0), "the retried batch is still running");
+        let retried = report(&rx);
+        let now = SimTime::from_millis(62);
         assert_eq!(
-            events,
-            vec![
-                BackendEvent::ExecutorDown { executor: 0 },
-                BackendEvent::TaskFailed { executor: 0, query: 4 },
-                BackendEvent::TaskFailed { executor: 0, query: 5 },
-            ]
+            b.retire(0, retried, now),
+            Some(BackendEvent::TaskDone { executor: 0, query: 4 })
         );
-        // The rep's late report is a zombie: no batch left to resolve, and
-        // the ordinary completion path swallows it.
-        let msg = rx.recv_timeout(Duration::from_secs(2)).expect("zombie rep report");
-        assert_eq!(msg, RuntimeMsg::TaskDone { executor: 0, query: 4 });
-        assert_eq!(b.batch_members(0, 4, SimTime::from_millis(6)), None);
-        assert!(!b.complete(0, 4, SimTime::from_millis(6)));
+        assert_eq!(
+            b.retire(0, retried, now),
+            Some(BackendEvent::TaskDone { executor: 0, query: 5 })
+        );
+        assert!(b.all_idle());
         b.shutdown();
     }
 
     #[test]
     fn reap_dead_marks_poisoned_worker_down_forever() {
-        let (mut b, _rx) = backend(&[1.0, 1.0], 1000.0);
+        let (mut b, _rx) = backend(&[1.0, 1.0], 1000.0, |bank| bank);
         b.pool().poison(0);
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while !b.pool().is_finished(0) && std::time::Instant::now() < deadline {

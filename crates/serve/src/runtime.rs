@@ -20,6 +20,7 @@ use schemble_core::backend::{BackendEvent, ExecutionBackend, SimBackend};
 use schemble_core::engine::{
     EngineStats, FailurePolicy, ImmediateEngine, PipelineEngine, SchembleEngine,
 };
+use schemble_core::executor::ExecutorBank;
 use schemble_core::pipeline::immediate::{Deployment, SelectionPolicy};
 use schemble_core::pipeline::{AdmissionMode, ResultAssembler, SchembleConfig};
 use schemble_data::Workload;
@@ -116,6 +117,15 @@ impl ServeConfig {
     fn sink(&self) -> Arc<TraceSink> {
         self.trace.clone().unwrap_or_else(TraceSink::disabled)
     }
+
+    /// The executors of one run, with this config's sink, fault plan and
+    /// batching installed — the same for both clock modes.
+    fn bank(&self, latencies: Vec<LatencyModel>, seed: u64, stream: &str) -> ExecutorBank {
+        ExecutorBank::new(latencies, seed, stream)
+            .with_trace(self.sink())
+            .with_faults(self.faults.as_ref(), seed)
+            .with_batching(self.batching)
+    }
 }
 
 /// Low-level result of one runtime execution.
@@ -187,22 +197,9 @@ pub fn run_wall(
     let clock = DilatedClock::start(dilation);
     let (tx, rx) = sync_channel::<RuntimeMsg>(config.channel_capacity);
     let pool = WorkerPool::spawn(latencies.len(), tx.clone());
-    let mut backend = ThreadedBackend::new(
-        latencies,
-        seed,
-        stream,
-        pool,
-        clock,
-        config.queue_capacity,
-        Arc::clone(metrics),
-    )
-    .with_trace(config.sink());
-    if let Some(plan) = &config.faults {
-        backend = backend.with_faults(plan.clone(), seed);
-    }
-    if let Some(batching) = config.batching {
-        backend = backend.with_batching(batching);
-    }
+    let bank = config.bank(latencies, seed, stream);
+    let mut backend =
+        ThreadedBackend::new(bank, pool, clock, config.queue_capacity, Arc::clone(metrics));
 
     // Trace-replay load generator: one thread sleeping to each arrival.
     let arrivals: Vec<SimTime> = workload.queries.iter().map(|q| q.arrival).collect();
@@ -251,8 +248,7 @@ pub fn run_wall(
     });
 
     // Applies one runtime message to the engine. Shared between the main
-    // recv loop and the pre-rendezvous drain so both paths treat batch
-    // fan-out and zombie reports identically.
+    // recv loop and the pre-rendezvous drain.
     fn deliver(
         msg: RuntimeMsg,
         now: SimTime,
@@ -266,28 +262,14 @@ pub fn run_wall(
                 engine.handle(BackendEvent::Arrival(i), now, backend);
                 *stalled = 0;
             }
-            RuntimeMsg::TaskDone { executor, query } => {
-                // A report standing in for a whole batched pass fans out
-                // into one engine event per member, fates applied.
-                if let Some(members) = backend.batch_members(executor, query, now) {
-                    for (q, failed) in members {
-                        let event = if failed {
-                            BackendEvent::TaskFailed { executor, query: q }
-                        } else {
-                            BackendEvent::TaskDone { executor, query: q }
-                        };
-                        engine.handle(event, now, backend);
-                    }
-                } else if backend.complete(executor, query, now) {
-                    // A false return is a zombie report (task killed by a
-                    // crash): the engine already saw its TaskFailed.
-                    engine.handle(BackendEvent::TaskDone { executor, query }, now, backend);
-                }
-                *stalled = 0;
-            }
-            RuntimeMsg::TaskFailed { executor, query } => {
-                if backend.fail(executor, query, now) {
-                    engine.handle(BackendEvent::TaskFailed { executor, query }, now, backend);
+            // A worker report is a pass's timer firing, keyed by the pass
+            // id (the backend always submits with `failed = false`; fates
+            // are the bank's). Each member retires and is handled in turn;
+            // a stale report retires nothing.
+            RuntimeMsg::TaskDone { executor, query: pass }
+            | RuntimeMsg::TaskFailed { executor, query: pass } => {
+                while let Some(event) = backend.retire(executor, pass, now) {
+                    engine.handle(event, now, backend);
                 }
                 *stalled = 0;
             }
@@ -462,13 +444,7 @@ pub fn run_virtual(
     steal: Option<&mut StealHandle>,
 ) -> RunStats {
     let wall_start = Instant::now();
-    let mut backend = SimBackend::new(latencies, seed, stream).with_trace(config.sink());
-    if let Some(plan) = &config.faults {
-        backend = backend.with_faults(plan.clone(), seed);
-    }
-    if let Some(batching) = config.batching {
-        backend = backend.with_batching(batching);
-    }
+    let mut backend = SimBackend::new(config.bank(latencies, seed, stream));
     for (i, q) in workload.queries.iter().enumerate() {
         backend.push_arrival(q.arrival, i);
     }

@@ -2,17 +2,17 @@
 //!
 //! Each executor (base-model instance) gets one OS thread that realises
 //! synthetic model latencies as actual (dilated) sleeps. Work reaches a
-//! worker over a **bounded** channel sized for the single running task —
-//! backlog queues live in the backend, mirroring the simulator's
-//! [`Server`](schemble_sim::Server) split between the running slot and the
-//! FIFO queue. Completions flow back to the runtime loop over a shared
-//! bounded channel, so a stalled scheduler exerts backpressure instead of
-//! accumulating unbounded buffers.
+//! worker over a **bounded** channel sized for the single running job —
+//! backlogs, batches and fates live in the backend's
+//! [`ExecutorBank`](schemble_core::executor::ExecutorBank), which hands a
+//! worker one job per *pass*, keyed by the pass id (the `query` field of the
+//! messages below is an opaque `u64` key the worker echoes back). Reports
+//! flow back to the runtime loop over a shared bounded channel, so a stalled
+//! scheduler exerts backpressure instead of accumulating unbounded buffers.
 //!
-//! Faults: a task submitted with `failed = true` (its fate was drawn from
-//! the run's [`FaultPlan`](schemble_sim::FaultPlan)) still occupies the
-//! worker for its sampled time but reports [`RuntimeMsg::TaskFailed`]
-//! instead of a completion. A worker thread that *dies* (panics) is visible
+//! A job submitted with `failed = true` still occupies the worker for its
+//! time but reports [`RuntimeMsg::TaskFailed`] instead of
+//! [`RuntimeMsg::TaskDone`]. A worker thread that *dies* (panics) is visible
 //! through [`WorkerPool::is_finished`]; the backend folds that into the
 //! executor-down path.
 
@@ -77,7 +77,7 @@ impl WorkerPool {
         for executor in 0..executors {
             // Small bound: normally holds just the running task plus a
             // shutdown message. Crash/recovery cycles can resubmit while the
-            // worker is still sleeping off a killed (zombie) task, so leave
+            // worker is still sleeping off a killed pass, so leave
             // a little headroom before try_send would fail.
             let (tx, rx) = std::sync::mpsc::sync_channel::<WorkerMsg>(8);
             let done = done_tx.clone();

@@ -3,19 +3,24 @@
 //! Conservation: every submitted query is resolved — completed, rejected or
 //! expired — exactly once, whatever the seed, traffic intensity, deadline
 //! tightness or admission mode. Shutdown: when the runtime returns, worker
-//! queues have drained and every started task has finished.
+//! queues have drained and every started task has finished. On the wall
+//! clock the same holds with batching, anytime exit, crashes and transient
+//! failures all armed at once.
 
 use proptest::prelude::*;
+use schemble_core::engine::{AnytimePolicy, FailurePolicy};
 use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble_core::pipeline::schemble::SchembleConfig;
 use schemble_core::pipeline::AdmissionMode;
 use schemble_core::predictor::OnlineScorer;
 use schemble_core::scheduler::DpScheduler;
-use schemble_data::TaskKind;
+use schemble_data::{TaskKind, Workload};
 use schemble_metrics::QueryOutcome;
 use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
+use schemble_sim::{BatchConfig, FaultPlan, SimDuration};
 use std::collections::HashSet;
 
+/// One served run; `arm` may switch optional features on first.
 fn serve(
     seed: u64,
     n_queries: usize,
@@ -23,7 +28,8 @@ fn serve(
     deadline_ms: f64,
     force_all: bool,
     mode: ClockMode,
-) -> (ServeReport, usize) {
+    arm: impl FnOnce(&mut SchembleConfig, &mut ServeConfig),
+) -> (ServeReport, Workload) {
     let mut config = ExperimentConfig::small(TaskKind::TextMatching, seed);
     config.n_queries = n_queries;
     config.traffic = Traffic::Poisson { rate_per_sec: rate };
@@ -40,10 +46,14 @@ fn serve(
         art.profile,
     );
     pipeline.admission = ctx.config.admission;
-    let serve_cfg = ServeConfig { mode, ..ServeConfig::default() };
+    let mut serve_cfg = ServeConfig { mode, ..ServeConfig::default() };
+    arm(&mut pipeline, &mut serve_cfg);
     let report = serve_schemble(&ctx.ensemble, &pipeline, &workload, ctx.config.seed, &serve_cfg);
-    (report, workload.len())
+    (report, workload)
 }
+
+/// No optional feature.
+fn plain(_: &mut SchembleConfig, _: &mut ServeConfig) {}
 
 /// Each query appears in the records exactly once, and the engine's
 /// counters partition the submitted set.
@@ -52,15 +62,15 @@ fn assert_conserved(report: &ServeReport, n: usize) {
     prop_assert_eq!(s.submitted, n as u64, "every arrival submitted");
     prop_assert_eq!(
         s.submitted,
-        s.completed + s.rejected + s.expired,
-        "completed + rejected + expired must partition the submitted set"
+        s.completed + s.degraded + s.rejected + s.expired,
+        "completed + degraded + rejected + expired must partition the submitted set"
     );
     prop_assert_eq!(s.open(), 0, "no query left open");
     prop_assert_eq!(report.summary.len(), n, "one record per query");
     let ids: HashSet<u64> = report.summary.records().iter().map(|r| r.id).collect();
     prop_assert_eq!(ids.len(), n, "record ids are unique");
     let completed = report.summary.records().iter().filter(|r| r.completion.is_some()).count();
-    prop_assert_eq!(completed as u64, s.completed, "records agree with the counters");
+    prop_assert_eq!(completed as u64, s.completed + s.degraded, "records agree with the counters");
 }
 
 proptest! {
@@ -76,8 +86,9 @@ proptest! {
         deadline_ms in 50.0f64..200.0,
         force_all in proptest::bool::ANY,
     ) {
-        let (report, n) =
-            serve(seed, 150, rate, deadline_ms, force_all, ClockMode::Virtual);
+        let (report, workload) =
+            serve(seed, 150, rate, deadline_ms, force_all, ClockMode::Virtual, plain);
+        let n = workload.len();
         assert_conserved(&report, n);
         if force_all {
             prop_assert_eq!(report.stats.rejected, 0, "ForceAll never rejects");
@@ -97,9 +108,10 @@ proptest! {
 /// returns no task is running and no backlog remains.
 #[test]
 fn wall_clock_shutdown_drains_all_queues() {
-    let (report, n) = serve(7, 120, 60.0, 80.0, false, ClockMode::Wall { dilation: 100.0 });
+    let (report, workload) =
+        serve(7, 120, 60.0, 80.0, false, ClockMode::Wall { dilation: 100.0 }, plain);
     let s = &report.stats;
-    assert_eq!(s.submitted, n as u64);
+    assert_eq!(s.submitted, workload.len() as u64);
     assert_eq!(s.submitted, s.completed + s.rejected + s.expired);
     assert_eq!(s.open(), 0);
 
@@ -116,8 +128,41 @@ fn wall_clock_shutdown_drains_all_queues() {
 /// run still terminates (drain logic never strands a query).
 #[test]
 fn wall_clock_force_all_completes_everything() {
-    let (report, n) = serve(11, 100, 80.0, 60.0, true, ClockMode::Wall { dilation: 100.0 });
-    assert_eq!(report.stats.completed, n as u64);
+    let (report, workload) =
+        serve(11, 100, 80.0, 60.0, true, ClockMode::Wall { dilation: 100.0 }, plain);
+    assert_eq!(report.stats.completed, workload.len() as u64);
     assert_eq!(report.stats.rejected + report.stats.expired, 0);
     assert_eq!(report.snapshot.tasks_started, report.snapshot.tasks_completed);
+}
+
+/// Everything at once on real threads: batched passes, anytime cancels,
+/// retries, transient failures, and crash windows *shorter than a model
+/// pass* — so an executor is back up, and the engine's retry resubmitted,
+/// while the killed pass's worker is still asleep and its report still to
+/// come. Only time-independent facts are asserted: nothing is lost, nothing
+/// is resolved twice, and the runtime shuts down clean.
+#[test]
+fn wall_clock_conserves_under_batching_anytime_and_short_crashes() {
+    let mut plan = String::from("transient 0.1\n");
+    for i in 0..12 {
+        let from = 0.2 + 0.4 * i as f64;
+        plan += &format!("crash {} {from:.3} {:.3}\n", i % 3, from + 0.004);
+    }
+    let mode = ClockMode::Wall { dilation: 100.0 };
+    let (report, workload) = serve(13, 150, 30.0, 200.0, false, mode, |pipeline, serve| {
+        pipeline.batching = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
+        pipeline.failure = Some(FailurePolicy::default());
+        pipeline.anytime = Some(AnytimePolicy::default());
+        serve.faults = Some(FaultPlan::parse(&plan).expect("plan parses"));
+    });
+    assert_conserved(&report, workload.len());
+    let ids: HashSet<u64> = report.summary.records().iter().map(|r| r.id).collect();
+    assert_eq!(ids, workload.queries.iter().map(|q| q.id).collect::<HashSet<u64>>());
+    assert!(report.stats.tasks_failed > 0, "the plan must actually bite");
+    // `serve_schemble` returning means the workers, the load generator and
+    // the reporter were joined; the gauges agree nothing was left behind.
+    let snap = &report.snapshot;
+    assert!(snap.queue_depths.iter().all(|&d| d == 0), "backlogs drained: {:?}", snap.queue_depths);
+    assert!(!snap.running.iter().any(|&r| r), "no worker mid-task at shutdown");
+    assert!(snap.up.iter().all(|&u| u), "every crash window closed");
 }

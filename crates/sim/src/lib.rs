@@ -3,9 +3,10 @@
 //! The paper evaluates Schemble on a GPU server executing base-model
 //! inference tasks non-preemptively. This crate substitutes that testbed with
 //! a discrete-event simulator exposing exactly the observables the scheduler
-//! consumes: a virtual clock, per-model servers with FIFO task queues and
-//! known (approximately constant) execution times, and a totally ordered
-//! event stream.
+//! consumes: a virtual clock, known (approximately constant) execution
+//! times, seeded faults and a totally ordered event stream. The per-model
+//! executors themselves (running pass, FIFO backlog, batches) are
+//! `schemble-core`'s `ExecutorBank`, shared with the wall-clock runtime.
 //!
 //! Design points:
 //!
@@ -15,10 +16,6 @@
 //! * **Total event order.** The event heap breaks time ties with a
 //!   monotonically increasing sequence number, so two events at the same
 //!   instant always pop in insertion order.
-//! * **Servers are passive.** A [`Server`] models one deployed base model:
-//!   it tracks the task currently executing and a FIFO backlog. Scheduling
-//!   *policy* lives upstream (in `schemble-core`); the server only answers
-//!   "when would a task enqueued now finish?".
 //! * **Deterministic randomness.** [`rng::derive_seed`] splits a root seed
 //!   into independent named streams so workload generation, latency jitter
 //!   and model noise never share state.
@@ -28,12 +25,10 @@ pub mod event;
 pub mod fault;
 pub mod latency;
 pub mod rng;
-pub mod server;
 pub mod time;
 
 pub use batch::{BatchConfig, BatchCurve};
 pub use event::EventQueue;
 pub use fault::{CrashWindow, FaultPlan, FaultState, FaultTransition, StragglerEpisode, TaskFate};
 pub use latency::LatencyModel;
-pub use server::{Server, ServerBank, TaskId};
 pub use time::{SimDuration, SimTime};

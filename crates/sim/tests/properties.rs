@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation engine.
 
 use proptest::prelude::*;
-use schemble_sim::{EventQueue, Server, SimDuration, SimTime, TaskId};
+use schemble_sim::{EventQueue, SimDuration, SimTime};
 
 proptest! {
     /// Events always pop in (time, insertion) order regardless of push order.
@@ -24,55 +24,6 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "insertion order violated on tie");
             }
         }
-    }
-
-    /// A server executing a random task sequence conserves work: busy time
-    /// equals the sum of executed durations, and completions never overlap.
-    #[test]
-    fn server_conserves_work(durations in proptest::collection::vec(1u64..50, 1..30)) {
-        let mut server = Server::new();
-        let mut now = SimTime::ZERO;
-        let mut total = SimDuration::ZERO;
-        for (i, &d) in durations.iter().enumerate() {
-            let dur = SimDuration::from_millis(d);
-            let run = server.start_immediately(TaskId(i as u64), now, dur);
-            prop_assert_eq!(run.completes_at, now + dur);
-            server.complete(TaskId(i as u64), run.completes_at);
-            now = run.completes_at;
-            total = total.saturating_add(dur);
-        }
-        prop_assert_eq!(server.busy_time(), total);
-        prop_assert_eq!(server.completed_tasks(), durations.len() as u64);
-    }
-
-    /// Backlog FIFO order is preserved under arbitrary enqueue patterns.
-    #[test]
-    fn backlog_is_fifo(durations in proptest::collection::vec(1u64..20, 1..20)) {
-        let mut server = Server::new();
-        for (i, &d) in durations.iter().enumerate() {
-            server.enqueue(TaskId(i as u64), SimDuration::from_millis(d));
-        }
-        let mut now = SimTime::ZERO;
-        for i in 0..durations.len() {
-            let run = server.start_next(now).expect("backlog non-empty");
-            prop_assert_eq!(run.task, TaskId(i as u64));
-            server.complete(run.task, run.completes_at);
-            now = run.completes_at;
-        }
-        prop_assert!(server.start_next(now).is_none());
-    }
-
-    /// available_at is exactly now + remaining work.
-    #[test]
-    fn available_at_matches_backlog_sum(durations in proptest::collection::vec(1u64..20, 0..15)) {
-        let mut server = Server::new();
-        let mut sum = 0u64;
-        for (i, &d) in durations.iter().enumerate() {
-            server.enqueue(TaskId(i as u64), SimDuration::from_millis(d));
-            sum += d;
-        }
-        let now = SimTime::from_millis(5);
-        prop_assert_eq!(server.available_at(now), now + SimDuration::from_millis(sum));
     }
 
     /// Time arithmetic round-trips through milliseconds and seconds.
