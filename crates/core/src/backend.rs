@@ -183,8 +183,9 @@ pub trait ExecutionBackend {
 
 /// What the simulator's event heap holds.
 enum Timer {
-    /// Surfaces as is: arrivals, wakes, fault transitions (applied to the
-    /// bank when they pop) and the `TaskFailed` of each crash casualty.
+    /// Surfaces as is: wakes, fault transitions (applied to the bank when
+    /// they pop) and the `TaskFailed` of each crash casualty. Arrivals take
+    /// this shape too once they leave the arrival lane.
     Event(BackendEvent),
     /// A pass's service time elapsed.
     PassEnd { executor: usize, pass: u64 },
@@ -198,9 +199,25 @@ enum Timer {
 /// virtual time to the next event and performs the executor-side mechanics
 /// of completions (retiring the finished task and starting the next backlog
 /// task) before handing the event to the engine.
+///
+/// Arrivals do not go through the heap: a workload is known up front and
+/// already in time order, so they wait in a sorted *lane* that `pop_event`
+/// merges with the heap, which then holds only the few dynamic events
+/// pending at any moment. A lane entry carries the sequence number the heap
+/// would have given it, so the merged order is exactly the `(time, push
+/// order)` of one queue holding everything (DESIGN.md, "Engine hot path").
 pub struct SimBackend {
     bank: ExecutorBank,
     events: EventQueue<Timer>,
+    /// The arrival lane: `(time, sequence number, query index)`, surfaced
+    /// from `next_arrival` on.
+    arrivals: Vec<(SimTime, u64, usize)>,
+    next_arrival: usize,
+    /// The lane is in time order (false after an out-of-order push, until
+    /// the first pop sorts it).
+    arrivals_sorted: bool,
+    /// `pop_event` has been called: the lane is closed.
+    started: bool,
     /// A batched pass whose timer popped but which still has members to
     /// retire, one per `pop_event` call, at the current instant.
     draining: Option<(usize, u64)>,
@@ -208,9 +225,9 @@ pub struct SimBackend {
 
 impl SimBackend {
     /// A backend timing `bank`'s executors. The fault plan's up/down
-    /// transitions are pushed into the event queue *now*, before any
-    /// arrival, so every backend constructed this way observes them in the
-    /// same total order.
+    /// transitions are pushed into the event queue *now*, so they take the
+    /// lowest sequence numbers: every backend constructed this way surfaces
+    /// a transition before any arrival or dynamic event due at its instant.
     pub fn new(bank: ExecutorBank) -> Self {
         let mut events = EventQueue::new();
         for tr in bank.transitions() {
@@ -221,7 +238,15 @@ impl SimBackend {
             };
             events.push(tr.at, Timer::Event(event));
         }
-        Self { bank, events, draining: None }
+        Self {
+            bank,
+            events,
+            arrivals: Vec::new(),
+            next_arrival: 0,
+            arrivals_sorted: true,
+            started: false,
+            draining: None,
+        }
     }
 
     /// Total tasks launched as batch members so far (feeds the
@@ -236,17 +261,29 @@ impl SimBackend {
         self.bank.batch_sizes()
     }
 
-    /// Schedules `Arrival(index)` at `at`.
+    /// Schedules `Arrival(index)` at `at` by appending it to the arrival
+    /// lane. Arrivals at one instant surface in push order. Pushing in time
+    /// order is free; any other order is sorted (stably) at the first
+    /// [`Self::pop_event`].
+    ///
+    /// # Panics
+    /// Panics once `pop_event` has been called: the lane is merged from a
+    /// cursor and cannot take an entry behind it.
     pub fn push_arrival(&mut self, at: SimTime, index: usize) {
-        self.events.push(at, Timer::Event(BackendEvent::Arrival(index)));
+        assert!(!self.started, "arrival {index} pushed after the first pop_event");
+        self.arrivals_sorted &= self.arrivals.last().is_none_or(|last| last.0 <= at);
+        self.arrivals.push((at, self.events.reserve_seq(), index));
     }
 
     /// The virtual time of the next event this backend would surface,
-    /// without advancing: the earlier of the event queue's head and any
-    /// due batch launch. Drivers that pause at fixed virtual-time
-    /// boundaries (the steal-epoch rendezvous) use this to process every
-    /// event strictly *before* a boundary first, so DES and virtual-clock
-    /// serving cut their epochs at identical instants.
+    /// without advancing: the earliest of the arrival lane's head, the
+    /// event heap's head and any due batch launch. (The next
+    /// [`Self::pop_event`] returns a later time only if all that is due then
+    /// is silent — a batch launch, a killed pass's stale timer.)
+    /// Drivers that pause at fixed virtual-time boundaries (the
+    /// steal-epoch rendezvous) use this to process every event strictly
+    /// *before* a boundary first, so DES and virtual-clock serving cut their
+    /// epochs at identical instants.
     pub fn peek_time(&self) -> Option<SimTime> {
         let head = self.head_time();
         match self.bank.next_launch_due() {
@@ -255,12 +292,35 @@ impl SimBackend {
         }
     }
 
-    /// Time of the next timer: now while a batched pass is draining.
+    /// Time of the next timer or arrival: now while a batched pass is
+    /// draining.
     fn head_time(&self) -> Option<SimTime> {
-        match self.draining {
-            Some(_) => Some(self.events.now()),
-            None => self.events.peek_time(),
+        if self.draining.is_some() {
+            return Some(self.events.now());
         }
+        let arrival = if self.arrivals_sorted {
+            self.arrivals.get(self.next_arrival).map(|entry| entry.0)
+        } else {
+            // Only before the first pop, and only after an out-of-order push.
+            self.arrivals.iter().map(|entry| entry.0).min()
+        };
+        match (arrival, self.events.peek_time()) {
+            (Some(a), Some(t)) => Some(a.min(t)),
+            (a, t) => a.or(t),
+        }
+    }
+
+    /// Pops the earlier of the lane's head and the heap's head in
+    /// `(time, sequence number)` order, advancing the clock to it.
+    fn pop_timer(&mut self) -> Option<(SimTime, Timer)> {
+        if let Some(&(at, seq, index)) = self.arrivals.get(self.next_arrival) {
+            if self.events.peek_key().is_none_or(|key| (at, seq) < key) {
+                self.next_arrival += 1;
+                self.events.advance_to(at);
+                return Some((at, Timer::Event(BackendEvent::Arrival(index))));
+            }
+        }
+        self.events.pop()
     }
 
     /// Advances to and returns the next event, or `None` once drained.
@@ -273,6 +333,14 @@ impl SimBackend {
     /// per affected task at the crash instant — through the heap, so they
     /// queue behind whatever else was already due at that instant.
     pub fn pop_event(&mut self) -> Option<(SimTime, BackendEvent)> {
+        if !self.started {
+            self.started = true;
+            if !self.arrivals_sorted {
+                // Stable, so equal instants keep their push order.
+                self.arrivals.sort_by_key(|&(at, _, _)| at);
+                self.arrivals_sorted = true;
+            }
+        }
         loop {
             // A full batch launches synchronously in `submit_batch`; an
             // unfilled one launches when its window expires. Launching due
@@ -287,7 +355,7 @@ impl SimBackend {
             }
             let (now, timer) = match self.draining.take() {
                 Some((executor, pass)) => (self.events.now(), Timer::PassEnd { executor, pass }),
-                None => self.events.pop()?,
+                None => self.pop_timer()?,
             };
             let event = match timer {
                 Timer::PassEnd { executor, pass } => {

@@ -18,7 +18,7 @@
 //!   subset at arrival and tasks join per-instance FIFO queues at once.
 
 use crate::backend::{BackendEvent, ExecutionBackend, ExecutorUsage};
-use crate::pipeline::eval::evaluate;
+use crate::pipeline::eval::{evaluate, evaluate_with_outputs};
 use crate::pipeline::immediate::{Deployment, SelectionPolicy};
 use crate::pipeline::schemble::SchembleConfig;
 use crate::pipeline::{AdmissionMode, ResultAssembler};
@@ -300,6 +300,7 @@ impl FaultBook {
 
 #[derive(Debug)]
 struct QState {
+    id: u64,
     deadline: SimTime,
     arrival: SimTime,
     /// Earliest dispatch (arrival + predictor latency).
@@ -314,7 +315,6 @@ struct QState {
     /// never re-enters planning, even if failures empty `started` again.
     frozen: bool,
     outputs: Vec<(usize, Output)>,
-    closed: bool,
     fault: FaultBook,
 }
 
@@ -331,6 +331,51 @@ fn query_of<'q>(workload: &'q Workload, adopted: &'q HashMap<u64, Query>, id: u6
     adopted.get(&id).unwrap_or_else(|| &workload.queries[id as usize])
 }
 
+/// Whether the partial vote is already mathematically decided: under
+/// direct majority voting over a categorical task, the leading class wins
+/// no matter where the remaining votes land. Such a quit is lossless — the
+/// assembled class equals the full plan's. `votes` is working memory.
+fn vote_decided(
+    config: &SchembleConfig,
+    ensemble: &Ensemble,
+    state: &QState,
+    votes: &mut Vec<usize>,
+) -> bool {
+    if !matches!(config.assembler, ResultAssembler::Direct)
+        || !matches!(ensemble.aggregator, Aggregator::Voting)
+    {
+        return false;
+    }
+    let Some(classes) = ensemble.spec.num_classes() else { return false };
+    votes.clear();
+    votes.resize(classes, 0);
+    for (_, o) in &state.outputs {
+        votes[o.predicted_class()] += 1;
+    }
+    let remaining = state.set.len() - state.outputs.len();
+    let leader = votes.iter().copied().max().unwrap_or(0);
+    // Strict margin: the leader must beat every other class even if all
+    // remaining votes land on it (ties count against the leader, so
+    // aggregator tie-breaking never comes into play).
+    votes.iter().filter(|&&v| v == leader).count() == 1
+        && votes.iter().all(|&v| v == leader || leader > v + remaining)
+}
+
+/// Books query `id` as expired at `now`; its record keeps the default
+/// `Missed` outcome. Takes the engine's fields one by one so a sweep over
+/// the open table can call it while it holds the table.
+fn book_expired(
+    records: &mut [QueryRecord],
+    stats: &mut EngineStats,
+    trace: &TraceSink,
+    id: u64,
+    now: SimTime,
+) {
+    records[id as usize].models_used = 0;
+    stats.expired += 1;
+    trace.emit(TraceEvent::QueryExpired { t: now, query: id });
+}
+
 /// The Schemble pipeline (Fig. 3) as a backend-agnostic engine.
 ///
 /// Executor indices must equal base-model indices (identity deployment) —
@@ -339,7 +384,11 @@ pub struct SchembleEngine<'a> {
     ensemble: &'a Ensemble,
     config: &'a SchembleConfig,
     workload: &'a Workload,
-    open: HashMap<u64, QState>,
+    /// The open queries, in ascending id: arrivals append, an adoption (or
+    /// an arrival after one) inserts by binary search, lookups search.
+    /// Ascending id is the order plans, sweeps and the trace go by, so
+    /// nothing that walks the table has to sort it first.
+    open: Vec<QState>,
     /// Queries adopted from other shards by work stealing, keyed by the
     /// fresh local id assigned at adoption (`>= workload.len()`, since the
     /// borrowed workload itself is immutable). [`query_of`] makes lookups
@@ -375,6 +424,15 @@ pub struct SchembleEngine<'a> {
     /// Second availability scratch for the raw (unadjusted) lookups the
     /// ForceAll fallback and explainability paths need.
     avail_raw: Vec<SimTime>,
+    /// `(deadline, key)` pairs for the two walks that go by
+    /// `(deadline, id)` instead of id: `dispatch` (key = table position,
+    /// which orders like the id) and `release_for_steal` (key = id).
+    edf: Vec<(SimTime, u64)>,
+    /// The anytime policy's working memory: the vote histogram, then the
+    /// gain order of the remaining tasks.
+    anytime_scratch: Vec<usize>,
+    /// The samples of the score window being prefetched.
+    score_samples: Vec<&'a Sample>,
 }
 
 impl<'a> SchembleEngine<'a> {
@@ -384,7 +442,7 @@ impl<'a> SchembleEngine<'a> {
             ensemble,
             config,
             workload,
-            open: HashMap::new(),
+            open: Vec::new(),
             adopted: HashMap::new(),
             plan_ready_at: SimTime::ZERO,
             records: blank_records(workload),
@@ -403,7 +461,23 @@ impl<'a> SchembleEngine<'a> {
                 queries: Vec::new(),
             },
             avail_raw: Vec::new(),
+            edf: Vec::new(),
+            anytime_scratch: Vec::new(),
+            score_samples: Vec::new(),
         }
+    }
+
+    /// Position of query `id` in the open table.
+    fn position(&self, id: u64) -> Option<usize> {
+        self.open.binary_search_by_key(&id, |s| s.id).ok()
+    }
+
+    /// Adds a query to the open table at its place in id order (the end,
+    /// for an arrival with no adopted query open).
+    fn admit(&mut self, state: QState) {
+        let pos = self.open.partition_point(|s| s.id < state.id);
+        debug_assert!(self.open.get(pos).is_none_or(|s| s.id != state.id), "query admitted twice");
+        self.open.insert(pos, state);
     }
 
     /// Whether cross-query batching is on (an inactive config is `None`).
@@ -418,9 +492,10 @@ impl<'a> SchembleEngine<'a> {
     fn predicted_score(&mut self, i: usize) -> f64 {
         if !self.score_ready[i] {
             let end = (i + self.config.score_batch.max(1)).min(self.workload.queries.len());
-            let samples: Vec<&Sample> =
-                self.workload.queries[i..end].iter().map(|q| &q.sample).collect();
-            let scores = self.config.scorer.score_batch(&samples, self.ensemble);
+            let workload = self.workload;
+            self.score_samples.clear();
+            self.score_samples.extend(workload.queries[i..end].iter().map(|q| &q.sample));
+            let scores = self.config.scorer.score_batch(&self.score_samples, self.ensemble);
             for (off, s) in scores.into_iter().enumerate() {
                 self.score_cache[i + off] = s;
                 self.score_ready[i + off] = true;
@@ -445,9 +520,7 @@ impl<'a> SchembleEngine<'a> {
 
     /// Consumes the engine, aggregating backend usage into a [`RunSummary`].
     pub fn into_summary(self, usage: Vec<ExecutorUsage>) -> RunSummary {
-        for (id, state) in &self.open {
-            debug_assert!(state.started.is_empty(), "query {id} drained with running tasks");
-        }
+        debug_assert!(self.open.iter().all(|s| s.started.is_empty()), "drained with running tasks");
         let models = (0..self.ensemble.m())
             .map(|k| ModelUsage {
                 name: self.ensemble.models[k].name.clone(),
@@ -482,22 +555,19 @@ impl<'a> SchembleEngine<'a> {
             } else {
                 backend.start_task(k, q.id, now);
             }
-            self.open.insert(
-                q.id,
-                QState {
-                    deadline: q.deadline,
-                    arrival: q.arrival,
-                    ready_at: q.arrival,
-                    score: 0.0,
-                    utilities: self.config.profile.utility_vector(0.0),
-                    set: ModelSet::singleton(k),
-                    started: ModelSet::singleton(k),
-                    frozen: true,
-                    outputs: Vec::new(),
-                    closed: false,
-                    fault: FaultBook::default(),
-                },
-            );
+            self.admit(QState {
+                id: q.id,
+                deadline: q.deadline,
+                arrival: q.arrival,
+                ready_at: q.arrival,
+                score: 0.0,
+                utilities: self.config.profile.utility_vector(0.0),
+                set: ModelSet::singleton(k),
+                started: ModelSet::singleton(k),
+                frozen: true,
+                outputs: Vec::new(),
+                fault: FaultBook::default(),
+            });
             return;
         }
         self.trace.emit(TraceEvent::Admission {
@@ -514,22 +584,19 @@ impl<'a> SchembleEngine<'a> {
             bin: self.config.profile.bin_of(score) as u8,
             score_fp: score_fixed_point(score),
         });
-        self.open.insert(
-            q.id,
-            QState {
-                deadline: q.deadline,
-                arrival: q.arrival,
-                ready_at: q.arrival + self.config.predictor_latency,
-                score,
-                utilities,
-                set: ModelSet::EMPTY,
-                started: ModelSet::EMPTY,
-                frozen: false,
-                outputs: Vec::new(),
-                closed: false,
-                fault: FaultBook::default(),
-            },
-        );
+        self.admit(QState {
+            id: q.id,
+            deadline: q.deadline,
+            arrival: q.arrival,
+            ready_at: q.arrival + self.config.predictor_latency,
+            score,
+            utilities,
+            set: ModelSet::EMPTY,
+            started: ModelSet::EMPTY,
+            frozen: false,
+            outputs: Vec::new(),
+            fault: FaultBook::default(),
+        });
         // The query only becomes dispatchable once its score
         // prediction lands; make sure something fires then.
         let ready_at = q.arrival + self.config.predictor_latency;
@@ -546,24 +613,17 @@ impl<'a> SchembleEngine<'a> {
         now: SimTime,
         backend: &mut dyn ExecutionBackend,
     ) {
-        {
-            let q = query_of(self.workload, &self.adopted, query);
-            let Some(state) = self.open.get_mut(&query) else {
-                // Only deadline-aware degradation closes a query while a
-                // task of its is still running; the late output is dropped.
-                assert!(
-                    self.faults_seen || self.config.failure.is_some(),
-                    "completion for unknown query {query}"
-                );
-                return;
-            };
-            state.outputs.push((
-                executor,
-                self.ensemble.models[executor].infer(&q.sample, &self.ensemble.spec),
-            ));
-        }
-        self.anytime_quit(query, now, backend);
-        self.finish_if_complete(query, now);
+        let Some(pos) = self.position(query) else {
+            // Only deadline-aware degradation closes a query while a
+            // task of its is still running; the late output is dropped.
+            assert!(self.fault_mode(), "completion for unknown query {query}");
+            return;
+        };
+        let q = query_of(self.workload, &self.adopted, query);
+        let output = self.ensemble.models[executor].infer(&q.sample, &self.ensemble.spec);
+        self.open[pos].outputs.push((executor, output));
+        self.anytime_quit(pos, now, backend);
+        self.finish_if_complete(pos, now);
         self.expire(now);
         self.replan(now, backend);
         self.schedule_dispatch(now, backend);
@@ -585,7 +645,8 @@ impl<'a> SchembleEngine<'a> {
         self.stats.tasks_failed += 1;
         let policy = self.config.failure.unwrap_or_default();
         let m = self.ensemble.m();
-        if let Some(state) = self.open.get_mut(&query) {
+        if let Some(pos) = self.position(query) {
+            let state = &mut self.open[pos];
             state.fault.ensure(m);
             state.started = state.started.without(executor);
             state.fault.attempts[executor] = state.fault.attempts[executor].saturating_add(1);
@@ -604,12 +665,10 @@ impl<'a> SchembleEngine<'a> {
                 state.fault.degraded = true;
                 if state.set.is_empty() {
                     // Every planned model failed permanently: expire.
-                    self.open.remove(&query);
-                    self.records[query as usize].models_used = 0;
-                    self.stats.expired += 1;
-                    self.trace.emit(TraceEvent::QueryExpired { t: now, query });
+                    self.open.remove(pos);
+                    book_expired(&mut self.records, &mut self.stats, &self.trace, query, now);
                 } else {
-                    self.finish_if_complete(query, now);
+                    self.finish_if_complete(pos, now);
                 }
             }
         }
@@ -621,38 +680,33 @@ impl<'a> SchembleEngine<'a> {
     }
 
     /// Re-plans the unstarted buffer; updates when the new plan takes effect.
+    ///
+    /// The plan's queries are the unfrozen entries of the open table in
+    /// table order (ascending id), so the plan's `pos`-th assignment belongs
+    /// to the `pos`-th unfrozen entry — nothing here looks a query up by id.
     fn replan(&mut self, now: SimTime, backend: &mut dyn ExecutionBackend) {
         let input = &mut self.plan_input;
         input.queries.clear();
-        input.queries.extend(self.open.iter().filter(|(_, s)| !s.frozen && !s.closed).map(
-            |(&id, s)| BufferedQuery {
-                id,
-                arrival: s.arrival,
-                deadline: s.deadline,
-                utilities: Arc::clone(&s.utilities),
-                score: s.score,
-            },
-        ));
+        input.queries.extend(self.open.iter().filter(|s| !s.frozen).map(|s| BufferedQuery {
+            id: s.id,
+            arrival: s.arrival,
+            deadline: s.deadline,
+            utilities: Arc::clone(&s.utilities),
+            score: s.score,
+        }));
         if input.queries.is_empty() {
             self.plan_ready_at = self.plan_ready_at.max(now);
             return;
         }
-        // Hash-map order is arbitrary; plans and traces go by ascending id.
-        input.queries.sort_unstable_by_key(|q| q.id);
         input.now = now;
         // Availability must account for *committed* work: tasks of frozen
         // (already-started) queries that have not begun executing yet will
         // occupy their models before anything planned now — without this, the
         // planner overcommits and every plan completes late.
         backend.availability_into(now, &mut input.availability);
-        for state in self.open.values() {
-            if state.closed || !state.frozen {
-                continue;
-            }
-            for k in state.set.iter() {
-                if !state.started.contains(k) {
-                    input.availability[k] += input.latencies[k];
-                }
+        for state in self.open.iter().filter(|s| s.frozen) {
+            for k in state.set.minus(state.started).iter() {
+                input.availability[k] += input.latencies[k];
             }
         }
         let input = &self.plan_input;
@@ -663,25 +717,24 @@ impl<'a> SchembleEngine<'a> {
         // hot path pays nothing; nothing below feeds back into a decision.
         let observing = self.trace.observing();
         let prev_sets: Vec<ModelSet> = if observing {
-            input.queries.iter().map(|q| self.open[&q.id].set).collect()
+            self.open.iter().filter(|s| !s.frozen).map(|s| s.set).collect()
         } else {
             Vec::new()
         };
-        for (q, &set) in input.queries.iter().zip(&self.plan_buf.assignments) {
-            self.open.get_mut(&q.id).expect("present").set = set;
-        }
         // Forced mode: queries the plan abandoned but that must run get the
         // least-loaded single model.
-        if self.config.admission == AdmissionMode::ForceAll {
+        let force_all = self.config.admission == AdmissionMode::ForceAll;
+        if force_all {
             backend.availability_into(now, &mut self.avail_raw);
-            for q in &input.queries {
-                let s = self.open.get_mut(&q.id).expect("present");
-                if s.set.is_empty() {
-                    let best = (0..input.m())
-                        .min_by_key(|&k| self.avail_raw[k] + input.latencies[k])
-                        .expect("non-empty ensemble");
-                    s.set = ModelSet::singleton(best);
-                }
+        }
+        let planned = self.open.iter_mut().filter(|s| !s.frozen);
+        for (s, &set) in planned.zip(&self.plan_buf.assignments) {
+            s.set = set;
+            if force_all && set.is_empty() {
+                let best = (0..input.m())
+                    .min_by_key(|&k| self.avail_raw[k] + input.latencies[k])
+                    .expect("non-empty ensemble");
+                s.set = ModelSet::singleton(best);
             }
         }
         let cost = SimDuration::from_micros(
@@ -699,12 +752,12 @@ impl<'a> SchembleEngine<'a> {
             // One `PlanAssign` per query whose assignment this round changed,
             // carrying the plan's own completion estimate (or, for ForceAll
             // fallback singletons the plan left out, an availability-based
-            // one). Emitted in sorted-id order after the `Plan` event so the
-            // stream stays deterministic.
+            // one). Emitted in id order after the `Plan` event so the stream
+            // stays deterministic.
             let completions = input.completions(&self.plan_buf);
             backend.availability_into(now, &mut self.avail_raw);
-            for (pos, q) in input.queries.iter().enumerate() {
-                let set = self.open[&q.id].set;
+            for (pos, s) in self.open.iter().filter(|s| !s.frozen).enumerate() {
+                let set = s.set;
                 if set == prev_sets[pos] {
                     continue;
                 }
@@ -717,7 +770,7 @@ impl<'a> SchembleEngine<'a> {
                 });
                 self.trace.emit(TraceEvent::PlanAssign {
                     t: now,
-                    query: q.id,
+                    query: s.id,
                     set: set.0,
                     predicted_finish,
                     frontier: self.plan_buf.frontier,
@@ -728,9 +781,15 @@ impl<'a> SchembleEngine<'a> {
 
     /// Starts tasks on idle executors per the current plan, in EDF order.
     fn dispatch(&mut self, now: SimTime, backend: &mut dyn ExecutionBackend) {
-        // EDF order over open queries.
-        let mut ids: Vec<u64> = self.open.keys().copied().collect();
-        ids.sort_by_key(|id| (self.open[id].deadline, *id));
+        if self.open.is_empty() {
+            return;
+        }
+        // EDF order over open queries: by (deadline, id). Table positions
+        // order like ids, and deadlines mostly rise with them, so this sort
+        // is usually one pass over a sorted list.
+        self.edf.clear();
+        self.edf.extend(self.open.iter().enumerate().map(|(pos, s)| (s.deadline, pos as u64)));
+        self.edf.sort_unstable();
         let batching = self.batching();
         for k in 0..backend.executors() {
             // Dispatching onto `k` never changes another executor's
@@ -745,13 +804,12 @@ impl<'a> SchembleEngine<'a> {
                 Some(cfg) => cfg.batch_max.saturating_sub(backend.open_batch_len(k)),
                 None => 1,
             };
-            for id in &ids {
+            for &(_, pos) in &self.edf {
                 if room == 0 {
                     break;
                 }
-                let state = self.open.get_mut(id).expect("present");
-                if state.closed
-                    || !state.set.contains(k)
+                let state = &mut self.open[pos as usize];
+                if !state.set.contains(k)
                     || state.started.contains(k)
                     || state.ready_at > now
                     || state.fault.retry_pending(k).is_some_and(|t| t > now)
@@ -772,9 +830,9 @@ impl<'a> SchembleEngine<'a> {
                             continue;
                         }
                     }
-                    backend.submit_batch(k, *id, now);
+                    backend.submit_batch(k, state.id, now);
                 } else {
-                    backend.start_task(k, *id, now);
+                    backend.start_task(k, state.id, now);
                 }
                 state.started = state.started.with(k);
                 state.frozen = true;
@@ -786,7 +844,7 @@ impl<'a> SchembleEngine<'a> {
                     self.stats.tasks_retried += 1;
                     self.trace.emit(TraceEvent::TaskRetried {
                         t: now,
-                        query: *id,
+                        query: state.id,
                         executor: k as u16,
                         attempt,
                     });
@@ -794,30 +852,6 @@ impl<'a> SchembleEngine<'a> {
                 room -= 1;
             }
         }
-    }
-
-    /// Whether the partial vote is already mathematically decided: under
-    /// direct majority voting over a categorical task, the leading class
-    /// wins no matter where the remaining votes land. Such a quit is
-    /// lossless — the assembled class equals the full plan's.
-    fn vote_decided(&self, state: &QState) -> bool {
-        if !matches!(self.config.assembler, ResultAssembler::Direct)
-            || !matches!(self.ensemble.aggregator, Aggregator::Voting)
-        {
-            return false;
-        }
-        let Some(classes) = self.ensemble.spec.num_classes() else { return false };
-        let mut votes = vec![0usize; classes];
-        for (_, o) in &state.outputs {
-            votes[o.predicted_class()] += 1;
-        }
-        let remaining = state.set.len() - state.outputs.len();
-        let leader = votes.iter().copied().max().unwrap_or(0);
-        // Strict margin: the leader must beat every other class even if all
-        // remaining votes land on it (ties count against the leader, so
-        // aggregator tie-breaking never comes into play).
-        votes.iter().filter(|&&v| v == leader).count() == 1
-            && votes.iter().all(|&v| v == leader || leader > v + remaining)
     }
 
     /// Anytime early exit: after a new output lands, quits the rest of the
@@ -831,18 +865,18 @@ impl<'a> SchembleEngine<'a> {
     /// With no policy, or an inactive threshold, this returns before
     /// touching any state: every decision stays byte-identical to an engine
     /// without the feature (pinned by proptest).
-    fn anytime_quit(&mut self, query: u64, now: SimTime, backend: &mut dyn ExecutionBackend) {
+    fn anytime_quit(&mut self, pos: usize, now: SimTime, backend: &mut dyn ExecutionBackend) {
         let Some(policy) = self.config.anytime else { return };
         if !policy.active() {
             return;
         }
-        let Some(state) = self.open.get(&query) else { return };
-        if state.closed || state.outputs.is_empty() || state.outputs.len() >= state.set.len() {
+        let state = &self.open[pos];
+        if state.outputs.is_empty() || state.outputs.len() >= state.set.len() {
             return;
         }
+        let query = state.id;
         let produced = produced_set(&state.outputs);
-        let remaining: Vec<usize> = state.set.iter().filter(|&k| !produced.contains(k)).collect();
-        let remaining_set = remaining.iter().fold(ModelSet::EMPTY, |s, &k| s.with(k));
+        let remaining = state.set.minus(produced);
         // Confidence is relative to the plan the scheduler chose: the quit
         // is taken once the produced subset's profiled utility is within
         // `1 - C` of the full planned set's, so a quit gives up at most
@@ -852,7 +886,8 @@ impl<'a> SchembleEngine<'a> {
         // loss instead.) A mathematically decided vote is confidence 1.0.
         let slack = 1.0 - policy.confidence_threshold;
         let target = state.utilities[state.set.0 as usize] - slack;
-        let confident = self.vote_decided(state) || state.utilities[produced.0 as usize] >= target;
+        let confident = vote_decided(self.config, self.ensemble, state, &mut self.anytime_scratch)
+            || state.utilities[produced.0 as usize] >= target;
         let mut keep = ModelSet::EMPTY;
         if !confident {
             // Not confident yet: keep the cheapest prefix — in marginal
@@ -862,10 +897,10 @@ impl<'a> SchembleEngine<'a> {
             // there), so at worst everything is kept and the plan runs to
             // completion as planned.
             let latencies = &self.plan_input.latencies;
-            let mut order = Vec::with_capacity(remaining.len());
-            gain_order_into(&state.utilities, latencies, produced, remaining_set, &mut order);
+            let order = &mut self.anytime_scratch;
+            gain_order_into(&state.utilities, latencies, produced, remaining, order);
             let mut acc = produced;
-            for &k in &order {
+            for &k in order.iter() {
                 acc = acc.with(k);
                 keep = keep.with(k);
                 if state.utilities[acc.0 as usize] >= target {
@@ -879,23 +914,16 @@ impl<'a> SchembleEngine<'a> {
             // latency exceeds the remaining margin can only make the answer
             // late — shed it now instead of degrading at the deadline.
             // Running tasks are left to the regular expiry path.
-            for &k in &remaining {
-                if keep.contains(k)
-                    && !state.started.contains(k)
-                    && now + self.ensemble.latency(k).planned() > state.deadline
-                {
+            for k in keep.minus(state.started).iter() {
+                if now + self.ensemble.latency(k).planned() > state.deadline {
                     keep = keep.without(k);
                     deadline_cut = true;
                 }
             }
         }
-        let shed: Vec<usize> = remaining.into_iter().filter(|&k| !keep.contains(k)).collect();
-        if shed.is_empty() {
-            return;
-        }
+        let state = &mut self.open[pos];
         let mut saved = 0u32;
-        for k in shed {
-            let state = self.open.get_mut(&query).expect("present");
+        for k in remaining.minus(keep).iter() {
             if state.started.contains(k) {
                 // Running: cancel through the backend. A refusal means a
                 // crash got there first and its `TaskFailed` is already on
@@ -919,34 +947,40 @@ impl<'a> SchembleEngine<'a> {
         if deadline_cut {
             // A deadline-driven cut answers short of the plan for time, not
             // confidence — that is a degradation, like the expiry path.
-            self.open.get_mut(&query).expect("present").fault.degraded = true;
+            state.fault.degraded = true;
         }
         self.trace.emit(TraceEvent::WorkSaved { t: now, query, saved });
     }
 
-    /// Completes a query once outputs for its whole (possibly shrunk) set
-    /// have arrived: assembles the result, evaluates it and records it.
-    fn finish_if_complete(&mut self, query: u64, now: SimTime) {
-        let Some(state) = self.open.get_mut(&query) else { return };
+    /// Completes the query at table position `pos` once outputs for its
+    /// whole (possibly shrunk) set have arrived: assembles the result,
+    /// evaluates it, records it and takes the query off the table. Returns
+    /// whether it did — a sweep that calls this stays at `pos` when the
+    /// entry is gone.
+    fn finish_if_complete(&mut self, pos: usize, now: SimTime) -> bool {
+        let state = &self.open[pos];
         if state.set.is_empty() || state.outputs.len() != state.set.len() {
-            return;
+            return false;
         }
+        let mut state = self.open.remove(pos);
+        let query = state.id;
         let q = query_of(self.workload, &self.adopted, query);
         let degraded = state.fault.degraded;
-        let mut outputs = std::mem::take(&mut state.outputs);
-        outputs.sort_by_key(|(k, _)| *k);
-        let result = self.config.assembler.assemble(self.ensemble, &outputs, state.set);
-        let (correct, score) = evaluate(self.ensemble, &q.sample, &result);
-        self.records[query as usize].completion = Some(now);
-        self.records[query as usize].outcome = if degraded {
+        state.outputs.sort_by_key(|(k, _)| *k);
+        let result = self.config.assembler.assemble(self.ensemble, &state.outputs, state.set);
+        // The outputs in hand are part of the reference: only the models
+        // that did not run are inferred for it.
+        let (correct, score) =
+            evaluate_with_outputs(self.ensemble, &q.sample, &state.outputs, &result);
+        let record = &mut self.records[query as usize];
+        record.completion = Some(now);
+        record.outcome = if degraded {
             QueryOutcome::Degraded { correct, score }
         } else {
             QueryOutcome::Completed { correct, score }
         };
-        self.records[query as usize].models_used = state.set.len();
-        state.closed = true;
+        record.models_used = state.set.len();
         let set = state.set;
-        self.open.remove(&query);
         self.completions.push((query, (now - q.arrival).as_secs_f64()));
         self.trace.emit(TraceEvent::Realized {
             t: now,
@@ -961,53 +995,50 @@ impl<'a> SchembleEngine<'a> {
             self.stats.completed += 1;
             self.trace.emit(TraceEvent::QueryDone { t: now, query, set: set.0 });
         }
+        true
     }
 
     /// Deadline housekeeping (Reject mode only; ForceAll keeps everything):
     /// unstarted expired queries are dropped, and already-started expired
     /// queries stop scheduling *further* tasks (their set shrinks to what
     /// has started — a late result is a miss either way, so the remaining
-    /// capacity goes to queries that can still make it).
+    /// capacity goes to queries that can still make it). Both sweeps go in
+    /// id order, which the emitted trace depends on.
     fn expire(&mut self, now: SimTime) {
-        if self.config.admission == AdmissionMode::ForceAll {
+        if self.config.admission == AdmissionMode::ForceAll
+            || !self.open.iter().any(|s| s.deadline < now)
+        {
             return;
         }
-        // Sorted so the emitted trace is independent of hash-map order.
-        let mut expired: Vec<u64> = self
-            .open
-            .iter()
-            .filter(|(_, s)| s.started.is_empty() && s.deadline < now)
-            .map(|(&id, _)| id)
-            .collect();
-        expired.sort_unstable();
-        for id in expired {
-            self.open.remove(&id);
-            // Record already defaults to Missed.
-            self.records[id as usize].models_used = 0;
-            self.stats.expired += 1;
-            self.trace.emit(TraceEvent::QueryExpired { t: now, query: id });
-        }
-        let mut late_started: Vec<u64> = self
-            .open
-            .iter()
-            .filter(|(_, s)| !s.started.is_empty() && s.deadline < now)
-            .map(|(&id, _)| id)
-            .collect();
-        late_started.sort_unstable();
-        for id in late_started {
-            let state = self.open.get_mut(&id).expect("present");
-            if self.config.failure.is_some() && !state.outputs.is_empty() {
-                // Deadline-aware degradation: answer *now* from the outputs
-                // in hand instead of waiting for still-running tasks.
-                let produced = produced_set(&state.outputs);
-                if state.set != produced {
-                    state.fault.degraded = true;
+        let (records, stats, trace) = (&mut self.records, &mut self.stats, &self.trace);
+        self.open.retain(|s| {
+            let expired = s.started.is_empty() && s.deadline < now;
+            if expired {
+                book_expired(records, stats, trace, s.id, now);
+            }
+            !expired
+        });
+        let mut pos = 0;
+        while pos < self.open.len() {
+            let state = &mut self.open[pos];
+            let mut shrunk = false;
+            if state.deadline < now {
+                if self.config.failure.is_some() && !state.outputs.is_empty() {
+                    // Deadline-aware degradation: answer *now* from the outputs
+                    // in hand instead of waiting for still-running tasks.
+                    let produced = produced_set(&state.outputs);
+                    if state.set != produced {
+                        state.fault.degraded = true;
+                    }
+                    state.set = produced;
+                    shrunk = true;
+                } else if state.set != state.started {
+                    state.set = state.started;
+                    shrunk = true;
                 }
-                state.set = produced;
-                self.finish_if_complete(id, now);
-            } else if state.set != state.started {
-                state.set = state.started;
-                self.finish_if_complete(id, now);
+            }
+            if !(shrunk && self.finish_if_complete(pos, now)) {
+                pos += 1;
             }
         }
     }
@@ -1077,11 +1108,11 @@ impl PipelineEngine for SchembleEngine<'_> {
         if self.plan_ready_at > now {
             consider(self.plan_ready_at);
         }
-        for state in self.open.values() {
+        for state in &self.open {
             if !state.frozen {
                 consider(state.ready_at);
             }
-            if self.config.admission == AdmissionMode::Reject && !state.closed {
+            if self.config.admission == AdmissionMode::Reject {
                 consider(state.deadline);
             }
             for t in state.fault.retry_at.iter().flatten() {
@@ -1093,33 +1124,31 @@ impl PipelineEngine for SchembleEngine<'_> {
 
     fn drain(&mut self, now: SimTime) {
         // End of trace: whatever never started can no longer complete.
-        let mut stuck: Vec<u64> =
-            self.open.iter().filter(|(_, s)| s.started.is_empty()).map(|(&id, _)| id).collect();
-        stuck.sort_unstable();
-        for id in stuck {
-            self.open.remove(&id);
-            self.records[id as usize].models_used = 0;
-            self.stats.expired += 1;
-            self.trace.emit(TraceEvent::QueryExpired { t: now, query: id });
-        }
+        let (records, stats, trace) = (&mut self.records, &mut self.stats, &self.trace);
+        self.open.retain(|s| {
+            let stuck = s.started.is_empty();
+            if stuck {
+                book_expired(records, stats, trace, s.id, now);
+            }
+            !stuck
+        });
         if self.fault_mode() {
             // Under faults a query can be wedged with tasks that will never
             // report (e.g. the runtime stopped waiting on a dead worker).
             // Close every remainder: partial outputs become a degraded
             // answer, the rest expire.
-            let mut rest: Vec<u64> = self.open.keys().copied().collect();
-            rest.sort_unstable();
-            for id in rest {
-                let state = self.open.get_mut(&id).expect("present");
+            let mut pos = 0;
+            while pos < self.open.len() {
+                let state = &mut self.open[pos];
                 if state.outputs.is_empty() {
-                    self.open.remove(&id);
-                    self.records[id as usize].models_used = 0;
-                    self.stats.expired += 1;
-                    self.trace.emit(TraceEvent::QueryExpired { t: now, query: id });
+                    let id = self.open.remove(pos).id;
+                    book_expired(&mut self.records, &mut self.stats, &self.trace, id, now);
                 } else {
                     state.set = produced_set(&state.outputs);
                     state.fault.degraded = true;
-                    self.finish_if_complete(id, now);
+                    if !self.finish_if_complete(pos, now) {
+                        pos += 1;
+                    }
                 }
             }
         }
@@ -1140,10 +1169,7 @@ impl PipelineEngine for SchembleEngine<'_> {
     fn steal_backlog(&self) -> (u64, u64) {
         let mut depth = 0u64;
         let mut predicted_us = 0u64;
-        for state in self.open.values() {
-            if state.frozen || state.closed {
-                continue;
-            }
+        for state in self.open.iter().filter(|s| !s.frozen) {
             depth += 1;
             predicted_us += self.predicted_cost_us(state);
         }
@@ -1155,12 +1181,15 @@ impl PipelineEngine for SchembleEngine<'_> {
         // Latest deadlines go: the victim keeps the queries it is most
         // likely to still finish in time. Sorted by (deadline, id) so the
         // choice is a pure function of engine state.
-        let mut ids: Vec<u64> =
-            self.open.iter().filter(|(_, s)| !s.frozen && !s.closed).map(|(&id, _)| id).collect();
-        ids.sort_unstable_by_key(|id| (self.open[id].deadline, *id));
-        let mut out = Vec::with_capacity(count.min(ids.len()));
-        for id in ids.into_iter().rev().take(count) {
-            let state = self.open.remove(&id).expect("present");
+        self.edf.clear();
+        self.edf.extend(self.open.iter().filter(|s| !s.frozen).map(|s| (s.deadline, s.id)));
+        self.edf.sort_unstable();
+        let keep = self.edf.len().saturating_sub(count);
+        let mut out = Vec::with_capacity(self.edf.len() - keep);
+        for i in (keep..self.edf.len()).rev() {
+            let id = self.edf[i].1;
+            let pos = self.position(id).expect("present");
+            let state = self.open.remove(pos);
             debug_assert!(
                 state.started.is_empty() && state.outputs.is_empty(),
                 "released query {id} had running work"
@@ -1193,23 +1222,20 @@ impl PipelineEngine for SchembleEngine<'_> {
             models_used: 0,
         });
         let utilities = self.config.profile.utility_vector(stolen.score);
-        self.open.insert(
+        self.admit(QState {
             id,
-            QState {
-                deadline: query.deadline,
-                arrival: query.arrival,
-                // Already scored on the victim: dispatchable immediately.
-                ready_at: now,
-                score: stolen.score,
-                utilities,
-                set: ModelSet::EMPTY,
-                started: ModelSet::EMPTY,
-                frozen: false,
-                outputs: Vec::new(),
-                closed: false,
-                fault: FaultBook::default(),
-            },
-        );
+            deadline: query.deadline,
+            arrival: query.arrival,
+            // Already scored on the victim: dispatchable immediately.
+            ready_at: now,
+            score: stolen.score,
+            utilities,
+            set: ModelSet::EMPTY,
+            started: ModelSet::EMPTY,
+            frozen: false,
+            outputs: Vec::new(),
+            fault: FaultBook::default(),
+        });
         self.stats.stolen_in += 1;
         self.trace.emit(TraceEvent::QueryStolen {
             t: now,
@@ -1580,5 +1606,274 @@ impl PipelineEngine for ImmediateEngine<'_> {
 
     fn take_completions(&mut self) -> Vec<(u64, f64)> {
         std::mem::take(&mut self.completions)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The open table and the engine-owned scratch, tested on the engine's
+    //! own state: entries are admitted directly, so each test decides the
+    //! sets, deadlines and outputs it needs instead of steering a planner
+    //! into them.
+    use super::*;
+    use crate::backend::SimBackend;
+    use crate::executor::ExecutorBank;
+    use crate::predictor::OnlineScorer;
+    use crate::profiling::AccuracyProfile;
+    use crate::scheduler::DpScheduler;
+    use schemble_data::{DeadlinePolicy, PoissonTrace};
+    use schemble_models::{zoo, DifficultyDist, SampleGenerator};
+    use schemble_sim::{BatchConfig, FaultPlan};
+
+    fn fixture(n: usize) -> (Ensemble, SchembleConfig, Workload) {
+        let ens = zoo::text_matching(1);
+        let gen = SampleGenerator::new(ens.spec, DifficultyDist::Uniform, 5);
+        let history = gen.batch(0, 300);
+        let scores: Vec<f64> = history.iter().map(|s| s.difficulty).collect();
+        let profile = AccuracyProfile::fit(&ens, &history, &scores, 4);
+        let config = SchembleConfig::new(
+            Box::new(DpScheduler::default()),
+            OnlineScorer::Constant(0.4),
+            profile,
+        );
+        let trace = PoissonTrace { rate_per_sec: 40.0, n };
+        let workload = Workload::generate(&gen, &trace, &DeadlinePolicy::constant_millis(105.0), 7);
+        (ens, config, workload)
+    }
+
+    /// A backend that only records what the engine asks of it. Executors in
+    /// `idle` accept work; `start_task` occupies one, `submit_batch` joins
+    /// its open batch.
+    struct Recorder {
+        idle: Vec<bool>,
+        started: Vec<(usize, u64)>,
+    }
+
+    impl ExecutionBackend for Recorder {
+        fn executors(&self) -> usize {
+            self.idle.len()
+        }
+        fn is_idle(&self, executor: usize) -> bool {
+            self.idle[executor]
+        }
+        fn available_at(&self, _executor: usize, now: SimTime) -> SimTime {
+            now
+        }
+        fn start_task(&mut self, executor: usize, query: u64, _now: SimTime) {
+            self.idle[executor] = false;
+            self.started.push((executor, query));
+        }
+        fn enqueue_task(&mut self, _executor: usize, _query: u64, _now: SimTime) {
+            unreachable!("the Schemble engine dispatches on idle")
+        }
+        fn submit_batch(&mut self, executor: usize, query: u64, _now: SimTime) {
+            self.started.push((executor, query));
+        }
+        fn open_batch_len(&self, executor: usize) -> usize {
+            self.started.iter().filter(|&&(k, _)| k == executor).count()
+        }
+        fn request_wake(&mut self, _at: SimTime) {}
+        fn usage(&self) -> Vec<ExecutorUsage> {
+            Vec::new()
+        }
+    }
+
+    /// An admitted, scored, unstarted query planned onto `set`.
+    fn entry(engine: &SchembleEngine, id: u64, deadline_ms: u64, set: &[usize]) -> QState {
+        QState {
+            id,
+            deadline: SimTime::from_millis(deadline_ms),
+            arrival: SimTime::ZERO,
+            ready_at: SimTime::ZERO,
+            score: 0.4,
+            utilities: engine.config.profile.utility_vector(0.4),
+            set: ModelSet::from_indices(set),
+            started: ModelSet::EMPTY,
+            frozen: false,
+            outputs: Vec::new(),
+            fault: FaultBook::default(),
+        }
+    }
+
+    /// `entry` with tasks running on `started` and `done`'s outputs in hand.
+    fn running(
+        engine: &SchembleEngine,
+        id: u64,
+        deadline_ms: u64,
+        started: &[usize],
+        done: &[usize],
+    ) -> QState {
+        let sample = &engine.workload.queries[id as usize].sample;
+        let outputs = done
+            .iter()
+            .map(|&k| (k, engine.ensemble.models[k].infer(sample, &engine.ensemble.spec)))
+            .collect();
+        QState {
+            started: ModelSet::from_indices(started),
+            frozen: true,
+            outputs,
+            ..entry(engine, id, deadline_ms, started)
+        }
+    }
+
+    fn ids(engine: &SchembleEngine) -> Vec<u64> {
+        engine.open.iter().map(|s| s.id).collect()
+    }
+
+    #[test]
+    fn an_arrival_after_an_adoption_lands_in_id_order() {
+        let (ens, config, workload) = fixture(3);
+        let mut engine = SchembleEngine::new(&ens, &config, &workload);
+        let mut backend = Recorder { idle: vec![false; 3], started: Vec::new() };
+        let t = workload.queries[0].arrival;
+        engine.handle(BackendEvent::Arrival(0), t, &mut backend);
+        let stolen = StolenQuery { query: workload.queries[2].clone(), score: 0.7, bin: 2 };
+        let lineage =
+            StealLineage { epoch: 0, victim: 1, thief: 0, victim_depth: 4, thief_depth: 1 };
+        assert_eq!(engine.adopt_stolen(stolen, lineage, t), 3, "adopted ids follow the workload's");
+        // Query 1 arrives with the adopted query 3 already open: it goes
+        // before it, and the plan input it triggers is in id order too.
+        engine.handle(BackendEvent::Arrival(1), workload.queries[1].arrival, &mut backend);
+        assert_eq!(ids(&engine), [0, 1, 3]);
+        let planned: Vec<u64> = engine.plan_input.queries.iter().map(|q| q.id).collect();
+        assert_eq!(planned, [0, 1, 3]);
+        assert_eq!(engine.position(3), Some(2));
+        assert_eq!(engine.position(2), None);
+        // Releasing it again takes it — the latest deadline — off the end.
+        let released = engine.release_for_steal(1, t);
+        assert_eq!(released.len(), 1);
+        assert_eq!(ids(&engine), [0, 1]);
+    }
+
+    #[test]
+    fn the_expiry_sweeps_survive_the_removals_they_make() {
+        let (ens, mut config, workload) = fixture(7);
+        config.failure = Some(FailurePolicy::default());
+        let sink = TraceSink::new(64);
+        let mut engine = SchembleEngine::new(&ens, &config, &workload).with_trace(sink.clone());
+        // Two adjacent queries that degrade and leave in the second sweep
+        // (the entry after a removal slides into the swept position), two
+        // unstarted ones the first sweep drops around a survivor, and a
+        // late query that only stops scheduling further tasks.
+        for state in [
+            running(&engine, 0, 50, &[0, 1], &[0]),
+            running(&engine, 1, 50, &[0, 2], &[2]),
+            entry(&engine, 2, 50, &[0]),
+            running(&engine, 3, 50, &[1], &[]),
+            entry(&engine, 4, 500, &[1]),
+            entry(&engine, 5, 50, &[2]),
+            running(&engine, 6, 500, &[0], &[]),
+        ] {
+            engine.admit(state);
+        }
+        engine.open[3].set = ModelSet::from_indices(&[1, 2]);
+        engine.stats.submitted = 7;
+        engine.expire(SimTime::from_millis(60));
+        assert_eq!(ids(&engine), [3, 4, 6]);
+        assert_eq!(engine.open[0].set, ModelSet::singleton(1), "late: shrunk to what started");
+        let stats = engine.stats();
+        assert_eq!((stats.expired, stats.degraded, stats.open()), (2, 2, 3));
+        assert_eq!(engine.records[0].models_used, 1);
+        assert_eq!(engine.records[1].models_used, 1);
+        // Both sweeps go in id order, the dropped queries first.
+        let order: Vec<(&str, u64)> = sink
+            .drain()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::QueryExpired { query, .. } => Some(("expired", query)),
+                TraceEvent::DegradedAnswer { query, .. } => Some(("degraded", query)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, [("expired", 2), ("expired", 5), ("degraded", 0), ("degraded", 1)]);
+        // Nothing is past its deadline any more: the next sweep is a no-op.
+        engine.open[0].deadline = SimTime::from_millis(500);
+        engine.expire(SimTime::from_millis(70));
+        assert_eq!(ids(&engine), [3, 4, 6]);
+    }
+
+    #[test]
+    fn dispatch_goes_by_deadline_then_id_not_by_table_order() {
+        let (ens, mut config, workload) = fixture(5);
+        config.batching = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
+        let mut engine = SchembleEngine::new(&ens, &config, &workload);
+        // Per-query deadlines (and adopted queries, which keep theirs) make
+        // deadlines non-monotone in id.
+        for (id, deadline_ms) in [(0, 300), (1, 100), (2, 200), (3, 100), (4, 250)] {
+            let state = entry(&engine, id, deadline_ms, &[0]);
+            engine.admit(state);
+        }
+        let mut backend = Recorder { idle: vec![true, false, false], started: Vec::new() };
+        engine.dispatch(SimTime::from_millis(1), &mut backend);
+        assert_eq!(backend.started, [(0, 1), (0, 3), (0, 2), (0, 4), (0, 0)]);
+        assert!(engine.open.iter().all(|s| s.frozen && s.started == ModelSet::singleton(0)));
+        // Without batching an idle executor takes exactly the EDF head.
+        let (ens, config, workload) = fixture(5);
+        let mut engine = SchembleEngine::new(&ens, &config, &workload);
+        for (id, deadline_ms) in [(0, 300), (1, 100), (2, 200), (3, 100)] {
+            let state = entry(&engine, id, deadline_ms, &[0, 1]);
+            engine.admit(state);
+        }
+        let mut backend = Recorder { idle: vec![true, true, false], started: Vec::new() };
+        engine.dispatch(SimTime::from_millis(1), &mut backend);
+        assert_eq!(backend.started, [(0, 1), (1, 1)]);
+    }
+
+    /// Replays `workload` through a faulted, batching `SimBackend`;
+    /// `before_event` runs on the engine ahead of every event.
+    fn replay(
+        ens: &Ensemble,
+        config: &SchembleConfig,
+        workload: &Workload,
+        mut before_event: impl FnMut(&mut SchembleEngine),
+    ) -> (Vec<QueryRecord>, EngineStats, Vec<TraceEvent>) {
+        let plan = FaultPlan::parse("transient 0.05\ncrash 1 1.0 1.2").expect("valid plan");
+        let latencies = (0..ens.m()).map(|k| ens.latency(k)).collect();
+        let sink = TraceSink::new(1 << 16);
+        let bank = ExecutorBank::new(latencies, 3, "engine-test")
+            .with_trace(sink.clone())
+            .with_faults(Some(&plan), 3)
+            .with_batching(config.batching);
+        let mut backend = SimBackend::new(bank);
+        for (i, q) in workload.queries.iter().enumerate() {
+            backend.push_arrival(q.arrival, i);
+        }
+        let mut engine = SchembleEngine::new(ens, config, workload).with_trace(sink.clone());
+        let mut end = SimTime::ZERO;
+        while let Some((now, event)) = backend.pop_event() {
+            before_event(&mut engine);
+            engine.handle(event, now, &mut backend);
+            end = now;
+        }
+        engine.drain(end);
+        assert_eq!(engine.open_count(), 0);
+        (engine.take_records(), engine.stats(), sink.drain())
+    }
+
+    #[test]
+    fn scratch_carried_across_events_changes_nothing() {
+        // The engine's working memory (EDF order, vote histogram and gain
+        // order, score window) outlives every event. An engine that gets it
+        // fresh before each event must decide exactly the same — with
+        // anytime exit under voting, batching, faults and non-monotone
+        // deadlines all drawing on it.
+        let (mut ens, mut config, mut workload) = fixture(400);
+        ens.aggregator = Aggregator::Voting;
+        config.anytime = Some(AnytimePolicy { confidence_threshold: 0.9 });
+        config.failure = Some(FailurePolicy::default());
+        config.batching = Some(BatchConfig::new(4, SimDuration::from_millis(2)));
+        for q in workload.queries.iter_mut().step_by(3) {
+            q.deadline += SimDuration::from_millis(60);
+        }
+        let carried = replay(&ens, &config, &workload, |_| {});
+        let fresh = replay(&ens, &config, &workload, |engine| {
+            engine.edf = Vec::new();
+            engine.anytime_scratch = Vec::new();
+            engine.score_samples = Vec::new();
+        });
+        assert!(carried.1.tasks_saved > 0 && carried.1.tasks_retried > 0, "{:?}", carried.1);
+        assert_eq!(carried.0, fresh.0);
+        assert_eq!(carried.1, fresh.1);
+        assert_eq!(carried.2, fresh.2);
     }
 }

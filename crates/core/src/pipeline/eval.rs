@@ -1,7 +1,26 @@
 //! Result scoring against the full ensemble's output (§VIII: "we refer to
 //! results from the original deep ensemble as the ground truth").
 
-use schemble_models::{Ensemble, Output, Sample, TaskSpec};
+use schemble_models::{Ensemble, ModelSet, Output, Sample, TaskSpec};
+
+/// The full ensemble's output on `sample` — [`Ensemble::ensemble_output`] —
+/// given that the outputs in `held` have been computed already.
+///
+/// `infer` is a pure function of the model and the sample, and the
+/// aggregation runs over the same model-ordered slice `ensemble_output`
+/// builds, so the result is bit-equal to recomputing every output.
+fn reference_output(ensemble: &Ensemble, sample: &Sample, held: &[(usize, Output)]) -> Output {
+    let held_set = held.iter().fold(ModelSet::EMPTY, |s, (k, _)| s.with(*k));
+    debug_assert_eq!(held_set.len(), held.len(), "two held outputs of one model");
+    let missing: Vec<(usize, Output)> = (0..ensemble.m())
+        .filter(|&k| !held_set.contains(k))
+        .map(|k| (k, ensemble.models[k].infer(sample, &ensemble.spec)))
+        .collect();
+    let mut present: Vec<(usize, &Output)> =
+        held.iter().chain(&missing).map(|(k, o)| (*k, o)).collect();
+    present.sort_unstable_by_key(|&(k, _)| k);
+    ensemble.aggregate(&present)
+}
 
 /// Scores a returned result for one query.
 ///
@@ -10,7 +29,20 @@ use schemble_models::{Ensemble, Output, Sample, TaskSpec};
 /// regression, average precision (1/rank of the reference's top candidate)
 /// for retrieval.
 pub fn evaluate(ensemble: &Ensemble, sample: &Sample, result: &Output) -> (bool, f64) {
-    let reference = ensemble.ensemble_output(sample);
+    evaluate_with_outputs(ensemble, sample, &[], result)
+}
+
+/// [`evaluate`] for a caller that already holds some base-model outputs of
+/// `sample`: `held` pairs distinct model indices with the outputs those
+/// models produced, and only the models missing from it are run to build
+/// the reference.
+pub fn evaluate_with_outputs(
+    ensemble: &Ensemble,
+    sample: &Sample,
+    held: &[(usize, Output)],
+    result: &Output,
+) -> (bool, f64) {
+    let reference = reference_output(ensemble, sample, held);
     let correct = result.agrees_with(&reference, &ensemble.spec);
     let score = match ensemble.spec {
         TaskSpec::Retrieval { .. } => {
@@ -31,8 +63,51 @@ pub fn evaluate(ensemble: &Ensemble, sample: &Sample, result: &Output) -> (bool,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use schemble_models::zoo;
-    use schemble_models::{DifficultyDist, ModelSet, SampleGenerator};
+    use schemble_models::{Aggregator, DifficultyDist, SampleGenerator};
+
+    proptest! {
+        #[test]
+        fn outputs_in_hand_score_bit_equal_to_recomputing(
+            kind in 0usize..5,
+            id in 0u64..10_000,
+            difficulty in 0.0f64..1.0,
+            mask in 1u32..64,
+            reversed in bool::ANY,
+        ) {
+            // Classification (weighted average, voting, six 100-class
+            // softmaxes), regression and retrieval.
+            let mut ens = match kind {
+                0 | 1 => zoo::text_matching(1),
+                2 => zoo::vehicle_counting(1),
+                3 => zoo::image_retrieval(1),
+                _ => zoo::cifar_zoo(6, 1),
+            };
+            if kind == 1 {
+                ens.aggregator = Aggregator::Voting;
+            }
+            let set = ModelSet(mask & ens.full_set().0);
+            if set.is_empty() {
+                continue;
+            }
+            let gen = SampleGenerator::new(ens.spec, DifficultyDist::Fixed(difficulty), 5);
+            let sample = gen.batch(id, 1).remove(0);
+            let mut held = ens.infer_subset(&sample, set);
+            if reversed {
+                held.reverse();
+            }
+            // `==` on `f64`s throughout: equal bits, not a tolerance.
+            prop_assert_eq!(reference_output(&ens, &sample, &held), ens.ensemble_output(&sample));
+            // Scored on a sub-ensemble's answer, so agreement, disagreement
+            // and partial retrieval credit all occur.
+            let result = ens.subset_output(&sample, set);
+            prop_assert_eq!(
+                evaluate_with_outputs(&ens, &sample, &held, &result),
+                evaluate(&ens, &sample, &result)
+            );
+        }
+    }
 
     #[test]
     fn full_ensemble_result_scores_perfectly() {

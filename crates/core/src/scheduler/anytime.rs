@@ -34,22 +34,23 @@ pub fn gain_order_into(
 ) {
     out.clear();
     let mut acc = produced;
-    let mut pool: Vec<usize> = remaining.iter().collect();
+    let mut pool = remaining;
     while !pool.is_empty() {
         let base = utilities[acc.0 as usize];
-        let mut best = 0usize;
+        // Lowest index first, so it also wins when no gain compares greater.
+        let mut best = pool.iter().next().expect("non-empty pool");
         let mut best_gain = f64::NEG_INFINITY;
-        for (i, &k) in pool.iter().enumerate() {
+        for k in pool.iter() {
             let gain = (utilities[acc.with(k).0 as usize] - base)
                 / (latencies[k].as_micros().max(1) as f64);
             if gain > best_gain {
                 best_gain = gain;
-                best = i;
+                best = k;
             }
         }
-        let k = pool.remove(best);
-        acc = acc.with(k);
-        out.push(k);
+        pool = pool.without(best);
+        acc = acc.with(best);
+        out.push(best);
     }
 }
 

@@ -54,6 +54,26 @@ impl From<io::Error> for TraceError {
     }
 }
 
+/// The latest instant a trace file may carry: half the range of microsecond
+/// `u64` time, so the sums the pipelines form on top of an arrival (deadline
+/// offsets, predictor latency, backoff) cannot overflow.
+const MAX_SECS: f64 = (u64::MAX / 2) as f64 / 1e6;
+
+/// Parses one seconds field, rejecting what [`SimTime`] cannot hold:
+/// negatives, NaN, infinities and anything past [`MAX_SECS`].
+fn parse_secs(field: &str, what: &str, line: usize) -> Result<f64, TraceError> {
+    let err = |problem: &str| TraceError::Parse { line, message: format!("{problem} {what}") };
+    let secs: f64 = field.trim().parse().map_err(|_| err("bad"))?;
+    if secs < 0.0 {
+        return Err(err("negative"));
+    }
+    // A NaN compares false with everything, so it needs its own test.
+    if secs.is_nan() || secs > MAX_SECS {
+        return Err(err("non-finite or too large"));
+    }
+    Ok(secs)
+}
+
 impl RecordedTrace {
     /// Wraps arrival instants (must be sorted ascending).
     ///
@@ -97,30 +117,15 @@ impl RecordedTrace {
                 continue;
             }
             let mut parts = line.split(',');
-            let arrival: f64 =
-                parts.next().expect("split yields at least one part").trim().parse().map_err(
-                    |_| TraceError::Parse { line: lineno, message: "bad arrival".to_string() },
-                )?;
-            if arrival < 0.0 {
-                return Err(TraceError::Parse {
-                    line: lineno,
-                    message: "negative arrival".to_string(),
-                });
-            }
+            let field = parts.next().expect("split yields at least one part");
+            let arrival = parse_secs(field, "arrival", lineno)?;
             arrivals.push(SimTime::from_secs_f64(arrival));
             if has_deadlines == Some(true) {
-                let d: f64 = parts
-                    .next()
-                    .ok_or_else(|| TraceError::Parse {
-                        line: lineno,
-                        message: "missing deadline column".to_string(),
-                    })?
-                    .trim()
-                    .parse()
-                    .map_err(|_| TraceError::Parse {
-                        line: lineno,
-                        message: "bad deadline".to_string(),
-                    })?;
+                let field = parts.next().ok_or_else(|| TraceError::Parse {
+                    line: lineno,
+                    message: "missing deadline column".to_string(),
+                })?;
+                let d = parse_secs(field, "deadline", lineno)?;
                 if d < arrival {
                     return Err(TraceError::Parse {
                         line: lineno,
@@ -221,6 +226,27 @@ mod tests {
             "deadline before arrival must be rejected"
         );
         assert!(RecordedTrace::parse(Cursor::new("a,b,c\n")).is_err());
+    }
+
+    #[test]
+    fn rejects_numbers_microsecond_time_cannot_hold() {
+        // `inf` used to parse to `SimTime(u64::MAX)` and overflow at the
+        // first addition; `nan` slipped past both `<` guards.
+        for bad in ["inf", "-inf", "nan", "NaN", "1e300", "-1e300"] {
+            for csv in [
+                format!("arrival_s\n0.5\n{bad}\n"),
+                format!("arrival_s,deadline_s\n0.5,0.6\n{bad},2.0\n"),
+                format!("arrival_s,deadline_s\n0.5,0.6\n1.0,{bad}\n"),
+            ] {
+                match RecordedTrace::parse(Cursor::new(&csv)) {
+                    Err(TraceError::Parse { line: 3, .. }) => {}
+                    other => panic!("{csv:?} gave {other:?}, want a parse error at line 3"),
+                }
+            }
+        }
+        // The largest accepted instant still leaves room to add to.
+        let t = RecordedTrace::parse(Cursor::new("arrival_s\n9e12\n")).expect("in range");
+        assert!(t.arrivals(0)[0].as_micros() <= u64::MAX / 2);
     }
 
     #[test]

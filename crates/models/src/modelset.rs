@@ -65,6 +65,12 @@ impl ModelSet {
         ModelSet(self.0 & !(1 << k))
     }
 
+    /// The members of this set that are not in `other`.
+    #[inline]
+    pub fn minus(self, other: ModelSet) -> ModelSet {
+        ModelSet(self.0 & !other.0)
+    }
+
     /// Membership test.
     #[inline]
     pub fn contains(self, k: usize) -> bool {
@@ -155,6 +161,7 @@ mod tests {
         let s = ModelSet::singleton(1).with(3);
         assert_eq!(s.without(3), ModelSet::singleton(1));
         assert_eq!(s.without(5), s, "removing an absent member is a no-op");
+        assert_eq!(s.minus(ModelSet::from_indices(&[3, 4])), ModelSet::singleton(1));
     }
 
     #[test]

@@ -101,6 +101,36 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// `(fire time, sequence number)` of the next event — the key the queue
+    /// orders by. With [`Self::reserve_seq`] and [`Self::advance_to`] it lets
+    /// a caller keep pre-sorted events in a list of its own and merge them
+    /// with the queue in the queue's own total order.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|e| (e.at, e.seq))
+    }
+
+    /// Takes the sequence number the next [`Self::push`] would have used,
+    /// for an event the caller holds outside the queue.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Advances the clock to `at`, as popping an event due then would.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current clock.
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "clock moved backwards: {} < now {}",
+            at.as_micros(),
+            self.now.as_micros()
+        );
+        self.now = at;
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -165,6 +195,33 @@ mod tests {
         q.push(SimTime::from_millis(10), ());
         q.pop();
         q.push(SimTime::from_millis(5), ());
+    }
+
+    #[test]
+    fn an_outside_event_merges_by_its_reserved_key() {
+        // The caller holds "b" itself: its reserved sequence number places
+        // it between the pushes around it, and advancing the clock to it
+        // keeps the "not in the past" guard honest.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(4);
+        q.push(t, "a");
+        let held = (t, q.reserve_seq());
+        q.push(t, "c");
+        assert!(q.peek_key().unwrap() < held);
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert!(held < q.peek_key().unwrap());
+        q.advance_to(held.0);
+        assert_eq!(q.now(), t);
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!(q.peek_key(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "clock moved backwards")]
+    fn advancing_into_the_past_panics() {
+        let mut q = EventQueue::<()>::new();
+        q.advance_to(SimTime::from_millis(2));
+        q.advance_to(SimTime::from_millis(1));
     }
 
     #[test]
