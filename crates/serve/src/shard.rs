@@ -39,7 +39,7 @@ use schemble_metrics::{ModelUsage, QueryRecord, RunSummary, RuntimeMetrics};
 use schemble_models::Ensemble;
 use schemble_sim::rng::{mix, splitmix64};
 use schemble_sim::LatencyModel;
-use schemble_trace::{audit_records, globalize_events, merge_shard_events, TraceEvent, TraceSink};
+use schemble_trace::{audit_records, globalize_events, merge_shard_streams, TraceEvent, TraceSink};
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -106,10 +106,14 @@ pub fn serve_schemble_sharded(
 
     // Shard sinks record whenever the outer sink is enabled *or* tapped
     // (e.g. by a flight recorder): the merged re-emission below feeds the
-    // outer tap, so a tap-only sink still needs shard-level capture.
-    let trace_enabled = config.trace.as_ref().is_some_and(|s| s.observing());
+    // outer tap, so a tap-only sink still needs shard-level capture. Each
+    // holds as much as the outer sink: more could not be kept anyway, and
+    // what a shard drops is added to the outer drop count below.
     let sinks: Vec<Arc<TraceSink>> = (0..shards)
-        .map(|_| if trace_enabled { TraceSink::enabled() } else { TraceSink::disabled() })
+        .map(|_| match &config.trace {
+            Some(outer) if outer.observing() => TraceSink::new(outer.capacity()),
+            _ => TraceSink::disabled(),
+        })
         .collect();
     let shard_metrics: Vec<Arc<RuntimeMetrics>> =
         (0..shards).map(|_| Arc::new(RuntimeMetrics::new(m))).collect();
@@ -233,36 +237,42 @@ pub fn serve_schemble_sharded(
     // step below depends on which shard thread finished first). ---
     let mut stats = EngineStats::default();
     let mut records: Vec<QueryRecord> = Vec::with_capacity(workload.len());
-    let mut sim_secs = 0f64;
-    for outcome in &outcomes {
+    let mut runs: Vec<RunStats> = Vec::with_capacity(shards);
+    let mut streams: Vec<Vec<TraceEvent>> = Vec::with_capacity(shards);
+    for outcome in outcomes {
         stats.merge(&outcome.stats);
-        records.extend(outcome.records.iter().cloned());
-        sim_secs = sim_secs.max(outcome.run.sim_secs);
+        records.extend(outcome.records);
+        runs.push(outcome.run);
+        streams.push(outcome.events);
     }
+    let sim_secs = runs.iter().map(|run| run.sim_secs).fold(0f64, f64::max);
     records.sort_by_key(|r| r.id);
+
+    // The shard streams are each in time order, so they merge lazily
+    // straight into the outer sink and are freed right after: the event
+    // stream is held twice at most (shard streams + outer ring).
+    if let Some(sink) = &config.trace {
+        sink.emit_all(merge_shard_streams(&streams));
+        for shard_sink in &sinks {
+            sink.add_dropped(shard_sink.dropped());
+            sink.planning.merge(&shard_sink.planning);
+        }
+    }
+    drop(streams);
 
     // Each shard ran a full executor replica, so model `k`'s usage sums
     // over shards and reports `instances = S`.
     let models: Vec<ModelUsage> = (0..m)
         .map(|k| ModelUsage {
             name: ensemble.models[k].name.clone(),
-            busy_secs: outcomes.iter().map(|o| o.run.usage[k].busy_secs).sum(),
-            tasks: outcomes.iter().map(|o| o.run.usage[k].tasks).sum(),
+            busy_secs: runs.iter().map(|run| run.usage[k].busy_secs).sum(),
+            tasks: runs.iter().map(|run| run.usage[k].tasks).sum(),
             instances: shards,
         })
         .collect();
     let summary = RunSummary::new(records).with_usage(models);
 
     let metrics = Arc::new(RuntimeMetrics::merged(shard_metrics.iter().map(Arc::as_ref)));
-    if let Some(sink) = &config.trace {
-        for event in merge_shard_events(outcomes.into_iter().map(|o| o.events).collect::<Vec<_>>())
-        {
-            sink.emit(event);
-        }
-        for shard_sink in &sinks {
-            sink.planning.merge(&shard_sink.planning);
-        }
-    }
 
     let snapshot = metrics.snapshot(sim_secs);
     ServeReport {
@@ -278,6 +288,11 @@ pub fn serve_schemble_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schemble_core::experiment::{ExperimentConfig, ExperimentContext};
+    use schemble_core::predictor::OnlineScorer;
+    use schemble_core::scheduler::DpScheduler;
+    use schemble_data::TaskKind;
+    use schemble_trace::DEFAULT_CAPACITY;
 
     #[test]
     fn shared_shard_state_is_sync() {
@@ -308,5 +323,62 @@ mod tests {
         // Single shard routes everything to shard 0; zero clamps to one.
         assert_eq!(ShardRouter::new(1).route(123), 0);
         assert_eq!(ShardRouter::new(0).shards(), 1);
+    }
+
+    /// Two-shard virtual-clock runs of one `queries`-long workload, each
+    /// traced into an outer sink of the given capacity: per run, the
+    /// stored events and the sink's drop count.
+    fn traced_runs(queries: usize, capacities: &[usize]) -> Vec<(Vec<TraceEvent>, u64)> {
+        let mut config = ExperimentConfig::small(TaskKind::TextMatching, 11);
+        config.n_queries = queries;
+        let mut ctx = ExperimentContext::new(config);
+        let workload = ctx.workload();
+        let art = ctx.artifacts().clone();
+        let pipeline = SchembleConfig::new(
+            Box::new(DpScheduler::default()),
+            OnlineScorer::Predictor(art.predictor),
+            art.profile,
+        );
+        capacities
+            .iter()
+            .map(|&capacity| {
+                let sink = TraceSink::new(capacity);
+                let config = ServeConfig {
+                    mode: ClockMode::Virtual,
+                    trace: Some(Arc::clone(&sink)),
+                    shards: 2,
+                    ..ServeConfig::default()
+                };
+                serve_schemble_sharded(&ctx.ensemble, &pipeline, &workload, 11, &config);
+                (sink.drain(), sink.dropped())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_truncated_sharded_trace_owns_up_to_every_dropped_event() {
+        let runs = traced_runs(150, &[DEFAULT_CAPACITY, 64]);
+        let (full, none_dropped) = &runs[0];
+        let (kept, dropped) = &runs[1];
+        assert_eq!(*none_dropped, 0);
+        assert!(full.len() > 64 * 4, "the run must overflow both shard sinks");
+        // Shard sinks are sized like the outer one: each drops its own
+        // tail, the outer sink drops again at the merge, and the count
+        // covers both.
+        assert_eq!(kept.len(), 64);
+        assert_eq!(*dropped, (full.len() - kept.len()) as u64);
+    }
+
+    /// Where it used to break: more events per shard than the default
+    /// capacity, which shard sinks once had whatever the outer sink's — the
+    /// merged stream lost its tail while `dropped()` said 0.
+    #[test]
+    fn shard_sinks_hold_what_a_larger_outer_sink_can() {
+        let queries = 180_000;
+        let (events, dropped) = traced_runs(queries, &[DEFAULT_CAPACITY * 4]).remove(0);
+        assert!(events.len() > DEFAULT_CAPACITY * 2, "only {} events", events.len());
+        assert_eq!(dropped, 0);
+        let arrivals = events.iter().filter(|e| matches!(e, TraceEvent::Arrival { .. })).count();
+        assert_eq!(arrivals, queries, "the stream is whole");
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! * **Epoch rendezvous.** All shard threads pause at every virtual-time
 //!   boundary `(r + 1) * epoch` and publish a [`LoadSnapshot`] — eligible
-//!   queue depth and predicted backlog in integer microseconds. The
-//!   barriers make the rendezvous a *synchronous* protocol: no shard's
-//!   engine advances while a transfer is being decided, so the decision
-//!   inputs cannot race with execution.
+//!   queue depth and predicted backlog in integer microseconds — and none
+//!   resumes before the round's plan exists. The rendezvous is a
+//!   *synchronous* protocol: no shard's engine advances while a transfer is
+//!   being decided, so the decision inputs cannot race with execution.
 //! * **Pure transfer plan.** The victim/thief pairing and transfer counts
 //!   are computed by [`transfer_plan`] — a pure function of the snapshot
 //!   vector and the round index, with integer arithmetic and a
@@ -20,10 +20,22 @@
 //!   byte-identical, and `--steal-epoch-ms` off byte-identical to a build
 //!   without this module.
 //! * **Deterministic exchange.** Victims deposit released queries into
-//!   per-thief inboxes between two barriers; each thief sorts its inbox by
-//!   `(victim, global id)` before adopting, so adoption order — and hence
-//!   the thief's local-id assignment — is independent of which victim
-//!   thread ran first.
+//!   per-thief inboxes, then all shards meet a second time; each thief
+//!   sorts its inbox by `(victim, global id)` before adopting, so adoption
+//!   order — and hence the thief's local-id assignment — is independent of
+//!   which victim thread ran first. A round whose plan is *empty* (most of
+//!   them) deposits nothing, so it skips the second meeting.
+//! * **Two slots, one wait.** Round state lives in two slots indexed by
+//!   round parity. After an empty plan a fast shard goes on to publish
+//!   round `r + 1` into the other slot while a slow one is still reading
+//!   plan `r`; it can get no further, because plan `r + 1` needs the slow
+//!   shard's snapshot too — so shards are never more than one round apart
+//!   and slot `r % 2` is free for reuse by the time anyone reaches `r + 2`.
+//!   A waiting shard polls a published-round counter — a short spin, then
+//!   `yield_now` — before it parks on the condvar: the peer is usually
+//!   microseconds away, and yielding hands it the core when both threads
+//!   share one. None of this changes *what* is decided: plans are the same
+//!   pure function of the same snapshots in the same round order.
 //!
 //! A shard that finishes its trace keeps rendezvousing with an empty
 //! snapshot (it may yet become a thief); the coordinator stops the protocol
@@ -37,7 +49,8 @@ use schemble_core::backend::ExecutionBackend;
 use schemble_core::engine::{PipelineEngine, StealLineage, StolenQuery};
 use schemble_sim::{SimDuration, SimTime};
 use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Release};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// One shard's published load at an epoch boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,7 +88,8 @@ pub struct Transfer {
 /// capped by the total depth so the loop always terminates.
 pub fn transfer_plan(snapshots: &[LoadSnapshot], round: u64) -> Vec<Transfer> {
     let s = snapshots.len();
-    if s < 2 {
+    // No shard holds an eligible query (most rounds): nothing can move.
+    if s < 2 || snapshots.iter().all(|x| x.depth == 0) {
         return Vec::new();
     }
     let mut depth: Vec<u64> = snapshots.iter().map(|x| x.depth).collect();
@@ -125,18 +139,67 @@ pub enum Rendezvous {
     Stop,
 }
 
-struct CoordState {
-    /// Current round (epoch index); advanced by the last shard to exchange.
+/// What a detached shard counts as in every later plan: idle and done.
+const DETACHED: LoadSnapshot = LoadSnapshot { depth: 0, backlog_us: 0, done: true };
+
+/// Polls of the published-round counter before a waiting shard parks: a
+/// short busy spin for a peer that is already publishing, then yields. The
+/// yields are the point — the peer is typically ~20 µs of engine work away,
+/// less than a futex sleep and wake costs, and when both shard threads
+/// share one core `yield_now` hands it to the peer where a pure spin would
+/// burn the time slice the peer needs to arrive.
+const SPIN_POLLS: u32 = 64;
+const YIELD_POLLS: u32 = 256;
+
+/// One round's rendezvous state. The coordinator holds two, indexed by
+/// round parity, so a fast shard can publish round `r + 1` while a slow one
+/// is still reading the plan of round `r`.
+struct RoundSlot {
+    /// The round this slot currently holds.
     round: u64,
     /// Which shards have published this round.
     arrived: Vec<bool>,
-    /// Which shards have called exchange this round.
+    /// Which shards have called exchange this round (non-empty plans only).
     exchanged: Vec<bool>,
-    /// Shards that exited their run loop early and left the protocol.
-    detached: Vec<bool>,
     snapshots: Vec<LoadSnapshot>,
     plan: Vec<Transfer>,
     plan_ready: bool,
+    /// Every live shard has exchanged: inboxes are complete.
+    exchange_done: bool,
+}
+
+impl RoundSlot {
+    fn new(shards: usize, round: u64) -> Self {
+        Self {
+            round,
+            arrived: vec![false; shards],
+            exchanged: vec![false; shards],
+            snapshots: vec![DETACHED; shards],
+            plan: Vec::new(),
+            plan_ready: false,
+            exchange_done: false,
+        }
+    }
+
+    /// Re-initialises the slot for `round`. Snapshots start out as
+    /// [`DETACHED`]: live shards overwrite theirs when they publish, and the
+    /// plan is not computed before all of them have.
+    fn reset(&mut self, round: u64) {
+        self.round = round;
+        self.arrived.fill(false);
+        self.exchanged.fill(false);
+        self.snapshots.fill(DETACHED);
+        self.plan.clear();
+        self.plan_ready = false;
+        self.exchange_done = false;
+    }
+}
+
+struct CoordState {
+    /// Round `r` lives in `slots[r % 2]`.
+    slots: [RoundSlot; 2],
+    /// Shards that exited their run loop early and left the protocol.
+    detached: Vec<bool>,
     /// Per-thief inboxes of in-flight transfers.
     inboxes: Vec<Vec<(StolenQuery, StealLineage)>>,
     /// Consecutive rounds where every shard was done yet the plan still
@@ -152,27 +215,38 @@ pub struct StealCoordinator {
     shards: usize,
     state: Mutex<CoordState>,
     cv: Condvar,
+    /// Number of rounds whose plan is ready, `u64::MAX` once stopped. Only
+    /// a hint that lets a waiting shard poll without the lock: the plan
+    /// itself is always read under `state`. Stored with `Release` after the
+    /// plan is written, polled with `Acquire`.
+    published: AtomicU64,
+    /// Whether a waiting shard polls `published` before parking. Off on a
+    /// single core, where the peer cannot be running while this shard polls.
+    poll: bool,
 }
 
 impl StealCoordinator {
     /// A coordinator for `shards` shards pausing every `epoch`.
     pub fn new(shards: usize, epoch: SimDuration) -> Arc<Self> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::with_wait(shards, epoch, cores > 1)
+    }
+
+    /// [`new`](StealCoordinator::new) with the wait policy picked by hand.
+    fn with_wait(shards: usize, epoch: SimDuration, poll: bool) -> Arc<Self> {
         Arc::new(Self {
             epoch,
             shards,
             state: Mutex::new(CoordState {
-                round: 0,
-                arrived: vec![false; shards],
-                exchanged: vec![false; shards],
+                slots: [RoundSlot::new(shards, 0), RoundSlot::new(shards, 1)],
                 detached: vec![false; shards],
-                snapshots: vec![LoadSnapshot::default(); shards],
-                plan: Vec::new(),
-                plan_ready: false,
                 inboxes: (0..shards).map(|_| Vec::new()).collect(),
                 all_done_rounds: 0,
                 stopped: false,
             }),
             cv: Condvar::new(),
+            published: AtomicU64::new(0),
+            poll,
         })
     }
 
@@ -189,24 +263,49 @@ impl StealCoordinator {
             coord: Arc::clone(self),
             shard: shard as usize,
             round: 0,
+            exchange_pending: false,
             global_ids,
             released_slots: Vec::new(),
             lost: HashSet::new(),
         }
     }
 
-    /// If every non-detached shard has published, close the publish phase:
-    /// compute the plan, or stop the protocol when nothing is left to do.
-    fn try_finish_publish(&self, st: &mut CoordState) {
-        if st.stopped || st.plan_ready {
+    fn lock(&self) -> MutexGuard<'_, CoordState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Polls for the plan of `round` without the lock, within the budget.
+    /// Returning proves nothing; the caller re-checks under the lock.
+    fn poll_published(&self, round: u64) {
+        if !self.poll {
             return;
         }
-        let all_in = st.arrived.iter().zip(&st.detached).all(|(&a, &d)| a || d);
+        for polls in 0..SPIN_POLLS + YIELD_POLLS {
+            if self.published.load(Acquire) > round {
+                return;
+            }
+            if polls < SPIN_POLLS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// If every non-detached shard has published into `slots[parity]`, close
+    /// its publish phase: compute the plan, or stop the protocol when
+    /// nothing is left to do.
+    fn try_finish_publish(&self, st: &mut CoordState, parity: usize) {
+        let slot = &mut st.slots[parity];
+        if st.stopped || slot.plan_ready {
+            return;
+        }
+        let all_in = slot.arrived.iter().zip(&st.detached).all(|(&a, &d)| a || d);
         if !all_in {
             return;
         }
-        let plan = transfer_plan(&st.snapshots, st.round);
-        let all_done = st.snapshots.iter().zip(&st.detached).all(|(s, &d)| s.done || d);
+        let plan = transfer_plan(&slot.snapshots, slot.round);
+        let all_done = slot.snapshots.iter().zip(&st.detached).all(|(s, &d)| s.done || d);
         if all_done {
             if plan.is_empty() || st.all_done_rounds >= self.shards as u32 {
                 // Nothing to move — or the remaining queries have already
@@ -214,6 +313,7 @@ impl StealCoordinator {
                 // nothing could run them: stop instead of bouncing them
                 // between wedged shards forever.
                 st.stopped = true;
+                self.published.store(u64::MAX, Release);
                 self.cv.notify_all();
                 return;
             }
@@ -221,26 +321,24 @@ impl StealCoordinator {
         } else {
             st.all_done_rounds = 0;
         }
-        st.plan = plan;
-        st.plan_ready = true;
+        slot.plan = plan;
+        slot.plan_ready = true;
+        self.published.store(slot.round + 1, Release);
         self.cv.notify_all();
     }
 
-    /// If every non-detached shard has exchanged, advance to the next round.
-    fn try_finish_exchange(&self, st: &mut CoordState) {
-        if st.stopped || !st.plan_ready {
+    /// If every non-detached shard has exchanged in `slots[parity]`, release
+    /// them to collect their inboxes.
+    fn try_finish_exchange(&self, st: &mut CoordState, parity: usize) {
+        let slot = &mut st.slots[parity];
+        if st.stopped || !slot.plan_ready || slot.exchange_done {
             return;
         }
-        let all_in = st.exchanged.iter().zip(&st.detached).all(|(&e, &d)| e || d);
-        if !all_in {
-            return;
+        let all_in = slot.exchanged.iter().zip(&st.detached).all(|(&e, &d)| e || d);
+        if all_in {
+            slot.exchange_done = true;
+            self.cv.notify_all();
         }
-        st.round += 1;
-        st.arrived.iter_mut().for_each(|a| *a = false);
-        st.exchanged.iter_mut().for_each(|e| *e = false);
-        st.plan = Vec::new();
-        st.plan_ready = false;
-        self.cv.notify_all();
     }
 }
 
@@ -253,6 +351,10 @@ pub struct StealHandle {
     coord: Arc<StealCoordinator>,
     shard: usize,
     round: u64,
+    /// The current round's plan moves queries, so its `exchange` must meet
+    /// the peers. An empty plan deposits nothing and needs no second
+    /// barrier.
+    exchange_pending: bool,
     /// Local query id -> global query id; adopted queries push onto it.
     global_ids: Vec<u64>,
     /// Local record slots this shard released — each slot went stale the
@@ -287,25 +389,42 @@ impl StealHandle {
         )
     }
 
-    /// Publishes this shard's snapshot for the current round and blocks
-    /// until the plan is ready (or the protocol stopped).
+    /// Publishes this shard's snapshot for the current round and waits
+    /// until the plan is ready (or the protocol stopped): polling first,
+    /// parked on the condvar if the peers take longer than the budget.
     pub fn rendezvous(&mut self, snapshot: LoadSnapshot) -> Rendezvous {
-        let coord = Arc::clone(&self.coord);
-        let mut st = coord.state.lock().unwrap_or_else(|e| e.into_inner());
+        let coord = &*self.coord;
+        let parity = (self.round % 2) as usize;
+        let mut st = coord.lock();
         if st.stopped {
             return Rendezvous::Stop;
         }
-        debug_assert_eq!(st.round, self.round, "shard rendezvoused out of round");
-        st.snapshots[self.shard] = snapshot;
-        st.arrived[self.shard] = true;
-        coord.try_finish_publish(&mut st);
-        while !st.stopped && !st.plan_ready {
-            st = coord.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        let slot = &mut st.slots[parity];
+        if slot.round != self.round {
+            // The slot still holds round - 2. Every live shard is past it:
+            // this shard got here through plan `round - 1`, which needed
+            // every live shard's snapshot for `round - 1`, and a shard
+            // publishes that only after finishing `round - 2`.
+            debug_assert_eq!(slot.round + 2, self.round, "shard rendezvoused out of round");
+            slot.reset(self.round);
+        }
+        slot.snapshots[self.shard] = snapshot;
+        slot.arrived[self.shard] = true;
+        coord.try_finish_publish(&mut st, parity);
+        if !st.stopped && !st.slots[parity].plan_ready {
+            drop(st);
+            coord.poll_published(self.round);
+            st = coord.lock();
+            while !st.stopped && !st.slots[parity].plan_ready {
+                st = coord.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            }
         }
         if st.stopped {
             return Rendezvous::Stop;
         }
-        Rendezvous::Round(st.plan.clone())
+        let plan = st.slots[parity].plan.clone();
+        self.exchange_pending = !plan.is_empty();
+        Rendezvous::Round(plan)
     }
 
     /// Deposits released queries for `transfer.thief`'s inbox, stamping
@@ -322,26 +441,31 @@ impl StealHandle {
             victim_depth: transfer.victim_depth,
             thief_depth: transfer.thief_depth,
         };
-        let coord = &self.coord;
-        let mut st = coord.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.coord.lock();
         st.inboxes[transfer.thief as usize].extend(queries.into_iter().map(|q| (q, lineage)));
     }
 
-    /// Marks this shard's deposits complete, waits for every shard's, and
-    /// collects this shard's inbox — sorted by `(victim, global id)` so
-    /// adoption order never depends on victim thread timing. Advances the
-    /// handle to the next round.
+    /// Ends this shard's round and advances the handle to the next. After
+    /// an empty plan nothing was deposited anywhere, so the inbox is empty
+    /// and there is nobody to wait for. Otherwise: marks this shard's
+    /// deposits complete, waits for every shard's, and collects this
+    /// shard's inbox — sorted by `(victim, global id)` so adoption order
+    /// never depends on victim thread timing.
     pub fn exchange(&mut self) -> Vec<(StolenQuery, StealLineage)> {
-        let coord = Arc::clone(&self.coord);
-        let mut st = coord.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.exchanged[self.shard] = true;
-        coord.try_finish_exchange(&mut st);
-        while !st.stopped && st.round == self.round {
+        let parity = (self.round % 2) as usize;
+        self.round += 1;
+        if !std::mem::take(&mut self.exchange_pending) {
+            return Vec::new();
+        }
+        let coord = &*self.coord;
+        let mut st = coord.lock();
+        st.slots[parity].exchanged[self.shard] = true;
+        coord.try_finish_exchange(&mut st, parity);
+        while !st.stopped && !st.slots[parity].exchange_done {
             st = coord.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         let mut mine = std::mem::take(&mut st.inboxes[self.shard]);
         drop(st);
-        self.round += 1;
         mine.sort_by_key(|(q, lin)| (lin.victim, q.query.id));
         mine
     }
@@ -349,18 +473,20 @@ impl StealHandle {
     /// Leaves the protocol permanently (early exit: wedge breaker, channel
     /// disconnect, or normal end after a [`Rendezvous::Stop`], where it is
     /// a no-op). The barriers recompute without this shard, so the others
-    /// never block on it again.
+    /// never block on it again. Peers may be one round apart, so both
+    /// slots take the shard's done-snapshot and both are re-evaluated.
     pub fn detach(&mut self) {
-        let coord = Arc::clone(&self.coord);
-        let mut st = coord.state.lock().unwrap_or_else(|e| e.into_inner());
+        let coord = &*self.coord;
+        let mut st = coord.lock();
         if st.stopped || st.detached[self.shard] {
             return;
         }
         st.detached[self.shard] = true;
-        st.snapshots[self.shard] = LoadSnapshot { depth: 0, backlog_us: 0, done: true };
-        coord.try_finish_publish(&mut st);
-        coord.try_finish_exchange(&mut st);
-        coord.cv.notify_all();
+        for parity in 0..2 {
+            st.slots[parity].snapshots[self.shard] = DETACHED;
+            coord.try_finish_publish(&mut st, parity);
+            coord.try_finish_exchange(&mut st, parity);
+        }
     }
 }
 
@@ -425,6 +551,9 @@ pub fn execute_steal_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schemble_data::Query;
+    use schemble_models::{Label, Sample};
+    use schemble_sim::rng::splitmix64;
 
     fn snap(depth: u64, backlog_us: u64) -> LoadSnapshot {
         LoadSnapshot { depth, backlog_us, done: false }
@@ -535,5 +664,143 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         a.detach();
         assert!(tb.join().unwrap(), "peer should observe Stop after detach");
+    }
+
+    /// Rounds the stress script keeps every shard busy for.
+    const STRESS_ROUNDS: u64 = 5_000;
+
+    /// How a scripted shard leaves the protocol early.
+    #[derive(Clone, Copy)]
+    enum Leave {
+        Detach,
+        /// Unwinds out of the run loop: the handle detaches from `Drop`.
+        Panic,
+    }
+
+    /// Shard `shard`'s scripted load in `round`: idle in most rounds (empty
+    /// plans), a backlog worth stealing in about one of eight, done once
+    /// the script is over.
+    fn scripted(shard: u16, round: u64) -> LoadSnapshot {
+        if round >= STRESS_ROUNDS {
+            return DETACHED;
+        }
+        let h = splitmix64(round * 8 + shard as u64);
+        if !h.is_multiple_of(8) {
+            return snap(0, 0);
+        }
+        let depth = 2 + (h >> 8) % 4;
+        snap(depth, depth * 1_000 * (1 + (h >> 16) % 3))
+    }
+
+    fn stolen(id: u64) -> StolenQuery {
+        let sample = Sample {
+            id,
+            difficulty: 0.0,
+            shared_noise: 0.0,
+            label: Label::Class(0),
+            features: Vec::new(),
+        };
+        let query = Query { id, key: id, sample, arrival: SimTime::ZERO, deadline: SimTime::ZERO };
+        StolenQuery { query, score: 0.0, bin: 0 }
+    }
+
+    /// One shard thread of the stress run: follows the script until `Stop`
+    /// (or its scripted exit), deposits what each plan demands of it — in
+    /// descending id order, so the inbox sort has work to do — and checks
+    /// that its inbox holds exactly what the plan promised, in `(victim,
+    /// id)` order. Returns the plan it saw in every round.
+    fn drive(mut handle: StealHandle, leave: Option<(u64, Leave)>) -> Vec<Vec<Transfer>> {
+        let me = handle.shard();
+        let mut plans = Vec::new();
+        for round in 0.. {
+            match leave {
+                Some((at, Leave::Detach)) if at == round => {
+                    handle.detach();
+                    break;
+                }
+                // `resume_unwind` skips the panic hook: no noise on stderr.
+                Some((at, Leave::Panic)) if at == round => {
+                    std::panic::resume_unwind(Box::new("scripted exit"))
+                }
+                _ => {}
+            }
+            let Rendezvous::Round(plan) = handle.rendezvous(scripted(me, round)) else { break };
+            let mut expected = Vec::new();
+            for t in &plan {
+                let ids = (0..t.count as u64).map(|i| {
+                    (round << 16) | ((t.victim as u64) << 12) | ((t.thief as u64) << 8) | i
+                });
+                if t.victim == me {
+                    handle.deposit(t, ids.clone().rev().map(stolen).collect());
+                }
+                if t.thief == me {
+                    expected.extend(ids.map(|id| (t.victim, id)));
+                }
+            }
+            let inbox: Vec<(u16, u64)> = handle
+                .exchange()
+                .iter()
+                .map(|(q, lineage)| {
+                    assert_eq!(lineage.epoch as u64, round);
+                    (lineage.victim, q.query.id)
+                })
+                .collect();
+            assert_eq!(inbox, expected, "shard {me} round {round}");
+            plans.push(plan);
+        }
+        plans
+    }
+
+    /// Runs the script on `shards` threads with the given early leavers
+    /// (shard 0 always stays). A wedged coordinator fails the test through
+    /// the watchdog timeout instead of hanging it.
+    fn stress(shards: u16, leavers: &[(u16, u64, Leave)], poll: bool) {
+        let coord =
+            StealCoordinator::with_wait(shards as usize, SimDuration::from_millis(50), poll);
+        let leave_of = |shard: u16| leavers.iter().find(|l| l.0 == shard).map(|l| (l.1, l.2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..shards)
+            .map(|shard| {
+                let handle = coord.handle(shard, Vec::new());
+                let leave = leave_of(shard);
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let run = std::panic::AssertUnwindSafe(|| drive(handle, leave));
+                    let _ = tx.send((shard, std::panic::catch_unwind(run)));
+                })
+            })
+            .collect();
+        let mut plans: Vec<Option<Vec<Vec<Transfer>>>> = vec![None; shards as usize];
+        for _ in 0..shards {
+            let (shard, outcome) = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("coordinator wedged: a shard thread never finished");
+            match outcome {
+                Ok(seen) => plans[shard as usize] = Some(seen),
+                Err(_) if matches!(leave_of(shard), Some((_, Leave::Panic))) => {}
+                Err(failure) => std::panic::resume_unwind(failure),
+            }
+        }
+        threads.into_iter().for_each(|t| t.join().expect("outcome already caught"));
+
+        let reference = plans[0].take().expect("shard 0 stays to the end");
+        assert_eq!(reference.len() as u64, STRESS_ROUNDS, "Stop exactly when the script ends");
+        assert!(reference.iter().any(Vec::is_empty) && !reference.iter().all(Vec::is_empty));
+        for (shard, seen) in plans.iter().enumerate().skip(1) {
+            let Some(seen) = seen else { continue };
+            let stayed = leave_of(shard as u16).map_or(STRESS_ROUNDS, |(at, _)| at);
+            assert_eq!(seen.len() as u64, stayed, "shard {shard} left early or late");
+            assert_eq!(seen[..], reference[..seen.len()], "shard {shard} saw another plan");
+        }
+    }
+
+    #[test]
+    fn coordinator_survives_a_scripted_stress_run_on_both_wait_paths() {
+        for poll in [true, false] {
+            stress(2, &[(1, 2_500, Leave::Detach)], poll);
+            stress(2, &[(1, 2_501, Leave::Panic)], poll);
+            stress(3, &[(1, 1_700, Leave::Detach), (2, 3_401, Leave::Panic)], poll);
+            stress(4, &[(3, 1_701, Leave::Panic), (1, 3_400, Leave::Detach)], poll);
+        }
     }
 }

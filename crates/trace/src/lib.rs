@@ -37,5 +37,7 @@ pub use audit::{audit_ndjson, audit_records, AuditRecord, AuditWriter};
 pub use chrome::{chrome_trace, chrome_trace_named, complete_task_spans, SCHEDULER_TID};
 pub use event::{score_fixed_point, set_members, AdmissionVerdict, TraceEvent};
 pub use prometheus::{escape_label, metrics_from_events, prometheus_text};
-pub use shard::{globalize_event, globalize_events, merge_shard_events};
+pub use shard::{
+    globalize_event, globalize_events, merge_shard_events, merge_shard_streams, ShardMerge,
+};
 pub use sink::{EventTap, PlanningProfile, TraceSink, DEFAULT_CAPACITY};

@@ -8,17 +8,21 @@
 //! 1. [`globalize_events`] rewrites one shard's stream into the global
 //!    namespace — query ids through the shard's local→global map, executor
 //!    ids offset by `shard * executors_per_shard`.
-//! 2. [`merge_shard_events`] combines the globalized streams into one
-//!    stream ordered by `(backend time, shard id, within-shard sequence)`.
+//! 2. [`merge_shard_streams`] (collected: [`merge_shard_events`]) combines
+//!    the globalized streams into one stream ordered by `(backend time,
+//!    shard id, within-shard sequence)` — a k-way merge, because each
+//!    shard's stream is already in time order.
 //!
-//! Both steps are pure functions of the per-shard streams, and the sort key
-//! is a total order independent of which shard thread finished first, so
-//! the merged trace is invariant to thread interleaving — the property the
-//! serve crate's shard proptests pin.
+//! Both steps are pure functions of the per-shard streams, and the merge
+//! key is a total order independent of which shard thread finished first,
+//! so the merged trace is invariant to thread interleaving — the property
+//! the serve crate's shard proptests pin.
 //!
 //! [`TraceSink`]: crate::sink::TraceSink
 
 use crate::event::TraceEvent;
+use schemble_sim::SimTime;
+use std::borrow::Cow;
 
 /// Rewrites `event` from a shard-local namespace into the global one.
 ///
@@ -138,33 +142,103 @@ pub fn globalize_events(
     events.into_iter().map(|ev| globalize_event(ev, query_map, executor_offset)).collect()
 }
 
+/// A streaming k-way merge over per-shard event streams (indexed by shard
+/// id), yielding them in `(time, shard, within-shard sequence)` order.
+///
+/// A stream that is non-decreasing in [`TraceEvent::time`] — what a shard's
+/// sink holds, its engine and backend emit in virtual-time order — is
+/// borrowed and walked by a cursor: the next merged event is the earliest
+/// stream head, ties to the lower shard id, which is exactly the order a
+/// global sort on that key would produce. A stream that is *not* sorted is
+/// copied and stable-sorted by time first, which puts it in `(time,
+/// sequence)` order and so leaves the merged order unchanged. The shard
+/// count is small (a handful), so the head scan is linear — no heap.
+pub struct ShardMerge<'a> {
+    streams: Vec<Cow<'a, [TraceEvent]>>,
+    /// Per stream: index of its head event.
+    cursors: Vec<usize>,
+}
+
+/// Merges borrowed shard streams lazily; see [`ShardMerge`].
+pub fn merge_shard_streams(streams: &[Vec<TraceEvent>]) -> ShardMerge<'_> {
+    let streams: Vec<Cow<'_, [TraceEvent]>> = streams
+        .iter()
+        .map(|stream| {
+            if stream.windows(2).all(|w| w[0].time() <= w[1].time()) {
+                Cow::Borrowed(stream.as_slice())
+            } else {
+                let mut sorted = stream.clone();
+                sorted.sort_by_key(TraceEvent::time);
+                Cow::Owned(sorted)
+            }
+        })
+        .collect();
+    ShardMerge { cursors: vec![0; streams.len()], streams }
+}
+
+impl Iterator for ShardMerge<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        let mut best: Option<(SimTime, usize)> = None;
+        for (shard, (stream, &cursor)) in self.streams.iter().zip(&self.cursors).enumerate() {
+            if let Some(head) = stream.get(cursor) {
+                // Strict `<` over ascending shard ids: ties keep the lower.
+                let t = head.time();
+                if best.is_none_or(|(b, _)| t < b) {
+                    best = Some((t, shard));
+                }
+            }
+        }
+        let (_, shard) = best?;
+        let event = self.streams[shard][self.cursors[shard]];
+        self.cursors[shard] += 1;
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.streams.iter().zip(&self.cursors).map(|(s, &c)| s.len() - c).sum();
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for ShardMerge<'_> {}
+
 /// Merges per-shard event streams (indexed by shard id) into one stream
-/// ordered by `(time, shard, within-shard sequence)`.
+/// ordered by `(time, shard, within-shard sequence)`: [`merge_shard_streams`]
+/// collected into a vector of exact capacity.
 ///
 /// The key is a total order over all events that depends only on the
 /// streams' contents, never on which shard thread delivered its stream
 /// first — merging in any shard order yields byte-identical output.
 pub fn merge_shard_events(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut keyed: Vec<((schemble_sim::SimTime, usize, usize), TraceEvent)> =
-        Vec::with_capacity(total);
-    for (shard, stream) in streams.into_iter().enumerate() {
-        for (seq, ev) in stream.into_iter().enumerate() {
-            keyed.push(((ev.time(), shard, seq), ev));
-        }
-    }
-    keyed.sort_unstable_by_key(|&(key, _)| key);
-    keyed.into_iter().map(|(_, ev)| ev).collect()
+    let merge = merge_shard_streams(&streams);
+    let mut merged = Vec::with_capacity(merge.len());
+    merged.extend(merge);
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::AdmissionVerdict;
-    use schemble_sim::SimTime;
+    use proptest::prelude::*;
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// The sort-based merge the streaming one replaced, kept as the oracle:
+    /// key every event by `(time, shard, sequence)` and sort globally.
+    fn merge_by_global_sort(streams: &[Vec<TraceEvent>]) -> Vec<TraceEvent> {
+        let mut keyed: Vec<((SimTime, usize, usize), TraceEvent)> = Vec::new();
+        for (shard, stream) in streams.iter().enumerate() {
+            for (seq, &ev) in stream.iter().enumerate() {
+                keyed.push(((ev.time(), shard, seq), ev));
+            }
+        }
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, ev)| ev).collect()
     }
 
     #[test]
@@ -227,5 +301,90 @@ mod tests {
         ];
         let merged = merge_shard_events(vec![shard.clone()]);
         assert_eq!(merged, shard, "equal-time events keep their emission order");
+    }
+
+    #[test]
+    fn empty_and_single_streams_merge_to_themselves() {
+        assert!(merge_shard_events(Vec::new()).is_empty());
+        assert!(merge_shard_events(vec![Vec::new(), Vec::new()]).is_empty());
+        let only = vec![
+            TraceEvent::Arrival { t: at(1), query: 0, deadline: at(9) },
+            TraceEvent::QueryDone { t: at(2), query: 0, set: 0b1 },
+        ];
+        assert_eq!(merge_shard_events(vec![only.clone()]), only);
+        // Empty streams between non-empty ones neither yield nor shift ids.
+        let merged = merge_shard_events(vec![Vec::new(), only.clone(), Vec::new()]);
+        assert_eq!(merged, only);
+        let merge = merge_shard_streams(std::slice::from_ref(&only));
+        assert_eq!(merge.len(), 2);
+    }
+
+    #[test]
+    fn unsorted_stream_falls_back_to_a_stable_sort_of_that_stream() {
+        // Shard 1 runs backwards in time; its equal-time pair must keep its
+        // emission order, and shard 0 still wins the cross-shard tie.
+        let shard0 = vec![TraceEvent::Arrival { t: at(2), query: 0, deadline: at(9) }];
+        let shard1 = vec![
+            TraceEvent::QueryDone { t: at(3), query: 1, set: 0b1 },
+            TraceEvent::TaskStart { t: at(2), query: 1, executor: 0 },
+            TraceEvent::TaskDone { t: at(2), query: 1, executor: 0 },
+        ];
+        let merged = merge_shard_events(vec![shard0.clone(), shard1.clone()]);
+        assert_eq!(merged, vec![shard0[0], shard1[1], shard1[2], shard1[0]]);
+        assert_eq!(merged, merge_by_global_sort(&[shard0, shard1]));
+    }
+
+    /// 1..=4 streams over a handful of distinct instants, so equal
+    /// timestamps are the norm within and across shards. Streams are built
+    /// time-sorted; `scramble` reverses one to exercise the fallback. The
+    /// query id encodes `(shard, sequence)`, making every event distinct.
+    fn streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
+        (proptest::collection::vec(proptest::collection::vec(0u64..6, 0..40), 1..=4), 0usize..8)
+            .prop_map(|(times, scramble)| {
+                let shards = times.len();
+                times
+                    .into_iter()
+                    .enumerate()
+                    .map(|(shard, mut ts)| {
+                        ts.sort_unstable();
+                        if scramble == shard {
+                            ts.reverse();
+                        }
+                        ts.into_iter()
+                            .enumerate()
+                            .map(|(seq, t)| TraceEvent::QueryExpired {
+                                t: at(t),
+                                query: (seq * shards + shard) as u64,
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn streaming_merge_equals_the_global_sort(
+            streams in streams_strategy(),
+            rotate in 0usize..4,
+        ) {
+            let oracle = merge_by_global_sort(&streams);
+            let streamed: Vec<TraceEvent> = merge_shard_streams(&streams).collect();
+            prop_assert_eq!(&streamed, &oracle);
+            prop_assert_eq!(&merge_shard_events(streams.clone()), &oracle);
+            // Hand the streams over in another order, ids kept: the merge
+            // reads them by shard id, so the result cannot change.
+            let shards = streams.len();
+            let mut handed: Vec<(usize, Vec<TraceEvent>)> =
+                streams.into_iter().enumerate().collect();
+            handed.rotate_left(rotate % shards);
+            let mut by_id = vec![Vec::new(); shards];
+            for (shard, stream) in handed {
+                by_id[shard] = stream;
+            }
+            prop_assert_eq!(&merge_shard_events(by_id), &oracle);
+        }
     }
 }

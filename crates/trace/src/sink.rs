@@ -122,9 +122,11 @@ impl TraceSink {
     }
 
     /// A disabled sink: emission is a no-op (one atomic load), planning
-    /// self-profiling still records. The default for untraced runs.
+    /// self-profiling still records. The default for untraced runs. It
+    /// keeps the default capacity, so enabling it later — or sizing shard
+    /// sinks from it when only a tap observes — behaves like `enabled()`.
     pub fn disabled() -> Arc<Self> {
-        let sink = Self::new(1);
+        let sink = Self::enabled();
         sink.enabled.store(false, Relaxed);
         sink
     }
@@ -184,9 +186,54 @@ impl TraceSink {
         ring.events.push(event);
     }
 
+    /// Records an ordered batch exactly as one [`emit`](TraceSink::emit)
+    /// per event would — the tap sees every event in order, a disabled ring
+    /// stores nothing, events past the capacity are counted as dropped —
+    /// but takes the tap lock and the ring lock once each and grows the
+    /// ring once, to the size it will end at. The sharded serve path hands
+    /// its merged shard streams over through this.
+    pub fn emit_all(&self, events: impl ExactSizeIterator<Item = TraceEvent>) {
+        let tap_slot =
+            self.has_tap.load(Relaxed).then(|| self.tap.lock().expect("trace tap poisoned"));
+        let tap = tap_slot.as_ref().and_then(|slot| slot.as_deref());
+        if !self.is_enabled() {
+            if let Some(tap) = tap {
+                events.for_each(|event| tap.on_event(event));
+            }
+            return;
+        }
+        let mut ring = self.ring.lock().expect("trace ring poisoned");
+        let room = ring.capacity.saturating_sub(ring.events.len());
+        ring.events.reserve_exact(events.len().min(room));
+        let mut dropped = 0u64;
+        for event in events {
+            if let Some(tap) = tap {
+                tap.on_event(event);
+            }
+            if ring.events.len() < ring.capacity {
+                ring.events.push(event);
+            } else {
+                dropped += 1;
+            }
+        }
+        self.dropped.fetch_add(dropped, Relaxed);
+    }
+
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Relaxed)
+    }
+
+    /// Counts `n` events lost upstream of this sink as dropped: a sharded
+    /// run's per-shard rings fill (and drop) before their streams reach the
+    /// outer sink, and its count must own up to those too.
+    pub fn add_dropped(&self, n: u64) {
+        self.dropped.fetch_add(n, Relaxed);
+    }
+
+    /// The most events the ring holds before it starts dropping.
+    pub fn capacity(&self) -> usize {
+        self.ring.lock().expect("trace ring poisoned").capacity
     }
 
     /// Events currently buffered.
@@ -283,5 +330,75 @@ mod tests {
         assert_eq!(sink.len(), 1, "snapshot must not consume");
         assert_eq!(sink.drain().len(), 1);
         assert!(sink.is_empty());
+    }
+
+    /// A tap that keeps what it saw, in call order.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<TraceEvent>>);
+    impl EventTap for Recording {
+        fn on_event(&self, event: TraceEvent) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+
+    /// Ring contents, drop count and tap call sequence after `preload`
+    /// single emits followed by `batch` events, emitted in bulk or singly.
+    fn after_emitting(
+        capacity: usize,
+        enabled: bool,
+        preload: u64,
+        batch: u64,
+        bulk: bool,
+    ) -> (Vec<TraceEvent>, u64, Vec<TraceEvent>) {
+        let sink = TraceSink::new(capacity);
+        sink.set_enabled(enabled);
+        let tap = Arc::new(Recording::default());
+        sink.set_tap(Some(tap.clone()));
+        (0..preload).for_each(|q| sink.emit(arrival(q)));
+        let events: Vec<TraceEvent> = (preload..preload + batch).map(arrival).collect();
+        if bulk {
+            sink.emit_all(events.into_iter());
+        } else {
+            events.into_iter().for_each(|event| sink.emit(event));
+        }
+        let seen = tap.0.lock().unwrap().clone();
+        (sink.drain(), sink.dropped(), seen)
+    }
+
+    #[test]
+    fn bulk_emit_equals_single_emits() {
+        // (capacity, enabled, preloaded, batch): room to spare, exactly
+        // full, one past the boundary, a ring already full, a ring disabled
+        // but tapped, and an empty batch.
+        for (capacity, enabled, preload, batch) in [
+            (16, true, 0, 5),
+            (5, true, 0, 5),
+            (5, true, 0, 6),
+            (8, true, 3, 5),
+            (8, true, 3, 9),
+            (4, true, 4, 3),
+            (8, false, 0, 5),
+            (8, true, 2, 0),
+        ] {
+            let bulk = after_emitting(capacity, enabled, preload, batch, true);
+            let single = after_emitting(capacity, enabled, preload, batch, false);
+            assert_eq!(bulk, single, "capacity {capacity} enabled {enabled} {preload}+{batch}");
+            assert_eq!(bulk.2.len() as u64, preload + batch, "the tap sees every event");
+        }
+    }
+
+    #[test]
+    fn bulk_emit_without_a_tap_stores_and_counts() {
+        let sink = TraceSink::new(3);
+        sink.emit_all((0..5u32).map(|q| arrival(q.into())));
+        assert_eq!(sink.drain(), vec![arrival(0), arrival(1), arrival(2)]);
+        assert_eq!(sink.dropped(), 2);
+        sink.add_dropped(4);
+        assert_eq!(sink.dropped(), 6, "upstream losses fold into the same count");
+        let dark = TraceSink::disabled();
+        dark.emit_all((0..5u32).map(|q| arrival(q.into())));
+        assert!(dark.is_empty());
+        assert_eq!(dark.dropped(), 0);
+        assert_eq!(dark.capacity(), DEFAULT_CAPACITY);
     }
 }
