@@ -4,8 +4,8 @@
 //! (buffer size × ensemble size) grid and reports, per configuration:
 //!
 //! * `dp_n{n}_m{m}_ns` — mean wall-clock nanoseconds per plan. Machine
-//!   dependent, so gated loosely (4x) like `bench_serve`'s wall numbers —
-//!   except `dp_n16_m8_ns`, which also has to stay under an absolute 2 ms:
+//!   dependent (CI runners vary widely in single-core speed), so gated
+//!   loosely (4x) — except `dp_n16_m8_ns`, which also has to stay under an absolute 2 ms:
 //!   a planner for 40 ms deadlines must fit inside them (ROADMAP).
 //! * `dp_n{n}_m{m}_nodes` — candidates the DP visited per plan
 //!   ([`DpStats::nodes_expanded`](schemble_core::scheduler::DpStats)). Fully
@@ -105,8 +105,8 @@ const PLANS_PER_CLOCK_READ: u64 = 16;
 /// The absolute ceiling on `dp_n16_m8_ns`, checked on every `--check`.
 const N16_M8_CEILING_NS: f64 = 2_000_000.0;
 
-/// Same synthetic-instance recipe as the criterion `scheduler` bench:
-/// monotone subset utilities, latencies 15–50 ms, deadlines 60–400 ms.
+/// A synthetic planning instance: monotone subset utilities, latencies
+/// 15–50 ms, deadlines 60–400 ms.
 fn build_instance(n: usize, m: usize, seed: u64) -> ScheduleInput {
     use rand::Rng;
     let mut rng = stream_rng(seed, "bench-sched");
@@ -170,8 +170,8 @@ impl BenchResult {
     }
 }
 
-/// Pulls `"key": <number>` out of the baseline JSON (same flat format as
-/// `bench_serve`).
+/// Pulls `"key": <number>` out of the baseline JSON. The file is produced
+/// by `to_json` above, so a flat scan is all the parsing needed.
 fn json_number(text: &str, key: &str) -> Result<f64, String> {
     let pat = format!("\"{key}\":");
     let start = text.find(&pat).ok_or_else(|| format!("baseline is missing \"{key}\""))?;

@@ -279,11 +279,9 @@ impl SimBackend {
     /// without advancing: the earliest of the arrival lane's head, the
     /// event heap's head and any due batch launch. (The next
     /// [`Self::pop_event`] returns a later time only if all that is due then
-    /// is silent — a batch launch, a killed pass's stale timer.)
-    /// Drivers that pause at fixed virtual-time boundaries (the
-    /// steal-epoch rendezvous) use this to process every event strictly
-    /// *before* a boundary first, so DES and virtual-clock serving cut their
-    /// epochs at identical instants.
+    /// is silent — a batch launch, a killed pass's stale timer — which is why
+    /// a driver that must stop at a boundary pops with
+    /// [`Self::pop_event_before`] instead of comparing this against it.)
     pub fn peek_time(&self) -> Option<SimTime> {
         let head = self.head_time();
         match self.bank.next_launch_due() {
@@ -333,6 +331,22 @@ impl SimBackend {
     /// per affected task at the crash instant — through the heap, so they
     /// queue behind whatever else was already due at that instant.
     pub fn pop_event(&mut self) -> Option<(SimTime, BackendEvent)> {
+        self.pop_bounded(None)
+    }
+
+    /// [`Self::pop_event`] for drivers that pause at a virtual-time boundary
+    /// (the steal-epoch rendezvous): returns the next event strictly before
+    /// `limit`, or `None` when there is none. Silent timers before `limit` —
+    /// a window-due batch launch, a killed pass's stale timer — are consumed
+    /// on the way, but nothing at or past `limit` is delivered, launched or
+    /// advanced to, so whatever the driver does at the boundary happens
+    /// before every event due after it.
+    pub fn pop_event_before(&mut self, limit: SimTime) -> Option<(SimTime, BackendEvent)> {
+        self.pop_bounded(Some(limit))
+    }
+
+    fn pop_bounded(&mut self, limit: Option<SimTime>) -> Option<(SimTime, BackendEvent)> {
+        let past = |t: SimTime| limit.is_some_and(|limit| t >= limit);
         if !self.started {
             self.started = true;
             if !self.arrivals_sorted {
@@ -348,6 +362,9 @@ impl SimBackend {
             // means virtual time never slides past a pending launch.
             if let Some((due, k)) = self.bank.next_launch_due() {
                 if self.head_time().is_none_or(|t| due <= t) {
+                    if past(due) {
+                        return None;
+                    }
                     let pass = self.bank.launch_batch(k, due);
                     self.time(Some(pass));
                     continue;
@@ -355,6 +372,8 @@ impl SimBackend {
             }
             let (now, timer) = match self.draining.take() {
                 Some((executor, pass)) => (self.events.now(), Timer::PassEnd { executor, pass }),
+                // (An unbounded pop skips the look-ahead.)
+                None if limit.is_some() && self.head_time().is_some_and(past) => return None,
                 None => self.pop_timer()?,
             };
             let event = match timer {
@@ -490,6 +509,24 @@ mod tests {
         b.request_wake(SimTime::ZERO + SimDuration::from_millis(2));
         assert_eq!(b.pop_event().unwrap().1, BackendEvent::Wake);
         assert_eq!(b.pop_event().unwrap().1, BackendEvent::Arrival(0));
+    }
+
+    #[test]
+    fn a_bounded_pop_swallows_stale_timers_without_crossing_its_limit() {
+        let mut b = SimBackend::new(bank(&[10.0]));
+        b.start_task(0, 1, SimTime::ZERO);
+        assert!(b.cancel_task(0, 1, SimTime::from_millis(4)), "leaves a stale timer at 10ms");
+        b.request_wake(SimTime::from_millis(30));
+        let limit = SimTime::from_millis(20);
+        assert_eq!(b.peek_time(), Some(SimTime::from_millis(10)), "the stale timer is the head");
+        assert_eq!(b.pop_event_before(limit), None, "the wake is past the limit");
+        assert!(b.events.now() <= limit, "the clock stopped at {:?}", b.events.now());
+        assert_eq!(b.peek_time(), Some(SimTime::from_millis(30)), "the stale timer is gone");
+        // At the limit is past it; one tick later the wake is deliverable.
+        assert_eq!(b.pop_event_before(SimTime::from_millis(30)), None);
+        let wake = Some((SimTime::from_millis(30), BackendEvent::Wake));
+        assert_eq!(b.pop_event_before(SimTime::from_micros(30_001)), wake);
+        assert_eq!(b.pop_event(), None);
     }
 
     #[test]

@@ -73,10 +73,6 @@ pub struct ServeConfig {
     /// `S` parallel engines (see [`crate::shard`]), each with its own
     /// executor replica.
     pub shards: usize,
-    /// Streaming audit-log writer. Only the sharded path uses it (each
-    /// shard writes its queries' lines as it finishes, line-atomically);
-    /// unsharded runs export audit NDJSON from the trace post-hoc.
-    pub audit: Option<Arc<schemble_trace::AuditWriter>>,
     /// Post-mortem flight recorder. Tapped into the trace sink by the
     /// caller; the runtime additionally trips it on wedge detection and
     /// worker panics so the dump records *why* the run went sideways.
@@ -104,7 +100,6 @@ impl Default for ServeConfig {
             faults: None,
             failure: None,
             shards: 1,
-            audit: None,
             recorder: None,
             batching: None,
             steal_epoch: None,
@@ -452,8 +447,7 @@ pub fn run_virtual(
     if let Some(handle) = steal {
         loop {
             let boundary = handle.next_boundary();
-            while backend.peek_time().is_some_and(|t| t < boundary) {
-                let (now, event) = backend.pop_event().expect("peeked event");
+            while let Some((now, event)) = backend.pop_event_before(boundary) {
                 engine.handle(event, now, &mut backend);
                 end = now;
             }
@@ -462,15 +456,8 @@ pub fn run_virtual(
             match handle.rendezvous(LoadSnapshot { depth, backlog_us, done }) {
                 Rendezvous::Stop => break,
                 Rendezvous::Round(plan) => {
-                    // One `pop_event` call can silently consume several
-                    // fault-suppressed events, carrying the DES clock past
-                    // the boundary before returning a deliverable one — so
-                    // the round executes at the engine's real progressed
-                    // time, never behind it (a wake scheduled before the
-                    // queue's clock is a DES logic error).
-                    let round_now = end.max(boundary);
-                    if execute_steal_round(engine, &mut backend, handle, &plan, round_now) {
-                        end = round_now;
+                    if execute_steal_round(engine, &mut backend, handle, &plan, boundary) {
+                        end = boundary;
                     }
                 }
             }

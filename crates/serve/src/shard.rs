@@ -19,10 +19,10 @@
 //!   changes never perturb an unsharded run (`shards <= 1` takes the
 //!   pre-existing single-engine path, byte-identical to before).
 //! * **Aggregation is order-insensitive**: counters and histograms merge by
-//!   commutative addition, per-query records sort by global id, trace
-//!   streams merge on the total order `(time, shard, sequence)`, and audit
-//!   lines are written line-atomically so only their *order* — never their
-//!   content or set — depends on which shard finishes first.
+//!   commutative addition, per-query records sort by global id, and trace
+//!   streams merge on the total order `(time, shard, sequence)` — so every
+//!   export folded from the merged stream (the audit log included) is the
+//!   same whichever shard finishes first.
 //!
 //! Shared across shards (immutably): the ensemble, the pipeline config
 //! (schedulers are `Send + Sync` and plan out of caller-owned scratch), and
@@ -39,7 +39,7 @@ use schemble_metrics::{ModelUsage, QueryRecord, RunSummary, RuntimeMetrics};
 use schemble_models::Ensemble;
 use schemble_sim::rng::{mix, splitmix64};
 use schemble_sim::LatencyModel;
-use schemble_trace::{audit_records, globalize_events, merge_shard_streams, TraceEvent, TraceSink};
+use schemble_trace::{globalize_events, merge_shard_streams, TraceEvent, TraceSink};
 use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -153,7 +153,6 @@ pub fn serve_schemble_sharded(
             .map(|(s, part)| {
                 let sink = Arc::clone(&sinks[s]);
                 let metrics = Arc::clone(&shard_metrics[s]);
-                let audit = config.audit.clone();
                 let coordinator = coordinator.clone();
                 scope.spawn(move || {
                     // Everything random in this shard — task latencies,
@@ -165,7 +164,6 @@ pub fn serve_schemble_sharded(
                         report_every: None,
                         trace: Some(Arc::clone(&sink)),
                         shards: 1,
-                        audit: None,
                         ..config.clone()
                     };
                     let mut engine = SchembleEngine::new(ensemble, pipeline, &part.workload)
@@ -186,9 +184,9 @@ pub fn serve_schemble_sharded(
                     // Stealing extends the id map (adopted queries) and
                     // marks released slots stale; without it, both reduce
                     // to the partition's own map.
-                    let (global_ids, released_slots, lost) = match steal {
+                    let (global_ids, released_slots) = match steal {
                         Some(handle) => handle.into_maps(),
-                        None => (part.global_ids.clone(), Vec::new(), HashSet::new()),
+                        None => (part.global_ids.clone(), Vec::new()),
                     };
                     let released_slots: HashSet<u64> = released_slots.into_iter().collect();
                     let mut records = engine.take_records();
@@ -203,19 +201,6 @@ pub fn serve_schemble_sharded(
                         r.id = global_ids[r.id as usize];
                     }
                     let events = globalize_events(sink.drain(), &global_ids, (s * m) as u16);
-                    // Audit lines stream out as each shard finishes: the
-                    // writer guarantees line atomicity, so concurrent shards
-                    // interleave whole lines only. Queries this shard
-                    // released and never got back fold into stale audit
-                    // fragments (arrival, no terminal) — the final owner
-                    // writes the real line, so drop them here.
-                    if let Some(writer) = &audit {
-                        let mut lines = audit_records(&events);
-                        lines.retain(|r| !lost.contains(&r.query));
-                        if let Err(e) = writer.write_records(&lines) {
-                            eprintln!("[serve] shard {s}: audit write failed: {e}");
-                        }
-                    }
                     ShardOutcome { stats, records, run, events }
                 })
             })

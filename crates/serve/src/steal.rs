@@ -48,7 +48,6 @@
 use schemble_core::backend::ExecutionBackend;
 use schemble_core::engine::{PipelineEngine, StealLineage, StolenQuery};
 use schemble_sim::{SimDuration, SimTime};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Release};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -114,8 +113,13 @@ pub fn transfer_plan(snapshots: &[LoadSnapshot], round: u64) -> Vec<Transfer> {
     }
     let mut plan = Vec::new();
     for v in 0..s {
+        // The loop above may route a query *through* a shard (1 -> 2, then
+        // 2 -> 0), but a shard can only release what it held at the
+        // snapshot: the second hop waits for the next round.
+        let mut held = snapshots[v].depth;
         for t in 0..s {
-            let count = moves[v * s + t];
+            let count = (moves[v * s + t] as u64).min(held) as u32;
+            held -= count as u64;
             if count > 0 {
                 plan.push(Transfer {
                     victim: v as u16,
@@ -266,7 +270,6 @@ impl StealCoordinator {
             exchange_pending: false,
             global_ids,
             released_slots: Vec::new(),
-            lost: HashSet::new(),
         }
     }
 
@@ -361,11 +364,6 @@ pub struct StealHandle {
     /// moment its query left (a re-adoption gets a *fresh* slot, so stale
     /// slots never come back to life).
     released_slots: Vec<u64>,
-    /// Global ids this shard released and never re-adopted — its audit
-    /// fold for them is a stale fragment (the final owner has the full
-    /// story). Release inserts, adoption removes, so ping-pong transfers
-    /// settle on the true final owner.
-    lost: HashSet<u64>,
 }
 
 impl StealHandle {
@@ -379,14 +377,10 @@ impl StealHandle {
         SimTime::from_micros(self.coord.epoch.as_micros() * (self.round + 1))
     }
 
-    /// The (extended) local-to-global id map, the stale local record
-    /// slots, and the global ids this shard no longer owns.
-    pub fn into_maps(mut self) -> (Vec<u64>, Vec<u64>, HashSet<u64>) {
-        (
-            std::mem::take(&mut self.global_ids),
-            std::mem::take(&mut self.released_slots),
-            std::mem::take(&mut self.lost),
-        )
+    /// The (extended) local-to-global id map and the stale local record
+    /// slots.
+    pub fn into_maps(mut self) -> (Vec<u64>, Vec<u64>) {
+        (std::mem::take(&mut self.global_ids), std::mem::take(&mut self.released_slots))
     }
 
     /// Publishes this shard's snapshot for the current round and waits
@@ -525,7 +519,6 @@ pub fn execute_steal_round(
             // re-localises at adoption.
             let global = handle.global_ids[q.query.id as usize];
             handle.released_slots.push(q.query.id);
-            handle.lost.insert(global);
             q.query.id = global;
         }
         released_any = true;
@@ -538,7 +531,6 @@ pub fn execute_steal_round(
         let local = engine.adopt_stolen(stolen, lineage, now);
         debug_assert_eq!(local as usize, handle.global_ids.len());
         handle.global_ids.push(global);
-        handle.lost.remove(&global);
     }
     if released_any || adopted_any {
         engine.on_rebalanced(now, backend);
@@ -607,6 +599,22 @@ mod tests {
         assert!(plan.iter().all(|t| t.victim != t.thief));
         // Single shard: nothing to pair with.
         assert!(transfer_plan(&[snap(9, 9_000)], 0).is_empty());
+        // Nor more than it held at the snapshot, when the greedy loop routes
+        // a query through a shard on its way to a third.
+        for case in 0..2_000u64 {
+            let snaps: Vec<LoadSnapshot> = (0..4)
+                .map(|shard| {
+                    let h = splitmix64(case * 4 + shard);
+                    snap(h % 5, (h % 5) * (1 + (h >> 8) % 50_000))
+                })
+                .collect();
+            let plan = transfer_plan(&snaps, case);
+            for (v, held) in snaps.iter().enumerate() {
+                let out: u64 =
+                    plan.iter().filter(|t| t.victim as usize == v).map(|t| t.count as u64).sum();
+                assert!(out <= held.depth, "shard {v} of {snaps:?} releases {out}: {plan:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!    shard. Globally `submitted == completed + degraded + rejected +
 //!    expired`, `stolen_in == stolen_out`, one record and one audit line
 //!    per query, and the merged id set is exactly the workload's.
+//! 4. **Causal order**: in the merged stream no event of a query precedes
+//!    its arrival — a thief never adopts a query its victim has yet to see.
 
 use proptest::prelude::*;
 use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
@@ -25,9 +27,9 @@ use schemble_core::scheduler::DpScheduler;
 use schemble_data::{TaskKind, Workload};
 use schemble_models::Ensemble;
 use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
-use schemble_sim::{FaultPlan, SimDuration};
-use schemble_trace::{audit_records, prometheus_text, TraceSink};
-use std::collections::HashSet;
+use schemble_sim::{BatchConfig, FaultPlan, SimDuration};
+use schemble_trace::{audit_records, prometheus_text, TraceEvent, TraceSink};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 struct Fixture {
@@ -59,9 +61,9 @@ fn fixture(seed: u64, n_queries: usize, rate: f64, keys: usize, theta: f64) -> F
     Fixture { ensemble: ctx.ensemble, pipeline, workload, seed }
 }
 
-/// One sharded virtual-clock run; returns the report plus its exported
-/// artifacts (Prometheus text sans the wall-clock planning profile, audit
-/// lines in id order).
+/// One sharded virtual-clock run, checked for causal order; returns the
+/// report plus its exported artifacts (Prometheus text sans the wall-clock
+/// planning profile, audit lines in id order).
 fn run_once(
     fx: &Fixture,
     shards: usize,
@@ -79,9 +81,33 @@ fn run_once(
     };
     let report = serve_schemble(&fx.ensemble, &fx.pipeline, &fx.workload, fx.seed, &config);
     let events = sink.drain();
+    assert_causal(&events);
     let prom = prometheus_text(&report.metrics, report.sim_secs, None);
     let audit: Vec<String> = audit_records(&events).iter().map(|r| r.to_json_line()).collect();
     (report, prom, audit)
+}
+
+/// No event of a query precedes its `Arrival`, and every adoption happens
+/// at or after the arrival it carries.
+fn assert_causal(events: &[TraceEvent]) {
+    let arrivals: HashMap<u64, _> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Arrival { t, query, .. } => Some((query, t)),
+            _ => None,
+        })
+        .collect();
+    for e in events {
+        if let TraceEvent::QueryStolen { t, query, arrival, .. } = *e {
+            assert!(t >= arrival, "query {query} adopted at {t:?}, before it arrived: {e:?}");
+        }
+        if let Some(query) = e.query() {
+            assert!(
+                e.time() >= arrivals[&query],
+                "an event precedes query {query}'s arrival: {e:?}"
+            );
+        }
+    }
 }
 
 fn assert_conserved(report: &ServeReport, audit: &[String], n: usize) {
@@ -196,6 +222,19 @@ fn hot_key_load_actually_steals_and_stays_deterministic() {
     assert_eq!(report_a.summary.records(), report_b.summary.records());
     assert_eq!(audit_a, audit_b);
     assert_eq!(prom_a, prom_b);
+}
+
+/// Where causal order used to break: a window-due batch launch (or a killed
+/// pass's stale timer) just before an epoch boundary let the victim run past
+/// the boundary, admit a later arrival and release it to a thief whose round
+/// ran *at* the boundary — `run_once` asserts that no longer happens.
+#[test]
+fn batched_stealing_never_adopts_a_query_before_it_arrives() {
+    let mut fx = fixture(42, 1000, 140.0, 64, 2.0);
+    fx.pipeline.batching = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
+    let (report, _, audit) = run_once(&fx, 2, Some(SimDuration::from_millis(50)), None);
+    assert!(report.stats.stolen_in > 0, "the hot shard must shed work");
+    assert_conserved(&report, &audit, 1000);
 }
 
 /// Stealing under a total blackout (every executor down mid-run) still

@@ -9,9 +9,6 @@
 use crate::event::{set_members, AdmissionVerdict, TraceEvent};
 use schemble_sim::SimTime;
 use std::collections::BTreeMap;
-use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
 
 /// Work-steal lineage of a transferred query: which epoch moved it and
 /// between which shards.
@@ -122,11 +119,9 @@ pub fn audit_records(events: &[TraceEvent]) -> Vec<AuditRecord> {
                     stolen: None,
                 });
             }
-            // The thief's stream never saw the victim-side Arrival, so a
-            // steal both *creates* the record (streamed per-shard audits)
-            // and *annotates* it (merged streams, where the victim's
-            // Arrival already ran and the entry exists under the same
-            // global id).
+            // A steal *annotates* the record the victim's Arrival made
+            // under the same global id; in a stream that holds the thief's
+            // side only (one shard's events) it *creates* the record.
             TraceEvent::QueryStolen {
                 query, epoch, victim, thief, arrival, deadline, bin, ..
             } => {
@@ -219,71 +214,6 @@ pub fn audit_records(events: &[TraceEvent]) -> Vec<AuditRecord> {
     records.into_values().collect()
 }
 
-/// A line-atomic NDJSON audit writer safe for concurrent shard writers.
-///
-/// Each record is serialised to a complete `line + '\n'` buffer first and
-/// then written with a **single** `write_all` under the writer lock, so
-/// interleaved writers can reorder whole lines but can never split one —
-/// the resulting file is always valid NDJSON whose line *set* is
-/// deterministic even when the line *order* depends on shard timing.
-pub struct AuditWriter {
-    inner: Mutex<Box<dyn Write + Send>>,
-    lines: AtomicU64,
-}
-
-impl std::fmt::Debug for AuditWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AuditWriter").field("lines", &self.lines.load(Relaxed)).finish()
-    }
-}
-
-impl AuditWriter {
-    /// Wraps `writer`; callers keep it behind an `Arc` to share across
-    /// shard threads.
-    pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        Self { inner: Mutex::new(writer), lines: AtomicU64::new(0) }
-    }
-
-    /// Writes one record as one atomic NDJSON line.
-    pub fn write_record(&self, record: &AuditRecord) -> io::Result<()> {
-        let mut line = record.to_json_line();
-        line.push('\n');
-        let mut w = self.inner.lock().expect("audit writer poisoned");
-        w.write_all(line.as_bytes())?;
-        self.lines.fetch_add(1, Relaxed);
-        Ok(())
-    }
-
-    /// Writes a batch of records, one atomic line each.
-    pub fn write_records(&self, records: &[AuditRecord]) -> io::Result<()> {
-        for record in records {
-            self.write_record(record)?;
-        }
-        Ok(())
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines.load(Relaxed)
-    }
-
-    /// Flushes the underlying writer.
-    pub fn flush(&self) -> io::Result<()> {
-        self.inner.lock().expect("audit writer poisoned").flush()
-    }
-}
-
-impl Drop for AuditWriter {
-    /// Flushes buffered lines on drop so a panicking run (or a reaped shard
-    /// thread unwinding the last `Arc`) never loses audit lines that were
-    /// already written. Poison-safe: a writer poisoned by a panicking peer
-    /// still flushes; flush errors are necessarily ignored here.
-    fn drop(&mut self) {
-        let mut w = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = w.flush();
-    }
-}
-
 /// The audit log as NDJSON: one line per submitted query, ordered by id.
 pub fn audit_ndjson(events: &[TraceEvent]) -> String {
     let mut out = String::new();
@@ -368,76 +298,6 @@ mod tests {
         let line = records[0].to_json_line();
         assert!(line.contains("\"retries\":1"));
         assert!(line.contains("\"outcome\":\"degraded\""));
-    }
-
-    #[test]
-    fn concurrent_writers_never_split_a_line() {
-        use std::sync::Arc;
-        // A shared byte buffer standing in for the audit file. Writes go
-        // through a deliberately tiny adapter so any multi-write record
-        // serialisation would interleave and corrupt lines.
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf::default();
-        let writer = Arc::new(AuditWriter::new(Box::new(buf.clone())));
-        const SHARDS: u64 = 4;
-        const PER_SHARD: u64 = 250;
-        let threads: Vec<_> = (0..SHARDS)
-            .map(|s| {
-                let writer = Arc::clone(&writer);
-                std::thread::spawn(move || {
-                    for i in 0..PER_SHARD {
-                        let q = s * PER_SHARD + i;
-                        let record = AuditRecord {
-                            query: q,
-                            arrival: at(q),
-                            deadline: at(q + 50),
-                            admission: "buffered",
-                            set: 0b11,
-                            tasks: 2,
-                            retries: 0,
-                            outcome: "completed",
-                            completion: Some(at(q + 10)),
-                            bin: Some(4),
-                            frontier: Some(8),
-                            predicted_finish: Some(at(q + 9)),
-                            stolen: None,
-                        };
-                        writer.write_record(&record).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        writer.flush().unwrap();
-        assert_eq!(writer.lines(), SHARDS * PER_SHARD);
-
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        validate_ndjson(&text).expect("every interleaved line must parse");
-        let mut queries: Vec<&str> = text
-            .lines()
-            .map(|l| {
-                assert!(l.starts_with("{\"query\":"), "line split detected: {l}");
-                assert!(l.ends_with('}'), "line split detected: {l}");
-                &l[9..l.find(',').unwrap()]
-            })
-            .collect();
-        assert_eq!(queries.len() as u64, SHARDS * PER_SHARD);
-        queries.sort_by_key(|q| q.parse::<u64>().unwrap());
-        queries.dedup();
-        assert_eq!(queries.len() as u64, SHARDS * PER_SHARD, "every record exactly once");
     }
 
     #[test]
@@ -526,66 +386,5 @@ mod tests {
         for r in &plain {
             assert!(!r.to_json_line().contains("stolen"));
         }
-    }
-
-    #[test]
-    fn dropping_a_writer_mid_run_flushes_buffered_lines() {
-        use std::io::BufWriter;
-        use std::sync::Arc;
-        // Stand-in for the audit file: flushed bytes land in `sunk`; bytes
-        // still sitting in the BufWriter at drop time are lost unless
-        // something flushes. A panicking run drops the writer mid-flight —
-        // the Drop impl must get every already-written line out.
-        #[derive(Clone, Default)]
-        struct Sunk(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sunk {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let sunk = Sunk::default();
-        const LINES: u64 = 100;
-        let writer = Arc::new(AuditWriter::new(Box::new(BufWriter::with_capacity(
-            1 << 20, // large enough that nothing auto-flushes mid-run
-            sunk.clone(),
-        ))));
-        let killed = std::thread::spawn({
-            let writer = Arc::clone(&writer);
-            move || {
-                for q in 0..LINES {
-                    let record = AuditRecord {
-                        query: q,
-                        arrival: at(q),
-                        deadline: at(q + 50),
-                        admission: "buffered",
-                        set: 0b1,
-                        tasks: 1,
-                        retries: 0,
-                        outcome: "completed",
-                        completion: Some(at(q + 10)),
-                        bin: None,
-                        frontier: None,
-                        predicted_finish: None,
-                        stolen: None,
-                    };
-                    writer.write_record(&record).unwrap();
-                }
-                panic!("simulated mid-run death of the writing thread");
-            }
-        })
-        .join();
-        assert!(killed.is_err(), "the writer thread must have panicked");
-        assert_eq!(writer.lines(), LINES);
-        // The panicked thread's Arc dropped; ours is the last. Dropping it
-        // runs AuditWriter::drop, which must flush the BufWriter.
-        drop(writer);
-        let text = String::from_utf8(sunk.0.lock().unwrap().clone()).unwrap();
-        validate_ndjson(&text).expect("flushed audit output must be valid NDJSON");
-        assert_eq!(text.lines().count() as u64, LINES, "no audit line may be lost");
     }
 }

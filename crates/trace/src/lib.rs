@@ -33,7 +33,7 @@ pub mod prometheus;
 pub mod shard;
 pub mod sink;
 
-pub use audit::{audit_ndjson, audit_records, AuditRecord, AuditWriter};
+pub use audit::{audit_ndjson, audit_records, AuditRecord};
 pub use chrome::{chrome_trace, chrome_trace_named, complete_task_spans, SCHEDULER_TID};
 pub use event::{score_fixed_point, set_members, AdmissionVerdict, TraceEvent};
 pub use prometheus::{escape_label, metrics_from_events, prometheus_text};

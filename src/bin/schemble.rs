@@ -40,8 +40,7 @@ use schemble::obs::{explain_query, FlightRecorder, ObsConfig, ObsState};
 use schemble::serve::{serve_immediate, serve_schemble, ClockMode, ServeConfig, ServeReport};
 use schemble::sim::{BatchConfig, FaultPlan, SimDuration};
 use schemble::trace::{
-    audit_ndjson, chrome_trace_named, metrics_from_events, prometheus_text, AuditWriter,
-    TraceEvent, TraceSink,
+    audit_ndjson, chrome_trace_named, metrics_from_events, prometheus_text, TraceEvent, TraceSink,
 };
 use std::process::ExitCode;
 use std::sync::atomic::Ordering::Relaxed;
@@ -655,7 +654,6 @@ fn serve_config(
     cli: &Cli,
     default_dilation: f64,
     sink: &Arc<TraceSink>,
-    audit: Option<Arc<AuditWriter>>,
     recorder: Option<Arc<FlightRecorder>>,
 ) -> Result<ServeConfig, String> {
     let (faults, failure) = fault_setup(cli)?;
@@ -671,24 +669,9 @@ fn serve_config(
         failure,
         shards: cli.shards,
         steal_epoch: cli.steal_epoch_ms.map(SimDuration::from_millis_f64),
-        audit,
         recorder,
         ..ServeConfig::default()
     })
-}
-
-/// A streaming line-atomic audit writer for sharded runs: each shard
-/// writes its queries' lines concurrently as it finishes, instead of the
-/// post-hoc single-threaded export unsharded runs use.
-fn shard_audit_writer(cli: &Cli) -> Result<Option<Arc<AuditWriter>>, String> {
-    if cli.shards <= 1 {
-        return Ok(None);
-    }
-    let Some(path) = &cli.audit_out else {
-        return Ok(None);
-    };
-    let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-    Ok(Some(Arc::new(AuditWriter::new(Box::new(std::io::BufWriter::new(file))))))
 }
 
 /// Runs one method on the schemble-serve runtime.
@@ -698,7 +681,6 @@ fn serve_one(
     cli: &Cli,
     default_dilation: f64,
     sink: &Arc<TraceSink>,
-    audit: Option<Arc<AuditWriter>>,
     recorder: Option<Arc<FlightRecorder>>,
 ) -> Result<ServeReport, String> {
     if cli.shards > 1 && method != "schemble" {
@@ -716,7 +698,7 @@ fn serve_one(
     }
     let seed = ctx.config.seed;
     let admission = ctx.config.admission;
-    let scfg = serve_config(cli, default_dilation, sink, audit, recorder)?;
+    let scfg = serve_config(cli, default_dilation, sink, recorder)?;
     let m = ctx.ensemble.m();
     match method {
         "schemble" => {
@@ -786,17 +768,6 @@ fn serve_one(
         }
         other => Err(format!("method '{other}' is not supported by the serving runtime")),
     }
-}
-
-/// Flushes a streamed (sharded) audit log and drops the post-hoc export
-/// request so the same lines are not written twice by `export_telemetry`.
-fn finish_streamed_audit(cli: &mut Cli, audit: &Option<Arc<AuditWriter>>) -> Result<(), String> {
-    let Some(writer) = audit else { return Ok(()) };
-    writer.flush().map_err(|e| format!("flushing audit log: {e}"))?;
-    if let Some(path) = cli.audit_out.take() {
-        println!("  wrote audit log ({} queries, streamed per shard) to {path}", writer.lines());
-    }
-    Ok(())
 }
 
 /// Hard-fails (non-zero exit) when the runtime finished with queries still
@@ -889,17 +860,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 // produce the same exports (the CI steal gauntlet compares
                 // them with `cmp`).
                 cli.virtual_clock = true;
-                let audit = shard_audit_writer(&cli)?;
                 let recorder = arm_recorder(&cli, &sink);
-                let report = serve_one(
-                    &mut ctx,
-                    &method,
-                    &cli,
-                    1.0,
-                    &sink,
-                    audit.clone(),
-                    recorder.clone(),
-                )?;
+                let report = serve_one(&mut ctx, &method, &cli, 1.0, &sink, recorder.clone())?;
                 print_report(&method, &report, true);
                 print_planning(&sink);
                 if let Some(path) = &cli.csv {
@@ -910,7 +872,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("writing {path}: {e}"))?;
                     println!("wrote {} records to {path}", report.summary.len());
                 }
-                finish_streamed_audit(&mut cli, &audit)?;
                 export_telemetry(
                     &cli,
                     &sink,
@@ -983,7 +944,7 @@ fn run(args: &[String]) -> Result<(), String> {
             sink.set_enabled(true);
             if cli.shards > 1 {
                 cli.virtual_clock = true;
-                serve_one(&mut ctx, &method, &cli, 1.0, &sink, None, None)?;
+                serve_one(&mut ctx, &method, &cli, 1.0, &sink, None)?;
             } else {
                 run_one(&mut ctx, &method, &cli, &sink)?;
             }
@@ -1008,13 +969,10 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "serve" => {
             let method = cli.method.clone().ok_or_else(|| "--method is required".to_string())?;
-            let audit = shard_audit_writer(&cli)?;
             let recorder = arm_recorder(&cli, &sink);
-            let report =
-                serve_one(&mut ctx, &method, &cli, 1.0, &sink, audit.clone(), recorder.clone())?;
+            let report = serve_one(&mut ctx, &method, &cli, 1.0, &sink, recorder.clone())?;
             print_report(&method, &report, cli.virtual_clock);
             print_planning(&sink);
-            finish_streamed_audit(&mut cli, &audit)?;
             export_telemetry(
                 &cli,
                 &sink,
@@ -1034,13 +992,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 "loadtest: replaying the {trace} trace ({} queries) through '{method}'",
                 cli.queries
             );
-            let audit = shard_audit_writer(&cli)?;
             let recorder = arm_recorder(&cli, &sink);
-            let report =
-                serve_one(&mut ctx, &method, &cli, 20.0, &sink, audit.clone(), recorder.clone())?;
+            let report = serve_one(&mut ctx, &method, &cli, 20.0, &sink, recorder.clone())?;
             print_report(&method, &report, cli.virtual_clock);
             print_planning(&sink);
-            finish_streamed_audit(&mut cli, &audit)?;
             export_telemetry(
                 &cli,
                 &sink,
