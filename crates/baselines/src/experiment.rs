@@ -4,14 +4,12 @@
 use crate::des::DesSelector;
 use crate::gating::GatingSelector;
 use schemble_core::pipeline::{
-    run_immediate_traced, AdmissionMode, Deployment, ResultAssembler, SelectionPolicy,
+    run_immediate, AdmissionMode, Deployment, ResultAssembler, SelectionPolicy,
 };
 use schemble_data::Workload;
 use schemble_metrics::RunSummary;
 use schemble_models::{Ensemble, SampleGenerator};
 use schemble_sim::rng::stream_rng;
-use schemble_trace::TraceSink;
-use std::sync::Arc;
 
 /// The feature-based selection baselines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,34 +28,31 @@ impl BaselineKind {
             BaselineKind::Gating => "Gating",
         }
     }
-}
 
-/// Historical ids start above every serving workload (shared convention with
-/// `SchembleArtifacts`).
-const HISTORY_OFFSET: u64 = 1 << 41;
-
-/// Trains a DES selector on `history_n` fresh historical samples.
-pub fn train_des(
-    ensemble: &Ensemble,
-    generator: &SampleGenerator,
-    history_n: usize,
-    seed: u64,
-) -> DesSelector {
-    let history = generator.batch(HISTORY_OFFSET, history_n);
-    let mut rng = stream_rng(seed, "des-train");
-    DesSelector::fit(ensemble, &history, DesSelector::DEFAULT_REGIONS, &mut rng)
-}
-
-/// Trains a gating selector on `history_n` fresh historical samples.
-pub fn train_gating(
-    ensemble: &Ensemble,
-    generator: &SampleGenerator,
-    history_n: usize,
-    seed: u64,
-) -> GatingSelector {
-    let history = generator.batch(HISTORY_OFFSET, history_n);
-    let mut rng = stream_rng(seed, "gating-train");
-    GatingSelector::fit(ensemble, &history, &mut rng)
+    /// Trains the baseline's selection policy on `history_n` fresh
+    /// historical samples.
+    pub fn train(
+        self,
+        ensemble: &Ensemble,
+        generator: &SampleGenerator,
+        history_n: usize,
+        seed: u64,
+    ) -> Box<dyn SelectionPolicy> {
+        // Historical ids start above every serving workload (shared
+        // convention with `SchembleArtifacts`).
+        let history = generator.batch(1 << 41, history_n);
+        match self {
+            BaselineKind::Des => {
+                let mut rng = stream_rng(seed, "des-train");
+                let regions = DesSelector::DEFAULT_REGIONS;
+                Box::new(DesSelector::fit(ensemble, &history, regions, &mut rng))
+            }
+            BaselineKind::Gating => {
+                let mut rng = stream_rng(seed, "gating-train");
+                Box::new(GatingSelector::fit(ensemble, &history, &mut rng))
+            }
+        }
+    }
 }
 
 /// Trains and runs one baseline over a workload on the identity deployment.
@@ -70,43 +65,14 @@ pub fn run_baseline(
     history_n: usize,
     seed: u64,
 ) -> RunSummary {
-    run_baseline_traced(
-        kind,
-        ensemble,
-        generator,
-        workload,
-        admission,
-        history_n,
-        seed,
-        TraceSink::disabled(),
-    )
-}
-
-/// [`run_baseline`] with lifecycle events emitted into `trace`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_baseline_traced(
-    kind: BaselineKind,
-    ensemble: &Ensemble,
-    generator: &SampleGenerator,
-    workload: &Workload,
-    admission: AdmissionMode,
-    history_n: usize,
-    seed: u64,
-    trace: Arc<TraceSink>,
-) -> RunSummary {
-    let mut policy: Box<dyn SelectionPolicy> = match kind {
-        BaselineKind::Des => Box::new(train_des(ensemble, generator, history_n, seed)),
-        BaselineKind::Gating => Box::new(train_gating(ensemble, generator, history_n, seed)),
-    };
-    run_immediate_traced(
+    run_immediate(
         ensemble,
         &Deployment::identity(ensemble.m()),
-        policy.as_mut(),
+        kind.train(ensemble, generator, history_n, seed).as_mut(),
         &ResultAssembler::Direct,
         workload,
         admission,
         seed,
-        trace,
     )
 }
 

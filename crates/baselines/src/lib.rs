@@ -21,5 +21,5 @@ pub mod gating;
 pub mod kmeans;
 
 pub use des::DesSelector;
-pub use experiment::{run_baseline, run_baseline_traced, train_des, train_gating, BaselineKind};
+pub use experiment::{run_baseline, BaselineKind};
 pub use gating::GatingSelector;

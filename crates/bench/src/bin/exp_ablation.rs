@@ -15,9 +15,8 @@ use schemble_bench::runner::sized;
 use schemble_core::artifacts::SchembleArtifacts;
 use schemble_core::discrepancy::{DifficultyMetric, DiscrepancyScorer};
 use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
-use schemble_core::pipeline::schemble::{run_schemble, SchembleConfig};
-use schemble_core::predictor::{train_score_predictor_with_lambda, OnlineScorer};
-use schemble_core::scheduler::DpScheduler;
+use schemble_core::pipeline::schemble::run_schemble;
+use schemble_core::predictor::train_score_predictor_with_lambda;
 use schemble_data::TaskKind;
 use schemble_sim::rng::stream_rng;
 use schemble_sim::SimDuration;
@@ -42,11 +41,7 @@ fn main() {
             42,
         );
         let workload = ctx.workload();
-        let config = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor.clone()),
-            art.profile.clone(),
-        );
+        let config = art.pipeline();
         let summary = run_schemble(&ctx.ensemble, &config, &workload, 42);
         rows.push(vec![
             bins.to_string(),
@@ -116,11 +111,7 @@ fn main() {
     let art = ctx.artifacts().clone();
     let workload = ctx.workload();
     for ms in [0u64, 3, 8, 15, 30] {
-        let mut config = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor.clone()),
-            art.profile.clone(),
-        );
+        let mut config = art.pipeline();
         config.predictor_latency = SimDuration::from_millis(ms);
         let summary = run_schemble(&ctx.ensemble, &config, &workload, 42);
         rows.push(vec![
@@ -146,11 +137,7 @@ fn main() {
         let art = ctx.artifacts().clone();
         let workload = ctx.workload();
         for fast in [false, true] {
-            let mut config = SchembleConfig::new(
-                Box::new(DpScheduler::default()),
-                OnlineScorer::Predictor(art.predictor.clone()),
-                art.profile.clone(),
-            );
+            let mut config = art.pipeline();
             config.fast_path = fast;
             let summary = run_schemble(&ctx.ensemble, &config, &workload, 42);
             rows.push(vec![

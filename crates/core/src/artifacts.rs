@@ -7,8 +7,10 @@
 //! packages that training step.
 
 use crate::discrepancy::{DifficultyMetric, DiscrepancyScorer};
-use crate::predictor::train_score_predictor;
+use crate::pipeline::schemble::SchembleConfig;
+use crate::predictor::{train_score_predictor, OnlineScorer};
 use crate::profiling::AccuracyProfile;
+use crate::scheduler::DpScheduler;
 use schemble_models::{Ensemble, SampleGenerator};
 use schemble_nn::DiscrepancyPredictor;
 use schemble_sim::rng::stream_rng;
@@ -64,6 +66,16 @@ impl SchembleArtifacts {
             AccuracyProfile::DEFAULT_BINS,
             DifficultyMetric::Discrepancy,
             seed,
+        )
+    }
+
+    /// The paper-default pipeline over these artifacts: DP scheduler
+    /// (δ = 0.01), the trained score predictor, the fitted profile.
+    pub fn pipeline(&self) -> SchembleConfig {
+        SchembleConfig::new(
+            Box::new(DpScheduler::default()),
+            OnlineScorer::Predictor(self.predictor.clone()),
+            self.profile.clone(),
         )
     }
 

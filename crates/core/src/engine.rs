@@ -33,6 +33,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// How many queries the engine scores per predictor forward pass; batching
+/// only amortises the per-forward overhead.
+const SCORE_BATCH: usize = 32;
+
 /// Live query-outcome counters, maintained incrementally by every engine.
 ///
 /// Conservation invariant (the serve runtime's property tests check it):
@@ -408,11 +412,11 @@ pub struct SchembleEngine<'a> {
     sched_scratch: SchedScratch,
     /// Reusable plan output buffer, paired with `sched_scratch`.
     plan_buf: SchedulePlan,
-    /// Predicted discrepancy scores, filled a batch at a time
-    /// ([`SchembleConfig::score_batch`]): one matrix forward over the next
-    /// chunk of arrivals instead of a per-query MLP forward. Scores are
-    /// bit-identical to per-query scoring (pinned by test), so batching
-    /// never changes a decision.
+    /// Predicted discrepancy scores, filled [`SCORE_BATCH`] at a time: one
+    /// matrix forward over the next chunk of arrivals instead of a per-query
+    /// MLP forward. Scores are bit-identical to per-query scoring (pinned by
+    /// `predictor::tests::score_batch_is_bit_identical_to_per_sample_scores`),
+    /// so batching never changes a decision.
     score_cache: Vec<f64>,
     score_ready: Vec<bool>,
     /// The scheduler's input, held across re-plans so building one
@@ -486,12 +490,12 @@ impl<'a> SchembleEngine<'a> {
     }
 
     /// The predicted discrepancy score of workload query `i`, served from
-    /// the batch cache (scoring the next `score_batch` arrivals in one
+    /// the batch cache (scoring the next [`SCORE_BATCH`] arrivals in one
     /// matrix forward on a miss). Scoring is pure and deterministic per
     /// sample, so prefetching ahead of arrival order changes no score.
     fn predicted_score(&mut self, i: usize) -> f64 {
         if !self.score_ready[i] {
-            let end = (i + self.config.score_batch.max(1)).min(self.workload.queries.len());
+            let end = (i + SCORE_BATCH).min(self.workload.queries.len());
             let workload = self.workload;
             self.score_samples.clear();
             self.score_samples.extend(workload.queries[i..end].iter().map(|q| &q.sample));

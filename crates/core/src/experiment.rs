@@ -8,13 +8,13 @@
 use crate::artifacts::SchembleArtifacts;
 use crate::discrepancy::DifficultyMetric;
 use crate::pipeline::immediate::{
-    run_immediate_traced, Deployment, FixedSubsetPolicy, FullEnsemblePolicy,
+    run_immediate_traced, Deployment, FixedSubsetPolicy, FullEnsemblePolicy, SelectionPolicy,
 };
 use crate::pipeline::schemble::{run_schemble_traced, SchembleConfig};
 use crate::pipeline::static_select::best_static_deployment;
 use crate::pipeline::{AdmissionMode, ResultAssembler};
 use crate::predictor::OnlineScorer;
-use crate::scheduler::{DpScheduler, GreedyScheduler, QueueOrder, Scheduler};
+use crate::scheduler::{DpScheduler, GreedyScheduler, QueueOrder};
 use schemble_data::{DeadlinePolicy, DiurnalTrace, PoissonTrace, TaskKind, Workload};
 use schemble_metrics::RunSummary;
 use schemble_models::{DifficultyDist, Ensemble, SampleGenerator};
@@ -187,14 +187,7 @@ impl ExperimentContext {
     /// The trained Schemble artifacts (trained on first use).
     pub fn artifacts(&mut self) -> &SchembleArtifacts {
         if self.artifacts.is_none() {
-            self.artifacts = Some(SchembleArtifacts::build(
-                &self.ensemble,
-                &self.generator,
-                self.config.history_n,
-                crate::profiling::AccuracyProfile::DEFAULT_BINS,
-                DifficultyMetric::Discrepancy,
-                self.config.seed,
-            ));
+            self.artifacts = Some(self.train(DifficultyMetric::Discrepancy));
         }
         self.artifacts.as_ref().expect("just built")
     }
@@ -202,16 +195,20 @@ impl ExperimentContext {
     /// The ensemble-agreement artifacts (Schemble(ea)).
     pub fn ea_artifacts(&mut self) -> &SchembleArtifacts {
         if self.ea_artifacts.is_none() {
-            self.ea_artifacts = Some(SchembleArtifacts::build(
-                &self.ensemble,
-                &self.generator,
-                self.config.history_n,
-                crate::profiling::AccuracyProfile::DEFAULT_BINS,
-                DifficultyMetric::EnsembleAgreement,
-                self.config.seed,
-            ));
+            self.ea_artifacts = Some(self.train(DifficultyMetric::EnsembleAgreement));
         }
         self.ea_artifacts.as_ref().expect("just built")
+    }
+
+    fn train(&self, metric: DifficultyMetric) -> SchembleArtifacts {
+        SchembleArtifacts::build(
+            &self.ensemble,
+            &self.generator,
+            self.config.history_n,
+            crate::profiling::AccuracyProfile::DEFAULT_BINS,
+            metric,
+            self.config.seed,
+        )
     }
 
     /// Generates the workload described by the config.
@@ -244,6 +241,40 @@ impl ExperimentContext {
         }
     }
 
+    /// Assembles pipeline variant `kind` from the trained state. `workload`
+    /// is what the Static variant runs its pilot search on.
+    pub fn pipeline(&mut self, kind: PipelineKind, workload: &Workload) -> Pipeline {
+        let identity = Deployment::identity(self.ensemble.m());
+        let mut config = match kind {
+            PipelineKind::Original => {
+                return Pipeline::Immediate(identity, Box::new(FullEnsemblePolicy));
+            }
+            PipelineKind::Static => {
+                let pilot = (workload.len() / 5).clamp(100, 2000);
+                let (set, deployment) =
+                    best_static_deployment(&self.ensemble, workload, pilot, self.config.seed);
+                return Pipeline::Immediate(deployment, Box::new(FixedSubsetPolicy { set }));
+            }
+            PipelineKind::SchembleEa => self.ea_artifacts().pipeline(),
+            _ => self.artifacts().pipeline(),
+        };
+        match kind {
+            PipelineKind::SchembleT => {
+                config.scorer = OnlineScorer::Constant(self.artifacts().mean_score);
+            }
+            PipelineKind::SchembleOracle => {
+                config.scorer = OnlineScorer::Oracle(self.artifacts().scorer.clone());
+            }
+            PipelineKind::Greedy(order) => config.scheduler = Box::new(GreedyScheduler::new(order)),
+            PipelineKind::DpDelta(delta) => {
+                config.scheduler = Box::new(DpScheduler::with_delta(delta));
+            }
+            _ => {}
+        }
+        config.admission = self.config.admission;
+        Pipeline::Schemble(Box::new(config))
+    }
+
     /// Runs one pipeline variant on a workload.
     pub fn run(&mut self, kind: PipelineKind, workload: &Workload) -> RunSummary {
         self.run_traced(kind, workload, TraceSink::disabled())
@@ -256,110 +287,47 @@ impl ExperimentContext {
         workload: &Workload,
         trace: Arc<TraceSink>,
     ) -> RunSummary {
-        let admission = self.config.admission;
-        let seed = self.config.seed;
-        match kind {
-            PipelineKind::Original => run_immediate_traced(
-                &self.ensemble,
-                &Deployment::identity(self.ensemble.m()),
-                &mut FullEnsemblePolicy,
+        let (admission, seed) = (self.config.admission, self.config.seed);
+        self.pipeline(kind, workload).run_traced(&self.ensemble, workload, admission, seed, trace)
+    }
+}
+
+/// An assembled pipeline: everything [`ExperimentContext::pipeline`] (or a
+/// selection baseline's trainer) decides before a backend runs it.
+pub enum Pipeline {
+    /// An immediate-selection pipeline: a deployment and its per-query policy.
+    Immediate(Deployment, Box<dyn SelectionPolicy>),
+    /// A buffered Schemble-family pipeline.
+    Schemble(Box<SchembleConfig>),
+}
+
+impl Pipeline {
+    /// Runs the pipeline over `workload` in the discrete-event simulator.
+    /// `admission` applies to the immediate variant (a Schemble config
+    /// carries its own).
+    pub fn run_traced(
+        self,
+        ensemble: &Ensemble,
+        workload: &Workload,
+        admission: AdmissionMode,
+        seed: u64,
+        trace: Arc<TraceSink>,
+    ) -> RunSummary {
+        match self {
+            Pipeline::Immediate(deployment, mut policy) => run_immediate_traced(
+                ensemble,
+                &deployment,
+                policy.as_mut(),
                 &ResultAssembler::Direct,
                 workload,
                 admission,
                 seed,
                 trace,
             ),
-            PipelineKind::Static => {
-                let pilot = (workload.len() / 5).clamp(100, 2000);
-                let (set, deployment) =
-                    best_static_deployment(&self.ensemble, workload, pilot, seed);
-                run_immediate_traced(
-                    &self.ensemble,
-                    &deployment,
-                    &mut FixedSubsetPolicy { set },
-                    &ResultAssembler::Direct,
-                    workload,
-                    admission,
-                    seed,
-                    trace,
-                )
-            }
-            PipelineKind::Schemble => {
-                let scorer = OnlineScorer::Predictor(self.artifacts().predictor.clone());
-                self.run_schemble_variant(
-                    Box::new(DpScheduler::default()),
-                    scorer,
-                    false,
-                    workload,
-                    trace,
-                )
-            }
-            PipelineKind::SchembleEa => {
-                let scorer = OnlineScorer::Predictor(self.ea_artifacts().predictor.clone());
-                self.run_schemble_variant(
-                    Box::new(DpScheduler::default()),
-                    scorer,
-                    true,
-                    workload,
-                    trace,
-                )
-            }
-            PipelineKind::SchembleT => {
-                let c = self.artifacts().mean_score;
-                self.run_schemble_variant(
-                    Box::new(DpScheduler::default()),
-                    OnlineScorer::Constant(c),
-                    false,
-                    workload,
-                    trace,
-                )
-            }
-            PipelineKind::SchembleOracle => {
-                let scorer = OnlineScorer::Oracle(self.artifacts().scorer.clone());
-                self.run_schemble_variant(
-                    Box::new(DpScheduler::default()),
-                    scorer,
-                    false,
-                    workload,
-                    trace,
-                )
-            }
-            PipelineKind::Greedy(order) => {
-                let scorer = OnlineScorer::Predictor(self.artifacts().predictor.clone());
-                self.run_schemble_variant(
-                    Box::new(GreedyScheduler::new(order)),
-                    scorer,
-                    false,
-                    workload,
-                    trace,
-                )
-            }
-            PipelineKind::DpDelta(delta) => {
-                let scorer = OnlineScorer::Predictor(self.artifacts().predictor.clone());
-                self.run_schemble_variant(
-                    Box::new(DpScheduler::with_delta(delta)),
-                    scorer,
-                    false,
-                    workload,
-                    trace,
-                )
+            Pipeline::Schemble(config) => {
+                run_schemble_traced(ensemble, &config, workload, seed, trace)
             }
         }
-    }
-
-    fn run_schemble_variant(
-        &mut self,
-        scheduler: Box<dyn Scheduler>,
-        scorer: OnlineScorer,
-        ea: bool,
-        workload: &Workload,
-        trace: Arc<TraceSink>,
-    ) -> RunSummary {
-        let profile =
-            if ea { self.ea_artifacts().profile.clone() } else { self.artifacts().profile.clone() };
-        let mut config = SchembleConfig::new(scheduler, scorer, profile);
-        config.admission = self.config.admission;
-        run_schemble_traced(&self.ensemble, &config, workload, self.config.seed, trace)
     }
 }
 

@@ -59,13 +59,6 @@ pub struct SchembleConfig {
     /// byte-identical to an engine without the feature; see
     /// [`AnytimePolicy`] for the quit rule `Some` opts into.
     pub anytime: Option<AnytimePolicy>,
-    /// How many queries the engine scores per predictor forward pass.
-    /// Scoring is pure and per-query deterministic, so prefetching scores
-    /// for the next `score_batch` arrivals in one batched matmul changes no
-    /// decisions (pinned by a test) — it only amortises the per-forward
-    /// overhead. `1` recovers the strictly per-query path; values `< 1` are
-    /// treated as `1`.
-    pub score_batch: usize,
     /// Cross-query batched execution. `None` (the default) — and equally a
     /// config with `batch_max <= 1` — keeps every decision byte-identical
     /// to an unbatched engine; see [`BatchConfig`] for the coalescing rule
@@ -92,7 +85,6 @@ impl SchembleConfig {
             fast_path: false,
             failure: None,
             anytime: None,
-            score_batch: 32,
             batching: None,
         }
     }
@@ -168,7 +160,6 @@ mod tests {
     use super::*;
     use crate::artifacts::SchembleArtifacts;
     use crate::pipeline::immediate::{run_immediate, Deployment, FullEnsemblePolicy};
-    use crate::scheduler::DpScheduler;
     use schemble_data::{DeadlinePolicy, PoissonTrace, TaskKind, Workload};
 
     fn setup(rate: f64, n: usize, deadline_ms: f64) -> (Ensemble, Workload, SchembleConfig) {
@@ -182,11 +173,7 @@ mod tests {
             &DeadlinePolicy::constant_millis(deadline_ms),
             7,
         );
-        let config = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor.clone()),
-            art.profile.clone(),
-        );
+        let config = art.pipeline();
         (ens, w, config)
     }
 
@@ -247,28 +234,12 @@ mod tests {
         let b = run_schemble(&ens, &config, &w, 5);
         assert_eq!(a.records(), b.records());
     }
-
-    #[test]
-    fn score_batch_size_does_not_change_decisions() {
-        // The batched score prefetch must be invisible: scoring is pure and
-        // per-query, so any window size yields the same per-query scores and
-        // therefore the same schedule, bit for bit.
-        let (ens, w, mut config) = setup(25.0, 200, 120.0);
-        config.score_batch = 1;
-        let per_query = run_schemble(&ens, &config, &w, 5);
-        for batch in [0, 7, 32, 1000] {
-            config.score_batch = batch;
-            let batched = run_schemble(&ens, &config, &w, 5);
-            assert_eq!(per_query.records(), batched.records(), "score_batch {batch} diverged");
-        }
-    }
 }
 
 #[cfg(test)]
 mod anytime_tests {
     use super::*;
     use crate::artifacts::SchembleArtifacts;
-    use crate::scheduler::DpScheduler;
     use schemble_data::{DeadlinePolicy, PoissonTrace, TaskKind, Workload};
 
     fn setup(rate: f64, n: usize, deadline_ms: f64) -> (Ensemble, Workload, SchembleConfig) {
@@ -282,11 +253,7 @@ mod anytime_tests {
             &DeadlinePolicy::constant_millis(deadline_ms),
             7,
         );
-        let config = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor.clone()),
-            art.profile.clone(),
-        );
+        let config = art.pipeline();
         (ens, w, config)
     }
 
@@ -335,7 +302,6 @@ mod anytime_tests {
 mod batching_tests {
     use super::*;
     use crate::artifacts::SchembleArtifacts;
-    use crate::scheduler::DpScheduler;
     use schemble_data::{DeadlinePolicy, PoissonTrace, TaskKind, Workload};
 
     fn setup(rate: f64, n: usize, deadline_ms: f64) -> (Ensemble, Workload, SchembleConfig) {
@@ -349,11 +315,7 @@ mod batching_tests {
             &DeadlinePolicy::constant_millis(deadline_ms),
             7,
         );
-        let config = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor.clone()),
-            art.profile.clone(),
-        );
+        let config = art.pipeline();
         (ens, w, config)
     }
 
@@ -399,7 +361,6 @@ mod batching_tests {
 mod fast_path_tests {
     use super::*;
     use crate::artifacts::SchembleArtifacts;
-    use crate::scheduler::DpScheduler;
     use schemble_data::{DeadlinePolicy, PoissonTrace, TaskKind, Workload};
 
     fn config_with_fast_path(fast: bool) -> (Ensemble, Workload, SchembleConfig) {
@@ -413,11 +374,7 @@ mod fast_path_tests {
             &DeadlinePolicy::constant_millis(150.0),
             7,
         );
-        let mut config = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor.clone()),
-            art.profile.clone(),
-        );
+        let mut config = art.pipeline();
         config.fast_path = fast;
         (ens, w, config)
     }

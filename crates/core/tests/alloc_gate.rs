@@ -141,7 +141,7 @@ fn plain_path_bookkeeping_allocates_nothing() {
     assert!(partial_completions > 500, "{partial_completions} partial completions");
     assert!(completed > 2000, "{completed} queries completed after warm-up");
     // On top of the per-query budget: the score window's vector (one per
-    // `score_batch` arrivals), the completions list's doubling, and the
+    // `SCORE_BATCH` arrivals), the completions list's doubling, and the
     // outputs of the few queries that expire with a task still running.
     let per_query = window_allocs as f64 / completed as f64;
     assert!(

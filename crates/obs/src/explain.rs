@@ -287,12 +287,7 @@ pub fn explain_query(events: &[TraceEvent], query: u64) -> Option<PlanExplain> {
                 e.deadline = Some(deadline);
             }
             TraceEvent::Admission { verdict, .. } => {
-                e.admission = Some(match verdict {
-                    AdmissionVerdict::Buffered => "buffered",
-                    AdmissionVerdict::FastPath { .. } => "fast-path",
-                    AdmissionVerdict::Selected { .. } => "selected",
-                    AdmissionVerdict::Rejected => "rejected",
-                });
+                e.admission = Some(verdict.label());
                 if let AdmissionVerdict::Rejected = verdict {
                     e.outcome = Outcome::Rejected { t: ev.time() };
                 }

@@ -167,15 +167,14 @@ pub fn event_json(ev: &TraceEvent) -> String {
             deadline.as_micros()
         ),
         TraceEvent::Admission { query, verdict, .. } => {
-            let (label, extra) = match verdict {
-                V::Buffered => ("buffered", String::new()),
-                V::FastPath { executor } => ("fast-path", format!(",\"executor\":{executor}")),
-                V::Selected { set } => ("selected", format!(",\"set\":{set}")),
-                V::Rejected => ("rejected", String::new()),
+            let extra = match verdict {
+                V::FastPath { executor } => format!(",\"executor\":{executor}"),
+                V::Selected { set } => format!(",\"set\":{set}"),
+                V::Buffered | V::Rejected => String::new(),
             };
             format!(
                 "{{\"type\":\"admission\",\"t_us\":{t},\"query\":{query},\"verdict\":\"{}\"{extra}}}",
-                escape(label)
+                escape(verdict.label())
             )
         }
         TraceEvent::Plan { buffer, scheduled, work, cost, .. } => format!(

@@ -14,7 +14,7 @@
 //! the cursor over the fault plan's crash/recovery schedule
 //! ([`ThreadedBackend::take_due_fault_events`]), dead-worker detection
 //! ([`ThreadedBackend::reap_dead`], permanent executor-down), the
-//! `queue_capacity` bound, and the mirror of the bank's state into the
+//! [`QUEUE_CAPACITY`] bound, and the mirror of the bank's state into the
 //! shared [`RuntimeMetrics`] atomics so observer threads can snapshot
 //! without locks. All methods run on the runtime's scheduler thread.
 
@@ -29,12 +29,14 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+/// Per-executor backlog bound; exceeding it is a bug, not backpressure.
+const QUEUE_CAPACITY: usize = 4096;
+
 /// [`ExecutionBackend`] over per-executor worker threads.
 pub struct ThreadedBackend {
     bank: ExecutorBank,
     pool: WorkerPool,
     clock: DilatedClock,
-    queue_capacity: usize,
     /// Pending wake-ups requested by the engine.
     wakes: BinaryHeap<Reverse<SimTime>>,
     metrics: Arc<RuntimeMetrics>,
@@ -52,7 +54,6 @@ impl ThreadedBackend {
         bank: ExecutorBank,
         pool: WorkerPool,
         clock: DilatedClock,
-        queue_capacity: usize,
         metrics: Arc<RuntimeMetrics>,
     ) -> Self {
         assert_eq!(pool.len(), bank.executors(), "one worker per executor");
@@ -62,7 +63,6 @@ impl ThreadedBackend {
             bank,
             pool,
             clock,
-            queue_capacity,
             wakes: BinaryHeap::new(),
             metrics,
             cursor: 0,
@@ -236,9 +236,8 @@ impl ExecutionBackend for ThreadedBackend {
     fn enqueue_task(&mut self, executor: usize, query: u64, now: SimTime) {
         let pass = self.bank.enqueue_task(executor, query, now);
         assert!(
-            self.bank.backlog_len(executor) <= self.queue_capacity,
-            "executor {executor} backlog exceeded queue capacity {}",
-            self.queue_capacity
+            self.bank.backlog_len(executor) <= QUEUE_CAPACITY,
+            "executor {executor} backlog exceeded queue capacity {QUEUE_CAPACITY}"
         );
         self.run(executor, pass);
     }
@@ -289,7 +288,7 @@ mod tests {
         let clock = DilatedClock::start(dilation);
         let metrics = Arc::new(RuntimeMetrics::new(latencies.len()));
         let bank = arm(ExecutorBank::new(latencies, 1, "test"));
-        (ThreadedBackend::new(bank, pool, clock, 8, metrics), rx)
+        (ThreadedBackend::new(bank, pool, clock, metrics), rx)
     }
 
     /// The pass id carried by the next worker report.

@@ -33,6 +33,9 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Capacity of the bounded channel feeding the scheduler loop.
+const CHANNEL_CAPACITY: usize = 1024;
+
 /// How the runtime's clock advances.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClockMode {
@@ -51,10 +54,6 @@ pub enum ClockMode {
 pub struct ServeConfig {
     /// Clock mode (wall dilation or deterministic virtual time).
     pub mode: ClockMode,
-    /// Per-executor backlog bound; exceeding it is a bug, not backpressure.
-    pub queue_capacity: usize,
-    /// Capacity of the bounded channel feeding the scheduler loop.
-    pub channel_capacity: usize,
     /// Print a metrics snapshot at this (wall) interval, if set.
     pub report_every: Option<Duration>,
     /// Sink receiving query lifecycle events from the engine and backend;
@@ -93,8 +92,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             mode: ClockMode::Wall { dilation: 1.0 },
-            queue_capacity: 4096,
-            channel_capacity: 1024,
             report_every: None,
             trace: None,
             faults: None,
@@ -190,11 +187,10 @@ pub fn run_wall(
 ) -> RunStats {
     let wall_start = Instant::now();
     let clock = DilatedClock::start(dilation);
-    let (tx, rx) = sync_channel::<RuntimeMsg>(config.channel_capacity);
+    let (tx, rx) = sync_channel::<RuntimeMsg>(CHANNEL_CAPACITY);
     let pool = WorkerPool::spawn(latencies.len(), tx.clone());
     let bank = config.bank(latencies, seed, stream);
-    let mut backend =
-        ThreadedBackend::new(bank, pool, clock, config.queue_capacity, Arc::clone(metrics));
+    let mut backend = ThreadedBackend::new(bank, pool, clock, Arc::clone(metrics));
 
     // Trace-replay load generator: one thread sleeping to each arrival.
     let arrivals: Vec<SimTime> = workload.queries.iter().map(|q| q.arrival).collect();

@@ -274,8 +274,6 @@ pub fn serve_schemble_sharded(
 mod tests {
     use super::*;
     use schemble_core::experiment::{ExperimentConfig, ExperimentContext};
-    use schemble_core::predictor::OnlineScorer;
-    use schemble_core::scheduler::DpScheduler;
     use schemble_data::TaskKind;
     use schemble_trace::DEFAULT_CAPACITY;
 
@@ -318,12 +316,7 @@ mod tests {
         config.n_queries = queries;
         let mut ctx = ExperimentContext::new(config);
         let workload = ctx.workload();
-        let art = ctx.artifacts().clone();
-        let pipeline = SchembleConfig::new(
-            Box::new(DpScheduler::default()),
-            OnlineScorer::Predictor(art.predictor),
-            art.profile,
-        );
+        let pipeline = ctx.artifacts().pipeline();
         capacities
             .iter()
             .map(|&capacity| {

@@ -13,8 +13,6 @@
 use proptest::prelude::*;
 use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble_core::pipeline::schemble::SchembleConfig;
-use schemble_core::predictor::OnlineScorer;
-use schemble_core::scheduler::DpScheduler;
 use schemble_data::{TaskKind, Workload};
 use schemble_models::Ensemble;
 use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
@@ -36,12 +34,7 @@ fn fixture(seed: u64, n_queries: usize, rate: f64, batching: Option<BatchConfig>
     config.traffic = Traffic::Poisson { rate_per_sec: rate };
     let mut ctx = ExperimentContext::new(config);
     let workload = ctx.workload();
-    let art = ctx.artifacts().clone();
-    let mut pipeline = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut pipeline = ctx.artifacts().pipeline();
     pipeline.admission = ctx.config.admission;
     pipeline.batching = batching;
     let seed = ctx.config.seed;

@@ -12,8 +12,6 @@ use schemble_core::engine::{AnytimePolicy, FailurePolicy};
 use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble_core::pipeline::schemble::SchembleConfig;
 use schemble_core::pipeline::AdmissionMode;
-use schemble_core::predictor::OnlineScorer;
-use schemble_core::scheduler::DpScheduler;
 use schemble_data::{TaskKind, Workload};
 use schemble_metrics::QueryOutcome;
 use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
@@ -39,12 +37,7 @@ fn serve(
     }
     let mut ctx = ExperimentContext::new(config);
     let workload = ctx.workload();
-    let art = ctx.artifacts().clone();
-    let mut pipeline = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut pipeline = ctx.artifacts().pipeline();
     pipeline.admission = ctx.config.admission;
     let mut serve_cfg = ServeConfig { mode, ..ServeConfig::default() };
     arm(&mut pipeline, &mut serve_cfg);

@@ -145,17 +145,11 @@ pub fn audit_records(events: &[TraceEvent]) -> Vec<AuditRecord> {
             }
             TraceEvent::Admission { query, verdict, .. } => {
                 if let Some(r) = records.get_mut(&query) {
+                    r.admission = verdict.label();
                     match verdict {
-                        AdmissionVerdict::Buffered => r.admission = "buffered",
-                        AdmissionVerdict::FastPath { .. } => r.admission = "fast-path",
-                        AdmissionVerdict::Selected { set } => {
-                            r.admission = "selected";
-                            r.set = set;
-                        }
-                        AdmissionVerdict::Rejected => {
-                            r.admission = "rejected";
-                            r.outcome = "rejected";
-                        }
+                        AdmissionVerdict::Selected { set } => r.set = set,
+                        AdmissionVerdict::Rejected => r.outcome = "rejected",
+                        AdmissionVerdict::Buffered | AdmissionVerdict::FastPath { .. } => {}
                     }
                 }
             }

@@ -95,17 +95,18 @@ pub fn chrome_trace_named(events: &[TraceEvent], tracks: &[String], label: &str)
                 &format!("\"query\":{query},\"deadline_us\":{}", deadline.as_micros()),
             ),
             TraceEvent::Admission { query, verdict, .. } => {
-                let (name, args) = match verdict {
-                    AdmissionVerdict::Buffered => ("buffered", format!("\"query\":{query}")),
+                let args = match verdict {
                     AdmissionVerdict::FastPath { executor } => {
-                        ("fast-path", format!("\"query\":{query},\"executor\":{executor}"))
+                        format!("\"query\":{query},\"executor\":{executor}")
                     }
                     AdmissionVerdict::Selected { set } => {
-                        ("selected", format!("\"query\":{query},\"set\":{:?}", set_members(set)))
+                        format!("\"query\":{query},\"set\":{:?}", set_members(set))
                     }
-                    AdmissionVerdict::Rejected => ("rejected", format!("\"query\":{query}")),
+                    AdmissionVerdict::Buffered | AdmissionVerdict::Rejected => {
+                        format!("\"query\":{query}")
+                    }
                 };
-                instant(&mut out, name, ts, SCHEDULER_TID, &args);
+                instant(&mut out, verdict.label(), ts, SCHEDULER_TID, &args);
             }
             TraceEvent::Plan { buffer, scheduled, work, cost, .. } => span(
                 &mut out,

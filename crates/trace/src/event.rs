@@ -31,6 +31,18 @@ pub enum AdmissionVerdict {
     Rejected,
 }
 
+impl AdmissionVerdict {
+    /// The verdict's name in every export (audit, chrome, explain, recorder).
+    pub fn label(&self) -> &'static str {
+        match self {
+            AdmissionVerdict::Buffered => "buffered",
+            AdmissionVerdict::FastPath { .. } => "fast-path",
+            AdmissionVerdict::Selected { .. } => "selected",
+            AdmissionVerdict::Rejected => "rejected",
+        }
+    }
+}
+
 /// One event in a query's lifecycle or the scheduler's own activity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -277,6 +289,39 @@ pub fn score_fixed_point(score: f64) -> u32 {
     (score.clamp(0.0, 1.0) * 1e6).round() as u32
 }
 
+/// Which variants carry a query id / an executor index; borrows as `$ev` does.
+macro_rules! ids {
+    ($ev:expr) => {
+        match $ev {
+            TraceEvent::Admission {
+                query,
+                verdict: AdmissionVerdict::FastPath { executor },
+                ..
+            }
+            | TraceEvent::TaskEnqueue { query, executor, .. }
+            | TraceEvent::TaskStart { query, executor, .. }
+            | TraceEvent::TaskDone { query, executor, .. }
+            | TraceEvent::TaskFailed { query, executor, .. }
+            | TraceEvent::TaskRetried { query, executor, .. }
+            | TraceEvent::TaskQuit { query, executor, .. } => (Some(query), Some(executor)),
+            TraceEvent::Arrival { query, .. }
+            | TraceEvent::Admission { query, .. }
+            | TraceEvent::QueryDone { query, .. }
+            | TraceEvent::QueryExpired { query, .. }
+            | TraceEvent::DegradedAnswer { query, .. }
+            | TraceEvent::Scored { query, .. }
+            | TraceEvent::PlanAssign { query, .. }
+            | TraceEvent::Realized { query, .. }
+            | TraceEvent::WorkSaved { query, .. }
+            | TraceEvent::QueryStolen { query, .. } => (Some(query), None),
+            TraceEvent::ExecutorDown { executor, .. }
+            | TraceEvent::ExecutorUp { executor, .. }
+            | TraceEvent::BatchFormed { executor, .. } => (None, Some(executor)),
+            TraceEvent::Plan { .. } => (None, None),
+        }
+    };
+}
+
 impl TraceEvent {
     /// The event's timestamp in backend time.
     pub fn time(&self) -> SimTime {
@@ -306,28 +351,13 @@ impl TraceEvent {
 
     /// The query the event concerns, if it is query-scoped.
     pub fn query(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::Arrival { query, .. }
-            | TraceEvent::Admission { query, .. }
-            | TraceEvent::TaskEnqueue { query, .. }
-            | TraceEvent::TaskStart { query, .. }
-            | TraceEvent::TaskDone { query, .. }
-            | TraceEvent::QueryDone { query, .. }
-            | TraceEvent::QueryExpired { query, .. }
-            | TraceEvent::TaskFailed { query, .. }
-            | TraceEvent::TaskRetried { query, .. }
-            | TraceEvent::DegradedAnswer { query, .. }
-            | TraceEvent::Scored { query, .. }
-            | TraceEvent::PlanAssign { query, .. }
-            | TraceEvent::Realized { query, .. }
-            | TraceEvent::TaskQuit { query, .. }
-            | TraceEvent::WorkSaved { query, .. }
-            | TraceEvent::QueryStolen { query, .. } => Some(query),
-            TraceEvent::Plan { .. }
-            | TraceEvent::ExecutorDown { .. }
-            | TraceEvent::ExecutorUp { .. }
-            | TraceEvent::BatchFormed { .. } => None,
-        }
+        ids!(self).0.copied()
+    }
+
+    /// The event's query id and executor index (a fast-path verdict's
+    /// included; `QueryStolen`'s victim/thief are shard ids), for renumbering.
+    pub fn ids_mut(&mut self) -> (Option<&mut u64>, Option<&mut u16>) {
+        ids!(self)
     }
 }
 

@@ -29,108 +29,24 @@ use std::borrow::Cow;
 /// `query_map[local]` is the global query id; `executor_offset` is added to
 /// every executor index (shard `s` with `m` executors per shard passes
 /// `s * m`).
-pub fn globalize_event(event: TraceEvent, query_map: &[u64], executor_offset: u16) -> TraceEvent {
-    let global = |q: u64| query_map[q as usize];
-    match event {
-        TraceEvent::Arrival { t, query, deadline } => {
-            TraceEvent::Arrival { t, query: global(query), deadline }
-        }
-        TraceEvent::Admission { t, query, verdict } => {
-            let verdict = match verdict {
-                crate::event::AdmissionVerdict::FastPath { executor } => {
-                    crate::event::AdmissionVerdict::FastPath {
-                        executor: executor + executor_offset,
-                    }
-                }
-                other => other,
-            };
-            TraceEvent::Admission { t, query: global(query), verdict }
-        }
-        TraceEvent::Plan { .. } => event,
-        TraceEvent::TaskEnqueue { t, query, executor } => TraceEvent::TaskEnqueue {
-            t,
-            query: global(query),
-            executor: executor + executor_offset,
-        },
-        TraceEvent::TaskStart { t, query, executor } => {
-            TraceEvent::TaskStart { t, query: global(query), executor: executor + executor_offset }
-        }
-        TraceEvent::TaskDone { t, query, executor } => {
-            TraceEvent::TaskDone { t, query: global(query), executor: executor + executor_offset }
-        }
-        TraceEvent::QueryDone { t, query, set } => {
-            TraceEvent::QueryDone { t, query: global(query), set }
-        }
-        TraceEvent::QueryExpired { t, query } => {
-            TraceEvent::QueryExpired { t, query: global(query) }
-        }
-        TraceEvent::TaskFailed { t, query, executor } => {
-            TraceEvent::TaskFailed { t, query: global(query), executor: executor + executor_offset }
-        }
-        TraceEvent::TaskRetried { t, query, executor, attempt } => TraceEvent::TaskRetried {
-            t,
-            query: global(query),
-            executor: executor + executor_offset,
-            attempt,
-        },
-        TraceEvent::ExecutorDown { t, executor } => {
-            TraceEvent::ExecutorDown { t, executor: executor + executor_offset }
-        }
-        TraceEvent::ExecutorUp { t, executor } => {
-            TraceEvent::ExecutorUp { t, executor: executor + executor_offset }
-        }
-        TraceEvent::DegradedAnswer { t, query, set } => {
-            TraceEvent::DegradedAnswer { t, query: global(query), set }
-        }
-        TraceEvent::Scored { t, query, bin, score_fp } => {
-            TraceEvent::Scored { t, query: global(query), bin, score_fp }
-        }
-        TraceEvent::PlanAssign { t, query, set, predicted_finish, frontier } => {
-            TraceEvent::PlanAssign { t, query: global(query), set, predicted_finish, frontier }
-        }
-        TraceEvent::Realized { t, query, score_fp, correct } => {
-            TraceEvent::Realized { t, query: global(query), score_fp, correct }
-        }
-        TraceEvent::TaskQuit { t, query, executor } => {
-            TraceEvent::TaskQuit { t, query: global(query), executor: executor + executor_offset }
-        }
-        TraceEvent::WorkSaved { t, query, saved } => {
-            TraceEvent::WorkSaved { t, query: global(query), saved }
-        }
-        // Batch ids stay shard-local (they are only unique per backend);
-        // exporters key membership on (executor, launch instant), which the
-        // offset keeps globally unambiguous.
-        TraceEvent::BatchFormed { t, executor, batch, size } => {
-            TraceEvent::BatchFormed { t, executor: executor + executor_offset, batch, size }
-        }
-        // Victim/thief are *shard* ids, already global; only the query id
-        // (thief-local, appended to the thief's map at adoption) rewrites.
-        TraceEvent::QueryStolen {
-            t,
-            query,
-            epoch,
-            victim,
-            thief,
-            victim_depth,
-            thief_depth,
-            arrival,
-            deadline,
-            bin,
-            score_fp,
-        } => TraceEvent::QueryStolen {
-            t,
-            query: global(query),
-            epoch,
-            victim,
-            thief,
-            victim_depth,
-            thief_depth,
-            arrival,
-            deadline,
-            bin,
-            score_fp,
-        },
+pub fn globalize_event(
+    mut event: TraceEvent,
+    query_map: &[u64],
+    executor_offset: u16,
+) -> TraceEvent {
+    // Batch ids stay shard-local (they are only unique per backend):
+    // exporters key membership on (executor, launch instant), which the
+    // offset keeps globally unambiguous. `QueryStolen`'s victim/thief are
+    // *shard* ids, already global; only its query id (thief-local, appended
+    // to the thief's map at adoption) rewrites.
+    let (query, executor) = event.ids_mut();
+    if let Some(q) = query {
+        *q = query_map[*q as usize];
     }
+    if let Some(e) = executor {
+        *e += executor_offset;
+    }
+    event
 }
 
 /// [`globalize_event`] over a whole shard stream.

@@ -22,6 +22,7 @@
 //! * [`metrics`] — accuracy / deadline-miss-rate / latency evaluation.
 //! * [`trace`] — query lifecycle tracing, scheduler audit log, and the
 //!   Chrome-trace / Prometheus / NDJSON exporters.
+//! * [`cli`] — the `schemble` binary's subcommands, flag spec and method table.
 //! * [`obs`] — live introspection: windowed SLO time-series, per-query plan
 //!   explainability, drift detectors and the post-mortem flight recorder.
 //!
@@ -35,6 +36,8 @@
 //! let outcome = run_pipeline(&cfg, PipelineKind::Schemble);
 //! println!("accuracy={:.3} dmr={:.3}", outcome.accuracy(), outcome.deadline_miss_rate());
 //! ```
+
+pub mod cli;
 
 pub use schemble_baselines as baselines;
 pub use schemble_core as core;

@@ -13,8 +13,6 @@ use proptest::prelude::*;
 use schemble::core::engine::FailurePolicy;
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::{run_schemble, run_schemble_faulted, SchembleConfig};
-use schemble::core::predictor::OnlineScorer;
-use schemble::core::scheduler::DpScheduler;
 use schemble::data::TaskKind;
 use schemble::serve::{serve_schemble, ClockMode, ServeConfig};
 use schemble::sim::{CrashWindow, FaultPlan, SimTime, StragglerEpisode};
@@ -29,12 +27,7 @@ fn context(seed: u64, n_queries: usize) -> ExperimentContext {
 }
 
 fn pipeline(ctx: &mut ExperimentContext, failure: Option<FailurePolicy>) -> SchembleConfig {
-    let art = ctx.artifacts().clone();
-    let mut config = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut config = ctx.artifacts().pipeline();
     config.admission = ctx.config.admission;
     config.failure = failure;
     config

@@ -13,8 +13,6 @@
 use proptest::prelude::*;
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::{run_schemble_traced, SchembleConfig};
-use schemble::core::predictor::OnlineScorer;
-use schemble::core::scheduler::DpScheduler;
 use schemble::data::TaskKind;
 use schemble::obs::{explain_query, FlightRecorder, ObsConfig, ObsState, Outcome, TripReason};
 use schemble::serve::{serve_schemble, ClockMode, ServeConfig};
@@ -30,12 +28,7 @@ fn context(seed: u64, n_queries: usize) -> ExperimentContext {
 }
 
 fn schemble_config(ctx: &mut ExperimentContext) -> SchembleConfig {
-    let art = ctx.artifacts().clone();
-    let mut config = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut config = ctx.artifacts().pipeline();
     config.admission = ctx.config.admission;
     config
 }

@@ -11,8 +11,6 @@ use schemble::core::pipeline::schemble::{run_schemble, SchembleConfig};
 use schemble::core::pipeline::{
     run_immediate, AdmissionMode, Deployment, FullEnsemblePolicy, ResultAssembler,
 };
-use schemble::core::predictor::OnlineScorer;
-use schemble::core::scheduler::DpScheduler;
 use schemble::data::TaskKind;
 use schemble::serve::{serve_immediate, serve_schemble, ClockMode, ServeConfig};
 
@@ -24,12 +22,7 @@ fn context(n_queries: usize) -> ExperimentContext {
 }
 
 fn schemble_config(ctx: &mut ExperimentContext) -> SchembleConfig {
-    let art = ctx.artifacts().clone();
-    let mut config = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut config = ctx.artifacts().pipeline();
     config.admission = ctx.config.admission;
     config
 }

@@ -14,8 +14,6 @@ use schemble::core::engine::AnytimePolicy;
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::SchembleConfig;
 use schemble::core::pipeline::AdmissionMode;
-use schemble::core::predictor::OnlineScorer;
-use schemble::core::scheduler::DpScheduler;
 use schemble::data::{TaskKind, Workload};
 use schemble::models::Ensemble;
 use schemble::obs::{FlightRecorder, ObsConfig, ObsState};
@@ -60,11 +58,7 @@ fn fixture(config: ExperimentConfig) -> Fixture {
     let mut ctx = ExperimentContext::new(config);
     let workload = ctx.workload();
     let art = ARTIFACTS.get_or_init(|| ctx.artifacts().clone()).clone();
-    let mut pipeline = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut pipeline = art.pipeline();
     pipeline.admission = ctx.config.admission;
     Fixture { ensemble: ctx.ensemble, pipeline, workload, seed: ctx.config.seed }
 }

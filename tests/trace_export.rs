@@ -9,8 +9,6 @@
 
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::{run_schemble, run_schemble_traced, SchembleConfig};
-use schemble::core::predictor::OnlineScorer;
-use schemble::core::scheduler::DpScheduler;
 use schemble::data::TaskKind;
 use schemble::serve::{serve_schemble, ClockMode, ServeConfig};
 use schemble::trace::{
@@ -28,12 +26,7 @@ fn context(n_queries: usize) -> ExperimentContext {
 }
 
 fn schemble_config(ctx: &mut ExperimentContext) -> SchembleConfig {
-    let art = ctx.artifacts().clone();
-    let mut config = SchembleConfig::new(
-        Box::new(DpScheduler::default()),
-        OnlineScorer::Predictor(art.predictor),
-        art.profile,
-    );
+    let mut config = ctx.artifacts().pipeline();
     config.admission = ctx.config.admission;
     config
 }
