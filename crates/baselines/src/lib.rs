@@ -21,5 +21,5 @@ pub mod gating;
 pub mod kmeans;
 
 pub use des::DesSelector;
-pub use experiment::{run_baseline, BaselineKind};
+pub use experiment::{run_baseline, BaselineKind, Method, METHODS};
 pub use gating::GatingSelector;

@@ -8,36 +8,35 @@
 //! grows, `Schemble*` and the oracle pull ahead; the oracle upper-bounds the
 //! predictor.
 
-use schemble_bench::fmt::{pct, print_table};
-use schemble_bench::runner::sized;
+use super::offline::{budgeted_selection, random_selection, set_costs_ms, utility_rows};
+use super::Scale;
+use crate::fmt::{pct, Report};
+use crate::row;
 use schemble_core::artifacts::SchembleArtifacts;
-use schemble_core::discrepancy::DifficultyMetric;
-use schemble_core::offline::{budgeted_selection, random_selection, set_costs_ms, utility_rows};
+use schemble_core::experiment::{ExperimentConfig, ExperimentContext};
 use schemble_data::TaskKind;
-use schemble_models::ModelSet;
+use schemble_models::{ModelSet, Sample};
 use schemble_sim::rng::stream_rng;
 
-fn main() {
+/// Runs the experiment.
+pub fn run(scale: Scale) -> Report {
+    let mut out = Report::default();
     for task in [TaskKind::TextMatching, TaskKind::VehicleCounting] {
-        let ens = task.ensemble(42);
-        let gen = task.default_generator(42);
-        let art = SchembleArtifacts::build_default(&ens, &gen, 42);
-        let ea =
-            SchembleArtifacts::build(&ens, &gen, 2000, 10, DifficultyMetric::EnsembleAgreement, 42);
-        let n = sized(3000);
+        // Paper-default training: 2 000 historical samples, 10 bins.
+        let mut ctx = ExperimentContext::new(ExperimentConfig::paper_default(task, 42));
+        let (art, ea) = (ctx.artifacts(), ctx.ea_artifacts());
+        let (ens, gen) = (&ctx.ensemble, &ctx.generator);
+        let n = scale.sized(3000);
         let samples = gen.batch(0, n);
-        let costs = set_costs_ms(&ens);
+        let costs = set_costs_ms(ens);
 
         // Score estimates per variant.
-        let oracle_scores = art.scorer.score_batch(&ens, &samples);
-        let predicted: Vec<f64> = samples
-            .iter()
-            .map(|s| art.predictor.predict_score(&s.features).clamp(0.0, 1.0))
-            .collect();
-        let ea_scores: Vec<f64> = samples
-            .iter()
-            .map(|s| ea.predictor.predict_score(&s.features).clamp(0.0, 1.0))
-            .collect();
+        let predict = |art: &SchembleArtifacts| -> Vec<f64> {
+            let score = |s: &Sample| art.predictor.predict_score(&s.features).clamp(0.0, 1.0);
+            samples.iter().map(score).collect()
+        };
+        let (oracle_scores, predicted) = (art.scorer.score_batch(ens, &samples), predict(&art));
+        let ea_scores = predict(&ea);
 
         let accuracy = |sets: &[ModelSet]| -> f64 {
             samples
@@ -66,15 +65,12 @@ fn main() {
             let oracle =
                 budgeted_selection(&utility_rows(&art.profile, &oracle_scores), &costs, budget);
             let ea_sel = budgeted_selection(&utility_rows(&ea.profile, &ea_scores), &costs, budget);
-            rows.push(vec![
-                format!("{per_sample:.0}"),
-                pct(accuracy(&rand_sets)),
-                pct(accuracy(&ea_sel.sets)),
-                pct(accuracy(&smart.sets)),
-                pct(accuracy(&oracle.sets)),
-            ]);
+            let sets = [&rand_sets, &ea_sel.sets, &smart.sets, &oracle.sets];
+            let mut row = row![format!("{per_sample:.0}")];
+            row.extend(sets.map(|sets| pct(accuracy(sets))));
+            rows.push(row);
         }
-        print_table(
+        out.table(
             &format!(
                 "Fig. 16 — accuracy under average runtime budgets ({}, budget in ms/sample)",
                 task.label()
@@ -84,18 +80,17 @@ fn main() {
         );
 
         // Static points: one subset for all samples (no replicas offline).
-        let mut static_rows: Vec<Vec<String>> = Vec::new();
-        for set in ModelSet::all_nonempty(ens.m()) {
-            static_rows.push(vec![
-                format!("{set}"),
-                format!("{:.0}", ens.set_cumulative_latency(set).as_millis_f64()),
-                pct(accuracy(&vec![set; n])),
-            ]);
-        }
-        print_table(
+        let static_rows: Vec<Vec<String>> = ModelSet::all_nonempty(ens.m())
+            .map(|set| {
+                let cost = ens.set_cumulative_latency(set).as_millis_f64();
+                row![set, format!("{cost:.0}"), pct(accuracy(&vec![set; n]))]
+            })
+            .collect();
+        out.table(
             &format!("Fig. 16 — static subset points ({})", task.label()),
             &["subset", "cost ms", "Acc %"],
             &static_rows,
         );
     }
+    out
 }

@@ -9,9 +9,9 @@
 //! (the paper solves the LP directly; greedy on the per-sample efficient
 //! frontiers attains the same solution up to one fractional item).
 
-use crate::profiling::AccuracyProfile;
 use rand::seq::IndexedRandom;
 use rand::Rng;
+use schemble_core::profiling::AccuracyProfile;
 use schemble_models::{Ensemble, ModelSet};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -167,7 +167,7 @@ pub fn random_selection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifacts::SchembleArtifacts;
+    use schemble_core::artifacts::SchembleArtifacts;
     use schemble_data::TaskKind;
     use schemble_sim::rng::stream_rng;
 

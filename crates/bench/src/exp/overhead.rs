@@ -6,31 +6,30 @@
 //! few percent of the ensemble's runtime and a fraction of a percent of its
 //! memory.
 
-use schemble_bench::fmt::print_table;
+use super::Scale;
+use crate::fmt::Report;
+use crate::row;
 use schemble_core::artifacts::SchembleArtifacts;
 use schemble_data::TaskKind;
 use std::time::Instant;
 
-/// Rough parameter counts of the real architectures the synthetic models
-/// stand in for (used only to put the predictor's memory in perspective,
-/// exactly as Fig. 13 does).
-fn reference_params(task: TaskKind) -> (Vec<(&'static str, usize)>, usize) {
+/// Rough total parameter count of the real architectures the synthetic
+/// models stand in for (used only to put the predictor's memory in
+/// perspective, exactly as Fig. 13 does).
+fn reference_params(task: TaskKind) -> usize {
     match task {
-        TaskKind::TextMatching => (
-            vec![("BiLSTM", 4_000_000), ("RoBERTa", 125_000_000), ("BERT", 110_000_000)],
-            239_000_000,
-        ),
-        TaskKind::VehicleCounting => (
-            vec![("EfficientDet-0", 3_900_000), ("YOLOv5l6", 76_000_000), ("YOLOX", 54_000_000)],
-            133_900_000,
-        ),
-        TaskKind::ImageRetrieval => {
-            (vec![("DELG-R50", 25_000_000), ("DELG-R101", 44_000_000)], 69_000_000)
-        }
+        // BiLSTM 4M + RoBERTa 125M + BERT 110M
+        TaskKind::TextMatching => 239_000_000,
+        // EfficientDet-0 3.9M + YOLOv5l6 76M + YOLOX 54M
+        TaskKind::VehicleCounting => 133_900_000,
+        // DELG-R50 25M + DELG-R101 44M
+        TaskKind::ImageRetrieval => 69_000_000,
     }
 }
 
-fn main() {
+/// Runs the experiment; it is the same size at every scale.
+pub fn run(_scale: Scale) -> Report {
+    let mut out = Report::default();
     let mut rows: Vec<Vec<String>> = Vec::new();
     for task in TaskKind::ALL {
         let ens = task.ensemble(42);
@@ -49,24 +48,22 @@ fn main() {
         let per_pred_us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
         std::hint::black_box(sink);
 
-        let (_, total_ref_params) = reference_params(task);
-        let ens_latency_ms = ens.slowest_planned_latency().as_millis_f64();
         // The paper deploys the predictor on the GPU next to the ensemble;
         // our FLOP proxy scales its cost against a base model of ~1 GFLOP.
-        let flops = predictor.flops_per_sample();
+        let ens_latency_ms = ens.slowest_planned_latency().as_millis_f64();
         let runtime_frac = 100.0 * (per_pred_us / 1000.0) / ens_latency_ms;
-        let memory_frac = 100.0 * predictor.param_count() as f64 / total_ref_params as f64;
-        rows.push(vec![
-            task.label().to_string(),
-            predictor.param_count().to_string(),
+        let memory_frac = 100.0 * predictor.param_count() as f64 / reference_params(task) as f64;
+        rows.push(row![
+            task.label(),
+            predictor.param_count(),
             format!("{} B", predictor.memory_bytes()),
-            flops.to_string(),
+            predictor.flops_per_sample(),
             format!("{per_pred_us:.1} µs"),
             format!("{runtime_frac:.2} %"),
             format!("{memory_frac:.4} %"),
         ]);
     }
-    print_table(
+    out.table(
         "Fig. 13 — discrepancy predictor overhead vs the deep ensemble",
         &[
             "task",
@@ -79,8 +76,10 @@ fn main() {
         ],
         &rows,
     );
-    println!(
+    out.line(
         "\n  (paper: predictor ≈ 6.5% of ensemble runtime and 0.4–2% of its memory; \
          our MLP stand-in is far smaller than MV-LSTM/MobileNet, hence even cheaper)"
+            .to_string(),
     );
+    out
 }

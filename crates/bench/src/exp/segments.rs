@@ -6,16 +6,18 @@
 //! latency flat, and Schemble keeps the highest accuracy by shedding models
 //! adaptively (its mean models/query drops during the burst).
 
-use schemble_bench::fmt::{pct, print_table};
-use schemble_bench::runner::{run_method, sized, standard_methods};
-use schemble_core::experiment::{ExperimentConfig, ExperimentContext, PipelineKind, Traffic};
+use super::{paper_config, Scale};
+use crate::fmt::{f3, pct, Report};
+use crate::row;
+use schemble_baselines::Method;
+use schemble_core::experiment::ExperimentContext;
 use schemble_data::TaskKind;
 use schemble_metrics::SegmentSeries;
 
-fn main() {
-    let mut config = ExperimentConfig::paper_default(TaskKind::TextMatching, 42);
-    config.n_queries = sized(9000);
-    config.traffic = Traffic::Diurnal { day_secs: config.n_queries as f64 / 15.0 };
+/// Runs the experiment.
+pub fn run(scale: Scale) -> Report {
+    let mut out = Report::default();
+    let config = paper_config(TaskKind::TextMatching, 42, scale.sized(9000));
     let mut ctx = ExperimentContext::new(config);
     let workload = ctx.workload();
     let trace = ctx.diurnal().expect("diurnal trace");
@@ -23,41 +25,37 @@ fn main() {
     // Aggregate into 6 four-hour segments for readability.
     let seg_of = |hour: usize| hour / 4;
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for method in standard_methods() {
-        let summary = run_method(&mut ctx, method, &workload);
+    // Adaptivity: Schemble's models/query across segments.
+    let mut seg_models = [(0.0f64, 0usize); 6];
+    for method in Method::table1() {
+        let summary = method.run(&mut ctx, &workload);
         let series =
             SegmentSeries::compute(summary.records(), 6, |r| seg_of(trace.hour_of(r.arrival)));
         for seg in 0..6 {
-            rows.push(vec![
-                format!("{:02}-{:02}h", seg * 4, seg * 4 + 4),
-                method.label(),
-                series.counts[seg].to_string(),
-                pct(series.accuracy[seg]),
-                pct(series.dmr[seg]),
-                format!("{:.3}", series.mean_latency[seg]),
-            ]);
+            let (acc, dmr) = (pct(series.accuracy[seg]), pct(series.dmr[seg]));
+            let segment = format!("{:02}-{:02}h", seg * 4, seg * 4 + 4);
+            let latency = f3(series.mean_latency[seg]);
+            rows.push(row![segment, method.label, series.counts[seg], acc, dmr, latency]);
+        }
+        if method.is_schemble() {
+            for r in summary.records() {
+                let seg = &mut seg_models[seg_of(trace.hour_of(r.arrival))];
+                *seg = (seg.0 + r.models_used as f64, seg.1 + 1);
+            }
         }
     }
     rows.sort_by(|a, b| a[0].cmp(&b[0]));
-    print_table(
+    out.table(
         "Fig. 9/14 — per-segment accuracy, DMR and latency (text matching, one day)",
         &["segment", "method", "n", "Acc %", "DMR %", "lat s"],
         &rows,
     );
-
-    // Adaptivity: Schemble's models/query across segments.
-    let schemble = ctx.run(PipelineKind::Schemble, &workload);
-    let mut seg_models = [(0.0f64, 0usize); 6];
-    for r in schemble.records() {
-        let seg = seg_of(trace.hour_of(r.arrival));
-        seg_models[seg].0 += r.models_used as f64;
-        seg_models[seg].1 += 1;
-    }
     let adapt: Vec<String> =
         seg_models.iter().map(|(sum, n)| format!("{:.2}", sum / (*n).max(1) as f64)).collect();
-    println!(
+    out.line(format!(
         "\n  Schemble mean models/query per segment: {}  \
          (drops during the 08–16h burst — the paper's adaptive shedding)",
         adapt.join("  ")
-    );
+    ));
+    out
 }

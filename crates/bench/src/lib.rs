@@ -1,11 +1,14 @@
-//! Shared plumbing for the experiment drivers (`src/bin/exp_*.rs`).
+//! The `exp` driver's experiments (`src/bin/exp.rs` is only `main`).
 //!
-//! Every binary regenerates one of the paper's tables/figures as printed
-//! series. Set `QUICK=1` in the environment to shrink workloads for smoke
-//! runs; the defaults are sized so a full driver finishes in minutes on a
-//! laptop.
+//! Each function of [`exp`] regenerates one of the paper's tables/figures as
+//! a [`Report`] of printed series; [`EXPERIMENTS`] lists them in the order
+//! `exp all` runs them. The [`Scale`] is an argument: `QUICK=1` in the
+//! environment of the binary shrinks workloads for smoke runs, and the
+//! defaults are sized so a full regeneration of `results/` finishes in
+//! about a minute on a laptop.
 
+pub mod exp;
 pub mod fmt;
-pub mod runner;
 
-pub use runner::{quick, run_method, standard_methods, Method};
+pub use exp::{select, Experiment, Scale, EXPERIMENTS};
+pub use fmt::{Report, Table};

@@ -1,9 +1,11 @@
 //! Experiment plumbing: configurations, contexts and one-call pipeline runs.
 //!
-//! An [`ExperimentContext`] trains the Schemble artifacts once per
-//! `(task, seed)` and then runs any number of pipeline variants over any
-//! workload — the deadline sweeps of Exp-1/4 reuse the same trained state,
-//! exactly as a deployed system would.
+//! An [`ExperimentContext`] runs any number of pipeline variants over any
+//! workload. What it trains is held once per process in a [`TrainedCache`]
+//! under its [`TrainingKey`] — task, seed, difficulty law and history size,
+//! the only things training reads — so every context of a deadline, traffic
+//! or admission sweep (Exp-1/4 build one per deadline) reuses the same
+//! trained state, exactly as a deployed system would.
 
 use crate::artifacts::SchembleArtifacts;
 use crate::discrepancy::DifficultyMetric;
@@ -14,12 +16,13 @@ use crate::pipeline::schemble::{run_schemble_traced, SchembleConfig};
 use crate::pipeline::static_select::best_static_deployment;
 use crate::pipeline::{AdmissionMode, ResultAssembler};
 use crate::predictor::OnlineScorer;
+use crate::profiling::AccuracyProfile;
 use crate::scheduler::{DpScheduler, GreedyScheduler, QueueOrder};
 use schemble_data::{DeadlinePolicy, DiurnalTrace, PoissonTrace, TaskKind, Workload};
 use schemble_metrics::RunSummary;
 use schemble_models::{DifficultyDist, Ensemble, SampleGenerator};
 use schemble_trace::TraceSink;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Arrival process of an experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,6 +96,11 @@ impl ExperimentConfig {
         }
     }
 
+    /// What training on this configuration depends on.
+    pub fn training_key(&self) -> TrainingKey {
+        (self.task, self.seed, self.difficulty, self.history_n)
+    }
+
     /// Same configuration with a different constant deadline (sweeps).
     pub fn with_deadline_millis(mut self, ms: f64) -> Self {
         self.deadline = match self.task {
@@ -102,6 +110,51 @@ impl ExperimentConfig {
         self
     }
 }
+
+/// The part of an [`ExperimentConfig`] that training reads — task, seed,
+/// difficulty law, history size: the ensemble and the generator derive from
+/// the first three, the history from the last. Deadline, traffic, query
+/// count and admission only shape the workload, so configurations that
+/// differ in those share trained state.
+pub type TrainingKey = (TaskKind, u64, DifficultyDist, usize);
+
+type Slot<V> = Arc<OnceLock<Arc<V>>>;
+
+/// A memo of trained state, meant for a `static`: training is deterministic
+/// in its key, so `train` runs once per distinct key and every later request
+/// shares the result. Two threads asking for different keys train in
+/// parallel; two asking for the same key train once.
+pub struct TrainedCache<K, V> {
+    slots: Mutex<Vec<(K, Slot<V>)>>,
+}
+
+impl<K: PartialEq, V> TrainedCache<K, V> {
+    /// A cache with nothing trained yet.
+    pub const fn empty() -> Self {
+        Self { slots: Mutex::new(Vec::new()) }
+    }
+
+    /// The state trained for `key`, running `train` if this is its first use.
+    pub fn get_or_train(&self, key: K, train: impl FnOnce() -> V) -> Arc<V> {
+        let slot = {
+            let mut slots = self.slots.lock().expect("no training runs under the lock");
+            match slots.iter().find(|(k, _)| *k == key) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Slot::default();
+                    slots.push((key, Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(train())))
+    }
+}
+
+/// Every [`SchembleArtifacts`] trained in this process, by training key,
+/// profile bin count and difficulty metric.
+static ARTIFACTS: TrainedCache<(TrainingKey, usize, DifficultyMetric), SchembleArtifacts> =
+    TrainedCache::empty();
 
 /// Per-task default query rate: comfortably above the Original pipeline's
 /// capacity (the paper's overload regime) but below the aggregate
@@ -164,51 +217,53 @@ impl PipelineKind {
     }
 }
 
-/// Trained state reused across runs of one experiment.
+/// One experiment's configuration, ensemble and generator; its trained state
+/// lives in the process-wide cache.
 pub struct ExperimentContext {
-    /// The configuration.
+    /// The configuration. Its workload fields (deadline, traffic, query
+    /// count, admission) may be changed between runs; the ensemble and the
+    /// generator were built from its [`TrainingKey`] fields, which must not.
     pub config: ExperimentConfig,
     /// The deployed ensemble.
     pub ensemble: Ensemble,
     /// The query generator.
     pub generator: SampleGenerator,
-    artifacts: Option<SchembleArtifacts>,
-    ea_artifacts: Option<SchembleArtifacts>,
 }
 
 impl ExperimentContext {
-    /// Builds the context (no training yet — artifacts are lazy).
+    /// Builds the context (no training yet — artifacts are lazy, and shared
+    /// with every other context of the same [`TrainingKey`]).
     pub fn new(config: ExperimentConfig) -> Self {
         let ensemble = config.task.ensemble(config.seed);
         let generator = config.task.generator(config.difficulty, config.seed);
-        Self { config, ensemble, generator, artifacts: None, ea_artifacts: None }
+        Self { config, ensemble, generator }
     }
 
     /// The trained Schemble artifacts (trained on first use).
-    pub fn artifacts(&mut self) -> &SchembleArtifacts {
-        if self.artifacts.is_none() {
-            self.artifacts = Some(self.train(DifficultyMetric::Discrepancy));
-        }
-        self.artifacts.as_ref().expect("just built")
+    pub fn artifacts(&mut self) -> Arc<SchembleArtifacts> {
+        self.trained(AccuracyProfile::DEFAULT_BINS, DifficultyMetric::Discrepancy)
     }
 
     /// The ensemble-agreement artifacts (Schemble(ea)).
-    pub fn ea_artifacts(&mut self) -> &SchembleArtifacts {
-        if self.ea_artifacts.is_none() {
-            self.ea_artifacts = Some(self.train(DifficultyMetric::EnsembleAgreement));
-        }
-        self.ea_artifacts.as_ref().expect("just built")
+    pub fn ea_artifacts(&mut self) -> Arc<SchembleArtifacts> {
+        self.trained(AccuracyProfile::DEFAULT_BINS, DifficultyMetric::EnsembleAgreement)
     }
 
-    fn train(&self, metric: DifficultyMetric) -> SchembleArtifacts {
-        SchembleArtifacts::build(
-            &self.ensemble,
-            &self.generator,
-            self.config.history_n,
-            crate::profiling::AccuracyProfile::DEFAULT_BINS,
-            metric,
-            self.config.seed,
-        )
+    /// The artifacts trained on this context's history with `bins` profile
+    /// bins around `metric` — trained on the first request in the process.
+    pub fn trained(&self, bins: usize, metric: DifficultyMetric) -> Arc<SchembleArtifacts> {
+        let config = &self.config;
+        ARTIFACTS.get_or_train((config.training_key(), bins, metric), || {
+            let (ensemble, generator) = (&self.ensemble, &self.generator);
+            SchembleArtifacts::build(
+                ensemble,
+                generator,
+                config.history_n,
+                bins,
+                metric,
+                config.seed,
+            )
+        })
     }
 
     /// Generates the workload described by the config.
@@ -280,6 +335,13 @@ impl ExperimentContext {
         self.run_traced(kind, workload, TraceSink::disabled())
     }
 
+    /// Runs an already assembled pipeline, untraced, under this context's
+    /// admission mode and seed.
+    pub fn run_assembled(&self, pipeline: Pipeline, workload: &Workload) -> RunSummary {
+        let (admission, seed) = (self.config.admission, self.config.seed);
+        pipeline.run_traced(&self.ensemble, workload, admission, seed, TraceSink::disabled())
+    }
+
     /// [`Self::run`] with lifecycle events emitted into `trace`.
     pub fn run_traced(
         &mut self,
@@ -338,9 +400,6 @@ pub fn run_pipeline(config: &ExperimentConfig, kind: PipelineKind) -> RunSummary
     ctx.run(kind, &workload)
 }
 
-/// Re-export for doc examples.
-pub use crate::pipeline::AdmissionMode as Admission;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +436,29 @@ mod tests {
             original.accuracy()
         );
         assert!(schemble.deadline_miss_rate() < original.deadline_miss_rate());
+    }
+
+    #[test]
+    fn trained_state_is_shared_by_key_not_by_deadline() {
+        let cache: TrainedCache<TrainingKey, usize> = TrainedCache::empty();
+        let config = ExperimentConfig::small(TaskKind::TextMatching, 3);
+        let loose = config.clone().with_deadline_millis(500.0);
+        let mut trainings = 0;
+        for cfg in [&config, &loose, &config] {
+            cache.get_or_train(cfg.training_key(), || {
+                trainings += 1;
+                trainings
+            });
+        }
+        let mut reseeded = config.clone();
+        reseeded.seed += 1;
+        assert_eq!(*cache.get_or_train(reseeded.training_key(), || 7), 7);
+        assert_eq!(trainings, 1, "a deadline is not a training input; a seed is");
+
+        // Two contexts of one key hand out the very same artifacts.
+        let (mut a, mut b) = (ExperimentContext::new(config), ExperimentContext::new(loose));
+        assert!(Arc::ptr_eq(&a.artifacts(), &b.artifacts()));
+        assert!(!Arc::ptr_eq(&a.artifacts(), &a.ea_artifacts()));
     }
 
     #[test]

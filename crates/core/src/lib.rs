@@ -24,8 +24,6 @@
 //!   deployments with replicas, feature-based selectors) and the full
 //!   Schemble pipeline (query buffer, dispatch-on-idle, re-planning,
 //!   scheduling-cost accounting).
-//! * [`offline`] — the offline budgeted-selection variant `Schemble*`
-//!   (Fig. 16).
 //! * [`artifacts`] / [`experiment`] — everything wired together: train once
 //!   per task/seed, then run any pipeline under any workload.
 
@@ -37,7 +35,6 @@ pub mod engine;
 pub mod executor;
 pub mod experiment;
 pub mod filling;
-pub mod offline;
 pub mod pipeline;
 pub mod predictor;
 pub mod profiling;

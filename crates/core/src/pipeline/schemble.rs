@@ -48,7 +48,7 @@ pub struct SchembleConfig {
     /// entirely and runs the fastest idle model immediately, eliminating the
     /// prediction/scheduling wait on an unloaded system. The skipped query
     /// never consults the profile, so at very light load this trades a
-    /// little accuracy for latency (the `exp_ablation` driver measures it).
+    /// little accuracy for latency (the `ablation` experiment measures it).
     pub fast_path: bool,
     /// Retry/degradation policy for fault-tolerant runs. `None` (the
     /// default) keeps every decision identical to a fault-unaware build;

@@ -14,8 +14,7 @@ use crate::discrepancy::DiscrepancyScorer;
 use rand::Rng;
 use schemble_models::{Ensemble, Output, Sample, TaskSpec};
 use schemble_nn::predictor::{PredictorConfig, TaskLoss};
-use schemble_nn::seq_predictor::SeqPredictorConfig;
-use schemble_nn::{DiscrepancyPredictor, SequencePredictor};
+use schemble_nn::DiscrepancyPredictor;
 use schemble_tensor::Matrix;
 
 /// A difficulty scorer usable at serving time.
@@ -27,9 +26,6 @@ use schemble_tensor::Matrix;
 pub enum OnlineScorer {
     /// Trained MLP over query features.
     Predictor(DiscrepancyPredictor),
-    /// Trained MV-LSTM-style sequence network (the paper's text-modality
-    /// architecture).
-    SeqPredictor(SequencePredictor),
     /// The offline scorer run on demand (oracle ablation).
     Oracle(DiscrepancyScorer),
     /// Fixed score for every query.
@@ -41,7 +37,6 @@ impl OnlineScorer {
     pub fn score(&self, sample: &Sample, ensemble: &Ensemble) -> f64 {
         match self {
             OnlineScorer::Predictor(nn) => nn.predict_score(&sample.features),
-            OnlineScorer::SeqPredictor(nn) => nn.predict_score(&sample.features),
             OnlineScorer::Oracle(scorer) => scorer.score(ensemble, sample),
             OnlineScorer::Constant(c) => *c,
         }
@@ -51,7 +46,7 @@ impl OnlineScorer {
     ///
     /// Returns one score per sample, in order, each bit-identical to what
     /// [`OnlineScorer::score`] would produce for that sample alone (pinned by
-    /// a test): the NN paths run a single batched matmul whose rows are
+    /// a test): the NN path runs a single batched matmul whose rows are
     /// computed independently, and the oracle/constant paths are per-sample
     /// by construction. The engine uses this to prefetch scores for a window
     /// of arrivals, amortising per-forward overhead without changing any
@@ -62,11 +57,6 @@ impl OnlineScorer {
         }
         match self {
             OnlineScorer::Predictor(nn) => {
-                let dim = samples[0].features.len();
-                let m = Matrix::from_fn(samples.len(), dim, |r, c| samples[r].features[c]);
-                nn.predict_scores(&m)
-            }
-            OnlineScorer::SeqPredictor(nn) => {
                 let dim = samples[0].features.len();
                 let m = Matrix::from_fn(samples.len(), dim, |r, c| samples[r].features[c]);
                 nn.predict_scores(&m)
@@ -82,7 +72,6 @@ impl OnlineScorer {
     pub fn name(&self) -> &'static str {
         match self {
             OnlineScorer::Predictor(_) => "predictor",
-            OnlineScorer::SeqPredictor(_) => "seq-predictor",
             OnlineScorer::Oracle(_) => "oracle",
             OnlineScorer::Constant(_) => "constant",
         }
@@ -101,27 +90,8 @@ pub fn train_score_predictor(
     train_score_predictor_with_lambda(ensemble, history, scores, 0.2, rng)
 }
 
-/// Trains the MV-LSTM-style sequence predictor on the same data layout as
-/// [`train_score_predictor`].
-pub fn train_seq_score_predictor(
-    ensemble: &Ensemble,
-    history: &[Sample],
-    scores: &[f64],
-    rng: &mut impl Rng,
-) -> SequencePredictor {
-    assert_eq!(history.len(), scores.len(), "history/scores length mismatch");
-    assert!(!history.is_empty(), "cannot train predictor on empty history");
-    let feat_dim = history[0].features.len();
-    let features = Matrix::from_fn(history.len(), feat_dim, |r, c| history[r].features[c]);
-    let (task_loss, task_labels) = task_labels_for(ensemble, history);
-    let config = SeqPredictorConfig::default_for(feat_dim, task_loss);
-    let mut predictor = SequencePredictor::new(config, rng);
-    predictor.fit(&features, &task_labels, scores, rng);
-    predictor
-}
-
 /// Like [`train_score_predictor`] with an explicit Eq. 2 weight λ — the
-/// `exp_ablation` driver sweeps it (the paper fixes λ = 0.2).
+/// `ablation` experiment sweeps it (the paper fixes λ = 0.2).
 pub fn train_score_predictor_with_lambda(
     ensemble: &Ensemble,
     history: &[Sample],
@@ -144,7 +114,7 @@ pub fn train_score_predictor_with_lambda(
 /// ground truth. Binary classification keeps the positive-class probability;
 /// other categorical tasks use the ensemble's top-1 confidence; regression
 /// rescales the scalar into a trainable range.
-fn task_labels_for(ensemble: &Ensemble, history: &[Sample]) -> (TaskLoss, Vec<f64>) {
+pub fn task_labels_for(ensemble: &Ensemble, history: &[Sample]) -> (TaskLoss, Vec<f64>) {
     match ensemble.spec {
         TaskSpec::Classification { num_classes: 2 } => {
             let labels = history
@@ -229,14 +199,11 @@ mod tests {
         let truth = oracle.score_batch(&ens, &history);
         let mut rng = stream_rng(7, "predictor-batch");
         let nn = train_score_predictor(&ens, &history, &truth, &mut rng);
-        let mut seq_rng = stream_rng(7, "seq-predictor-batch");
-        let seq = crate::predictor::train_seq_score_predictor(&ens, &history, &truth, &mut seq_rng);
 
         let test = gen.batch(9000, 40);
         let refs: Vec<&Sample> = test.iter().collect();
         for scorer in [
             OnlineScorer::Predictor(nn),
-            OnlineScorer::SeqPredictor(seq),
             OnlineScorer::Oracle(oracle),
             OnlineScorer::Constant(0.37),
         ] {
@@ -263,35 +230,5 @@ mod tests {
         let (loss, labels) = task_labels_for(&ens, &history);
         assert_eq!(loss, TaskLoss::Regression);
         assert!(labels.iter().all(|&l| (-0.5..=1.5).contains(&l)));
-    }
-}
-
-#[cfg(test)]
-mod seq_tests {
-    use super::*;
-    use crate::discrepancy::{DifficultyMetric, DiscrepancyScorer};
-    use schemble_models::zoo;
-    use schemble_models::{DifficultyDist, SampleGenerator};
-    use schemble_sim::rng::stream_rng;
-    use schemble_tensor::stats::pearson;
-
-    #[test]
-    fn seq_predictor_trains_and_scores() {
-        let ens = zoo::text_matching(1);
-        let gen = SampleGenerator::new(ens.spec, DifficultyDist::Uniform, 5);
-        let history = gen.batch(0, 500);
-        let oracle = DiscrepancyScorer::fit(&ens, &history, DifficultyMetric::Discrepancy);
-        let scores = oracle.score_batch(&ens, &history);
-        let mut rng = stream_rng(3, "seq-predictor");
-        let nn = train_seq_score_predictor(&ens, &history, &scores, &mut rng);
-        let test = gen.batch(5000, 300);
-        let truth = oracle.score_batch(&ens, &test);
-        let predicted: Vec<f64> = test.iter().map(|s| nn.predict_score(&s.features)).collect();
-        let corr = pearson(&predicted, &truth);
-        assert!(corr > 0.2, "seq predictor correlation too weak: {corr:.3}");
-        let scorer = OnlineScorer::SeqPredictor(nn);
-        assert_eq!(scorer.name(), "seq-predictor");
-        let s = gen.sample(42);
-        assert!((0.0..=1.0).contains(&scorer.score(&s, &ens)));
     }
 }

@@ -1,18 +1,16 @@
-//! The quit-aware ("anytime") planner.
+//! The quit-aware ("anytime") ranking.
 //!
 //! Anytime execution splits into two decisions. *What to plan* stays with
-//! the wrapped scheduler: [`AnytimeScheduler`] delegates [`Scheduler::plan_into`]
-//! unchanged (reusing the caller's [`SchedScratch`]), because the DP's
-//! subset selection is already utility-optimal and the engine runs on an
-//! identity deployment, where each query's task *start* order is fixed by
-//! executor availability rather than by the plan. *What to quit* — and in
-//! which order the still-missing tasks would be worth finishing — is the new
-//! part: [`gain_order_into`] ranks a query's remaining tasks by marginal
-//! profiled utility per unit of planned latency, and the engine's quit rule
-//! keeps only the cheapest prefix of that ranking that crosses the
-//! confidence threshold (see `SchembleEngine::anytime_quit`).
+//! the configured scheduler, untouched: the DP's subset selection is already
+//! utility-optimal and the engine runs on an identity deployment, where each
+//! query's task *start* order is fixed by executor availability rather than
+//! by the plan. *What to quit* — and in which order the still-missing tasks
+//! would be worth finishing — is the new part: [`gain_order_into`] ranks a
+//! query's remaining tasks by marginal profiled utility per unit of planned
+//! latency, and the engine's quit rule keeps only the cheapest prefix of
+//! that ranking that crosses the confidence threshold (see
+//! `SchembleEngine::anytime_quit`).
 
-use super::{SchedScratch, ScheduleInput, SchedulePlan, Scheduler};
 use schemble_models::ModelSet;
 use schemble_sim::SimDuration;
 
@@ -54,39 +52,9 @@ pub fn gain_order_into(
     }
 }
 
-/// A [`Scheduler`] wrapper that labels a plan as quit-aware.
-///
-/// Planning is delegated verbatim — byte-identical assignments, work counts
-/// and scratch usage — so wrapping a scheduler never changes a plan. What
-/// the wrapper buys is provenance: `name()` marks run output (experiment
-/// tables, `Plan` trace events consumers) as produced under the anytime
-/// policy, where the engine may cut a planned set short at execution time.
-pub struct AnytimeScheduler {
-    inner: Box<dyn Scheduler>,
-}
-
-impl AnytimeScheduler {
-    /// Wraps `inner`; its plans pass through unchanged.
-    pub fn new(inner: Box<dyn Scheduler>) -> Self {
-        Self { inner }
-    }
-}
-
-impl Scheduler for AnytimeScheduler {
-    fn plan_into(&self, input: &ScheduleInput, scratch: &mut SchedScratch, out: &mut SchedulePlan) {
-        self.inner.plan_into(input, scratch, out);
-    }
-
-    fn name(&self) -> String {
-        format!("anytime({})", self.inner.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::tests::tight_instance;
     use super::*;
-    use crate::scheduler::DpScheduler;
 
     #[test]
     fn gain_order_ranks_by_marginal_utility_per_latency() {
@@ -116,20 +84,5 @@ mod tests {
         let mut order = Vec::new();
         gain_order_into(&utilities, &latencies, ModelSet::EMPTY, ModelSet::full(2), &mut order);
         assert_eq!(order, vec![0, 1]);
-    }
-
-    #[test]
-    fn wrapper_plans_are_identical_to_inner() {
-        let input = tight_instance();
-        let inner = DpScheduler::default().plan(&input);
-        let wrapped = AnytimeScheduler::new(Box::new(DpScheduler::default())).plan(&input);
-        assert_eq!(inner.assignments, wrapped.assignments);
-        assert_eq!(inner.work, wrapped.work);
-    }
-
-    #[test]
-    fn wrapper_name_carries_inner_name() {
-        let s = AnytimeScheduler::new(Box::new(DpScheduler::default()));
-        assert_eq!(s.name(), format!("anytime({})", DpScheduler::default().name()));
     }
 }

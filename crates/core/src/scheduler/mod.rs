@@ -25,7 +25,7 @@ pub mod greedy;
 pub mod input;
 pub mod scratch;
 
-pub use anytime::{gain_order_into, AnytimeScheduler};
+pub use anytime::gain_order_into;
 pub use dp::DpScheduler;
 pub use greedy::{GreedyScheduler, QueueOrder};
 pub use input::{BufferedQuery, ScheduleInput, SchedulePlan};

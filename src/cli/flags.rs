@@ -1,14 +1,13 @@
 //! The `schemble` flag spec. A flag's field, default, name, metavar, parser
 //! (which is its range check) and help text are one entry of `flags!`, from
 //! which [`Cli`], [`FLAGS`], [`parse`] and [`usage`] are produced; method names
-//! come from [`METHODS`]; [`parse`] owns every cross-flag rule. Hand-rolled to
+//! come from [`METHODS`], the table `schemble-baselines` shares with the `exp`
+//! driver (`run` and `explain` accept every method); [`parse`] owns every
+//! cross-flag rule. Hand-rolled to
 //! keep the dependency set at the approved offline crates.
 
-use crate::baselines::BaselineKind;
-use crate::core::experiment::{ExperimentContext, Pipeline, PipelineKind as Kind};
-use crate::core::pipeline::Deployment;
-use crate::core::scheduler::QueueOrder;
-use crate::data::{TaskKind, Workload};
+use crate::baselines::{Method, METHODS};
+use crate::data::TaskKind;
 use std::fmt::{Display, Write};
 use std::ops::RangeInclusive;
 use std::str::FromStr;
@@ -34,61 +33,6 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("loadtest", Command::Loadtest, "--method <METHOD> [--task <tm|vc|ir>] [serve options]"),
     ("explain", Command::Explain, "--query <ID> [--method <METHOD>] [--task <tm|vc|ir>]"),
 ];
-
-/// One `--method` value. `run` and `explain` accept every method.
-#[derive(Debug)]
-pub struct Method {
-    /// The `--method` spelling, also the label on the report line.
-    pub name: &'static str,
-    /// Assembles its pipeline from the trained context (`Static` pilots on
-    /// the workload).
-    pub build: Build,
-    /// Accepted by `serve` and `loadtest`.
-    pub serve: bool,
-    /// One of the six Table-I rows `compare` prints, in table order.
-    pub compare: bool,
-}
-
-type Build = fn(&mut ExperimentContext, &Workload) -> Pipeline;
-
-const fn method(name: &'static str, build: Build, serve: bool, compare: bool) -> Method {
-    Method { name, build, serve, compare }
-}
-
-/// A selection baseline, trained on the context's history, on the identity
-/// deployment.
-fn baseline(ctx: &ExperimentContext, kind: BaselineKind) -> Pipeline {
-    let policy = kind.train(&ctx.ensemble, &ctx.generator, ctx.config.history_n, ctx.config.seed);
-    Pipeline::Immediate(Deployment::identity(ctx.ensemble.m()), policy)
-}
-
-/// Every method, Table I's six first and in its order.
-pub const METHODS: &[Method] = &[
-    method("original", |c, w| c.pipeline(Kind::Original, w), true, true),
-    method("static", |c, w| c.pipeline(Kind::Static, w), true, true),
-    method("des", |c, _| baseline(c, BaselineKind::Des), true, true),
-    method("gating", |c, _| baseline(c, BaselineKind::Gating), true, true),
-    method("schemble-ea", |c, w| c.pipeline(Kind::SchembleEa, w), false, true),
-    method("schemble", |c, w| c.pipeline(Kind::Schemble, w), true, true),
-    method("schemble-t", |c, w| c.pipeline(Kind::SchembleT, w), false, false),
-    method("schemble-oracle", |c, w| c.pipeline(Kind::SchembleOracle, w), false, false),
-    method("greedy-edf", |c, w| c.pipeline(Kind::Greedy(QueueOrder::Edf), w), false, false),
-    method("greedy-fifo", |c, w| c.pipeline(Kind::Greedy(QueueOrder::Fifo), w), false, false),
-    method("greedy-sjf", |c, w| c.pipeline(Kind::Greedy(QueueOrder::Sjf), w), false, false),
-];
-
-impl Method {
-    /// The method `--method name` selects.
-    pub fn named(name: &str) -> Option<&'static Method> {
-        METHODS.iter().find(|m| m.name == name)
-    }
-
-    /// The only method the fast-path, anytime, batching and sharding flags
-    /// apply to, and `explain`'s default.
-    pub fn is_schemble(&self) -> bool {
-        self.name == "schemble"
-    }
-}
 
 /// One flag of the spec.
 pub struct Flag {

@@ -1,13 +1,15 @@
-//! The `schemble` command-line front end. [`flags`] holds the flag spec and
-//! the method table; a [`Session`] is one parsed command line with its
-//! context, workload and sink. Every subcommand that executes a pipeline
+//! The `schemble` command-line front end. [`flags`] holds the flag spec
+//! ([`METHODS`], the method table, is shared with the `exp` driver and lives
+//! in `schemble-baselines`); a [`Session`] is one parsed command line with
+//! its context, workload and sink. Every subcommand that executes a pipeline
 //! assembles it in [`Session::pipeline`], runs it through [`Session::replay`]
 //! (deterministic) or [`Session::serve`] (the runtime), and `run`, `serve`
 //! and `loadtest` end in [`Session::finish`].
 
 pub mod flags;
 
-pub use flags::{parse, usage, Cli, Command, Method, FLAGS, METHODS};
+pub use crate::baselines::{Method, METHODS};
+pub use flags::{parse, usage, Cli, Command, FLAGS};
 
 use crate::core::engine::{AnytimePolicy, FailurePolicy};
 use crate::core::experiment::{
@@ -140,7 +142,7 @@ impl Session {
     /// faults and passes `None`).
     fn pipeline(&mut self, method: &Method, failure: Option<FailurePolicy>) -> Pipeline {
         let cli = &self.cli;
-        let mut pipeline = (method.build)(&mut self.ctx, &self.workload);
+        let mut pipeline = method.pipeline(&mut self.ctx, &self.workload);
         if let (Pipeline::Schemble(config), true) = (&mut pipeline, method.is_schemble()) {
             config.fast_path = cli.fast_path;
             let quit_at = AnytimePolicy::default().confidence_threshold;
@@ -462,7 +464,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Command::Score => {
-            let art = s.ctx.artifacts().clone();
+            let art = s.ctx.artifacts();
             println!("id,difficulty,true_score,predicted_score");
             for q in &s.workload.queries {
                 println!(

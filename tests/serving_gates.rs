@@ -9,7 +9,6 @@
 //! "Served throughput" is completed queries per *simulated* second: how much
 //! of the offered load the executors actually retired.
 
-use schemble::core::artifacts::SchembleArtifacts;
 use schemble::core::engine::AnytimePolicy;
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::SchembleConfig;
@@ -20,7 +19,7 @@ use schemble::obs::{FlightRecorder, ObsConfig, ObsState};
 use schemble::serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
 use schemble::sim::{BatchConfig, SimDuration};
 use schemble::trace::TraceSink;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The flat reference load: 600 Poisson queries at 35 q/s, just under what
 /// one unbatched engine saturates at. The shard sweep scales both by S.
@@ -53,12 +52,11 @@ fn diurnal(n_queries: usize, mean_rate: f64) -> ExperimentConfig {
 
 fn fixture(config: ExperimentConfig) -> Fixture {
     // Task, seed and training history are the same in every gate, so the
-    // trained artifacts are too: train once, whichever test gets here first.
-    static ARTIFACTS: OnceLock<SchembleArtifacts> = OnceLock::new();
+    // trained artifacts are too: the process-wide cache trains them once,
+    // whichever test gets here first.
     let mut ctx = ExperimentContext::new(config);
     let workload = ctx.workload();
-    let art = ARTIFACTS.get_or_init(|| ctx.artifacts().clone()).clone();
-    let mut pipeline = art.pipeline();
+    let mut pipeline = ctx.artifacts().pipeline();
     pipeline.admission = ctx.config.admission;
     Fixture { ensemble: ctx.ensemble, pipeline, workload, seed: ctx.config.seed }
 }
