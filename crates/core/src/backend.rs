@@ -249,16 +249,10 @@ impl SimBackend {
         }
     }
 
-    /// Total tasks launched as batch members so far (feeds the
-    /// `tasks_batched_total` counter in virtual-clock runs).
-    pub fn tasks_batched(&self) -> u64 {
-        self.bank.counters().batched
-    }
-
-    /// Sizes of every batch launched so far, in launch order (feeds the
-    /// `batch_size` histogram in virtual-clock runs).
-    pub fn batch_sizes(&self) -> &[u32] {
-        self.bank.batch_sizes()
+    /// The executors this backend times: what ran, for how long, in what
+    /// batches — the counters a runtime mirrors into its metrics.
+    pub fn bank(&self) -> &ExecutorBank {
+        &self.bank
     }
 
     /// Schedules `Arrival(index)` at `at` by appending it to the arrival
@@ -589,6 +583,6 @@ mod tests {
         // same instant after the launch.
         assert_eq!(b.pop_event().unwrap(), (finish, BackendEvent::Wake));
         assert!(b.pop_event().is_none() && b.peek_time().is_none());
-        assert_eq!((b.tasks_batched(), b.batch_sizes()), (2, &[2][..]));
+        assert_eq!((b.bank().counters().batched, b.bank().batch_sizes()), (2, &[2][..]));
     }
 }

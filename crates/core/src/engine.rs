@@ -3,10 +3,12 @@
 //! An engine is the pure *decision* half of a serving pipeline — admission,
 //! scoring, planning, dispatch order, result assembly — expressed as a state
 //! machine over [`BackendEvent`]s. The *execution* half (where tasks run,
-//! how time passes) lives behind [`ExecutionBackend`]. The DES drivers in
-//! [`crate::pipeline`] and the wall-clock runtime in `schemble-serve` both
-//! drive these same engines, which is what makes their admission decisions
-//! comparable: same events in, same decisions out, regardless of substrate.
+//! how time passes) lives behind [`ExecutionBackend`]. The deterministic
+//! loop [`crate::pipeline::drive`] — under the DES drivers of
+//! [`crate::pipeline`] and `schemble-serve`'s virtual clock alike — and that
+//! crate's wall-clock loop drive these same engines, which is what makes
+//! their admission decisions comparable: same events in, same decisions
+//! out, regardless of substrate.
 //!
 //! Two engines cover the paper's pipeline families:
 //!
@@ -1825,7 +1827,7 @@ mod tests {
 
     /// Replays `workload` through a faulted, batching `SimBackend`;
     /// `before_event` runs on the engine ahead of every event.
-    fn replay(
+    fn run_hooked(
         ens: &Ensemble,
         config: &SchembleConfig,
         workload: &Workload,
@@ -1869,8 +1871,8 @@ mod tests {
         for q in workload.queries.iter_mut().step_by(3) {
             q.deadline += SimDuration::from_millis(60);
         }
-        let carried = replay(&ens, &config, &workload, |_| {});
-        let fresh = replay(&ens, &config, &workload, |engine| {
+        let carried = run_hooked(&ens, &config, &workload, |_| {});
+        let fresh = run_hooked(&ens, &config, &workload, |engine| {
             engine.edf = Vec::new();
             engine.anytime_scratch = Vec::new();
             engine.score_samples = Vec::new();

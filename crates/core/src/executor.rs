@@ -173,10 +173,16 @@ impl ExecutorBank {
     /// stream from `seed`. `None` and a no-op plan change nothing. Crash
     /// windows are not applied by the bank itself: the adapter schedules
     /// [`Self::transitions`] and calls [`Self::crash`]/[`Self::recover`].
+    ///
+    /// # Panics
+    /// Panics when the plan names an executor this bank does not have
+    /// ([`FaultPlan::check_executors`] is the recoverable form of the check).
     pub fn with_faults(mut self, plan: Option<&FaultPlan>, seed: u64) -> Self {
         let Some(plan) = plan.filter(|p| !p.is_noop()) else { return self };
+        if let Err(unknown) = plan.check_executors(self.slots.len()) {
+            panic!("{unknown}");
+        }
         self.transitions = plan.transitions();
-        self.transitions.retain(|t| t.executor < self.slots.len());
         let state = FaultState::new(plan.clone(), seed);
         self.timeouts = self.latencies.iter().map(|l| state.timeout_for(l)).collect();
         self.faults = Some(state);

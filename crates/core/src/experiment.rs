@@ -1,4 +1,4 @@
-//! Experiment plumbing: configurations, contexts and one-call pipeline runs.
+//! Experiment plumbing: configurations, contexts and pipeline runs.
 //!
 //! An [`ExperimentContext`] runs any number of pipeline variants over any
 //! workload. What it trains is held once per process in a [`TrainedCache`]
@@ -10,9 +10,9 @@
 use crate::artifacts::SchembleArtifacts;
 use crate::discrepancy::DifficultyMetric;
 use crate::pipeline::immediate::{
-    run_immediate_traced, Deployment, FixedSubsetPolicy, FullEnsemblePolicy, SelectionPolicy,
+    run_immediate, Deployment, FixedSubsetPolicy, FullEnsemblePolicy, SelectionPolicy,
 };
-use crate::pipeline::schemble::{run_schemble_traced, SchembleConfig};
+use crate::pipeline::schemble::{run_schemble, SchembleConfig};
 use crate::pipeline::static_select::best_static_deployment;
 use crate::pipeline::{AdmissionMode, ResultAssembler};
 use crate::predictor::OnlineScorer;
@@ -21,7 +21,6 @@ use crate::scheduler::{DpScheduler, GreedyScheduler, QueueOrder};
 use schemble_data::{DeadlinePolicy, DiurnalTrace, PoissonTrace, TaskKind, Workload};
 use schemble_metrics::RunSummary;
 use schemble_models::{DifficultyDist, Ensemble, SampleGenerator};
-use schemble_trace::TraceSink;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Arrival process of an experiment.
@@ -332,25 +331,28 @@ impl ExperimentContext {
 
     /// Runs one pipeline variant on a workload.
     pub fn run(&mut self, kind: PipelineKind, workload: &Workload) -> RunSummary {
-        self.run_traced(kind, workload, TraceSink::disabled())
+        let pipeline = self.pipeline(kind, workload);
+        self.run_assembled(pipeline, workload)
     }
 
-    /// Runs an already assembled pipeline, untraced, under this context's
-    /// admission mode and seed.
+    /// Runs an already assembled pipeline in the discrete-event simulator,
+    /// untraced, under this context's seed; its admission mode applies to
+    /// the immediate variant (a Schemble config carries its own).
     pub fn run_assembled(&self, pipeline: Pipeline, workload: &Workload) -> RunSummary {
-        let (admission, seed) = (self.config.admission, self.config.seed);
-        pipeline.run_traced(&self.ensemble, workload, admission, seed, TraceSink::disabled())
-    }
-
-    /// [`Self::run`] with lifecycle events emitted into `trace`.
-    pub fn run_traced(
-        &mut self,
-        kind: PipelineKind,
-        workload: &Workload,
-        trace: Arc<TraceSink>,
-    ) -> RunSummary {
-        let (admission, seed) = (self.config.admission, self.config.seed);
-        self.pipeline(kind, workload).run_traced(&self.ensemble, workload, admission, seed, trace)
+        match pipeline {
+            Pipeline::Immediate(deployment, mut policy) => run_immediate(
+                &self.ensemble,
+                &deployment,
+                policy.as_mut(),
+                &ResultAssembler::Direct,
+                workload,
+                self.config.admission,
+                self.config.seed,
+            ),
+            Pipeline::Schemble(config) => {
+                run_schemble(&self.ensemble, &config, workload, self.config.seed)
+            }
+        }
     }
 }
 
@@ -361,43 +363,6 @@ pub enum Pipeline {
     Immediate(Deployment, Box<dyn SelectionPolicy>),
     /// A buffered Schemble-family pipeline.
     Schemble(Box<SchembleConfig>),
-}
-
-impl Pipeline {
-    /// Runs the pipeline over `workload` in the discrete-event simulator.
-    /// `admission` applies to the immediate variant (a Schemble config
-    /// carries its own).
-    pub fn run_traced(
-        self,
-        ensemble: &Ensemble,
-        workload: &Workload,
-        admission: AdmissionMode,
-        seed: u64,
-        trace: Arc<TraceSink>,
-    ) -> RunSummary {
-        match self {
-            Pipeline::Immediate(deployment, mut policy) => run_immediate_traced(
-                ensemble,
-                &deployment,
-                policy.as_mut(),
-                &ResultAssembler::Direct,
-                workload,
-                admission,
-                seed,
-                trace,
-            ),
-            Pipeline::Schemble(config) => {
-                run_schemble_traced(ensemble, &config, workload, seed, trace)
-            }
-        }
-    }
-}
-
-/// One-call convenience: build a context, generate the workload, run.
-pub fn run_pipeline(config: &ExperimentConfig, kind: PipelineKind) -> RunSummary {
-    let mut ctx = ExperimentContext::new(config.clone());
-    let workload = ctx.workload();
-    ctx.run(kind, &workload)
 }
 
 #[cfg(test)]

@@ -6,15 +6,13 @@
 //! [`Deployment`], and the DES/Gating baselines (feature-based selectors
 //! implemented in `schemble-baselines`).
 
-use super::{AdmissionMode, ResultAssembler};
+use super::{drive, AdmissionMode, ResultAssembler};
 use crate::backend::{ExecutionBackend, SimBackend};
-use crate::engine::{ImmediateEngine, PipelineEngine};
+use crate::engine::ImmediateEngine;
 use crate::executor::ExecutorBank;
 use schemble_data::{Query, Workload};
 use schemble_metrics::RunSummary;
 use schemble_models::{Ensemble, ModelSet};
-use schemble_trace::TraceSink;
-use std::sync::Arc;
 
 /// Chooses a model subset for each arriving query, immediately.
 pub trait SelectionPolicy {
@@ -92,10 +90,11 @@ impl Deployment {
 /// estimated completion (per-instance queue depth + nominal latency) exceeds
 /// its deadline. Rejected and never-completed queries are recorded as missed.
 ///
-/// This is a thin driver: all decision logic lives in
-/// [`ImmediateEngine`], executed here over a
-/// [`SimBackend`]. The `schemble-serve` runtime
-/// drives the identical engine over worker threads.
+/// This is a thin driver: all decision logic lives in [`ImmediateEngine`],
+/// which [`drive`] steps over a [`SimBackend`]. The `schemble-serve`
+/// runtime drives the identical engine — through the same loop on its
+/// virtual clock, over worker threads on the wall clock — and is where a
+/// traced or fault-injected run of this family goes.
 pub fn run_immediate(
     ensemble: &Ensemble,
     deployment: &Deployment,
@@ -105,44 +104,12 @@ pub fn run_immediate(
     admission: AdmissionMode,
     seed: u64,
 ) -> RunSummary {
-    run_immediate_traced(
-        ensemble,
-        deployment,
-        policy,
-        assembler,
-        workload,
-        admission,
-        seed,
-        TraceSink::disabled(),
-    )
-}
-
-/// [`run_immediate`] with lifecycle events emitted into `trace`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_immediate_traced(
-    ensemble: &Ensemble,
-    deployment: &Deployment,
-    policy: &mut dyn SelectionPolicy,
-    assembler: &ResultAssembler,
-    workload: &Workload,
-    admission: AdmissionMode,
-    seed: u64,
-    trace: Arc<TraceSink>,
-) -> RunSummary {
     let latencies = deployment.hosts.iter().map(|&h| ensemble.latency(h)).collect();
-    let bank = ExecutorBank::new(latencies, seed, "immediate-latency").with_trace(trace.clone());
-    let mut backend = SimBackend::new(bank);
-    for (i, q) in workload.queries.iter().enumerate() {
-        backend.push_arrival(q.arrival, i);
-    }
+    let mut backend = SimBackend::new(ExecutorBank::new(latencies, seed, "immediate-latency"));
     let mut engine =
-        ImmediateEngine::new(ensemble, deployment, policy, assembler, admission, workload)
-            .with_trace(trace);
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, &mut backend);
-    }
-    let usage = backend.usage();
-    engine.into_summary(usage)
+        ImmediateEngine::new(ensemble, deployment, policy, assembler, admission, workload);
+    drive(&mut engine, &mut backend, workload);
+    engine.into_summary(backend.usage())
 }
 
 #[cfg(test)]

@@ -24,11 +24,49 @@ pub mod schemble;
 pub mod static_select;
 
 pub use immediate::{
-    run_immediate, run_immediate_traced, Deployment, FixedSubsetPolicy, FullEnsemblePolicy,
-    SelectionPolicy,
+    run_immediate, Deployment, FixedSubsetPolicy, FullEnsemblePolicy, SelectionPolicy,
 };
 pub use schemble::{run_schemble, run_schemble_traced, SchembleConfig};
 pub use static_select::best_static_deployment;
+
+use crate::backend::SimBackend;
+use crate::engine::PipelineEngine;
+use schemble_data::Workload;
+use schemble_sim::SimTime;
+
+/// The deterministic replay, written once: every arrival of `workload` is
+/// pushed into `backend`, every event is popped and handled in virtual-time
+/// order, and the engine is drained at the last instant handled, which is
+/// returned. The DES drivers of this module and `schemble-serve`'s
+/// virtual-clock runtime all run this loop, so their decisions agree by
+/// construction.
+pub fn drive(
+    engine: &mut dyn PipelineEngine,
+    backend: &mut SimBackend,
+    workload: &Workload,
+) -> SimTime {
+    for (i, q) in workload.queries.iter().enumerate() {
+        backend.push_arrival(q.arrival, i);
+    }
+    run_out(engine, backend, SimTime::ZERO)
+}
+
+/// The tail of [`drive`], for a driver that has already consumed a prefix
+/// of the events under its own cut rule (the steal-epoch rendezvous): pops
+/// and handles whatever is left, then drains the engine. `end` is the last
+/// instant that driver handled.
+pub fn run_out(
+    engine: &mut dyn PipelineEngine,
+    backend: &mut SimBackend,
+    mut end: SimTime,
+) -> SimTime {
+    while let Some((now, event)) = backend.pop_event() {
+        engine.handle(event, now, backend);
+        end = now;
+    }
+    engine.drain(end);
+    end
+}
 
 /// Whether queries may be refused service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,9 +10,9 @@
 //! idle; once any task of a query starts, its model set is frozen
 //! (non-preemptive execution).
 
-use super::{AdmissionMode, ResultAssembler};
+use super::{drive, AdmissionMode, ResultAssembler};
 use crate::backend::{ExecutionBackend, SimBackend};
-use crate::engine::{AnytimePolicy, FailurePolicy, PipelineEngine, SchembleEngine};
+use crate::engine::{AnytimePolicy, FailurePolicy, SchembleEngine};
 use crate::executor::ExecutorBank;
 use crate::predictor::OnlineScorer;
 use crate::profiling::AccuracyProfile;
@@ -93,10 +93,10 @@ impl SchembleConfig {
 /// Runs the Schemble pipeline over a workload in the discrete-event
 /// simulator.
 ///
-/// This is a thin driver: all decision logic lives in
-/// [`SchembleEngine`], executed here over a
-/// [`SimBackend`]. The `schemble-serve` runtime
-/// drives the identical engine over worker threads.
+/// This is a thin driver: all decision logic lives in [`SchembleEngine`],
+/// which [`drive`] steps over a [`SimBackend`]. The `schemble-serve`
+/// runtime drives the identical engine — through the same loop on its
+/// virtual clock, over worker threads on the wall clock.
 pub fn run_schemble(
     ensemble: &Ensemble,
     config: &SchembleConfig,
@@ -124,9 +124,10 @@ pub fn run_schemble_traced(
 /// simulated backend.
 ///
 /// The `schemble-serve` virtual-clock runtime builds its backend the same
-/// way (faults installed before arrivals), which keeps a faulted DES run and
-/// a faulted serve run byte-identical — the property `tests/fault_properties`
-/// pins. `None` (or a no-op plan) leaves the backend untouched.
+/// way (faults installed before arrivals) and runs the same [`drive`], so
+/// what `tests/fault_properties` pins — a faulted DES run and a faulted
+/// serve run byte-identical — is a statement about this setup alone. `None`
+/// (or a no-op plan) leaves the backend untouched.
 pub fn run_schemble_faulted(
     ensemble: &Ensemble,
     config: &SchembleConfig,
@@ -141,18 +142,9 @@ pub fn run_schemble_faulted(
         .with_faults(faults, seed)
         .with_batching(config.batching);
     let mut backend = SimBackend::new(bank);
-    for (i, q) in workload.queries.iter().enumerate() {
-        backend.push_arrival(q.arrival, i);
-    }
     let mut engine = SchembleEngine::new(ensemble, config, workload).with_trace(trace);
-    let mut end = schemble_sim::SimTime::ZERO;
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, &mut backend);
-        end = now;
-    }
-    engine.drain(end);
-    let usage = backend.usage();
-    engine.into_summary(usage)
+    drive(&mut engine, &mut backend, workload);
+    engine.into_summary(backend.usage())
 }
 
 #[cfg(test)]

@@ -67,17 +67,6 @@ impl DeadlinePolicy {
             })
             .collect()
     }
-
-    /// Mean relative deadline of the policy (exact for constant; midpoint for
-    /// uniform), for reporting sweep axes.
-    pub fn mean_relative(&self) -> SimDuration {
-        match self {
-            DeadlinePolicy::Constant(d) => *d,
-            DeadlinePolicy::PerCameraUniform { lo, hi, .. } => {
-                SimDuration::from_micros((lo.as_micros() + hi.as_micros()) / 2)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -123,19 +112,5 @@ mod tests {
         let arrivals: Vec<SimTime> = (0..10).map(at).collect();
         assert_eq!(p.assign(&arrivals, 3), p.assign(&arrivals, 3));
         assert_ne!(p.assign(&arrivals, 3), p.assign(&arrivals, 4));
-    }
-
-    #[test]
-    fn mean_relative_reports_midpoint() {
-        let p = DeadlinePolicy::PerCameraUniform {
-            cameras: 4,
-            lo: SimDuration::from_millis(100),
-            hi: SimDuration::from_millis(200),
-        };
-        assert_eq!(p.mean_relative(), SimDuration::from_millis(150));
-        assert_eq!(
-            DeadlinePolicy::constant_millis(120.0).mean_relative(),
-            SimDuration::from_millis(120)
-        );
     }
 }

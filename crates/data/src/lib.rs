@@ -18,11 +18,9 @@
 pub mod deadline;
 pub mod task;
 pub mod trace;
-pub mod trace_io;
 pub mod workload;
 
 pub use deadline::DeadlinePolicy;
 pub use task::TaskKind;
 pub use trace::{ArrivalTrace, DiurnalSliceTrace, DiurnalTrace, PoissonTrace};
-pub use trace_io::{RecordedTrace, TraceError};
 pub use workload::{Query, Workload};

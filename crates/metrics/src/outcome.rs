@@ -186,11 +186,6 @@ impl RunSummary {
         self.records.iter().map(|r| r.models_used as f64).sum::<f64>() / self.records.len() as f64
     }
 
-    /// Number of queries answered from a partial ensemble.
-    pub fn degraded_count(&self) -> usize {
-        self.records.iter().filter(|r| matches!(r.outcome, QueryOutcome::Degraded { .. })).count()
-    }
-
     /// Fraction of queries completed (by deadline or not).
     pub fn completion_rate(&self) -> f64 {
         if self.records.is_empty() {
@@ -281,7 +276,6 @@ mod tests {
         assert!(degraded.met_deadline());
         let s = RunSummary::new(vec![degraded, rec(1, 0, 100, None, false)]);
         assert!((s.accuracy() - 0.5).abs() < 1e-12);
-        assert_eq!(s.degraded_count(), 1);
         assert!((s.processed_accuracy() - 1.0).abs() < 1e-12);
     }
 

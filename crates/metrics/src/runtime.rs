@@ -6,7 +6,6 @@
 //! value is independently meaningful and monotone, which is all a metrics
 //! export needs.
 
-use crate::latency::LatencyStats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Saturating atomic add: `dst += n`, clamping at `u64::MAX` instead of
@@ -261,21 +260,6 @@ impl LatencyHistogram {
         sat_add(&self.underflow, other.underflow.load(Relaxed));
         sat_add(&self.sum_micros, other.sum_micros.load(Relaxed));
     }
-
-    /// Non-empty buckets as `(lower_edge_secs, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::new();
-        if self.underflow.load(Relaxed) > 0 {
-            out.push((0.0, self.underflow.load(Relaxed)));
-        }
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Relaxed);
-            if n > 0 {
-                out.push((Self::edge(i), n));
-            }
-        }
-        out
-    }
 }
 
 /// Everything the runtime exposes to observers, behind one allocation.
@@ -425,15 +409,6 @@ impl RuntimeSnapshot {
                 .collect::<Vec<_>>()
                 .join("/"),
         )
-    }
-}
-
-/// Summarises a histogram against exact stats (used in tests and reports to
-/// sanity-check the approximation).
-pub fn histogram_consistent(h: &LatencyHistogram, exact: &LatencyStats, tol_frac: f64) -> bool {
-    match h.quantile(0.95) {
-        Some(p95) => (p95 - exact.p95).abs() <= tol_frac * exact.p95.max(1e-3),
-        None => exact.p95 == 0.0,
     }
 }
 
@@ -652,7 +627,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.count(), a.count() + b.count());
         assert_eq!(ab.cumulative_buckets(), ba.cumulative_buckets());
-        assert_eq!(ab.nonzero_buckets(), ba.nonzero_buckets());
         assert!((ab.sum_secs() - (a.sum_secs() + b.sum_secs())).abs() < 1e-9);
         assert_eq!(ab.quantile(0.5), ba.quantile(0.5));
     }
@@ -669,7 +643,7 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum_secs(), 0.0);
         assert_eq!(h.quantile(0.5), None);
-        assert!(h.nonzero_buckets().is_empty());
+        assert!(h.cumulative_buckets().is_empty());
 
         // Identity also holds asymmetrically: empty ⊕ seeded == seeded.
         let seeded = seeded_counters(5);
@@ -705,7 +679,7 @@ mod tests {
         m.merge(&a);
         m.merge(&b);
         assert_eq!(m.count(), 6);
-        assert_eq!(m.nonzero_buckets().len(), 1);
+        assert_eq!(m.cumulative_buckets().len(), 1);
         assert_eq!(m.quantile(0.0), m.quantile(1.0), "all mass in one bucket");
         assert_eq!(m.quantile(0.5), a.quantile(0.5));
     }

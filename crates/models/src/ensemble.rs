@@ -92,11 +92,6 @@ impl Ensemble {
         self.models.iter().map(|bm| bm.latency.planned()).max().unwrap_or(SimDuration::ZERO)
     }
 
-    /// Planned makespan of running `set` in parallel (its slowest member).
-    pub fn set_planned_latency(&self, set: ModelSet) -> SimDuration {
-        set.iter().map(|k| self.models[k].latency.planned()).max().unwrap_or(SimDuration::ZERO)
-    }
-
     /// Sum of planned execution times of `set` — the *cumulative runtime*
     /// notion used by the offline budget experiment (Fig. 16).
     pub fn set_cumulative_latency(&self, set: ModelSet) -> SimDuration {
@@ -203,10 +198,6 @@ mod tests {
     fn latency_helpers() {
         let ens = small_ensemble();
         assert_eq!(ens.slowest_planned_latency(), SimDuration::from_millis(48));
-        assert_eq!(
-            ens.set_planned_latency(ModelSet::from_indices(&[0, 1])),
-            SimDuration::from_millis(42)
-        );
         assert_eq!(
             ens.set_cumulative_latency(ModelSet::from_indices(&[0, 1])),
             SimDuration::from_millis(60)

@@ -165,13 +165,6 @@ impl DiscrepancyPredictor {
         (0..out.rows()).map(|r| out[(r, 0)]).collect()
     }
 
-    /// The (unused-at-inference) task-head output for one sample. Binary
-    /// tasks get a logit; regression tasks a raw value.
-    pub fn predict_task(&self, features: &[f64]) -> f64 {
-        let h = self.trunk.infer(&Matrix::row_vector(features));
-        self.task_head.infer(&h)[(0, 0)]
-    }
-
     /// Parameter count — reported by the Fig. 13 overhead experiment.
     pub fn param_count(&self) -> usize {
         self.trunk.param_count() + self.task_head.param_count() + self.dis_head.param_count()
@@ -294,9 +287,6 @@ mod tests {
         pred.fit(&features, &task, &dis, &mut rng);
         let scores = pred.predict_scores(&features);
         assert!(pearson(&scores, &dis) > 0.8);
-        // The task head should also have learned something.
-        let preds: Vec<f64> = (0..n).map(|r| pred.predict_task(features.row(r))).collect();
-        assert!(pearson(&preds, &task) > 0.8);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `schemble-obs`: live introspection over the trace stream.
 //!
 //! Everything in this crate is a *pure fold* over the
-//! [`TraceEvent`](schemble_trace::TraceEvent) stream the serving stack
+//! [`TraceEvent`] stream the serving stack
 //! already emits — no new instrumentation in the hot path, no wall-clock
 //! reads, integer arithmetic throughout. Because the DES pipeline and the
 //! virtual-clock serve backend produce byte-identical event streams (pinned

@@ -14,7 +14,7 @@
 //! the cursor over the fault plan's crash/recovery schedule
 //! ([`ThreadedBackend::take_due_fault_events`]), dead-worker detection
 //! ([`ThreadedBackend::reap_dead`], permanent executor-down), the
-//! [`QUEUE_CAPACITY`] bound, and the mirror of the bank's state into the
+//! `QUEUE_CAPACITY` bound, and the mirror of the bank's state into the
 //! shared [`RuntimeMetrics`] atomics so observer threads can snapshot
 //! without locks. All methods run on the runtime's scheduler thread.
 
@@ -31,6 +31,34 @@ use std::sync::Arc;
 
 /// Per-executor backlog bound; exceeding it is a bug, not backpressure.
 const QUEUE_CAPACITY: usize = 4096;
+
+/// Mirrors what `bank` has counted into the shared atomics: `executor`'s
+/// gauges, the task totals, and the size of every batch launched since the
+/// last call (`batches` is the caller's cursor into the bank's launch log).
+/// Both clock modes report through this, so neither derives a task count of
+/// its own.
+pub(crate) fn mirror(
+    bank: &ExecutorBank,
+    executor: usize,
+    metrics: &RuntimeMetrics,
+    batches: &mut usize,
+) {
+    let g = &metrics.executors[executor];
+    g.queue_depth.store(bank.backlog_len(executor) as u64, Relaxed);
+    g.running.store(bank.running_pass(executor).is_some() as u64, Relaxed);
+    g.up.store(bank.is_up(executor) as u64, Relaxed);
+    g.busy_micros.store(bank.busy(executor).as_micros(), Relaxed);
+    g.tasks.store(bank.tasks(executor), Relaxed);
+    let totals = bank.counters();
+    let c = &metrics.counters;
+    c.tasks_started.store(totals.started, Relaxed);
+    c.tasks_completed.store(totals.completed, Relaxed);
+    c.tasks_batched.store(totals.batched, Relaxed);
+    for &size in &bank.batch_sizes()[*batches..] {
+        metrics.batch_size.record(size as f64);
+    }
+    *batches = bank.batch_sizes().len();
+}
 
 /// [`ExecutionBackend`] over per-executor worker threads.
 pub struct ThreadedBackend {
@@ -90,21 +118,7 @@ impl ThreadedBackend {
     /// Mirrors `executor`'s gauges and the bank's task totals into the
     /// shared atomics.
     fn publish(&mut self, executor: usize) {
-        let g = &self.metrics.executors[executor];
-        g.queue_depth.store(self.bank.backlog_len(executor) as u64, Relaxed);
-        g.running.store(self.bank.running_pass(executor).is_some() as u64, Relaxed);
-        g.up.store(self.bank.is_up(executor) as u64, Relaxed);
-        g.busy_micros.store(self.bank.busy(executor).as_micros(), Relaxed);
-        g.tasks.store(self.bank.tasks(executor), Relaxed);
-        let totals = self.bank.counters();
-        let c = &self.metrics.counters;
-        c.tasks_started.store(totals.started, Relaxed);
-        c.tasks_completed.store(totals.completed, Relaxed);
-        c.tasks_batched.store(totals.batched, Relaxed);
-        for &size in &self.bank.batch_sizes()[self.batches_published..] {
-            self.metrics.batch_size.record(size as f64);
-        }
-        self.batches_published = self.bank.batch_sizes().len();
+        mirror(&self.bank, executor, &self.metrics, &mut self.batches_published);
     }
 
     /// Applies the report of `executor`'s worker for `pass`: retires the

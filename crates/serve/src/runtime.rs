@@ -7,22 +7,27 @@
 //! planning logic on every event exactly as the simulator does, and
 //! enforcing deadlines with `recv_timeout` timers derived from
 //! [`PipelineEngine::next_wake_hint`]. [`run_virtual`] drives the same
-//! engine over the deterministic [`SimBackend`] instead; because both modes
-//! execute identical decision code, a virtual-clock serve run reproduces
-//! the DES pipelines' admission decisions bit-for-bit (the
-//! `serve_runtime` integration test checks this).
+//! engine over the deterministic [`SimBackend`] instead, through
+//! [`drive`] — the one loop the DES pipelines of `schemble-core` run too —
+//! so a virtual-clock serve run makes those pipelines' decisions bit-for-bit
+//! by construction (the `serve_runtime` integration test checks what is
+//! left to differ: how each side sets up its bank and engine). Either way
+//! the run's task counts and busy times are the [`ExecutorBank`]'s own,
+//! mirrored into the metrics block by one function
+//! (`backend::mirror` — live on the wall clock, once at the end on the
+//! virtual one).
 
-use crate::backend::ThreadedBackend;
+use crate::backend::{mirror, ThreadedBackend};
 use crate::clock::{precise_sleep, DilatedClock};
 use crate::steal::{execute_steal_round, LoadSnapshot, Rendezvous, StealHandle};
 use crate::worker::{RuntimeMsg, WorkerPool};
-use schemble_core::backend::{BackendEvent, ExecutionBackend, SimBackend};
+use schemble_core::backend::{BackendEvent, ExecutionBackend, ExecutorUsage, SimBackend};
 use schemble_core::engine::{
     EngineStats, FailurePolicy, ImmediateEngine, PipelineEngine, SchembleEngine,
 };
 use schemble_core::executor::ExecutorBank;
 use schemble_core::pipeline::immediate::{Deployment, SelectionPolicy};
-use schemble_core::pipeline::{AdmissionMode, ResultAssembler, SchembleConfig};
+use schemble_core::pipeline::{drive, run_out, AdmissionMode, ResultAssembler, SchembleConfig};
 use schemble_data::Workload;
 use schemble_metrics::{RunSummary, RuntimeMetrics, RuntimeSnapshot};
 use schemble_models::Ensemble;
@@ -123,7 +128,7 @@ impl ServeConfig {
 /// Low-level result of one runtime execution.
 pub struct RunStats {
     /// Per-executor busy/task counters.
-    pub usage: Vec<schemble_core::backend::ExecutorUsage>,
+    pub usage: Vec<ExecutorUsage>,
     /// Wall-clock seconds the run took.
     pub wall_secs: f64,
     /// Simulated seconds the replayed trace spanned.
@@ -165,6 +170,56 @@ fn sync_metrics(engine: &mut dyn PipelineEngine, metrics: &RuntimeMetrics) {
     c.queries_stolen.store(s.stolen_in, Relaxed);
     for (_, latency_secs) in engine.take_completions() {
         metrics.latency.record(latency_secs);
+    }
+}
+
+/// The periodic reporter: a thread printing what `snapshot` returns — the
+/// simulated seconds elapsed and the metrics at that instant — to stderr
+/// every `every` of wall time. Dropping the guard stops and joins it; the
+/// stop flag lives under a condvar, so shutdown interrupts the interval
+/// sleep at once instead of blocking the run for up to a full period.
+pub(crate) struct Reporter {
+    stop: Arc<(Mutex<bool>, Condvar)>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Reporter {
+    pub(crate) fn spawn(
+        every: Duration,
+        snapshot: impl Fn() -> (f64, RuntimeSnapshot) + Send + 'static,
+    ) -> Self {
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let signal = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("schemble-reporter".into())
+            .spawn(move || {
+                let (flag, cv) = &*signal;
+                // A poisoned flag (panicked peer) must not kill reporting:
+                // recover the guard and carry on.
+                let mut stopped = flag.lock().unwrap_or_else(|e| e.into_inner());
+                while !*stopped {
+                    let (guard, timeout) =
+                        cv.wait_timeout(stopped, every).unwrap_or_else(|e| e.into_inner());
+                    stopped = guard;
+                    if !*stopped && timeout.timed_out() {
+                        let (sim_secs, snap) = snapshot();
+                        eprintln!("[serve t={sim_secs:.1}s] {}", snap.brief());
+                    }
+                }
+            })
+            .expect("spawn reporter");
+        Self { stop, thread: Some(thread) }
+    }
+}
+
+impl Drop for Reporter {
+    fn drop(&mut self) {
+        let (flag, cv) = &*self.stop;
+        *flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        cv.notify_all();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -210,32 +265,13 @@ pub fn run_wall(
         })
         .expect("spawn load generator");
 
-    // Optional periodic reporter, reading the shared atomics lock-free. The
-    // stop flag lives under a condvar so shutdown interrupts the interval
-    // sleep immediately instead of blocking the run for up to a full period.
-    let stop_reporter = Arc::new((Mutex::new(false), Condvar::new()));
-    let reporter = config.report_every.map(|every| {
+    // Optional periodic reporter, reading the shared atomics lock-free.
+    let _reporter = config.report_every.map(|every| {
         let metrics = Arc::clone(metrics);
-        let stop = Arc::clone(&stop_reporter);
-        std::thread::Builder::new()
-            .name("schemble-reporter".into())
-            .spawn(move || {
-                let (flag, cv) = &*stop;
-                // A poisoned flag (panicked peer) must not kill reporting:
-                // recover the guard and carry on.
-                let mut stopped = flag.lock().unwrap_or_else(|e| e.into_inner());
-                while !*stopped {
-                    let (guard, timeout) =
-                        cv.wait_timeout(stopped, every).unwrap_or_else(|e| e.into_inner());
-                    stopped = guard;
-                    if !*stopped && timeout.timed_out() {
-                        let now = clock.now_sim();
-                        let snap = metrics.snapshot(now.as_secs_f64());
-                        eprintln!("[serve t={:.1}s] {}", now.as_secs_f64(), snap.brief());
-                    }
-                }
-            })
-            .expect("spawn reporter")
+        Reporter::spawn(every, move || {
+            let now = clock.now_sim().as_secs_f64();
+            (now, metrics.snapshot(now))
+        })
     });
 
     // Applies one runtime message to the engine. Shared between the main
@@ -401,28 +437,22 @@ pub fn run_wall(
     engine.drain(end);
     sync_metrics(engine, metrics);
     let _ = loadgen.join();
-    {
-        let (flag, cv) = &*stop_reporter;
-        *flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        cv.notify_all();
-    }
-    if let Some(handle) = reporter {
-        let _ = handle.join();
-    }
     let usage = backend.usage();
     backend.shutdown();
     RunStats { usage, wall_secs: wall_start.elapsed().as_secs_f64(), sim_secs: end.as_secs_f64() }
 }
 
-/// Drives `engine` deterministically over the DES [`SimBackend`] — the same
-/// loop `run_schemble`/`run_immediate` use, so decisions (admissions,
-/// model sets, completion times) match those pipelines exactly.
+/// Drives `engine` deterministically over the DES [`SimBackend`] through
+/// [`drive`] — the loop `run_schemble`/`run_immediate` run, so decisions
+/// (admissions, model sets, completion times) are those pipelines'.
 ///
-/// With a [`StealHandle`], the loop additionally pauses at every epoch
+/// With a [`StealHandle`], the shard additionally pauses at every epoch
 /// boundary: events strictly before the boundary are processed first, then
 /// the shard rendezvouses (boundary-time events run after), so every shard
 /// cuts its epochs at identical virtual instants — the property that makes
 /// sharded runs with stealing byte-identical across DES and wall drivers.
+/// Once the coordinator stops the rounds, the rest of the trace runs out
+/// through [`drive`]'s own tail, [`run_out`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_virtual(
     engine: &mut dyn PipelineEngine,
@@ -436,54 +466,46 @@ pub fn run_virtual(
 ) -> RunStats {
     let wall_start = Instant::now();
     let mut backend = SimBackend::new(config.bank(latencies, seed, stream));
-    for (i, q) in workload.queries.iter().enumerate() {
-        backend.push_arrival(q.arrival, i);
-    }
-    let mut end = SimTime::ZERO;
-    if let Some(handle) = steal {
-        loop {
-            let boundary = handle.next_boundary();
-            while let Some((now, event)) = backend.pop_event_before(boundary) {
-                engine.handle(event, now, &mut backend);
-                end = now;
+    let end = match steal {
+        None => drive(engine, &mut backend, workload),
+        Some(handle) => {
+            for (i, q) in workload.queries.iter().enumerate() {
+                backend.push_arrival(q.arrival, i);
             }
-            let done = backend.peek_time().is_none() && engine.open_count() == 0;
-            let (depth, backlog_us) = engine.steal_backlog();
-            match handle.rendezvous(LoadSnapshot { depth, backlog_us, done }) {
-                Rendezvous::Stop => break,
-                Rendezvous::Round(plan) => {
-                    if execute_steal_round(engine, &mut backend, handle, &plan, boundary) {
-                        end = boundary;
+            let mut end = SimTime::ZERO;
+            loop {
+                let boundary = handle.next_boundary();
+                while let Some((now, event)) = backend.pop_event_before(boundary) {
+                    engine.handle(event, now, &mut backend);
+                    end = now;
+                }
+                let done = backend.peek_time().is_none() && engine.open_count() == 0;
+                let (depth, backlog_us) = engine.steal_backlog();
+                match handle.rendezvous(LoadSnapshot { depth, backlog_us, done }) {
+                    Rendezvous::Stop => break,
+                    Rendezvous::Round(plan) => {
+                        if execute_steal_round(engine, &mut backend, handle, &plan, boundary) {
+                            end = boundary;
+                        }
                     }
                 }
             }
+            handle.detach();
+            run_out(engine, &mut backend, end)
         }
-        handle.detach();
-    }
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, &mut backend);
-        end = now;
-    }
-    engine.drain(end);
+    };
     sync_metrics(engine, metrics);
-    let usage = backend.usage();
-    // The DES backend bypasses the live gauges; backfill them from its
-    // final usage so snapshots and exporters see real task/busy totals.
-    let mut tasks_total = 0;
-    for (k, (gauges, u)) in metrics.executors.iter().zip(&usage).enumerate() {
-        gauges.busy_micros.store((u.busy_secs * 1e6) as u64, Relaxed);
-        gauges.tasks.store(u.tasks, Relaxed);
-        gauges.up.store(backend.is_up(k) as u64, Relaxed);
-        tasks_total += u.tasks;
+    // The simulator has no observer to keep gauges live for: mirror what
+    // the bank counted once, at the end.
+    let mut batches = 0;
+    for executor in 0..backend.executors() {
+        mirror(backend.bank(), executor, metrics, &mut batches);
     }
-    // Failed tasks started but never completed.
-    metrics.counters.tasks_started.store(tasks_total + engine.stats().tasks_failed, Relaxed);
-    metrics.counters.tasks_completed.store(tasks_total, Relaxed);
-    metrics.counters.tasks_batched.store(backend.tasks_batched(), Relaxed);
-    for &size in backend.batch_sizes() {
-        metrics.batch_size.record(size as f64);
+    RunStats {
+        usage: backend.usage(),
+        wall_secs: wall_start.elapsed().as_secs_f64(),
+        sim_secs: end.as_secs_f64(),
     }
-    RunStats { usage, wall_secs: wall_start.elapsed().as_secs_f64(), sim_secs: end.as_secs_f64() }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -522,29 +544,10 @@ pub fn serve_schemble(
     if config.shards > 1 {
         return crate::shard::serve_schemble_sharded(ensemble, pipeline, workload, seed, config);
     }
-    let latencies: Vec<LatencyModel> = (0..ensemble.m()).map(|k| ensemble.latency(k)).collect();
-    let metrics = Arc::new(RuntimeMetrics::new(latencies.len()));
-    let mut engine = SchembleEngine::new(ensemble, pipeline, workload).with_trace(config.sink());
-    let run = run_with(
-        &mut engine,
-        latencies,
-        workload,
-        seed,
-        "schemble-latency",
-        config,
-        &metrics,
-        None,
-    );
-    let stats = PipelineEngine::stats(&engine);
-    let snapshot = metrics.snapshot(run.sim_secs);
-    ServeReport {
-        summary: engine.into_summary(run.usage),
-        stats,
-        snapshot,
-        metrics,
-        wall_secs: run.wall_secs,
-        sim_secs: run.sim_secs,
-    }
+    let latencies = (0..ensemble.m()).map(|k| ensemble.latency(k)).collect();
+    let engine = SchembleEngine::new(ensemble, pipeline, workload).with_trace(config.sink());
+    let stream = "schemble-latency";
+    serve_engine(engine, SchembleEngine::into_summary, latencies, workload, seed, stream, config)
 }
 
 /// Serves `workload` through an immediate-selection pipeline (Original /
@@ -560,27 +563,32 @@ pub fn serve_immediate(
     seed: u64,
     config: &ServeConfig,
 ) -> ServeReport {
-    let latencies: Vec<LatencyModel> =
-        deployment.hosts.iter().map(|&h| ensemble.latency(h)).collect();
+    let latencies = deployment.hosts.iter().map(|&h| ensemble.latency(h)).collect();
+    let engine = ImmediateEngine::new(ensemble, deployment, policy, assembler, admission, workload)
+        .with_trace(config.sink())
+        .with_failure(config.failure);
+    let stream = "immediate-latency";
+    serve_engine(engine, ImmediateEngine::into_summary, latencies, workload, seed, stream, config)
+}
+
+/// One engine, one metrics block, one run on `config`'s clock: the body of
+/// every unsharded serve. `into_summary` is the engine's own (it folds
+/// per-executor usage into per-model usage through its deployment).
+fn serve_engine<E: PipelineEngine>(
+    mut engine: E,
+    into_summary: fn(E, Vec<ExecutorUsage>) -> RunSummary,
+    latencies: Vec<LatencyModel>,
+    workload: &Workload,
+    seed: u64,
+    stream: &str,
+    config: &ServeConfig,
+) -> ServeReport {
     let metrics = Arc::new(RuntimeMetrics::new(latencies.len()));
-    let mut engine =
-        ImmediateEngine::new(ensemble, deployment, policy, assembler, admission, workload)
-            .with_trace(config.sink())
-            .with_failure(config.failure);
-    let run = run_with(
-        &mut engine,
-        latencies,
-        workload,
-        seed,
-        "immediate-latency",
-        config,
-        &metrics,
-        None,
-    );
-    let stats = PipelineEngine::stats(&engine);
+    let run = run_with(&mut engine, latencies, workload, seed, stream, config, &metrics, None);
+    let stats = engine.stats();
     let snapshot = metrics.snapshot(run.sim_secs);
     ServeReport {
-        summary: engine.into_summary(run.usage),
+        summary: into_summary(engine, run.usage),
         stats,
         snapshot,
         metrics,

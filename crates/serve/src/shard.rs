@@ -30,7 +30,7 @@
 //! sub-workload, executors `s*m .. (s+1)*m`, the RNG streams, a trace sink
 //! and a metrics block.
 
-use crate::runtime::{run_with, ClockMode, RunStats, ServeConfig, ServeReport};
+use crate::runtime::{run_with, ClockMode, Reporter, RunStats, ServeConfig, ServeReport};
 use crate::steal::StealCoordinator;
 use schemble_core::engine::{EngineStats, PipelineEngine, SchembleEngine};
 use schemble_core::pipeline::SchembleConfig;
@@ -41,7 +41,7 @@ use schemble_sim::rng::{mix, splitmix64};
 use schemble_sim::LatencyModel;
 use schemble_trace::{globalize_events, merge_shard_streams, TraceEvent, TraceSink};
 use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Deterministic, seed-independent hash router from routing keys to shards.
@@ -119,34 +119,20 @@ pub fn serve_schemble_sharded(
         (0..shards).map(|_| Arc::new(RuntimeMetrics::new(m))).collect();
 
     let wall_start = Instant::now();
-    let stop_reporter = Arc::new((Mutex::new(false), Condvar::new()));
+    // One aggregate reporter across all shards (wall mode only), in place of
+    // the per-run reporter the unsharded path uses.
+    let reporter = match (config.mode, config.report_every) {
+        (ClockMode::Wall { dilation }, Some(every)) => {
+            let shard_metrics = shard_metrics.clone();
+            Some(Reporter::spawn(every, move || {
+                let sim = wall_start.elapsed().as_secs_f64() * dilation;
+                let merged = RuntimeMetrics::merged(shard_metrics.iter().map(Arc::as_ref));
+                (sim, merged.snapshot(sim))
+            }))
+        }
+        _ => None,
+    };
     let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        // One aggregate reporter across all shards (wall mode only), in
-        // place of the per-run reporter the unsharded path uses.
-        let reporter = match (config.mode, config.report_every) {
-            (ClockMode::Wall { dilation }, Some(every)) => {
-                let stop = Arc::clone(&stop_reporter);
-                let shard_metrics = &shard_metrics;
-                Some(scope.spawn(move || {
-                    let start = Instant::now();
-                    let (flag, cv) = &*stop;
-                    let mut stopped = flag.lock().unwrap_or_else(|e| e.into_inner());
-                    while !*stopped {
-                        let (guard, timeout) =
-                            cv.wait_timeout(stopped, every).unwrap_or_else(|e| e.into_inner());
-                        stopped = guard;
-                        if !*stopped && timeout.timed_out() {
-                            let sim = start.elapsed().as_secs_f64() * dilation;
-                            let merged =
-                                RuntimeMetrics::merged(shard_metrics.iter().map(Arc::as_ref));
-                            eprintln!("[serve t={sim:.1}s] {}", merged.snapshot(sim).brief());
-                        }
-                    }
-                }))
-            }
-            _ => None,
-        };
-
         let handles: Vec<_> = parts
             .iter()
             .enumerate()
@@ -205,18 +191,9 @@ pub fn serve_schemble_sharded(
                 })
             })
             .collect();
-        let outcomes: Vec<ShardOutcome> =
-            handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect();
-        {
-            let (flag, cv) = &*stop_reporter;
-            *flag.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            cv.notify_all();
-        }
-        if let Some(h) = reporter {
-            let _ = h.join();
-        }
-        outcomes
+        handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
     });
+    drop(reporter);
 
     // --- Order-insensitive merge (outcomes are indexed by shard id; no
     // step below depends on which shard thread finished first). ---

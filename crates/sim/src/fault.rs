@@ -141,8 +141,8 @@ impl FaultPlan {
                     if ep.until <= ep.from {
                         return Err(err("episode must satisfy from < until"));
                     }
-                    if ep.multiplier < 1.0 || ep.multiplier.is_nan() {
-                        return Err(err("multiplier must be >= 1.0"));
+                    if !(1.0..=MAX_MULTIPLIER).contains(&ep.multiplier) {
+                        return Err(err("multiplier must be in [1, 1e6]"));
                     }
                     plan.stragglers.push(ep);
                 }
@@ -201,16 +201,34 @@ impl FaultPlan {
         out
     }
 
-    /// True when `executor` is inside any crash window at `t`.
-    pub fn is_down(&self, executor: usize, t: SimTime) -> bool {
-        self.crashes.iter().any(|w| w.executor == executor && w.from <= t && t < w.until)
+    /// Rejects a plan naming an executor outside `0..executors`: such a
+    /// window or episode would never apply, so installing the plan would
+    /// silently run something other than what was written.
+    pub fn check_executors(&self, executors: usize) -> Result<(), String> {
+        let crashes = self.crashes.iter().map(|w| ("crash", w.executor));
+        let stragglers = self.stragglers.iter().map(|e| ("straggle", e.executor));
+        match crashes.chain(stragglers).find(|&(_, executor)| executor >= executors) {
+            Some((kind, executor)) => Err(format!(
+                "fault plan: `{kind} {executor} ...` names executor {executor}, \
+                 but the executors are 0..{executors}"
+            )),
+            None => Ok(()),
+        }
     }
 }
 
+/// Latest instant a plan may name: far beyond any trace, and far from
+/// overflowing `u64` microseconds once task durations are added to it.
+const MAX_SECS: f64 = 1e9;
+
+/// Largest straggler multiplier: stretches even a minutes-long task to a
+/// span a [`SimTime`] holds without saturating.
+const MAX_MULTIPLIER: f64 = 1e6;
+
 fn parse_secs(s: &str) -> Result<SimTime, &'static str> {
     let v: f64 = s.parse().map_err(|_| "bad time")?;
-    if v < 0.0 {
-        return Err("time must be >= 0");
+    if !(0.0..=MAX_SECS).contains(&v) {
+        return Err("time must be in [0, 1e9] seconds");
     }
     Ok(SimTime::from_secs_f64(v))
 }
@@ -333,6 +351,11 @@ mod tests {
             "crash 0 2.0 1.0",
             "crash x 0 1",
             "straggle 0 0 1 0.5",
+            "straggle 0 0 5 1e30",
+            "straggle 0 0 5 nan",
+            "crash 0 0 1e30",
+            "crash 0 nan 1",
+            "crash 0 0 inf",
             "transient 1.5",
             "timeout-q 2",
             "flarp 1 2 3",
@@ -354,9 +377,6 @@ mod tests {
                 FaultTransition { at: at(4.0), executor: 0, up: true },
             ]
         );
-        assert!(plan.is_down(0, at(3.5)));
-        assert!(!plan.is_down(0, at(4.0)), "recovery instant is up");
-        assert!(!plan.is_down(1, at(2.0)));
     }
 
     #[test]

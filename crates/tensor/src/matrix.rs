@@ -204,13 +204,6 @@ impl Matrix {
         }
     }
 
-    /// Multiply every element by `s`, in place.
-    pub fn scale_inplace(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
     /// Adds `bias` (a 1×cols row vector) to every row; used by dense layers.
     ///
     /// # Panics

@@ -36,7 +36,7 @@ pub mod sink;
 pub use audit::{audit_ndjson, audit_records, AuditRecord};
 pub use chrome::{chrome_trace, chrome_trace_named, complete_task_spans, SCHEDULER_TID};
 pub use event::{score_fixed_point, set_members, AdmissionVerdict, TraceEvent};
-pub use prometheus::{escape_label, metrics_from_events, prometheus_text};
+pub use prometheus::{escape_label, prometheus_text};
 pub use shard::{
     globalize_event, globalize_events, merge_shard_events, merge_shard_streams, ShardMerge,
 };

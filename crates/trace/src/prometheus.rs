@@ -258,127 +258,10 @@ pub fn prometheus_text(
     out
 }
 
-/// Reconstructs [`RuntimeMetrics`] from a trace's event stream.
-///
-/// The DES pipeline drivers do not maintain live metrics (they have no
-/// observers); this derives the same counters, per-executor busy time and
-/// latency histogram from the trace, so `--metrics-out` works uniformly
-/// across `run`, `serve` and `loadtest`.
-pub fn metrics_from_events(
-    events: &[crate::event::TraceEvent],
-    executors: usize,
-) -> RuntimeMetrics {
-    use crate::event::{AdmissionVerdict, TraceEvent};
-    use std::collections::HashMap;
-
-    let metrics = RuntimeMetrics::new(executors);
-    let c = &metrics.counters;
-    let mut arrivals: HashMap<u64, schemble_sim::SimTime> = HashMap::new();
-    let mut running: HashMap<(u64, u16), schemble_sim::SimTime> = HashMap::new();
-    for ev in events {
-        match *ev {
-            TraceEvent::Arrival { t, query, .. } => {
-                c.submitted.fetch_add(1, Relaxed);
-                arrivals.insert(query, t);
-            }
-            TraceEvent::Admission { verdict: AdmissionVerdict::Rejected, .. } => {
-                c.rejected.fetch_add(1, Relaxed);
-            }
-            TraceEvent::Admission { .. }
-            | TraceEvent::Plan { .. }
-            | TraceEvent::TaskEnqueue { .. } => {}
-            TraceEvent::TaskStart { t, query, executor } => {
-                c.tasks_started.fetch_add(1, Relaxed);
-                running.insert((query, executor), t);
-            }
-            TraceEvent::TaskDone { t, query, executor } => {
-                c.tasks_completed.fetch_add(1, Relaxed);
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    g.tasks.fetch_add(1, Relaxed);
-                    if let Some(t0) = running.remove(&(query, executor)) {
-                        g.busy_micros.fetch_add((t - t0).as_micros(), Relaxed);
-                    }
-                }
-            }
-            TraceEvent::QueryDone { t, query, .. } => {
-                c.completed.fetch_add(1, Relaxed);
-                if let Some(t0) = arrivals.get(&query) {
-                    metrics.latency.record((t - *t0).as_secs_f64());
-                }
-            }
-            TraceEvent::QueryExpired { .. } => {
-                c.expired.fetch_add(1, Relaxed);
-            }
-            TraceEvent::TaskFailed { t, query, executor } => {
-                c.tasks_failed.fetch_add(1, Relaxed);
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    if let Some(t0) = running.remove(&(query, executor)) {
-                        g.busy_micros.fetch_add((t - t0).as_micros(), Relaxed);
-                    }
-                }
-            }
-            TraceEvent::TaskRetried { .. } => {
-                c.tasks_retried.fetch_add(1, Relaxed);
-            }
-            TraceEvent::TaskQuit { t, query, executor } => {
-                c.tasks_saved.fetch_add(1, Relaxed);
-                // A quit of a *running* task charges the partial busy time,
-                // matching the backends (kill charges time spent so far).
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    if let Some(t0) = running.remove(&(query, executor)) {
-                        g.busy_micros.fetch_add((t - t0).as_micros(), Relaxed);
-                    }
-                }
-            }
-            TraceEvent::ExecutorDown { executor, .. } => {
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    g.up.store(0, Relaxed);
-                }
-            }
-            TraceEvent::ExecutorUp { executor, .. } => {
-                if let Some(g) = metrics.executors.get(executor as usize) {
-                    g.up.store(1, Relaxed);
-                }
-            }
-            TraceEvent::DegradedAnswer { t, query, .. } => {
-                c.degraded.fetch_add(1, Relaxed);
-                if let Some(t0) = arrivals.get(&query) {
-                    metrics.latency.record((t - *t0).as_secs_f64());
-                }
-            }
-            // Introspection-only events: no runtime counter changes.
-            // WorkSaved is a per-decision summary of TaskQuit events, which
-            // already count above.
-            TraceEvent::BatchFormed { size, .. } => {
-                c.tasks_batched.fetch_add(size as u64, Relaxed);
-                metrics.batch_size.record(size as f64);
-            }
-            TraceEvent::QueryStolen { query, arrival, .. } => {
-                c.queries_stolen.fetch_add(1, Relaxed);
-                // In a merged stream the victim-side Arrival already
-                // registered the arrival instant; a thief-only stream sees
-                // it here first.
-                arrivals.entry(query).or_insert(arrival);
-            }
-            TraceEvent::Scored { .. }
-            | TraceEvent::PlanAssign { .. }
-            | TraceEvent::Realized { .. }
-            | TraceEvent::WorkSaved { .. } => {}
-        }
-    }
-    metrics
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
-    use schemble_sim::{SimDuration, SimTime};
     use std::time::Duration;
-
-    fn at(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
-    }
 
     #[test]
     fn exposition_contains_all_families_and_is_line_shaped() {
@@ -423,50 +306,5 @@ mod tests {
         let mut out = String::new();
         labeled_sample(&mut out, "m", "executor", "we\"ird\\name", 7u64);
         assert_eq!(out, "m{executor=\"we\\\"ird\\\\name\"} 7\n");
-    }
-
-    #[test]
-    fn metrics_from_events_rebuilds_counters_and_busy_time() {
-        let events = vec![
-            TraceEvent::Arrival { t: at(0), query: 1, deadline: at(100) },
-            TraceEvent::TaskStart { t: at(1), query: 1, executor: 0 },
-            TraceEvent::TaskDone { t: at(21), query: 1, executor: 0 },
-            TraceEvent::QueryDone { t: at(21), query: 1, set: 1 },
-            TraceEvent::Arrival { t: at(2), query: 2, deadline: at(50) },
-            TraceEvent::QueryExpired { t: at(60), query: 2 },
-        ];
-        let m = metrics_from_events(&events, 1);
-        let c = &m.counters;
-        assert_eq!(c.submitted.load(Relaxed), 2);
-        assert_eq!(c.completed.load(Relaxed), 1);
-        assert_eq!(c.expired.load(Relaxed), 1);
-        assert_eq!(c.open(), 0);
-        assert_eq!(m.executors[0].busy_micros.load(Relaxed), 20_000);
-        assert_eq!(m.latency.count(), 1);
-        let _ = SimDuration::ZERO;
-    }
-
-    #[test]
-    fn fault_events_rebuild_failure_counters() {
-        let events = vec![
-            TraceEvent::Arrival { t: at(0), query: 1, deadline: at(100) },
-            TraceEvent::TaskStart { t: at(1), query: 1, executor: 0 },
-            TraceEvent::TaskFailed { t: at(5), query: 1, executor: 0 },
-            TraceEvent::TaskRetried { t: at(7), query: 1, executor: 0, attempt: 1 },
-            TraceEvent::TaskStart { t: at(7), query: 1, executor: 0 },
-            TraceEvent::TaskDone { t: at(17), query: 1, executor: 0 },
-            TraceEvent::ExecutorDown { t: at(20), executor: 0 },
-            TraceEvent::DegradedAnswer { t: at(21), query: 1, set: 0b1 },
-        ];
-        let m = metrics_from_events(&events, 1);
-        let c = &m.counters;
-        assert_eq!(c.tasks_failed.load(Relaxed), 1);
-        assert_eq!(c.tasks_retried.load(Relaxed), 1);
-        assert_eq!(c.degraded.load(Relaxed), 1);
-        assert_eq!(c.open(), 0, "degraded closes the query");
-        assert_eq!(m.executors[0].up.load(Relaxed), 0);
-        // Failed attempt charges its partial busy time: 4ms + 10ms.
-        assert_eq!(m.executors[0].busy_micros.load(Relaxed), 14_000);
-        assert_eq!(m.latency.count(), 1);
     }
 }

@@ -12,7 +12,7 @@ use std::fmt::{Display, Write};
 use std::ops::RangeInclusive;
 use std::str::FromStr;
 
-/// A subcommand; [`COMMANDS`] has each one's name and synopsis.
+/// A subcommand; `COMMANDS` has each one's name and synopsis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
     Run,
@@ -55,7 +55,7 @@ macro_rules! flags {
         /// The parsed flags: one field per entry of [`FLAGS`].
         #[derive(Debug, Clone)]
         pub struct Cli {
-            $($(#[doc = $help] pub $field: $ty,)*)*
+            $($(#[doc = concat!("`", $help, "`")] pub $field: $ty,)*)*
         }
 
         impl Default for Cli {
@@ -183,7 +183,7 @@ flags! {
         skew: Option<f64> = None, "--skew" "<THETA>" |v| num(v, 0.0..=1e12).map(Some),
             "re-key the workload by a Zipf(THETA) draw over 64 hot keys (try 2.0)";
     }
-    "fault injection (serve/loadtest)" {
+    "fault injection (run/serve/loadtest)" {
         fault_plan: Option<String> = None, "--fault-plan" "<PATH>" path,
             "seeded crash/straggle/transient/timeout-q schedule (see DESIGN.md)";
         task_timeout_q: Option<f64> = None, "--task-timeout-q" "<Q>" |v| num(v, 0.0..=1.0).map(Some),
@@ -256,7 +256,7 @@ fn method_names(serve: bool) -> String {
     names.collect::<Vec<_>>().join(" | ")
 }
 
-/// The usage text, generated from [`COMMANDS`], [`METHODS`] and [`FLAGS`].
+/// The usage text, generated from `COMMANDS`, [`METHODS`] and [`FLAGS`].
 pub fn usage() -> String {
     let mut out = String::from("usage:\n");
     for (name, _, synopsis) in COMMANDS {

@@ -1,10 +1,11 @@
 //! The `schemble` command-line front end. [`flags`] holds the flag spec
 //! ([`METHODS`], the method table, is shared with the `exp` driver and lives
-//! in `schemble-baselines`); a [`Session`] is one parsed command line with
+//! in `schemble-baselines`); a `Session` is one parsed command line with
 //! its context, workload and sink. Every subcommand that executes a pipeline
-//! assembles it in [`Session::pipeline`], runs it through [`Session::replay`]
-//! (deterministic) or [`Session::serve`] (the runtime), and `run`, `serve`
-//! and `loadtest` end in [`Session::finish`].
+//! assembles it in `Session::pipeline` and runs it through
+//! `Session::serve` — on the virtual clock for the deterministic replays
+//! (`run`, `compare`, `explain`, `loadtest`'s reference) — and `run`, `serve`
+//! and `loadtest` end in `Session::finish`.
 
 pub mod flags;
 
@@ -21,28 +22,10 @@ use crate::metrics::{write_csv, QueryOutcome, RunSummary};
 use crate::obs::{explain_query, FlightRecorder, ObsConfig, ObsState};
 use crate::serve::{serve_immediate, serve_schemble, ClockMode, ServeConfig, ServeReport};
 use crate::sim::{BatchConfig, FaultPlan, SimDuration};
-use crate::trace::{
-    audit_ndjson, chrome_trace_named, metrics_from_events, prometheus_text, TraceEvent, TraceSink,
-};
+use crate::trace::{audit_ndjson, chrome_trace_named, prometheus_text, TraceEvent, TraceSink};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One finished run. A DES replay yields per-query records only; the serving
-/// runtime adds its report (and the clock mode it ran in).
-enum Ran {
-    Des(RunSummary),
-    Served(Box<ServeReport>, ClockMode),
-}
-
-impl Ran {
-    fn summary(&self) -> &RunSummary {
-        match self {
-            Ran::Des(summary) => summary,
-            Ran::Served(report, _) => &report.summary,
-        }
-    }
-}
 
 fn print_summary(label: &str, s: &RunSummary) {
     println!(
@@ -138,8 +121,7 @@ impl Session {
 
     /// Assembles `method`'s pipeline — the one place flags become a
     /// `SchembleConfig`; with none set it is `ExperimentContext::run`'s.
-    /// `failure` is the runtime's retry policy (a DES replay injects no
-    /// faults and passes `None`).
+    /// `failure` is the retry policy the fault flags request.
     fn pipeline(&mut self, method: &Method, failure: Option<FailurePolicy>) -> Pipeline {
         let cli = &self.cli;
         let mut pipeline = method.pipeline(&mut self.ctx, &self.workload);
@@ -167,6 +149,10 @@ impl Session {
             FaultPlan::parse(&text)
         };
         let mut plan = cli.fault_plan.as_ref().map(read).transpose()?;
+        if let Some(plan) = &plan {
+            // Every bank of the run — one per shard — has one executor per model.
+            plan.check_executors(self.ctx.ensemble.m())?;
+        }
         if let Some(q) = cli.task_timeout_q {
             plan.get_or_insert_with(FaultPlan::default).timeout_quantile = Some(q);
         }
@@ -176,10 +162,16 @@ impl Session {
         Ok((plan, armed.then_some(FailurePolicy { max_retries, ..policy })))
     }
 
-    /// Runs `method` on the schemble-serve runtime. An `observed` run emits
+    /// Runs `method` on the schemble-serve runtime; on [`ClockMode::Virtual`]
+    /// that is the deterministic replay of the flags. An `observed` run emits
     /// into the session's sink, feeds its recorder and honours the fault
     /// flags; an unobserved one is a clean reference.
-    fn serve(&mut self, method: &Method, mode: ClockMode, observed: bool) -> Result<Ran, String> {
+    fn serve(
+        &mut self,
+        method: &Method,
+        mode: ClockMode,
+        observed: bool,
+    ) -> Result<ServeReport, String> {
         let (faults, failure) = if observed { self.faults()? } else { (None, None) };
         let config = ServeConfig {
             mode,
@@ -194,7 +186,7 @@ impl Session {
         };
         let pipeline = self.pipeline(method, failure);
         let (ctx, workload) = (&self.ctx, &self.workload);
-        let report = match pipeline {
+        Ok(match pipeline {
             Pipeline::Schemble(pipeline) => {
                 serve_schemble(&ctx.ensemble, &pipeline, workload, ctx.config.seed, &config)
             }
@@ -208,34 +200,14 @@ impl Session {
                 ctx.config.seed,
                 &config,
             ),
-        };
-        Ok(Ran::Served(Box::new(report), mode))
+        })
     }
 
-    /// Replays the flags deterministically: what `run`, `compare`, `explain`
-    /// and `loadtest`'s reference execute.
-    fn replay(&mut self, method: &Method, observed: bool) -> Result<Ran, String> {
-        if self.cli.shards > 1 {
-            // The single-engine DES driver cannot host shard engines; they
-            // replay on the virtual-clock runtime, which is byte-identical to
-            // the DES — `run --shards` and `serve --virtual-clock --shards`
-            // write the same exports (CI's steal gauntlet `cmp`s them).
-            return self.serve(method, ClockMode::Virtual, observed);
-        }
-        let pipeline = self.pipeline(method, None);
-        let sink = if observed { Arc::clone(&self.sink) } else { TraceSink::disabled() };
-        let (ctx, config) = (&self.ctx, &self.ctx.config);
-        let summary =
-            pipeline.run_traced(&ctx.ensemble, &self.workload, config.admission, config.seed, sink);
-        Ok(Ran::Des(summary))
-    }
-
-    /// Writes the requested exports from one snapshot of the sink. A served
-    /// run's report carries live metrics and elapsed time; a DES run's are
-    /// reconstructed from the trace (elapsed = the last event's timestamp).
-    /// The SLO and introspection files are a pure fold over the events, so a
-    /// DES `run` and a `--virtual-clock` serve of one seed write equal bytes.
-    fn export(&mut self, method: &Method, report: Option<&ServeReport>) -> Result<(), String> {
+    /// Writes the requested exports from one snapshot of the sink; the
+    /// metrics exposition renders the report's own counters and elapsed time.
+    /// Everything else is a pure fold over the events, so `run` and a
+    /// `--virtual-clock` serve of one command line write equal bytes.
+    fn export(&mut self, method: &Method, report: &ServeReport) -> Result<(), String> {
         let (cli, sink) = (&self.cli, &self.sink);
         let events = sink.snapshot();
         if sink.dropped() > 0 {
@@ -256,7 +228,7 @@ impl Session {
             })
             .max()
             .unwrap_or(0)
-            .max(report.map_or(self.ctx.ensemble.m(), |r| r.metrics.executors.len()));
+            .max(report.metrics.executors.len());
         if let Some(path) = &cli.trace_out {
             // Sharded runs name tracks by shard: global executor s*m+k is
             // shard s's replica of model k.
@@ -275,15 +247,7 @@ impl Session {
             write(path, &log)?;
         }
         if let Some(path) = &cli.metrics_out {
-            let text = match report {
-                Some(r) => prometheus_text(&r.metrics, r.sim_secs, Some(&sink.planning)),
-                None => {
-                    let end = events.iter().map(|e| e.time()).max();
-                    let derived = metrics_from_events(&events, executors);
-                    let elapsed = end.map_or(0.0, |t| t.as_secs_f64());
-                    prometheus_text(&derived, elapsed, Some(&sink.planning))
-                }
-            };
+            let text = prometheus_text(&report.metrics, report.sim_secs, Some(&sink.planning));
             write(path, &text)?;
             println!("  wrote metrics exposition to {path}");
         }
@@ -316,18 +280,19 @@ impl Session {
 
     /// The tail of `run`, `serve` and `loadtest`: report, the scheduler's
     /// self-profile, `--csv`, the exports, the recorder dump, the wedge check.
-    fn finish(&mut self, command: Command, ran: &Ran) -> Result<(), String> {
+    /// An unsharded `run` is the summary view: it prints no runtime block.
+    fn finish(
+        &mut self,
+        command: Command,
+        report: &ServeReport,
+        mode: ClockMode,
+    ) -> Result<(), String> {
         let method = self.cli.method();
-        let report = match ran {
-            Ran::Des(summary) => {
-                print_summary(method.name, summary);
-                None
-            }
-            Ran::Served(report, mode) => {
-                print_report(method.name, report, *mode);
-                Some(report.as_ref())
-            }
-        };
+        if command == Command::Run && self.cli.shards == 1 {
+            print_summary(method.name, &report.summary);
+        } else {
+            print_report(method.name, report, mode);
+        }
         let p = &self.sink.planning;
         if let Some(mean) = p.mean_secs() {
             println!(
@@ -339,7 +304,7 @@ impl Session {
             );
         }
         if let (Command::Run, Some(path)) = (command, &self.cli.csv) {
-            let summary = ran.summary();
+            let summary = &report.summary;
             write_csv(std::path::Path::new(path), summary.records())
                 .map_err(|e| format!("writing {path}: {e}"))?;
             println!("wrote {} records to {path}", summary.len());
@@ -363,22 +328,20 @@ impl Session {
         }
         // Every admitted query must end completed, degraded, rejected or
         // expired, faults or not (the CI gauntlets rely on the non-zero exit).
-        match report.map_or(0, |r| r.stats.open()) {
+        match report.stats.open() {
             0 => Ok(()),
             open => Err(format!("{open} queries left open at shutdown (wedged)")),
         }
     }
 
     /// Cross-checks a `loadtest` run against the fault-free deterministic
-    /// replay of the same flags — the DES, or under `--shards` the virtual-
-    /// clock shard engines (an unsharded DES has fewer executors and is not
-    /// comparable). Under `--virtual-clock` the counts must coincide; on the
-    /// wall clock small drift is expected; under faults the gap to the clean
-    /// reference IS the measurement.
-    fn cross_check(&mut self, ran: &Ran) -> Result<(), String> {
-        let Ran::Served(report, _) = ran else { return Ok(()) };
-        let reference = self.replay(self.cli.method(), false)?;
-        let des = reference.summary();
+    /// replay of the same flags (shard engines included: an unsharded replay
+    /// has fewer executors and is not comparable). Under `--virtual-clock`
+    /// the counts must coincide; on the wall clock small drift is expected;
+    /// under faults the gap to the clean reference IS the measurement.
+    fn cross_check(&mut self, report: &ServeReport) -> Result<(), String> {
+        let reference = self.serve(self.cli.method(), ClockMode::Virtual, false)?;
+        let des = &reference.summary;
         print_summary("des-reference", des);
         let counts = |s: &RunSummary| {
             let missed = s.records().iter().filter(|r| r.outcome == QueryOutcome::Missed).count();
@@ -419,8 +382,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut s = Session::new(command, cli);
     match command {
         Command::Run => {
-            let ran = s.replay(method, true)?;
-            s.finish(command, &ran)
+            let report = s.serve(method, ClockMode::Virtual, true)?;
+            s.finish(command, &report, ClockMode::Virtual)
         }
         Command::Serve | Command::Loadtest => {
             let mut dilation = 1.0;
@@ -437,16 +400,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 true => ClockMode::Virtual,
                 false => ClockMode::Wall { dilation: s.cli.dilation.unwrap_or(dilation) },
             };
-            let ran = s.serve(method, mode, true)?;
-            let finished = s.finish(command, &ran);
+            let report = s.serve(method, mode, true)?;
+            let finished = s.finish(command, &report, mode);
             if command == Command::Loadtest {
-                s.cross_check(&ran)?;
+                s.cross_check(&report)?;
             }
             finished
         }
         Command::Compare => {
             for method in METHODS.iter().filter(|m| m.compare) {
-                print_summary(method.name, s.replay(method, false)?.summary());
+                print_summary(method.name, &s.serve(method, ClockMode::Virtual, false)?.summary);
             }
             Ok(())
         }
@@ -482,7 +445,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             // The stack is deterministic per seed, so a traced replay is
             // exact: this is the timeline any run with the same flags lived
             // through (sharded flags included: steal lineage is explainable).
-            s.replay(method, true)?;
+            s.serve(method, ClockMode::Virtual, true)?;
             match explain_query(&s.sink.snapshot(), id) {
                 Some(explain) => {
                     print!("{}", explain.render());

@@ -29,11 +29,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use schemble::core::experiment::{ExperimentConfig, PipelineKind, run_pipeline};
+//! use schemble::core::experiment::{ExperimentConfig, ExperimentContext, PipelineKind};
 //! use schemble::data::task::TaskKind;
 //!
-//! let cfg = ExperimentConfig::small(TaskKind::TextMatching, 42);
-//! let outcome = run_pipeline(&cfg, PipelineKind::Schemble);
+//! let mut ctx = ExperimentContext::new(ExperimentConfig::small(TaskKind::TextMatching, 42));
+//! let outcome = ctx.run(PipelineKind::Schemble, &ctx.workload());
 //! println!("accuracy={:.3} dmr={:.3}", outcome.accuracy(), outcome.deadline_miss_rate());
 //! ```
 

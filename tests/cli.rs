@@ -1,8 +1,9 @@
 //! The `schemble` CLI, driven in-process: the flag spec never panics on
 //! hostile argument vectors, every range check and cross-flag rule rejects
-//! with an error, the usage text and the README agree with the spec, and
-//! every subcommand runs a 150-query fixture to completion with every query
-//! accounted for.
+//! with an error, the usage text and the README agree with the spec, every
+//! subcommand runs a 150-query fixture to completion with every query
+//! accounted for, `run` writes what `serve --virtual-clock` writes, and a
+//! hostile fault plan is an error or a conserved run, never a panic.
 
 use proptest::prelude::*;
 use schemble::cli::{self, Cli, Command, FLAGS, METHODS};
@@ -355,6 +356,146 @@ fn every_optional_feature_at_once_conserves_queries() {
     sh(&format!("serve --method original {FIXTURE} --virtual-clock --fault-plan {faults}/no.plan"))
         .expect_err("a missing fault plan is an error, not a panic");
     std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+/// The metrics exposition at `path` without the scheduler's wall-clock
+/// self-profile (`schemble_sched_plan_*`), the only lines that differ
+/// between two runs of one command line.
+fn stable_metrics(path: &str) -> Vec<String> {
+    let text = std::fs::read_to_string(path).expect("metrics exposition");
+    let timed = |line: &&str| {
+        let name = line.trim_start_matches("# HELP ").trim_start_matches("# TYPE ");
+        name.starts_with("schemble_sched_plan_")
+    };
+    text.lines().filter(|line| !timed(line)).map(String::from).collect()
+}
+
+/// The per-executor samples of gauge or counter `name` in an exposition.
+fn per_executor(metrics: &[String], name: &str) -> Vec<f64> {
+    let samples = metrics.iter().filter(|line| line.starts_with(&format!("{name}{{")));
+    samples.map(|line| line.rsplit(' ').next().unwrap().parse().expect("a number")).collect()
+}
+
+/// Runs `flags` as `run` and as `serve --virtual-clock`, asserts the two
+/// wrote the same audit log and (modulo the self-profile) the same metrics,
+/// and returns `run`'s: `(metrics lines, audit log)`.
+fn run_and_serve_agree(dir: &std::path::Path, flags: &str) -> (Vec<String>, String) {
+    let path = |name: &str| dir.join(name).display().to_string();
+    let views = [("run", "run"), ("serve", "serve --virtual-clock")].map(|(view, command)| {
+        let (metrics, audit) = (path(&format!("{view}.prom")), path(&format!("{view}.ndjson")));
+        sh(&format!("{command} {flags} --metrics-out {metrics} --audit-out {audit}"))
+            .unwrap_or_else(|e| panic!("{command} {flags}: {e}"));
+        (stable_metrics(&metrics), std::fs::read_to_string(audit).expect("audit log"))
+    });
+    let [(run, audit), (serve, serve_audit)] = views;
+    for (ours, theirs) in run.iter().zip(&serve) {
+        assert_eq!(ours, theirs, "run (left) and serve (right) export different metrics");
+    }
+    assert_eq!(run.len(), serve.len(), "one exposition is a prefix of the other");
+    assert!(audit == serve_audit, "run and serve wrote different audit logs");
+    (run, audit)
+}
+
+/// At the parent commit `run` rebuilt its metrics from the event stream and
+/// charged every member of a batch the whole pass: executors busier than
+/// the run was long, every utilisation gauge clamped to 1.
+#[test]
+fn run_exports_the_busy_time_the_executors_counted() {
+    let dir = scratch("busy");
+    let flags = "--method schemble --queries 150 --rate 140 --batch-max 8 --anytime";
+    let (metrics, _) = run_and_serve_agree(&dir, flags);
+    // The least utilised executor's gauge is the likeliest to be unclamped,
+    // and then busy / utilisation is the elapsed time.
+    let busy = per_executor(&metrics, "schemble_executor_busy_seconds_total");
+    let utilization = per_executor(&metrics, "schemble_executor_utilization");
+    let idlest = (0..busy.len()).min_by(|&a, &b| utilization[a].total_cmp(&utilization[b]));
+    let idlest = idlest.expect("executors");
+    assert!(utilization[idlest] > 0.0 && utilization[idlest] < 1.0, "gauges {utilization:?}");
+    let elapsed = busy[idlest] / utilization[idlest];
+    for (k, busy) in busy.iter().enumerate() {
+        assert!(*busy <= elapsed * (1.0 + 1e-9), "executor {k} busy {busy}s of a {elapsed}s run");
+    }
+    std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+/// At the parent commit only `run --shards S` reached the code that injects
+/// faults; without it the plan was read and ignored.
+#[test]
+fn run_injects_its_fault_plan() {
+    let dir = scratch("faulted");
+    let plan = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/faults/gauntlet.plan");
+    let (_, audit) =
+        run_and_serve_agree(&dir, &format!("--method schemble {FIXTURE} --fault-plan {plan}"));
+    // Some query lost a task and was retried or answered from what was left.
+    let hit = |line: &str| !line.contains("\"retries\":0,") || line.contains("\"degraded\"");
+    assert!(audit.lines().any(hit), "no task failed under the gauntlet plan");
+    assert_conserved(&dir.join("run.ndjson"), 150);
+    std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any plan text built from the format's own vocabulary and hostile
+    /// numbers is rejected with an error naming the plan, or runs 50 queries
+    /// to the end with every one accounted for — never a panic.
+    #[test]
+    fn a_hostile_fault_plan_is_an_error_or_a_conserved_run(
+        lines in collection::vec(
+            (0usize..10, any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            1..4,
+        )
+    ) {
+        // What each field mostly holds: legal values, so that a fair share
+        // of the plans parse and run, then an edge or two beyond.
+        let executor: &[&str] = &["0", "1", "2", "0", "1", "2", "99"];
+        let from: &[&str] = &["0", "0.2", "0.5", "1", "0"];
+        let until: &[&str] = &["1.5", "3", "9", "1e9", "1e30"];
+        let multiplier: &[&str] = &["1", "1.5", "4.0", "6.0", "1e6", "1e30"];
+        let probability: &[&str] = &["0", "0.03", "0.5", "0.9", "1"];
+        let quantile: &[&str] = &["0", "0.5", "0.95", "1", "1e-9", "4.0"];
+        let crash: (&str, &[&[&str]]) = ("crash", &[executor, from, until]);
+        let straggle: (&str, &[&[&str]]) = ("straggle", &[executor, from, until, multiplier]);
+        let directives = [
+            crash,
+            crash,
+            crash,
+            straggle,
+            straggle,
+            straggle,
+            ("transient", &[probability]),
+            ("timeout-q", &[quantile]),
+            ("# note", &[]),
+            ("flarp", &[from]),
+        ];
+        let mut text = String::new();
+        for (kind, a, b, c, d) in lines {
+            let (directive, fields) = directives[kind];
+            text.push_str(directive);
+            for (values, pick) in fields.iter().zip([a, b, c, d].map(|pick| pick as usize)) {
+                // Now and then any hostile value at all, or a missing field.
+                match pick % 16 {
+                    0 => text.push_str(&format!(" {}", HOSTILE[pick % HOSTILE.len()])),
+                    1 => {}
+                    _ => text.push_str(&format!(" {}", values[pick % values.len()])),
+                }
+            }
+            text.push('\n');
+        }
+        let dir = scratch("plans");
+        let (plan, audit) = (dir.join("hostile.plan"), dir.join("a.ndjson"));
+        std::fs::write(&plan, &text).expect("writing the plan");
+        let run = format!(
+            "run --method schemble --queries 50 --rate 60 --fault-plan {} --audit-out {}",
+            plan.display(),
+            audit.display()
+        );
+        match sh(&run) {
+            Ok(()) => assert_conserved(&audit, 50),
+            Err(e) => prop_assert!(e.starts_with("fault plan"), "{e:?} for plan {text:?}"),
+        }
+        std::fs::remove_dir_all(dir).expect("cleanup");
+    }
 }
 
 /// At the parent commit `loadtest --shards S` compared S executor replicas

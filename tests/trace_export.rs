@@ -7,13 +7,15 @@
 //! trace — one audit record per submitted query, every started task span
 //! closed; (4) all three export formats are well-formed.
 
+use schemble::core::engine::AnytimePolicy;
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::{run_schemble, run_schemble_traced, SchembleConfig};
 use schemble::data::TaskKind;
 use schemble::serve::{serve_schemble, ClockMode, ServeConfig};
+use schemble::sim::{BatchConfig, SimDuration};
 use schemble::trace::{
-    audit_ndjson, audit_records, chrome_trace, complete_task_spans, json, metrics_from_events,
-    prometheus_text, TraceEvent, TraceSink,
+    audit_ndjson, audit_records, chrome_trace, complete_task_spans, json, prometheus_text,
+    AdmissionVerdict, TraceEvent, TraceSink,
 };
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -92,52 +94,93 @@ fn des_and_virtual_serve_emit_identical_traces() {
     );
 }
 
+/// Events of `events` that `pick` selects.
+fn count(events: &[TraceEvent], pick: impl Fn(&TraceEvent) -> bool) -> u64 {
+    events.iter().filter(|e| pick(e)).count() as u64
+}
+
 #[test]
 fn serve_trace_round_trips_every_submitted_query() {
     let mut ctx = context(400);
     let workload = ctx.workload();
     let seed = ctx.config.seed;
 
-    let sink = TraceSink::enabled();
-    let serve_cfg = ServeConfig {
-        mode: ClockMode::Virtual,
-        trace: Some(Arc::clone(&sink)),
-        ..ServeConfig::default()
-    };
-    let cfg = schemble_config(&mut ctx);
-    let report = serve_schemble(&ctx.ensemble, &cfg, &workload, seed, &serve_cfg);
-    let events = sink.drain();
+    // The plain run, then the features under which a started task ends
+    // other than by completing (quit while running) or shares its pass with
+    // others (a batch) — on one engine and on two shards.
+    let quit = Some(AnytimePolicy::default());
+    let batch = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
+    let cases = [(None, None), (quit, None), (quit, batch)];
+    for ((anytime, batching), shards) in cases.into_iter().flat_map(|c| [(c, 1), (c, 2)]) {
+        let case = format!("anytime {anytime:?}, batching {batching:?}, {shards} shard(s)");
+        let sink = TraceSink::enabled();
+        let serve_cfg = ServeConfig {
+            mode: ClockMode::Virtual,
+            trace: Some(Arc::clone(&sink)),
+            shards,
+            ..ServeConfig::default()
+        };
+        let cfg = SchembleConfig { anytime, batching, ..schemble_config(&mut ctx) };
+        let report = serve_schemble(&ctx.ensemble, &cfg, &workload, seed, &serve_cfg);
+        let events = sink.drain();
 
-    // One audit record per submitted query, in query order.
-    let records = audit_records(&events);
-    assert_eq!(records.len() as u64, report.stats.submitted, "one audit record per query");
-    for w in records.windows(2) {
-        assert!(w[0].query < w[1].query, "audit records sorted by query id");
+        // One audit record per submitted query, in query order.
+        let records = audit_records(&events);
+        assert_eq!(records.len() as u64, report.stats.submitted, "{case}: one record per query");
+        for w in records.windows(2) {
+            assert!(w[0].query < w[1].query, "{case}: audit records sorted by query id");
+        }
+
+        // Every completed task closed its span. That is every started task,
+        // unless the anytime policy quit some while they ran (a launched
+        // batch refuses to shed a member, so batching rules that out).
+        let starts = count(&events, |e| matches!(e, TraceEvent::TaskStart { .. }));
+        let done = count(&events, |e| matches!(e, TraceEvent::TaskDone { .. }));
+        let spans: u64 = complete_task_spans(&events).values().map(|&n| n as u64).sum();
+        assert_eq!(spans, done, "{case}: every TaskDone closes a TaskStart");
+        if anytime.is_some() && batching.is_none() {
+            assert!(starts > done, "{case}: no running task was quit");
+        } else {
+            assert_eq!(starts, done, "{case}: every TaskStart has a matching TaskDone");
+        }
+
+        // The runtime's counters are the event stream's, exactly.
+        let c = &report.metrics.counters;
+        let rejected = |e: &TraceEvent| {
+            matches!(e, TraceEvent::Admission { verdict: AdmissionVerdict::Rejected, .. })
+        };
+        for (name, counter, events) in [
+            (
+                "submitted",
+                &c.submitted,
+                count(&events, |e| matches!(e, TraceEvent::Arrival { .. })),
+            ),
+            (
+                "completed",
+                &c.completed,
+                count(&events, |e| matches!(e, TraceEvent::QueryDone { .. })),
+            ),
+            ("rejected", &c.rejected, count(&events, rejected)),
+            (
+                "expired",
+                &c.expired,
+                count(&events, |e| matches!(e, TraceEvent::QueryExpired { .. })),
+            ),
+            ("tasks_started", &c.tasks_started, starts),
+            ("tasks_completed", &c.tasks_completed, done),
+            (
+                "tasks_saved",
+                &c.tasks_saved,
+                count(&events, |e| matches!(e, TraceEvent::TaskQuit { .. })),
+            ),
+        ] {
+            assert_eq!(counter.load(Relaxed), events, "{case}: {name} diverges from the trace");
+        }
+        let answered = count(&events, |e| {
+            matches!(e, TraceEvent::QueryDone { .. } | TraceEvent::DegradedAnswer { .. })
+        });
+        assert_eq!(report.metrics.latency.count(), answered, "{case}: one latency per answer");
     }
-
-    // Every started task closed its span.
-    let starts = events.iter().filter(|e| matches!(e, TraceEvent::TaskStart { .. })).count() as u64;
-    let spans: u64 = complete_task_spans(&events).values().map(|&n| n as u64).sum();
-    assert_eq!(spans, starts, "every TaskStart has a matching TaskDone");
-    assert_eq!(starts, report.metrics.counters.tasks_started.load(Relaxed));
-
-    // Trace counters reproduce the runtime's live counters exactly.
-    let derived = metrics_from_events(&events, report.metrics.executors.len());
-    for (name, a, b) in [
-        ("submitted", &derived.counters.submitted, &report.metrics.counters.submitted),
-        ("completed", &derived.counters.completed, &report.metrics.counters.completed),
-        ("rejected", &derived.counters.rejected, &report.metrics.counters.rejected),
-        ("expired", &derived.counters.expired, &report.metrics.counters.expired),
-        ("tasks_started", &derived.counters.tasks_started, &report.metrics.counters.tasks_started),
-        (
-            "tasks_completed",
-            &derived.counters.tasks_completed,
-            &report.metrics.counters.tasks_completed,
-        ),
-    ] {
-        assert_eq!(a.load(Relaxed), b.load(Relaxed), "derived {name} diverges from live counter");
-    }
-    assert_eq!(derived.latency.count(), report.metrics.latency.count());
 }
 
 #[test]
