@@ -19,6 +19,12 @@
 //!   execution order, plus the Greedy+EDF/FIFO/SJF baselines of Exp-4.
 //! * [`filling`] — **missing-value filling** (§VII): vote exclusion, weight
 //!   renormalisation, and the KNN filler for stacking aggregators.
+//! * [`engine`] — the pipelines' decision logic as state machines over
+//!   backend events: `SchembleEngine` (query buffer, re-planning,
+//!   dispatch-on-idle, anytime exit, steal custody) and `ImmediateEngine`
+//!   (selection at arrival, FIFO enqueue), over one query ledger, one
+//!   id-ordered open-query table and one fault book. [`backend`] and
+//!   [`executor`] are what they run on.
 //! * [`pipeline`] — the discrete-event serving pipelines: the original
 //!   run-everything pipeline, immediate-selection baselines (static
 //!   deployments with replicas, feature-based selectors) and the full

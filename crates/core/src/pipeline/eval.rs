@@ -3,6 +3,11 @@
 
 use schemble_models::{Ensemble, ModelSet, Output, Sample, TaskSpec};
 
+/// The set of models that produced `outputs`.
+pub(crate) fn produced_set(outputs: &[(usize, Output)]) -> ModelSet {
+    outputs.iter().fold(ModelSet::EMPTY, |s, (k, _)| s.with(*k))
+}
+
 /// The full ensemble's output on `sample` — [`Ensemble::ensemble_output`] —
 /// given that the outputs in `held` have been computed already.
 ///
@@ -10,7 +15,7 @@ use schemble_models::{Ensemble, ModelSet, Output, Sample, TaskSpec};
 /// aggregation runs over the same model-ordered slice `ensemble_output`
 /// builds, so the result is bit-equal to recomputing every output.
 fn reference_output(ensemble: &Ensemble, sample: &Sample, held: &[(usize, Output)]) -> Output {
-    let held_set = held.iter().fold(ModelSet::EMPTY, |s, (k, _)| s.with(*k));
+    let held_set = produced_set(held);
     debug_assert_eq!(held_set.len(), held.len(), "two held outputs of one model");
     let missing: Vec<(usize, Output)> = (0..ensemble.m())
         .filter(|&k| !held_set.contains(k))
@@ -22,20 +27,15 @@ fn reference_output(ensemble: &Ensemble, sample: &Sample, held: &[(usize, Output
     ensemble.aggregate(&present)
 }
 
-/// Scores a returned result for one query.
+/// Scores a returned result for one query whose caller already holds some
+/// base-model outputs of `sample`: `held` pairs distinct model indices with
+/// the outputs those models produced, and only the models missing from it
+/// are run to build the reference.
 ///
 /// Returns `(correct, score)` where `score` is what accumulates into the
 /// accuracy/mAP columns: plain 0/1 agreement for classification and
 /// regression, average precision (1/rank of the reference's top candidate)
 /// for retrieval.
-pub fn evaluate(ensemble: &Ensemble, sample: &Sample, result: &Output) -> (bool, f64) {
-    evaluate_with_outputs(ensemble, sample, &[], result)
-}
-
-/// [`evaluate`] for a caller that already holds some base-model outputs of
-/// `sample`: `held` pairs distinct model indices with the outputs those
-/// models produced, and only the models missing from it are run to build
-/// the reference.
 pub fn evaluate_with_outputs(
     ensemble: &Ensemble,
     sample: &Sample,
@@ -66,6 +66,11 @@ mod tests {
     use proptest::prelude::*;
     use schemble_models::zoo;
     use schemble_models::{Aggregator, DifficultyDist, SampleGenerator};
+
+    /// The oracle: scores `result` recomputing every base-model output.
+    fn evaluate(ensemble: &Ensemble, sample: &Sample, result: &Output) -> (bool, f64) {
+        evaluate_with_outputs(ensemble, sample, &[], result)
+    }
 
     proptest! {
         #[test]

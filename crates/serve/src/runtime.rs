@@ -70,7 +70,10 @@ pub struct ServeConfig {
     pub faults: Option<FaultPlan>,
     /// Retry/degradation policy handed to the engine. Applies to the
     /// immediate pipelines only — the Schemble pipeline carries its policy
-    /// in [`SchembleConfig::failure`].
+    /// in [`SchembleConfig::failure`]. Of its two knobs they use
+    /// `max_retries`: a failed task rejoins the FIFO queue of the
+    /// least-loaded live instance at once (that backlog is the delay), so
+    /// `backoff` has no effect here.
     pub failure: Option<FailurePolicy>,
     /// Engine shards for [`serve_schemble`]. `1` (the default) runs the
     /// single-engine path unchanged; `S > 1` hash-routes arrivals across

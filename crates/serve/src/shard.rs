@@ -108,10 +108,14 @@ pub fn serve_schemble_sharded(
     // (e.g. by a flight recorder): the merged re-emission below feeds the
     // outer tap, so a tap-only sink still needs shard-level capture. Each
     // holds as much as the outer sink: more could not be kept anyway, and
-    // what a shard drops is added to the outer drop count below.
+    // what a shard drops is added to the outer drop count below. The
+    // rings are allocated here, on the calling thread, at their full size:
+    // they are the run's largest buffers, and one grown on a shard thread
+    // sits in whichever malloc arena that thread drew, so how much memory
+    // stays resident afterwards differs from run to run.
     let sinks: Vec<Arc<TraceSink>> = (0..shards)
         .map(|_| match &config.trace {
-            Some(outer) if outer.observing() => TraceSink::new(outer.capacity()),
+            Some(outer) if outer.observing() => TraceSink::preallocated(outer.capacity()),
             _ => TraceSink::disabled(),
         })
         .collect();

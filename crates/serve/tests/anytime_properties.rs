@@ -8,51 +8,14 @@
 //! mode keeps the conservation invariant (quit queries still resolve
 //! exactly once) while actually saving work.
 
+mod common;
+
+use common::{assert_conserved, fixture, run_once, Fixture};
 use proptest::prelude::*;
 use schemble_core::engine::AnytimePolicy;
-use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
-use schemble_core::pipeline::schemble::SchembleConfig;
-use schemble_data::{TaskKind, Workload};
-use schemble_models::Ensemble;
-use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
-use schemble_trace::{audit_records, prometheus_text, TraceSink};
-use std::sync::Arc;
 
-struct Fixture {
-    ensemble: Ensemble,
-    pipeline: SchembleConfig,
-    workload: Workload,
-    seed: u64,
-}
-
-fn fixture(seed: u64, n_queries: usize, rate: f64, anytime: Option<AnytimePolicy>) -> Fixture {
-    let mut config = ExperimentConfig::small(TaskKind::TextMatching, seed);
-    config.n_queries = n_queries;
-    config.traffic = Traffic::Poisson { rate_per_sec: rate };
-    let mut ctx = ExperimentContext::new(config);
-    let workload = ctx.workload();
-    let mut pipeline = ctx.artifacts().pipeline();
-    pipeline.admission = ctx.config.admission;
-    pipeline.anytime = anytime;
-    let seed = ctx.config.seed;
-    Fixture { ensemble: ctx.ensemble, pipeline, workload, seed }
-}
-
-/// One virtual-clock run; returns the report plus its exported artifacts
-/// (Prometheus text sans the wall-clock planning profile, audit lines).
-fn run_once(fx: &Fixture, shards: usize) -> (ServeReport, String, Vec<String>) {
-    let sink = TraceSink::enabled();
-    let config = ServeConfig {
-        mode: ClockMode::Virtual,
-        trace: Some(Arc::clone(&sink)),
-        shards,
-        ..ServeConfig::default()
-    };
-    let report = serve_schemble(&fx.ensemble, &fx.pipeline, &fx.workload, fx.seed, &config);
-    let events = sink.drain();
-    let prom = prometheus_text(&report.metrics, report.sim_secs, None);
-    let audit: Vec<String> = audit_records(&events).iter().map(|r| r.to_json_line()).collect();
-    (report, prom, audit)
+fn armed(seed: u64, n_queries: usize, rate: f64, anytime: Option<AnytimePolicy>) -> Fixture {
+    fixture(seed, n_queries, rate).build(|pipeline| pipeline.anytime = anytime)
 }
 
 proptest! {
@@ -70,18 +33,18 @@ proptest! {
         sharded in proptest::bool::ANY,
     ) {
         let shards = if sharded { 4 } else { 1 };
-        let none = fixture(seed, 100, rate, None);
-        let inert = fixture(seed, 100, rate, Some(AnytimePolicy { confidence_threshold: threshold }));
-        let (report_a, prom_a, audit_a) = run_once(&none, shards);
-        let (report_b, prom_b, audit_b) = run_once(&inert, shards);
-        prop_assert_eq!(report_a.stats, report_b.stats, "engine stats must match");
-        prop_assert_eq!(report_b.stats.tasks_saved, 0, "an inert policy never quits");
+        let none = armed(seed, 100, rate, None);
+        let inert = armed(seed, 100, rate, Some(AnytimePolicy { confidence_threshold: threshold }));
+        let a = run_once(&none, |c| c.shards = shards);
+        let b = run_once(&inert, |c| c.shards = shards);
+        prop_assert_eq!(a.report.stats, b.report.stats, "engine stats must match");
+        prop_assert_eq!(b.report.stats.tasks_saved, 0, "an inert policy never quits");
         prop_assert_eq!(
-            report_a.summary.records(), report_b.summary.records(),
+            a.report.summary.records(), b.report.summary.records(),
             "per-query outcomes must be byte-identical"
         );
-        prop_assert_eq!(audit_a, audit_b, "audit lines must be byte-identical");
-        prop_assert_eq!(prom_a, prom_b, "Prometheus text must be byte-identical");
+        prop_assert_eq!(a.audit, b.audit, "audit lines must be byte-identical");
+        prop_assert_eq!(a.prom, b.prom, "Prometheus text must be byte-identical");
     }
 
     /// Enabled mode: conservation still holds — every submitted query
@@ -94,20 +57,11 @@ proptest! {
         sharded in proptest::bool::ANY,
     ) {
         let shards = if sharded { 4 } else { 1 };
-        let fx = fixture(seed, 100, rate, Some(AnytimePolicy::default()));
-        let n = fx.workload.len();
-        let (report, _, audit) = run_once(&fx, shards);
-        let s = &report.stats;
-        prop_assert_eq!(s.submitted, n as u64, "every arrival submitted");
-        prop_assert_eq!(
-            s.submitted,
-            s.completed + s.degraded + s.rejected + s.expired,
-            "outcomes partition the submitted set"
-        );
-        prop_assert_eq!(s.open(), 0, "no query left open");
-        prop_assert_eq!(report.summary.len(), n, "one record per query");
-        prop_assert_eq!(audit.len(), n, "one audit line per query");
-        prop_assert_eq!(report.snapshot.tasks_saved, s.tasks_saved, "counters mirror stats");
+        let fx = armed(seed, 100, rate, Some(AnytimePolicy::default()));
+        let run = run_once(&fx, |c| c.shards = shards);
+        assert_conserved(&run, fx.workload.len());
+        let report = &run.report;
+        prop_assert_eq!(report.snapshot.tasks_saved, report.stats.tasks_saved, "counters mirror stats");
     }
 }
 
@@ -115,12 +69,12 @@ proptest! {
 /// run stays deterministic: re-running it reproduces every artifact.
 #[test]
 fn default_policy_saves_work_deterministically() {
-    let fx = fixture(11, 300, 60.0, Some(AnytimePolicy::default()));
-    let (report_a, prom_a, audit_a) = run_once(&fx, 1);
-    assert!(report_a.stats.tasks_saved > 0, "the default threshold quits work under load");
-    let (report_b, prom_b, audit_b) = run_once(&fx, 1);
-    assert_eq!(report_a.stats, report_b.stats);
-    assert_eq!(report_a.summary.records(), report_b.summary.records());
-    assert_eq!(audit_a, audit_b);
-    assert_eq!(prom_a, prom_b);
+    let fx = armed(11, 300, 60.0, Some(AnytimePolicy::default()));
+    let a = run_once(&fx, |_| {});
+    assert!(a.report.stats.tasks_saved > 0, "the default threshold quits work under load");
+    let b = run_once(&fx, |_| {});
+    assert_eq!(a.report.stats, b.report.stats);
+    assert_eq!(a.report.summary.records(), b.report.summary.records());
+    assert_eq!(a.audit, b.audit);
+    assert_eq!(a.prom, b.prom);
 }

@@ -7,64 +7,13 @@
 //! clock the same holds with batching, anytime exit, crashes and transient
 //! failures all armed at once.
 
+mod common;
+
+use common::{assert_conserved, fixture, run_once, run_wall};
 use proptest::prelude::*;
 use schemble_core::engine::{AnytimePolicy, FailurePolicy};
-use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
-use schemble_core::pipeline::schemble::SchembleConfig;
-use schemble_core::pipeline::AdmissionMode;
-use schemble_data::{TaskKind, Workload};
 use schemble_metrics::QueryOutcome;
-use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
 use schemble_sim::{BatchConfig, FaultPlan, SimDuration};
-use std::collections::HashSet;
-
-/// One served run; `arm` may switch optional features on first.
-fn serve(
-    seed: u64,
-    n_queries: usize,
-    rate: f64,
-    deadline_ms: f64,
-    force_all: bool,
-    mode: ClockMode,
-    arm: impl FnOnce(&mut SchembleConfig, &mut ServeConfig),
-) -> (ServeReport, Workload) {
-    let mut config = ExperimentConfig::small(TaskKind::TextMatching, seed);
-    config.n_queries = n_queries;
-    config.traffic = Traffic::Poisson { rate_per_sec: rate };
-    let mut config = config.with_deadline_millis(deadline_ms);
-    if force_all {
-        config.admission = AdmissionMode::ForceAll;
-    }
-    let mut ctx = ExperimentContext::new(config);
-    let workload = ctx.workload();
-    let mut pipeline = ctx.artifacts().pipeline();
-    pipeline.admission = ctx.config.admission;
-    let mut serve_cfg = ServeConfig { mode, ..ServeConfig::default() };
-    arm(&mut pipeline, &mut serve_cfg);
-    let report = serve_schemble(&ctx.ensemble, &pipeline, &workload, ctx.config.seed, &serve_cfg);
-    (report, workload)
-}
-
-/// No optional feature.
-fn plain(_: &mut SchembleConfig, _: &mut ServeConfig) {}
-
-/// Each query appears in the records exactly once, and the engine's
-/// counters partition the submitted set.
-fn assert_conserved(report: &ServeReport, n: usize) {
-    let s = &report.stats;
-    prop_assert_eq!(s.submitted, n as u64, "every arrival submitted");
-    prop_assert_eq!(
-        s.submitted,
-        s.completed + s.degraded + s.rejected + s.expired,
-        "completed + degraded + rejected + expired must partition the submitted set"
-    );
-    prop_assert_eq!(s.open(), 0, "no query left open");
-    prop_assert_eq!(report.summary.len(), n, "one record per query");
-    let ids: HashSet<u64> = report.summary.records().iter().map(|r| r.id).collect();
-    prop_assert_eq!(ids.len(), n, "record ids are unique");
-    let completed = report.summary.records().iter().filter(|r| r.completion.is_some()).count();
-    prop_assert_eq!(completed as u64, s.completed + s.degraded, "records agree with the counters");
-}
 
 proptest! {
     // Each case is a full pipeline run; keep the count modest.
@@ -79,10 +28,12 @@ proptest! {
         deadline_ms in 50.0f64..200.0,
         force_all in proptest::bool::ANY,
     ) {
-        let (report, workload) =
-            serve(seed, 150, rate, deadline_ms, force_all, ClockMode::Virtual, plain);
-        let n = workload.len();
-        assert_conserved(&report, n);
+        let fx = fixture(seed, 150, rate).deadline_ms(deadline_ms).force_all(force_all);
+        let fx = fx.build(|_| {});
+        let n = fx.workload.len();
+        let run = run_once(&fx, |_| {});
+        assert_conserved(&run, n);
+        let report = &run.report;
         if force_all {
             prop_assert_eq!(report.stats.rejected, 0, "ForceAll never rejects");
             // ForceAll also never drops admitted queries.
@@ -101,10 +52,10 @@ proptest! {
 /// returns no task is running and no backlog remains.
 #[test]
 fn wall_clock_shutdown_drains_all_queues() {
-    let (report, workload) =
-        serve(7, 120, 60.0, 80.0, false, ClockMode::Wall { dilation: 100.0 }, plain);
+    let fx = fixture(7, 120, 60.0).deadline_ms(80.0).build(|_| {});
+    let report = run_wall(&fx, |_| {}).report;
     let s = &report.stats;
-    assert_eq!(s.submitted, workload.len() as u64);
+    assert_eq!(s.submitted, fx.workload.len() as u64);
     assert_eq!(s.submitted, s.completed + s.rejected + s.expired);
     assert_eq!(s.open(), 0);
 
@@ -121,9 +72,9 @@ fn wall_clock_shutdown_drains_all_queues() {
 /// run still terminates (drain logic never strands a query).
 #[test]
 fn wall_clock_force_all_completes_everything() {
-    let (report, workload) =
-        serve(11, 100, 80.0, 60.0, true, ClockMode::Wall { dilation: 100.0 }, plain);
-    assert_eq!(report.stats.completed, workload.len() as u64);
+    let fx = fixture(11, 100, 80.0).deadline_ms(60.0).force_all(true).build(|_| {});
+    let report = run_wall(&fx, |_| {}).report;
+    assert_eq!(report.stats.completed, fx.workload.len() as u64);
     assert_eq!(report.stats.rejected + report.stats.expired, 0);
     assert_eq!(report.snapshot.tasks_started, report.snapshot.tasks_completed);
 }
@@ -141,16 +92,16 @@ fn wall_clock_conserves_under_batching_anytime_and_short_crashes() {
         let from = 0.2 + 0.4 * i as f64;
         plan += &format!("crash {} {from:.3} {:.3}\n", i % 3, from + 0.004);
     }
-    let mode = ClockMode::Wall { dilation: 100.0 };
-    let (report, workload) = serve(13, 150, 30.0, 200.0, false, mode, |pipeline, serve| {
+    let fx = fixture(13, 150, 30.0).deadline_ms(200.0).build(|pipeline| {
         pipeline.batching = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
         pipeline.failure = Some(FailurePolicy::default());
         pipeline.anytime = Some(AnytimePolicy::default());
-        serve.faults = Some(FaultPlan::parse(&plan).expect("plan parses"));
     });
-    assert_conserved(&report, workload.len());
-    let ids: HashSet<u64> = report.summary.records().iter().map(|r| r.id).collect();
-    assert_eq!(ids, workload.queries.iter().map(|q| q.id).collect::<HashSet<u64>>());
+    let run = run_wall(&fx, |c| c.faults = Some(FaultPlan::parse(&plan).expect("plan parses")));
+    // The record ids are the workload's, each once.
+    assert!(fx.workload.queries.iter().enumerate().all(|(i, q)| q.id == i as u64));
+    assert_conserved(&run, fx.workload.len());
+    let report = &run.report;
     assert!(report.stats.tasks_failed > 0, "the plan must actually bite");
     // `serve_schemble` returning means the workers, the load generator and
     // the reporter were joined; the gauges agree nothing was left behind.

@@ -18,107 +18,30 @@
 //! 4. **Causal order**: in the merged stream no event of a query precedes
 //!    its arrival — a thief never adopts a query its victim has yet to see.
 
+mod common;
+
+use common::{assert_conserved, fixture, run_once, run_wall, Fixture};
 use proptest::prelude::*;
-use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
-use schemble_core::pipeline::schemble::SchembleConfig;
-use schemble_core::pipeline::AdmissionMode;
-use schemble_data::{TaskKind, Workload};
-use schemble_models::Ensemble;
-use schemble_serve::{serve_schemble, ClockMode, ServeConfig, ServeReport};
 use schemble_sim::{BatchConfig, FaultPlan, SimDuration};
-use schemble_trace::{audit_records, prometheus_text, TraceEvent, TraceSink};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-struct Fixture {
-    ensemble: Ensemble,
-    pipeline: SchembleConfig,
-    workload: Workload,
-    seed: u64,
+/// A hot-key fixture: ForceAll on a 150 ms deadline, keys drawn Zipfian.
+fn hot_keys(seed: u64, n_queries: usize, rate: f64, keys: usize, theta: f64) -> Fixture {
+    let spec = fixture(seed, n_queries, rate).deadline_ms(150.0).force_all(true);
+    spec.zipf_keys(keys, theta).build(|_| {})
 }
 
-/// A hot-key fixture: queries are re-keyed with a Zipfian draw over `keys`
-/// keys at skew `theta`, so the hash router concentrates load on few
-/// shards — the regime stealing exists for.
-fn fixture(seed: u64, n_queries: usize, rate: f64, keys: usize, theta: f64) -> Fixture {
-    let mut config = ExperimentConfig::small(TaskKind::TextMatching, seed);
-    config.n_queries = n_queries;
-    config.traffic = Traffic::Poisson { rate_per_sec: rate };
-    let mut config = config.with_deadline_millis(150.0);
-    config.admission = AdmissionMode::ForceAll;
-    let mut ctx = ExperimentContext::new(config);
-    let workload = ctx.workload().with_zipf_keys(keys, theta, seed);
-    let mut pipeline = ctx.artifacts().pipeline();
-    pipeline.admission = ctx.config.admission;
-    let seed = ctx.config.seed;
-    Fixture { ensemble: ctx.ensemble, pipeline, workload, seed }
-}
-
-/// One sharded virtual-clock run, checked for causal order; returns the
-/// report plus its exported artifacts (Prometheus text sans the wall-clock
-/// planning profile, audit lines in id order).
-fn run_once(
+/// One causally ordered virtual-clock run on `shards` shards.
+fn run_shards(
     fx: &Fixture,
     shards: usize,
     steal_epoch: Option<SimDuration>,
     faults: Option<FaultPlan>,
-) -> (ServeReport, String, Vec<String>) {
-    let sink = TraceSink::enabled();
-    let config = ServeConfig {
-        mode: ClockMode::Virtual,
-        trace: Some(Arc::clone(&sink)),
-        shards,
-        steal_epoch,
-        faults,
-        ..ServeConfig::default()
-    };
-    let report = serve_schemble(&fx.ensemble, &fx.pipeline, &fx.workload, fx.seed, &config);
-    let events = sink.drain();
-    assert_causal(&events);
-    let prom = prometheus_text(&report.metrics, report.sim_secs, None);
-    let audit: Vec<String> = audit_records(&events).iter().map(|r| r.to_json_line()).collect();
-    (report, prom, audit)
-}
-
-/// No event of a query precedes its `Arrival`, and every adoption happens
-/// at or after the arrival it carries.
-fn assert_causal(events: &[TraceEvent]) {
-    let arrivals: HashMap<u64, _> = events
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::Arrival { t, query, .. } => Some((query, t)),
-            _ => None,
-        })
-        .collect();
-    for e in events {
-        if let TraceEvent::QueryStolen { t, query, arrival, .. } = *e {
-            assert!(t >= arrival, "query {query} adopted at {t:?}, before it arrived: {e:?}");
-        }
-        if let Some(query) = e.query() {
-            assert!(
-                e.time() >= arrivals[&query],
-                "an event precedes query {query}'s arrival: {e:?}"
-            );
-        }
-    }
-}
-
-fn assert_conserved(report: &ServeReport, audit: &[String], n: usize) {
-    let s = &report.stats;
-    assert_eq!(s.submitted, n as u64, "every arrival submitted");
-    assert_eq!(
-        s.submitted,
-        s.completed + s.degraded + s.rejected + s.expired,
-        "outcomes partition the submitted set"
-    );
-    assert_eq!(s.open(), 0, "no query left open on any shard");
-    assert_eq!(s.stolen_in, s.stolen_out, "every released query was adopted");
-    assert_eq!(report.summary.len(), n, "one record per query");
-    let ids: HashSet<u64> = report.summary.records().iter().map(|r| r.id).collect();
-    assert_eq!(ids, (0..n as u64).collect::<HashSet<u64>>(), "global ids restored");
-    assert_eq!(audit.len(), n, "one audit line per query");
-    assert_eq!(report.snapshot.open, 0);
-    assert_eq!(report.snapshot.queries_stolen, s.stolen_in, "runtime counter tracks adoptions");
+) -> common::Run {
+    run_once(fx, |c| {
+        c.shards = shards;
+        c.steal_epoch = steal_epoch;
+        c.faults = faults;
+    })
 }
 
 proptest! {
@@ -134,21 +57,21 @@ proptest! {
         shards in 2usize..=4,
         rate in 20.0f64..80.0,
     ) {
-        let fx = fixture(seed, 100, rate, 8, 1.5);
-        let (report_off, prom_off, audit_off) = run_once(&fx, shards, None, None);
+        let fx = hot_keys(seed, 100, rate, 8, 1.5);
+        let off = run_shards(&fx, shards, None, None);
         // Far beyond any 100-query run's horizon: the first boundary never
         // fires, so the coordinator sees one all-done rendezvous and stops.
         let idle = Some(SimDuration::from_millis(3_600_000));
-        let (report_on, prom_on, audit_on) = run_once(&fx, shards, idle, None);
-        prop_assert_eq!(report_on.stats.stolen_in, 0, "no boundary, no steals");
-        prop_assert_eq!(&report_off.stats, &report_on.stats, "engine stats must match");
+        let on = run_shards(&fx, shards, idle, None);
+        prop_assert_eq!(on.report.stats.stolen_in, 0, "no boundary, no steals");
+        prop_assert_eq!(&off.report.stats, &on.report.stats, "engine stats must match");
         prop_assert_eq!(
-            report_off.summary.records(), report_on.summary.records(),
+            off.report.summary.records(), on.report.summary.records(),
             "per-query outcomes must be byte-identical"
         );
-        prop_assert_eq!(audit_off, audit_on, "audit lines must be byte-identical");
-        prop_assert_eq!(prom_off, prom_on, "Prometheus text must be byte-identical");
-        prop_assert_eq!(report_off.sim_secs, report_on.sim_secs);
+        prop_assert_eq!(off.audit, on.audit, "audit lines must be byte-identical");
+        prop_assert_eq!(off.prom, on.prom, "Prometheus text must be byte-identical");
+        prop_assert_eq!(off.report.sim_secs, on.report.sim_secs);
     }
 
     /// With stealing enabled on a hot-key workload the run is invariant to
@@ -162,18 +85,18 @@ proptest! {
         epoch_ms in 10u64..80,
     ) {
         let shards = if wide { 4usize } else { 2 };
-        let fx = fixture(seed, 150, rate, 8, 2.0);
+        let fx = hot_keys(seed, 150, rate, 8, 2.0);
         let epoch = Some(SimDuration::from_millis(epoch_ms));
-        let (report_a, prom_a, audit_a) = run_once(&fx, shards, epoch, None);
-        let (report_b, prom_b, audit_b) = run_once(&fx, shards, epoch, None);
-        prop_assert_eq!(&report_a.stats, &report_b.stats, "engine stats must match");
+        let a = run_shards(&fx, shards, epoch, None);
+        let b = run_shards(&fx, shards, epoch, None);
+        prop_assert_eq!(&a.report.stats, &b.report.stats, "engine stats must match");
         prop_assert_eq!(
-            report_a.summary.records(), report_b.summary.records(),
+            a.report.summary.records(), b.report.summary.records(),
             "per-query outcomes must not depend on shard timing"
         );
-        prop_assert_eq!(audit_a, audit_b, "audit lines must be byte-identical");
-        prop_assert_eq!(prom_a, prom_b, "Prometheus text must be byte-identical");
-        prop_assert_eq!(report_a.sim_secs, report_b.sim_secs);
+        prop_assert_eq!(a.audit, b.audit, "audit lines must be byte-identical");
+        prop_assert_eq!(a.prom, b.prom, "Prometheus text must be byte-identical");
+        prop_assert_eq!(a.report.sim_secs, b.report.sim_secs);
     }
 
     /// Conservation holds with stealing enabled, faults or not: every query
@@ -186,13 +109,11 @@ proptest! {
         rate in 40.0f64..120.0,
         faulted in proptest::bool::ANY,
     ) {
-        let fx = fixture(seed, 150, rate, 8, 2.0);
+        let fx = hot_keys(seed, 150, rate, 8, 2.0);
         let faults = faulted
             .then(|| FaultPlan::parse("crash 0 0.3 0.9\ntransient 0.05").expect("valid plan"));
-        let n = fx.workload.len();
         let epoch = Some(SimDuration::from_millis(25));
-        let (report, _, audit) = run_once(&fx, shards, epoch, faults);
-        assert_conserved(&report, &audit, n);
+        assert_conserved(&run_shards(&fx, shards, epoch, faults), fx.workload.len());
     }
 }
 
@@ -201,20 +122,20 @@ proptest! {
 /// the steal lineage baked into the audit lines.
 #[test]
 fn hot_key_load_actually_steals_and_stays_deterministic() {
-    let fx = fixture(11, 400, 120.0, 8, 2.5);
+    let fx = hot_keys(11, 400, 120.0, 8, 2.5);
     let epoch = Some(SimDuration::from_millis(25));
-    let (report_a, prom_a, audit_a) = run_once(&fx, 4, epoch, None);
-    assert!(report_a.stats.stolen_in > 0, "a saturated hot shard must shed work");
-    assert_conserved(&report_a, &audit_a, 400);
+    let a = run_shards(&fx, 4, epoch, None);
+    assert!(a.report.stats.stolen_in > 0, "a saturated hot shard must shed work");
+    assert_conserved(&a, 400);
     assert!(
-        audit_a.iter().any(|line| line.contains("\"stolen\"")),
+        a.audit.iter().any(|line| line.contains("\"stolen\"")),
         "steal lineage reaches the audit export"
     );
-    let (report_b, prom_b, audit_b) = run_once(&fx, 4, epoch, None);
-    assert_eq!(report_a.stats, report_b.stats);
-    assert_eq!(report_a.summary.records(), report_b.summary.records());
-    assert_eq!(audit_a, audit_b);
-    assert_eq!(prom_a, prom_b);
+    let b = run_shards(&fx, 4, epoch, None);
+    assert_eq!(a.report.stats, b.report.stats);
+    assert_eq!(a.report.summary.records(), b.report.summary.records());
+    assert_eq!(a.audit, b.audit);
+    assert_eq!(a.prom, b.prom);
 }
 
 /// Where causal order used to break: a window-due batch launch (or a killed
@@ -223,11 +144,11 @@ fn hot_key_load_actually_steals_and_stays_deterministic() {
 /// ran *at* the boundary — `run_once` asserts that no longer happens.
 #[test]
 fn batched_stealing_never_adopts_a_query_before_it_arrives() {
-    let mut fx = fixture(42, 1000, 140.0, 64, 2.0);
+    let mut fx = hot_keys(42, 1000, 140.0, 64, 2.0);
     fx.pipeline.batching = Some(BatchConfig::new(8, SimDuration::from_millis(2)));
-    let (report, _, audit) = run_once(&fx, 2, Some(SimDuration::from_millis(50)), None);
-    assert!(report.stats.stolen_in > 0, "the hot shard must shed work");
-    assert_conserved(&report, &audit, 1000);
+    let run = run_shards(&fx, 2, Some(SimDuration::from_millis(50)), None);
+    assert!(run.report.stats.stolen_in > 0, "the hot shard must shed work");
+    assert_conserved(&run, 1000);
 }
 
 /// Stealing under a total blackout (every executor down mid-run) still
@@ -235,31 +156,29 @@ fn batched_stealing_never_adopts_a_query_before_it_arrives() {
 /// deadlocking a shard, and the run stays deterministic.
 #[test]
 fn stealing_survives_a_blackout_deterministically() {
-    let fx = fixture(23, 200, 80.0, 8, 2.0);
+    let fx = hot_keys(23, 200, 80.0, 8, 2.0);
     let plan = "crash 0 0.5 3.0\ncrash 1 0.5 3.0\ncrash 2 0.5 3.0";
     let faults = FaultPlan::parse(plan).expect("valid plan");
     let epoch = Some(SimDuration::from_millis(25));
-    let (report_a, prom_a, audit_a) = run_once(&fx, 4, epoch, Some(faults.clone()));
-    assert_conserved(&report_a, &audit_a, 200);
-    let (report_b, prom_b, audit_b) = run_once(&fx, 4, epoch, Some(faults));
-    assert_eq!(report_a.stats, report_b.stats);
-    assert_eq!(audit_a, audit_b);
-    assert_eq!(prom_a, prom_b);
-    assert_eq!(report_a.summary.records(), report_b.summary.records());
+    let a = run_shards(&fx, 4, epoch, Some(faults.clone()));
+    assert_conserved(&a, 200);
+    let b = run_shards(&fx, 4, epoch, Some(faults));
+    assert_eq!(a.report.stats, b.report.stats);
+    assert_eq!(a.audit, b.audit);
+    assert_eq!(a.prom, b.prom);
+    assert_eq!(a.report.summary.records(), b.report.summary.records());
 }
 
 /// Wall-clock sharded serve with stealing: conservation and a drained
 /// shutdown hold when shard threads hit real rendezvous barriers.
 #[test]
 fn wall_clock_stealing_drains_cleanly() {
-    let fx = fixture(7, 150, 80.0, 8, 2.0);
-    let config = ServeConfig {
-        mode: ClockMode::Wall { dilation: 100.0 },
-        shards: 4,
-        steal_epoch: Some(SimDuration::from_millis(25)),
-        ..ServeConfig::default()
-    };
-    let report = serve_schemble(&fx.ensemble, &fx.pipeline, &fx.workload, fx.seed, &config);
+    let fx = hot_keys(7, 150, 80.0, 8, 2.0);
+    let report = run_wall(&fx, |c| {
+        c.shards = 4;
+        c.steal_epoch = Some(SimDuration::from_millis(25));
+    })
+    .report;
     let s = &report.stats;
     assert_eq!(s.submitted, 150);
     assert_eq!(s.submitted, s.completed + s.degraded + s.rejected + s.expired);

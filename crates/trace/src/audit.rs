@@ -210,9 +210,19 @@ pub fn audit_records(events: &[TraceEvent]) -> Vec<AuditRecord> {
 
 /// The audit log as NDJSON: one line per submitted query, ordered by id.
 pub fn audit_ndjson(events: &[TraceEvent]) -> String {
+    let records = audit_records(events);
     let mut out = String::new();
-    for record in audit_records(events) {
-        out.push_str(&record.to_json_line());
+    for (i, record) in records.iter().enumerate() {
+        let line = record.to_json_line();
+        if i == 0 {
+            // Sized once from the first (shortest-numbered) line plus an
+            // eighth, not doubled up from a few bytes: a log of tens of
+            // megabytes regrown from a small recycled chunk lives in
+            // whichever malloc arena that chunk came from, and the
+            // process's peak memory differs from run to run with it.
+            out.reserve(records.len() * (line.len() + 1) / 8 * 9);
+        }
+        out.push_str(&line);
         out.push('\n');
     }
     out

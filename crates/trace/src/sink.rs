@@ -116,6 +116,19 @@ impl TraceSink {
         })
     }
 
+    /// An enabled sink whose ring is allocated at `capacity` once, here,
+    /// instead of doubling as events arrive. Pages the run never writes are
+    /// never resident, so this costs address space, not memory; a capacity
+    /// the allocator refuses falls back to growing on demand. For rings
+    /// filled on short-lived threads (the sharded serve path): a buffer
+    /// regrown there lands in whichever allocator arena the thread drew,
+    /// and the process's peak memory then differs from run to run.
+    pub fn preallocated(capacity: usize) -> Arc<Self> {
+        let sink = Self::new(capacity);
+        let _ = sink.ring.lock().expect("trace ring poisoned").events.try_reserve_exact(capacity);
+        sink
+    }
+
     /// An enabled sink at the default capacity.
     pub fn enabled() -> Arc<Self> {
         Self::new(DEFAULT_CAPACITY)
@@ -400,5 +413,20 @@ mod tests {
         assert!(dark.is_empty());
         assert_eq!(dark.dropped(), 0);
         assert_eq!(dark.capacity(), DEFAULT_CAPACITY);
+    }
+
+    #[test]
+    fn a_preallocated_ring_never_regrows_and_bounds_like_any_other() {
+        let sink = TraceSink::preallocated(3);
+        let allocated = sink.ring.lock().unwrap().events.capacity();
+        assert!(allocated >= 3);
+        (0..5).for_each(|q| sink.emit(arrival(q)));
+        assert_eq!(sink.ring.lock().unwrap().events.capacity(), allocated);
+        assert_eq!(sink.drain(), vec![arrival(0), arrival(1), arrival(2)]);
+        assert_eq!(sink.dropped(), 2);
+        // A bound no allocator can honour is still a valid bound.
+        let vast = TraceSink::preallocated(usize::MAX);
+        vast.emit(arrival(0));
+        assert_eq!((vast.len(), vast.capacity()), (1, usize::MAX));
     }
 }

@@ -438,14 +438,17 @@ proptest! {
 
     /// Any plan text built from the format's own vocabulary and hostile
     /// numbers is rejected with an error naming the plan, or runs 50 queries
-    /// to the end with every one accounted for — never a panic.
+    /// to the end with every one accounted for — never a panic, whichever
+    /// engine meets it (the two baselines train nothing, so they are cheap).
     #[test]
     fn a_hostile_fault_plan_is_an_error_or_a_conserved_run(
         lines in collection::vec(
             (0usize..10, any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
             1..4,
-        )
+        ),
+        method in 0usize..3,
     ) {
+        let method = ["schemble", "original", "static"][method];
         // What each field mostly holds: legal values, so that a fair share
         // of the plans parse and run, then an edge or two beyond.
         let executor: &[&str] = &["0", "1", "2", "0", "1", "2", "99"];
@@ -486,13 +489,15 @@ proptest! {
         let (plan, audit) = (dir.join("hostile.plan"), dir.join("a.ndjson"));
         std::fs::write(&plan, &text).expect("writing the plan");
         let run = format!(
-            "run --method schemble --queries 50 --rate 60 --fault-plan {} --audit-out {}",
+            "run --method {method} --queries 50 --rate 60 --fault-plan {} --audit-out {}",
             plan.display(),
             audit.display()
         );
         match sh(&run) {
             Ok(()) => assert_conserved(&audit, 50),
-            Err(e) => prop_assert!(e.starts_with("fault plan"), "{e:?} for plan {text:?}"),
+            Err(e) => {
+                prop_assert!(e.starts_with("fault plan"), "{e:?} for {method} under {text:?}")
+            }
         }
         std::fs::remove_dir_all(dir).expect("cleanup");
     }

@@ -7,12 +7,18 @@
 //! trace — one audit record per submitted query, every started task span
 //! closed; (4) all three export formats are well-formed.
 
-use schemble::core::engine::AnytimePolicy;
+use schemble::core::engine::{AnytimePolicy, FailurePolicy};
 use schemble::core::experiment::{ExperimentConfig, ExperimentContext, Traffic};
 use schemble::core::pipeline::schemble::{run_schemble, run_schemble_traced, SchembleConfig};
+use schemble::core::pipeline::{
+    Deployment, FixedSubsetPolicy, FullEnsemblePolicy, ResultAssembler, SelectionPolicy,
+};
 use schemble::data::TaskKind;
-use schemble::serve::{serve_schemble, ClockMode, ServeConfig};
-use schemble::sim::{BatchConfig, SimDuration};
+use schemble::metrics::QueryOutcome;
+use schemble::models::ModelSet;
+use schemble::obs::{ObsConfig, ObsState};
+use schemble::serve::{serve_immediate, serve_schemble, ClockMode, ServeConfig, ServeReport};
+use schemble::sim::{BatchConfig, FaultPlan, SimDuration};
 use schemble::trace::{
     audit_ndjson, audit_records, chrome_trace, complete_task_spans, json, prometheus_text,
     AdmissionVerdict, TraceEvent, TraceSink,
@@ -99,11 +105,92 @@ fn count(events: &[TraceEvent], pick: impl Fn(&TraceEvent) -> bool) -> u64 {
     events.iter().filter(|e| pick(e)).count() as u64
 }
 
+/// What every serve must leave on the trace, whichever engine decided:
+/// one audit record per query, closed task spans, counters equal to the
+/// stream's, and every answer evaluated. `sheds_tasks`: some started task
+/// ends without completing (quit while running, or failed).
+fn assert_round_trip(case: &str, report: &ServeReport, events: &[TraceEvent], sheds_tasks: bool) {
+    // One audit record per submitted query, in query order.
+    let records = audit_records(events);
+    assert_eq!(records.len() as u64, report.stats.submitted, "{case}: one record per query");
+    for w in records.windows(2) {
+        assert!(w[0].query < w[1].query, "{case}: audit records sorted by query id");
+    }
+
+    // Every completed task closed its span.
+    let starts = count(events, |e| matches!(e, TraceEvent::TaskStart { .. }));
+    let done = count(events, |e| matches!(e, TraceEvent::TaskDone { .. }));
+    let spans: u64 = complete_task_spans(events).values().map(|&n| n as u64).sum();
+    assert_eq!(spans, done, "{case}: every TaskDone closes a TaskStart");
+    if sheds_tasks {
+        assert!(starts > done, "{case}: no running task was quit or failed");
+    } else {
+        assert_eq!(starts, done, "{case}: every TaskStart has a matching TaskDone");
+    }
+
+    // The runtime's counters are the event stream's, exactly.
+    let c = &report.metrics.counters;
+    let rejected = |e: &TraceEvent| {
+        matches!(e, TraceEvent::Admission { verdict: AdmissionVerdict::Rejected, .. })
+    };
+    for (name, counter, events) in [
+        ("submitted", &c.submitted, count(events, |e| matches!(e, TraceEvent::Arrival { .. }))),
+        ("completed", &c.completed, count(events, |e| matches!(e, TraceEvent::QueryDone { .. }))),
+        ("rejected", &c.rejected, count(events, rejected)),
+        ("expired", &c.expired, count(events, |e| matches!(e, TraceEvent::QueryExpired { .. }))),
+        ("tasks_started", &c.tasks_started, starts),
+        ("tasks_completed", &c.tasks_completed, done),
+        (
+            "tasks_saved",
+            &c.tasks_saved,
+            count(events, |e| matches!(e, TraceEvent::TaskQuit { .. })),
+        ),
+    ] {
+        assert_eq!(counter.load(Relaxed), events, "{case}: {name} diverges from the trace");
+    }
+    let answer = |e: &TraceEvent| match *e {
+        TraceEvent::QueryDone { query, .. } | TraceEvent::DegradedAnswer { query, .. } => {
+            Some(query)
+        }
+        _ => None,
+    };
+    let answered = count(events, |e| answer(e).is_some());
+    assert_eq!(report.metrics.latency.count(), answered, "{case}: one latency per answer");
+
+    // Every answer is evaluated on the trace, right before it is announced,
+    // and the drift fold counts exactly the answers the records call wrong.
+    let realized = count(events, |e| matches!(e, TraceEvent::Realized { .. }));
+    assert_eq!(realized, answered, "{case}: one realized score per answer");
+    for pair in events.windows(2) {
+        if let TraceEvent::Realized { query, .. } = pair[0] {
+            assert_eq!(answer(&pair[1]), Some(query), "{case}: realized, then the answer");
+        }
+    }
+    let wrong = report.summary.records().iter().filter(|r| {
+        matches!(
+            r.outcome,
+            QueryOutcome::Completed { correct: false, .. }
+                | QueryOutcome::Degraded { correct: false, .. }
+        )
+    });
+    let drift = ObsState::fold(&ObsConfig::default(), events).drift;
+    assert_eq!(drift.incorrect, wrong.count() as u64, "{case}: incorrect answers");
+}
+
 #[test]
 fn serve_trace_round_trips_every_submitted_query() {
     let mut ctx = context(400);
     let workload = ctx.workload();
     let seed = ctx.config.seed;
+    let traced = || {
+        let sink = TraceSink::enabled();
+        let config = ServeConfig {
+            mode: ClockMode::Virtual,
+            trace: Some(Arc::clone(&sink)),
+            ..ServeConfig::default()
+        };
+        (sink, config)
+    };
 
     // The plain run, then the features under which a started task ends
     // other than by completing (quit while running) or shares its pass with
@@ -113,73 +200,46 @@ fn serve_trace_round_trips_every_submitted_query() {
     let cases = [(None, None), (quit, None), (quit, batch)];
     for ((anytime, batching), shards) in cases.into_iter().flat_map(|c| [(c, 1), (c, 2)]) {
         let case = format!("anytime {anytime:?}, batching {batching:?}, {shards} shard(s)");
-        let sink = TraceSink::enabled();
-        let serve_cfg = ServeConfig {
-            mode: ClockMode::Virtual,
-            trace: Some(Arc::clone(&sink)),
-            shards,
-            ..ServeConfig::default()
-        };
+        let (sink, serve_cfg) = traced();
+        let serve_cfg = ServeConfig { shards, ..serve_cfg };
         let cfg = SchembleConfig { anytime, batching, ..schemble_config(&mut ctx) };
         let report = serve_schemble(&ctx.ensemble, &cfg, &workload, seed, &serve_cfg);
-        let events = sink.drain();
+        // A launched batch refuses to shed a member, so batching rules a
+        // quit of a running task out.
+        let sheds_tasks = anytime.is_some() && batching.is_none();
+        assert_round_trip(&case, &report, &sink.drain(), sheds_tasks);
+    }
 
-        // One audit record per submitted query, in query order.
-        let records = audit_records(&events);
-        assert_eq!(records.len() as u64, report.stats.submitted, "{case}: one record per query");
-        for w in records.windows(2) {
-            assert!(w[0].query < w[1].query, "{case}: audit records sorted by query id");
+    // The immediate family: every model on the identity deployment, a fixed
+    // subset on a replicated one — clean, and with one task in ten failing.
+    let identity = Deployment::identity(ctx.ensemble.m());
+    let replicated = Deployment { hosts: vec![0, 1, 1] };
+    let transient = FaultPlan::parse("transient 0.1").expect("valid plan");
+    for faults in [None, Some(transient)] {
+        for deployment in [&identity, &replicated] {
+            let case = format!("immediate on {:?}, faults {faults:?}", deployment.hosts);
+            let (sink, serve_cfg) = traced();
+            let serve_cfg = ServeConfig {
+                failure: faults.as_ref().map(|_| FailurePolicy::default()),
+                faults: faults.clone(),
+                ..serve_cfg
+            };
+            let mut full = FullEnsemblePolicy;
+            let mut subset = FixedSubsetPolicy { set: ModelSet::from_indices(&[0, 1]) };
+            let policy: &mut dyn SelectionPolicy =
+                if deployment == &identity { &mut full } else { &mut subset };
+            let report = serve_immediate(
+                &ctx.ensemble,
+                deployment,
+                policy,
+                &ResultAssembler::Direct,
+                ctx.config.admission,
+                &workload,
+                seed,
+                &serve_cfg,
+            );
+            assert_round_trip(&case, &report, &sink.drain(), faults.is_some());
         }
-
-        // Every completed task closed its span. That is every started task,
-        // unless the anytime policy quit some while they ran (a launched
-        // batch refuses to shed a member, so batching rules that out).
-        let starts = count(&events, |e| matches!(e, TraceEvent::TaskStart { .. }));
-        let done = count(&events, |e| matches!(e, TraceEvent::TaskDone { .. }));
-        let spans: u64 = complete_task_spans(&events).values().map(|&n| n as u64).sum();
-        assert_eq!(spans, done, "{case}: every TaskDone closes a TaskStart");
-        if anytime.is_some() && batching.is_none() {
-            assert!(starts > done, "{case}: no running task was quit");
-        } else {
-            assert_eq!(starts, done, "{case}: every TaskStart has a matching TaskDone");
-        }
-
-        // The runtime's counters are the event stream's, exactly.
-        let c = &report.metrics.counters;
-        let rejected = |e: &TraceEvent| {
-            matches!(e, TraceEvent::Admission { verdict: AdmissionVerdict::Rejected, .. })
-        };
-        for (name, counter, events) in [
-            (
-                "submitted",
-                &c.submitted,
-                count(&events, |e| matches!(e, TraceEvent::Arrival { .. })),
-            ),
-            (
-                "completed",
-                &c.completed,
-                count(&events, |e| matches!(e, TraceEvent::QueryDone { .. })),
-            ),
-            ("rejected", &c.rejected, count(&events, rejected)),
-            (
-                "expired",
-                &c.expired,
-                count(&events, |e| matches!(e, TraceEvent::QueryExpired { .. })),
-            ),
-            ("tasks_started", &c.tasks_started, starts),
-            ("tasks_completed", &c.tasks_completed, done),
-            (
-                "tasks_saved",
-                &c.tasks_saved,
-                count(&events, |e| matches!(e, TraceEvent::TaskQuit { .. })),
-            ),
-        ] {
-            assert_eq!(counter.load(Relaxed), events, "{case}: {name} diverges from the trace");
-        }
-        let answered = count(&events, |e| {
-            matches!(e, TraceEvent::QueryDone { .. } | TraceEvent::DegradedAnswer { .. })
-        });
-        assert_eq!(report.metrics.latency.count(), answered, "{case}: one latency per answer");
     }
 }
 
