@@ -5,10 +5,11 @@
 //! backlog, batches, fates, cancellation, crash casualties, accounting) and
 //! this type only *times* the passes the bank starts — each one becomes one
 //! job on the executor's [`WorkerPool`] thread, keyed by the pass id, which
-//! sleeps the dilated duration and reports back. The runtime hands that
+//! waits out the dilated duration and reports back. The runtime hands that
 //! report to [`ThreadedBackend::retire`]. A pass killed by a crash or a
-//! cancel keeps its worker sleeping (threads cannot be cancelled); its late
-//! report carries a pass id the bank no longer runs and is swallowed.
+//! cancel is abandoned by its worker at the next submit, so the executor's
+//! next pass is timed from its own start; a report that still races the
+//! kill carries a pass id the bank no longer runs and is swallowed.
 //!
 //! Beside the bank live the things only a wall clock needs: the wake heap,
 //! the cursor over the fault plan's crash/recovery schedule
@@ -214,7 +215,8 @@ impl ThreadedBackend {
         }
     }
 
-    /// Stops the worker threads (after their current tasks) and joins them.
+    /// Stops the worker threads and joins them; a killed pass still being
+    /// timed is abandoned, not waited out.
     pub fn shutdown(self) {
         self.pool.shutdown();
     }
@@ -288,7 +290,7 @@ mod tests {
     use crate::worker::RuntimeMsg;
     use schemble_sim::{BatchConfig, FaultPlan, LatencyModel};
     use std::sync::mpsc::Receiver;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn backend(
         ms: &[f64],
@@ -373,14 +375,17 @@ mod tests {
 
     /// Regression (wall mode): a crash kills a launched batch led by query
     /// 4, the executor recovers and the engine's retry launches a new batch
-    /// led by query 4 again while the killed pass's worker still sleeps. Its
-    /// late report used to be matched by that query id and retired the *new*
-    /// batch before its service time had elapsed.
+    /// led by query 4 again while the killed pass's worker is still timing
+    /// it. That worker used to sleep the killed pass out and report it
+    /// first — once matched by query id, retiring the *new* batch before its
+    /// service time had elapsed. Now the retry's submit abandons the killed
+    /// pass: the only report is the retried batch's, after its full time.
     #[test]
-    fn killed_batchs_late_report_is_swallowed_and_spares_the_retried_batch() {
+    fn killed_batch_is_abandoned_and_spares_the_retried_batch() {
         let plan = FaultPlan::parse("crash 0 0.001 0.002").unwrap();
         let cfg = BatchConfig::new(2, SimDuration::from_millis(2));
-        let (mut b, rx) = backend(&[50.0], 100.0, |bank| {
+        // 5 s passes at dilation 100: 50 ms of wall time each.
+        let (mut b, rx) = backend(&[5_000.0], 100.0, |bank| {
             bank.with_faults(Some(&plan), 1).with_batching(Some(cfg))
         });
         b.submit_batch(0, 4, SimTime::ZERO);
@@ -398,14 +403,14 @@ mod tests {
         assert_eq!(b.take_due_fault_events(SimTime::from_millis(2)), up);
         b.submit_batch(0, 4, SimTime::from_millis(4));
         b.submit_batch(0, 5, SimTime::from_millis(4)); // the retry, launched
-        let killed = report(&rx);
-        assert_eq!(b.retire(0, killed, SimTime::from_millis(58)), None, "stale report");
-        assert!(!b.is_idle(0), "the retried batch is still running");
+        let launched = Instant::now();
         let retried = report(&rx);
-        let now = SimTime::from_millis(62);
+        assert!(launched.elapsed() >= Duration::from_millis(50), "retired early");
+        let now = SimTime::from_millis(5_004);
         assert_eq!(
             b.retire(0, retried, now),
-            Some(BackendEvent::TaskDone { executor: 0, query: 4 })
+            Some(BackendEvent::TaskDone { executor: 0, query: 4 }),
+            "the first report is the retried batch's"
         );
         assert_eq!(
             b.retire(0, retried, now),
@@ -415,12 +420,35 @@ mod tests {
         b.shutdown();
     }
 
+    /// Regression (wall mode): an anytime exit cancels a running task and
+    /// the bank starts the backlog's next pass at once. Its worker used to
+    /// sleep out the cancelled pass first, so the live pass reported a
+    /// whole pass late (40 ms for a 20 ms pass); the virtual clock never
+    /// had that delay.
+    #[test]
+    fn a_cancelled_pass_does_not_delay_the_next_one() {
+        // 200 ms passes at dilation 10: 20 ms of wall time each.
+        let (mut b, rx) = backend(&[200.0], 10.0, |bank| bank);
+        b.enqueue_task(0, 1, SimTime::ZERO);
+        b.enqueue_task(0, 2, SimTime::ZERO);
+        let cancelled = Instant::now();
+        assert!(b.cancel_task(0, 1, SimTime::ZERO));
+        let live = report(&rx);
+        let took = cancelled.elapsed();
+        assert!(took >= Duration::from_millis(20), "retired early: {took:?}");
+        assert!(took < Duration::from_millis(30), "live pass reported after {took:?}");
+        let done = b.retire(0, live, SimTime::from_millis(200));
+        assert_eq!(done, Some(BackendEvent::TaskDone { executor: 0, query: 2 }));
+        assert!(b.all_idle());
+        b.shutdown();
+    }
+
     #[test]
     fn reap_dead_marks_poisoned_worker_down_forever() {
         let (mut b, _rx) = backend(&[1.0, 1.0], 1000.0, |bank| bank);
         b.pool().poison(0);
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while !b.pool().is_finished(0) && std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !b.pool().is_finished(0) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
         let events = b.reap_dead(SimTime::from_millis(3));

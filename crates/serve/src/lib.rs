@@ -4,7 +4,7 @@
 //! The simulator (`schemble-sim` + the DES drivers in `schemble-core`)
 //! answers *what would happen*; this crate runs the same pipelines for
 //! real: per-model worker threads realise synthetic model latencies as
-//! actual sleeps, a load generator replays any
+//! actual waits, a load generator replays any
 //! [`ArrivalTrace`](schemble_data::ArrivalTrace) in (dilated) real time,
 //! and a scheduler loop re-runs the DP over the live buffer on every
 //! arrival and completion, enforcing deadlines with timers.
@@ -20,13 +20,19 @@
 //!
 //! ```text
 //!   loadgen ──Arrive──▶ ┌────────────────┐ ──start/enqueue──▶ workers
-//!                       │ scheduler loop │                    (sleep τ/γ)
+//!                       │ scheduler loop │                    (wait τ/γ)
 //!   timers ───Wake────▶ │ PipelineEngine │ ◀────TaskDone────────┘
 //!                       └────────────────┘
 //!                               │ lock-light atomics
 //!                               ▼
 //!                        RuntimeMetrics snapshots
 //! ```
+//!
+//! Loadgen, loop and workers all wait on [`clock::precise_sleep`] /
+//! [`clock::precise_recv_timeout`]: an OS wait, then a spin through a
+//! window each thread sizes from its own wake-up overshoot. A worker's
+//! wait is on its own channel, so a pass the bank killed is abandoned at
+//! the next submit instead of delaying it.
 
 pub mod backend;
 pub mod clock;

@@ -2,23 +2,25 @@
 //!
 //! [`run_wall`] drives a [`PipelineEngine`] in real (dilated) time: a load
 //! generator thread replays the workload's arrival trace, worker threads
-//! realise task latencies as sleeps, and the scheduler loop reacts to
+//! realise task latencies as timed waits, and the scheduler loop reacts to
 //! arrivals, completions and timer wake-ups — re-running the engine's
 //! planning logic on every event exactly as the simulator does, and
-//! enforcing deadlines with `recv_timeout` timers derived from
-//! [`PipelineEngine::next_wake_hint`]. [`run_virtual`] drives the same
-//! engine over the deterministic [`SimBackend`] instead, through
-//! [`drive`] — the one loop the DES pipelines of `schemble-core` run too —
-//! so a virtual-clock serve run makes those pipelines' decisions bit-for-bit
-//! by construction (the `serve_runtime` integration test checks what is
-//! left to differ: how each side sets up its bank and engine). Either way
+//! enforcing deadlines by waiting on its channel with the calibrated timer
+//! of [`crate::clock`] ([`precise_recv_timeout`]) until the next instant
+//! [`PipelineEngine::next_wake_hint`] or the backend asks for.
+//! [`run_virtual`] drives the same engine over the deterministic
+//! [`SimBackend`] instead, through [`drive`] — the one loop the DES
+//! pipelines of `schemble-core` run too — so a virtual-clock serve run
+//! makes those pipelines' decisions bit-for-bit by construction (the
+//! `serve_runtime` integration test checks what is left to differ: how
+//! each side sets up its bank and engine). Either way
 //! the run's task counts and busy times are the [`ExecutorBank`]'s own,
 //! mirrored into the metrics block by one function
 //! (`backend::mirror` — live on the wall clock, once at the end on the
 //! virtual one).
 
 use crate::backend::{mirror, ThreadedBackend};
-use crate::clock::{precise_sleep, DilatedClock};
+use crate::clock::{precise_recv_timeout, precise_sleep, DilatedClock};
 use crate::steal::{execute_steal_round, LoadSnapshot, Rendezvous, StealHandle};
 use crate::worker::{RuntimeMsg, WorkerPool};
 use schemble_core::backend::{BackendEvent, ExecutionBackend, ExecutorUsage, SimBackend};
@@ -230,7 +232,8 @@ impl Drop for Reporter {
 ///
 /// Returns once the whole trace has been replayed, every admitted query has
 /// completed or expired, and all executors have drained; worker threads are
-/// then shut down gracefully (current tasks finish, queues must be empty).
+/// then shut down (queues are empty; a killed pass still being timed is
+/// abandoned).
 #[allow(clippy::too_many_arguments)]
 pub fn run_wall(
     engine: &mut dyn PipelineEngine,
@@ -386,7 +389,7 @@ pub fn run_wall(
             Some(t) => clock.wall_until(t),
             None => Duration::from_millis(20),
         };
-        match rx.recv_timeout(timeout) {
+        match precise_recv_timeout(&rx, timeout) {
             Ok(msg) => {
                 let now = clock.now_sim();
                 deliver(msg, now, &mut *engine, &mut backend, &mut arrivals_done, &mut stalled);

@@ -1,7 +1,7 @@
 //! Per-executor worker threads.
 //!
 //! Each executor (base-model instance) gets one OS thread that realises
-//! synthetic model latencies as actual (dilated) sleeps. Work reaches a
+//! synthetic model latencies as actual (dilated) waits. Work reaches a
 //! worker over a **bounded** channel sized for the single running job —
 //! backlogs, batches and fates live in the backend's
 //! [`ExecutorBank`](schemble_core::executor::ExecutorBank), which hands a
@@ -10,27 +10,35 @@
 //! flow back to the runtime loop over a shared bounded channel, so a stalled
 //! scheduler exerts backpressure instead of accumulating unbounded buffers.
 //!
+//! A worker times its job by waiting on its own channel
+//! ([`precise_recv_timeout`]) rather than sleeping: the backend submits only
+//! to an executor its bank sees idle, so a message arriving mid-job means
+//! the bank has killed the pass (a crash or a cancel). The worker abandons
+//! it unreported and handles the message — the next pass starts on time
+//! instead of after the dead one's sleep.
+//!
 //! A job submitted with `failed = true` still occupies the worker for its
 //! time but reports [`RuntimeMsg::TaskFailed`] instead of
 //! [`RuntimeMsg::TaskDone`]. A worker thread that *dies* (panics) is visible
 //! through [`WorkerPool::is_finished`]; the backend folds that into the
 //! executor-down path.
 
-use crate::clock::precise_sleep;
-use std::sync::mpsc::{Receiver, SyncSender};
+use crate::clock::precise_recv_timeout;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Messages to a worker thread.
 pub enum WorkerMsg {
-    /// Realise one task: sleep `wall`, then report completion or failure.
+    /// Realise one task: wait out `wall`, then report completion or
+    /// failure. Any message arriving first abandons the task unreported.
     Run {
         /// Query the task belongs to.
         query: u64,
         /// Dilated wall-clock execution time.
         wall: Duration,
         /// The task's predetermined fate: report `TaskFailed` instead of
-        /// `TaskDone` after the sleep.
+        /// `TaskDone` after the wait.
         failed: bool,
     },
     /// Panic the worker thread. Fault-injection instrumentation: lets tests
@@ -75,10 +83,10 @@ impl WorkerPool {
         let mut senders = Vec::with_capacity(executors);
         let mut handles = Vec::with_capacity(executors);
         for executor in 0..executors {
-            // Small bound: normally holds just the running task plus a
-            // shutdown message. Crash/recovery cycles can resubmit while the
-            // worker is still sleeping off a killed pass, so leave
-            // a little headroom before try_send would fail.
+            // Small bound: a running job's worker takes the next message at
+            // once, so the slot normally holds at most one. Back-to-back
+            // kills and resubmits can outpace the worker being scheduled,
+            // so leave a little headroom before try_send would fail.
             let (tx, rx) = std::sync::mpsc::sync_channel::<WorkerMsg>(8);
             let done = done_tx.clone();
             let handle = std::thread::Builder::new()
@@ -108,8 +116,10 @@ impl WorkerPool {
         self.handles[executor].is_finished()
     }
 
-    /// Hands `executor` a task. Panics if the worker's slot is full — the
-    /// backend must only submit to idle executors (non-preemptive contract).
+    /// Hands `executor` a task, abandoning the one it is timing, if any.
+    /// Panics if the worker's slot is full — the backend must only submit
+    /// to idle executors (non-preemptive contract), so a job still running
+    /// is one the bank has killed.
     pub fn submit(&self, executor: usize, query: u64, wall: Duration, failed: bool) {
         self.senders[executor]
             .try_send(WorkerMsg::Run { query, wall, failed })
@@ -121,7 +131,8 @@ impl WorkerPool {
         let _ = self.senders[executor].try_send(WorkerMsg::Poison);
     }
 
-    /// Stops all workers after their current task and joins them.
+    /// Stops all workers and joins them. A job still running is abandoned
+    /// unreported, not waited out.
     pub fn shutdown(self) {
         for tx in &self.senders {
             // A worker gone after a disconnect (panic) is already stopped.
@@ -136,23 +147,31 @@ impl WorkerPool {
 }
 
 fn worker_loop(executor: usize, rx: Receiver<WorkerMsg>, done: SyncSender<RuntimeMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run { query, wall, failed } => {
-                precise_sleep(wall);
-                let report = if failed {
-                    RuntimeMsg::TaskFailed { executor, query }
-                } else {
-                    RuntimeMsg::TaskDone { executor, query }
-                };
-                // The runtime dropping its receiver means shutdown; exit.
-                if done.send(report).is_err() {
-                    return;
+    let mut next = rx.recv();
+    while let Ok(msg) = next {
+        next = match msg {
+            // Waiting out the pass on the channel: the backend only submits
+            // to an idle executor, so a message before the deadline means
+            // this pass is dead. Drop it unreported and take the message.
+            WorkerMsg::Run { query, wall, failed } => match precise_recv_timeout(&rx, wall) {
+                Err(RecvTimeoutError::Timeout) => {
+                    let report = if failed {
+                        RuntimeMsg::TaskFailed { executor, query }
+                    } else {
+                        RuntimeMsg::TaskDone { executor, query }
+                    };
+                    // The runtime dropping its receiver means shutdown; exit.
+                    if done.send(report).is_err() {
+                        return;
+                    }
+                    rx.recv()
                 }
-            }
+                Err(RecvTimeoutError::Disconnected) => return,
+                Ok(msg) => Ok(msg),
+            },
             WorkerMsg::Poison => panic!("worker {executor} poisoned (fault injection)"),
             WorkerMsg::Shutdown => return,
-        }
+        };
     }
 }
 
