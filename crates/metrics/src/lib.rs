@@ -12,10 +12,14 @@
 //!   item = 1/rank);
 //! * **latency statistics** — mean / P95 / max (Table II);
 //! * **trade-off objective** — `c = 100·Acc − λ·Latency` (Fig. 11/15);
-//! * **per-time-segment aggregation** — hourly series (Fig. 9/14).
+//! * **per-time-segment aggregation** — hourly series (Fig. 9/14);
+//!
+//! and the serving runtime's telemetry: live counters ([`runtime`]) and one
+//! [`LogHistogram`] under every latency-shaped aggregate ([`histogram`]).
 
 pub mod aggregate;
 pub mod export;
+pub mod histogram;
 pub mod latency;
 pub mod outcome;
 pub mod runtime;
@@ -24,8 +28,9 @@ pub mod tradeoff;
 
 pub use aggregate::SeedStats;
 pub use export::{to_csv, write_csv};
+pub use histogram::{Counter, LatencyHistogram, LatencyWindow, LogHistogram, PlanHistogram};
 pub use latency::LatencyStats;
 pub use outcome::{ModelUsage, QueryOutcome, QueryRecord, RunSummary};
-pub use runtime::{LatencyHistogram, RuntimeCounters, RuntimeMetrics, RuntimeSnapshot};
+pub use runtime::{ExecutorGauges, RuntimeCounters, RuntimeMetrics, RuntimeSnapshot};
 pub use segments::SegmentSeries;
 pub use tradeoff::tradeoff_objective;

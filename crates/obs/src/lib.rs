@@ -11,11 +11,12 @@
 //!
 //! Four subsystems:
 //!
-//! * [`series`] — windowed SLO time-series (latency quantiles,
-//!   deadline-miss / degraded rates, queue depth, scheduler overhead) in a
-//!   fixed-capacity ring keyed by absolute window index, exported as NDJSON
-//!   ([`ObsState::slo_ndjson`]) and Prometheus gauges
-//!   ([`ObsState::prometheus`]).
+//! * [`series`] — windowed SLO time-series (one [`SloCounters`] set and
+//!   one latency histogram per window, plus run totals) in a fixed-capacity
+//!   ring keyed by absolute window index, exported as NDJSON
+//!   ([`ObsState::slo_ndjson`]) and a Prometheus exposition
+//!   ([`ObsState::prometheus`], written with `schemble_trace::prometheus`).
+//!   Both read the SLO counters from one table (`EXPORTED_COUNTERS`).
 //! * [`explain`] — per-query plan explainability: `schemble explain`
 //!   reconstructs one query's causal timeline (predicted bin, plan lineage
 //!   with frontier widths and predicted finishes, retries, outcome).
@@ -33,11 +34,14 @@ pub mod series;
 pub use drift::{DriftState, ExecutorDrift};
 pub use explain::{explain_query, AssignStep, Outcome, PlanExplain, TaskStep, TaskStepKind};
 pub use recorder::{event_json, FlightRecorder, TripReason};
-pub use series::{LatencyWindow, SloSeries, SloTotals, WindowStats};
+use series::EXPORTED_COUNTERS;
+pub use series::{LatencyWindow, SloCounters, SloSeries, WindowStats};
 
 use schemble_sim::{SimDuration, SimTime};
+use schemble_trace::prometheus::{family, labeled_sample, per_executor, single};
 use schemble_trace::{AdmissionVerdict, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// Configuration for an [`ObsState`] fold.
 #[derive(Debug, Clone)]
@@ -191,33 +195,23 @@ impl ObsState {
         let with_steals = self.series.totals.stolen > 0;
         let mut out = String::new();
         for w in self.series.windows() {
-            let stolen =
-                if with_steals { format!(",\"stolen\":{}", w.stolen) } else { String::new() };
-            out.push_str(&format!(
-                "{{\"window\":{},\"start_us\":{},\"arrivals\":{},\"completed\":{},\
-                 \"degraded\":{},\"expired\":{},\"rejected\":{},\"missed\":{},\
-                 \"failures\":{},\"retries\":{},\"plans\":{},\"sched_cost_us\":{},\
-                 \"plan_work\":{},\"p50_us\":{},\"p99_us\":{},\"latency_count\":{},\
-                 \"latency_sum_us\":{},\"queue_depth\":{}{stolen}}}\n",
-                w.index,
-                w.index * window_us,
-                w.arrivals,
-                w.completed,
-                w.degraded,
-                w.expired,
-                w.rejected,
-                w.missed,
-                w.failures,
-                w.retries,
-                w.plans,
-                w.sched_cost_us,
-                w.plan_work,
-                w.latency.quantile_us(0.50).unwrap_or(0),
-                w.latency.quantile_us(0.99).unwrap_or(0),
+            let _ = write!(out, "{{\"window\":{},\"start_us\":{}", w.index, w.index * window_us);
+            for (key, _, _, value) in EXPORTED_COUNTERS {
+                let _ = write!(out, ",\"{key}\":{}", value(&w.counts));
+            }
+            let _ = write!(
+                out,
+                ",\"p50_us\":{},\"p99_us\":{},\"latency_count\":{},\"latency_sum_us\":{},\"queue_depth\":{}",
+                w.latency_us(0.50),
+                w.latency_us(0.99),
                 w.latency.count(),
-                w.latency.sum_us(),
+                w.latency.sum_raw(),
                 w.open_at_end.unwrap_or(0),
-            ));
+            );
+            if with_steals {
+                let _ = write!(out, ",\"stolen\":{}", w.counts.stolen);
+            }
+            out.push_str("}\n");
         }
         out
     }
@@ -226,85 +220,79 @@ impl ObsState {
     /// window's gauges, and the drift counters. Integer samples only.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-        };
         let t = &self.series.totals;
-        counter("schemble_obs_arrivals_total", "Query arrivals observed.", t.arrivals);
-        counter("schemble_obs_completed_total", "Full completions observed.", t.completed);
-        counter("schemble_obs_degraded_total", "Degraded answers observed.", t.degraded);
-        counter("schemble_obs_expired_total", "Post-admission expiries observed.", t.expired);
-        counter("schemble_obs_rejected_total", "Admission rejections observed.", t.rejected);
-        counter("schemble_obs_deadline_missed_total", "Terminal events past deadline.", t.missed);
-        counter("schemble_obs_task_failures_total", "Task failures observed.", t.failures);
-        counter("schemble_obs_task_retries_total", "Task retries observed.", t.retries);
-        counter("schemble_obs_plans_total", "Planning passes observed.", t.plans);
-        counter(
-            "schemble_obs_sched_cost_micros_total",
-            "Simulated scheduling cost charged, microseconds.",
-            t.sched_cost_us,
-        );
-        counter("schemble_obs_plan_work_total", "Scheduler work units consumed.", t.plan_work);
+        for (_, name, help, value) in EXPORTED_COUNTERS {
+            single(&mut out, name, "counter", help, value(t));
+        }
         // Steal telemetry appears only when the run stole work, keeping
         // no-steal expositions byte-identical to historical output.
         if t.stolen > 0 {
-            counter(
-                "schemble_obs_queries_stolen_total",
-                "Queries transferred between shards by work stealing.",
-                t.stolen,
-            );
+            let help = "Queries transferred between shards by work stealing.";
+            single(&mut out, "schemble_obs_queries_stolen_total", "counter", help, t.stolen);
         }
         let d = &self.drift;
-        counter("schemble_obs_drift_pairs_total", "Predicted/realized bin pairs.", d.pairs);
-        counter("schemble_obs_drift_agree_total", "Pairs with matching bins.", d.agree);
-        counter(
-            "schemble_obs_drift_distance_total",
-            "Sum of |predicted - realized| bin distance.",
-            d.distance,
-        );
-        counter("schemble_obs_drift_incorrect_total", "Incorrect assembled answers.", d.incorrect);
+        for (name, help, value) in [
+            ("schemble_obs_drift_pairs_total", "Predicted/realized bin pairs.", d.pairs),
+            ("schemble_obs_drift_agree_total", "Pairs with matching bins.", d.agree),
+            (
+                "schemble_obs_drift_distance_total",
+                "Sum of |predicted - realized| bin distance.",
+                d.distance,
+            ),
+            ("schemble_obs_drift_incorrect_total", "Incorrect assembled answers.", d.incorrect),
+        ] {
+            single(&mut out, name, "counter", help, value);
+        }
 
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
-        };
-        gauge("schemble_obs_open_queries", "Queries in flight.", self.series.live_open());
         let windows = self.series.windows();
-        gauge("schemble_obs_windows", "SLO windows retained.", windows.len() as u64);
+        let mut gauges = vec![
+            ("schemble_obs_open_queries", "Queries in flight.", self.series.live_open()),
+            ("schemble_obs_windows", "SLO windows retained.", windows.len() as u64),
+        ];
         if let Some(w) = windows.last() {
-            gauge("schemble_obs_window_index", "Newest window's absolute index.", w.index);
-            gauge(
-                "schemble_obs_window_p50_micros",
-                "Newest window's p50 end-to-end latency, microseconds.",
-                w.latency.quantile_us(0.50).unwrap_or(0),
-            );
-            gauge(
-                "schemble_obs_window_p99_micros",
-                "Newest window's p99 end-to-end latency, microseconds.",
-                w.latency.quantile_us(0.99).unwrap_or(0),
-            );
-            gauge("schemble_obs_window_missed", "Newest window's deadline misses.", w.missed);
-            gauge("schemble_obs_window_degraded", "Newest window's degraded answers.", w.degraded);
-            gauge(
-                "schemble_obs_window_queue_depth",
-                "Open queries at the newest window's close.",
-                w.open_at_end.unwrap_or(0),
-            );
-            gauge(
-                "schemble_obs_window_sched_cost_micros",
-                "Newest window's scheduling cost, microseconds.",
-                w.sched_cost_us,
-            );
+            gauges.extend([
+                ("schemble_obs_window_index", "Newest window's absolute index.", w.index),
+                (
+                    "schemble_obs_window_p50_micros",
+                    "Newest window's p50 end-to-end latency, microseconds.",
+                    w.latency_us(0.50),
+                ),
+                (
+                    "schemble_obs_window_p99_micros",
+                    "Newest window's p99 end-to-end latency, microseconds.",
+                    w.latency_us(0.99),
+                ),
+                ("schemble_obs_window_missed", "Newest window's deadline misses.", w.counts.missed),
+                (
+                    "schemble_obs_window_degraded",
+                    "Newest window's degraded answers.",
+                    w.counts.degraded,
+                ),
+                (
+                    "schemble_obs_window_queue_depth",
+                    "Open queries at the newest window's close.",
+                    w.open_at_end.unwrap_or(0),
+                ),
+                (
+                    "schemble_obs_window_sched_cost_micros",
+                    "Newest window's scheduling cost, microseconds.",
+                    w.counts.sched_cost_us,
+                ),
+            ]);
+        }
+        for (name, help, value) in gauges {
+            single(&mut out, name, "gauge", help, value);
         }
         if !self.shard_backlog.is_empty() {
-            out.push_str(
-                "# HELP schemble_obs_shard_backlog Steal-eligible queue depth each shard last published at a steal epoch.\n# TYPE schemble_obs_shard_backlog gauge\n",
-            );
+            let name = "schemble_obs_shard_backlog";
+            let help = "Steal-eligible queue depth each shard last published at a steal epoch.";
+            family(&mut out, name, "gauge", help);
             for (shard, depth) in &self.shard_backlog {
-                out.push_str(&format!("schemble_obs_shard_backlog{{shard=\"{shard}\"}} {depth}\n"));
+                labeled_sample(&mut out, name, "shard", &shard.to_string(), depth);
             }
         }
         if !d.executors.is_empty() {
-            for (metric, help, get) in [
+            for (name, help, get) in [
                 (
                     "schemble_obs_exec_tasks_total",
                     "Completed tasks measured by the latency-drift detector.",
@@ -326,10 +314,7 @@ impl ObsState {
                     |e: &ExecutorDrift| e.outliers,
                 ),
             ] {
-                out.push_str(&format!("# HELP {metric} {help}\n# TYPE {metric} counter\n"));
-                for (k, e) in d.executors.iter().enumerate() {
-                    out.push_str(&format!("{metric}{{executor=\"{k}\"}} {}\n", get(e)));
-                }
+                per_executor(&mut out, name, "counter", help, d.executors.iter().map(get));
             }
         }
         out

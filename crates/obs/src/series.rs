@@ -1,116 +1,55 @@
 //! Windowed SLO time-series over the trace stream.
 //!
-//! Backend time is divided into fixed-width windows; each window accumulates
-//! integer aggregates (arrival/terminal counters, a log-bucketed latency
-//! histogram, scheduler-overhead sums) inside a fixed-capacity ring keyed by
-//! the *absolute* window index, so a long run holds the most recent
-//! `capacity` windows and evicts the oldest in O(1). All aggregation is
-//! integer arithmetic over event fields — folding the same stream always
-//! yields byte-identical exports, which is what lets the DES and the
-//! virtual-clock serve backend cross-validate their telemetry.
+//! Backend time is divided into fixed-width windows held in a fixed-capacity
+//! ring keyed by the *absolute* window index, so a long run holds the most
+//! recent `capacity` windows and evicts the oldest in O(1). Each window
+//! keeps one [`SloCounters`] set (arrival/terminal counters, scheduler
+//! overhead sums) and a [`LatencyWindow`], the integer-µs instantiation of
+//! `schemble_metrics`' one log-bucketed histogram; the run totals are one
+//! more `SloCounters`, exempt from eviction, and every `on_*` event updates
+//! window and totals through one path. All aggregation is integer
+//! arithmetic over event fields — folding the same stream always yields
+//! byte-identical exports, which is what lets the DES and the virtual-clock
+//! serve backend cross-validate their telemetry.
 
+pub use schemble_metrics::LatencyWindow;
 use schemble_sim::{SimDuration, SimTime};
 
-/// Number of latency-histogram buckets (4 per octave over 20 octaves).
-const LAT_BUCKETS: usize = 80;
-/// Lower edge of bucket 0, microseconds.
-const LAT_MIN_US: u64 = 100;
-/// Buckets per factor-of-two.
-const LAT_PER_OCTAVE: f64 = 4.0;
 /// Ring-slot sentinel: no window stored.
 const EMPTY_SLOT: u64 = u64::MAX;
 
-/// A plain-integer log-bucketed latency histogram (microseconds).
-///
-/// The non-atomic sibling of `schemble_metrics::LatencyHistogram`, sized for
-/// per-window use: quantiles are reported as integer bucket upper edges so
-/// every derived number is exactly reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyWindow {
-    buckets: Vec<u64>,
-    underflow: u64,
-    count: u64,
-    sum_us: u64,
-}
+/// One exported SLO counter: NDJSON key, Prometheus family, help text, value.
+type Exported = (&'static str, &'static str, &'static str, fn(&SloCounters) -> u64);
 
-impl Default for LatencyWindow {
-    fn default() -> Self {
-        Self { buckets: vec![0; LAT_BUCKETS], underflow: 0, count: 0, sum_us: 0 }
-    }
-}
+/// The SLO counters every export carries, in export order. `stolen` is not
+/// among them: exports carry it only when the run stole work.
+pub(crate) const EXPORTED_COUNTERS: [Exported; 11] = [
+    ("arrivals", "schemble_obs_arrivals_total", "Query arrivals observed.", |c| c.arrivals),
+    ("completed", "schemble_obs_completed_total", "Full completions observed.", |c| c.completed),
+    ("degraded", "schemble_obs_degraded_total", "Degraded answers observed.", |c| c.degraded),
+    ("expired", "schemble_obs_expired_total", "Post-admission expiries observed.", |c| c.expired),
+    ("rejected", "schemble_obs_rejected_total", "Admission rejections observed.", |c| c.rejected),
+    ("missed", "schemble_obs_deadline_missed_total", "Terminal events past deadline.", |c| {
+        c.missed
+    }),
+    ("failures", "schemble_obs_task_failures_total", "Task failures observed.", |c| c.failures),
+    ("retries", "schemble_obs_task_retries_total", "Task retries observed.", |c| c.retries),
+    ("plans", "schemble_obs_plans_total", "Planning passes observed.", |c| c.plans),
+    (
+        "sched_cost_us",
+        "schemble_obs_sched_cost_micros_total",
+        "Simulated scheduling cost charged, microseconds.",
+        |c| c.sched_cost_us,
+    ),
+    ("plan_work", "schemble_obs_plan_work_total", "Scheduler work units consumed.", |c| {
+        c.plan_work
+    }),
+];
 
-impl LatencyWindow {
-    /// Lower edge of bucket `i`, microseconds (a pure function of `i`).
-    fn edge_us(i: usize) -> u64 {
-        (LAT_MIN_US as f64 * 2f64.powf(i as f64 / LAT_PER_OCTAVE)).round() as u64
-    }
-
-    fn bucket_of(us: u64) -> Option<usize> {
-        if us < LAT_MIN_US {
-            return None;
-        }
-        let idx = ((us as f64 / LAT_MIN_US as f64).log2() * LAT_PER_OCTAVE) as usize;
-        Some(idx.min(LAT_BUCKETS - 1))
-    }
-
-    /// Records one latency observation, in microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        match Self::bucket_of(us) {
-            Some(i) => self.buckets[i] += 1,
-            None => self.underflow += 1,
-        }
-        self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations, microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
-    }
-
-    /// The `q`-quantile as the *upper edge* (µs) of the bucket holding it —
-    /// an integer, so exports built from it are byte-stable. `None` while
-    /// empty; underflow observations report 0.
-    pub fn quantile_us(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(0);
-        }
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some(Self::edge_us(i + 1));
-            }
-        }
-        Some(Self::edge_us(LAT_BUCKETS))
-    }
-
-    /// Folds `other` into `self` (bucket-wise, saturating on the sum).
-    pub fn merge_from(&mut self, other: &LatencyWindow) {
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.underflow += other.underflow;
-        self.count += other.count;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-    }
-}
-
-/// Aggregates for one time window.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Absolute window index (`t / window_us`).
-    pub index: u64,
-    /// Query arrivals in the window.
+/// The SLO counters: one set per window and one for the whole run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SloCounters {
+    /// Query arrivals.
     pub arrivals: u64,
     /// Queries completed with a full result.
     pub completed: u64,
@@ -120,10 +59,10 @@ pub struct WindowStats {
     pub expired: u64,
     /// Queries refused at arrival.
     pub rejected: u64,
-    /// Terminal events landing past the query's deadline (expiry always;
-    /// late completions and degradations too).
+    /// Terminal events past the query's deadline (every expiry; late
+    /// completions and degradations).
     pub missed: u64,
-    /// Task failures observed.
+    /// Task failures.
     pub failures: u64,
     /// Task retries dispatched.
     pub retries: u64,
@@ -135,6 +74,33 @@ pub struct WindowStats {
     pub plan_work: u64,
     /// Queries adopted by a thief shard via work stealing.
     pub stolen: u64,
+}
+
+impl SloCounters {
+    /// Adds `other`, counter by counter.
+    fn add(&mut self, other: &SloCounters) {
+        self.arrivals += other.arrivals;
+        self.completed += other.completed;
+        self.degraded += other.degraded;
+        self.expired += other.expired;
+        self.rejected += other.rejected;
+        self.missed += other.missed;
+        self.failures += other.failures;
+        self.retries += other.retries;
+        self.plans += other.plans;
+        self.sched_cost_us += other.sched_cost_us;
+        self.plan_work += other.plan_work;
+        self.stolen += other.stolen;
+    }
+}
+
+/// Aggregates for one time window.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Absolute window index (`t / window_us`).
+    pub index: u64,
+    /// The window's counters.
+    pub counts: SloCounters,
     /// End-to-end latency of queries closed in this window.
     pub latency: LatencyWindow,
     /// Open queries when the window closed (`None` until a later window
@@ -142,33 +108,12 @@ pub struct WindowStats {
     pub open_at_end: Option<u64>,
 }
 
-/// Run-level totals, exempt from ring eviction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SloTotals {
-    /// Query arrivals.
-    pub arrivals: u64,
-    /// Full completions.
-    pub completed: u64,
-    /// Degraded answers.
-    pub degraded: u64,
-    /// Post-admission expiries.
-    pub expired: u64,
-    /// Admission rejections.
-    pub rejected: u64,
-    /// Deadline misses (see [`WindowStats::missed`]).
-    pub missed: u64,
-    /// Task failures.
-    pub failures: u64,
-    /// Task retries.
-    pub retries: u64,
-    /// Planning passes.
-    pub plans: u64,
-    /// Scheduling cost, microseconds.
-    pub sched_cost_us: u64,
-    /// Scheduler work units.
-    pub plan_work: u64,
-    /// Queries transferred between shards by work stealing.
-    pub stolen: u64,
+impl WindowStats {
+    /// The window's `q`-quantile latency as an integer bucket edge in µs
+    /// (0 while the window closed no query).
+    pub(crate) fn latency_us(&self, q: f64) -> u64 {
+        self.latency.quantile(q).map_or(0, |us| us as u64)
+    }
 }
 
 /// The windowed ring: most recent `capacity` windows by absolute index.
@@ -181,7 +126,7 @@ pub struct SloSeries {
     /// Open queries right now (arrivals − terminals − rejections).
     live_open: u64,
     /// Run totals.
-    pub totals: SloTotals,
+    pub totals: SloCounters,
 }
 
 impl SloSeries {
@@ -196,7 +141,7 @@ impl SloSeries {
             slots,
             max_index: EMPTY_SLOT,
             live_open: 0,
-            totals: SloTotals::default(),
+            totals: SloCounters::default(),
         }
     }
 
@@ -245,108 +190,85 @@ impl SloSeries {
         Some(slot_idx)
     }
 
+    /// Applies `count` to the run totals and to the window holding `t`;
+    /// returns that window's slot.
+    fn count(&mut self, t: SimTime, count: impl Fn(&mut SloCounters)) -> Option<usize> {
+        let slot = self.touch(t);
+        count(&mut self.totals);
+        if let Some(i) = slot {
+            count(&mut self.slots[i].counts);
+        }
+        slot
+    }
+
+    /// Counts a terminal event, closes its query and files its end-to-end
+    /// latency (answered queries only) in the window.
+    fn close(&mut self, t: SimTime, latency_us: Option<u64>, count: impl Fn(&mut SloCounters)) {
+        if let (Some(i), Some(us)) = (self.count(t, count), latency_us) {
+            self.slots[i].latency.record(us as f64);
+        }
+        self.live_open = self.live_open.saturating_sub(1);
+    }
+
     /// Records a query arrival.
     pub fn on_arrival(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.arrivals += 1;
+        self.count(t, |c| c.arrivals += 1);
         self.live_open += 1;
-        if let Some(i) = slot {
-            self.slots[i].arrivals += 1;
-        }
     }
 
     /// Records an admission rejection.
     pub fn on_rejected(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.rejected += 1;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            self.slots[i].rejected += 1;
-        }
+        self.close(t, None, |c| c.rejected += 1);
     }
 
     /// Records a full completion; `latency_us` is end-to-end, `missed` marks
     /// a past-deadline finish.
     pub fn on_completed(&mut self, t: SimTime, latency_us: u64, missed: bool) {
-        let slot = self.touch(t);
-        self.totals.completed += 1;
-        self.totals.missed += missed as u64;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.completed += 1;
-            w.missed += missed as u64;
-            w.latency.record_us(latency_us);
-        }
+        self.close(t, Some(latency_us), |c| {
+            c.completed += 1;
+            c.missed += missed as u64;
+        });
     }
 
     /// Records a degraded answer.
     pub fn on_degraded(&mut self, t: SimTime, latency_us: u64, missed: bool) {
-        let slot = self.touch(t);
-        self.totals.degraded += 1;
-        self.totals.missed += missed as u64;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.degraded += 1;
-            w.missed += missed as u64;
-            w.latency.record_us(latency_us);
-        }
+        self.close(t, Some(latency_us), |c| {
+            c.degraded += 1;
+            c.missed += missed as u64;
+        });
     }
 
     /// Records a post-admission expiry (always a deadline miss).
     pub fn on_expired(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.expired += 1;
-        self.totals.missed += 1;
-        self.live_open = self.live_open.saturating_sub(1);
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.expired += 1;
-            w.missed += 1;
-        }
+        self.close(t, None, |c| {
+            c.expired += 1;
+            c.missed += 1;
+        });
     }
 
     /// Records one planning pass.
     pub fn on_plan(&mut self, t: SimTime, cost: SimDuration, work: u64) {
-        let slot = self.touch(t);
-        self.totals.plans += 1;
-        self.totals.sched_cost_us += cost.as_micros();
-        self.totals.plan_work += work;
-        if let Some(i) = slot {
-            let w = &mut self.slots[i];
-            w.plans += 1;
-            w.sched_cost_us += cost.as_micros();
-            w.plan_work += work;
-        }
+        self.count(t, |c| {
+            c.plans += 1;
+            c.sched_cost_us += cost.as_micros();
+            c.plan_work += work;
+        });
     }
 
     /// Records a task failure.
     pub fn on_task_failed(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.failures += 1;
-        if let Some(i) = slot {
-            self.slots[i].failures += 1;
-        }
+        self.count(t, |c| c.failures += 1);
     }
 
     /// Records a task retry.
     pub fn on_task_retried(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.retries += 1;
-        if let Some(i) = slot {
-            self.slots[i].retries += 1;
-        }
+        self.count(t, |c| c.retries += 1);
     }
 
     /// Records a work-steal adoption. The query stays open (stealing moves
     /// it between shards without closing it), so only the counters move.
     pub fn on_stolen(&mut self, t: SimTime) {
-        let slot = self.touch(t);
-        self.totals.stolen += 1;
-        if let Some(i) = slot {
-            self.slots[i].stolen += 1;
-        }
+        self.count(t, |c| c.stolen += 1);
     }
 
     /// The retained windows in ascending index order, with the newest
@@ -394,39 +316,15 @@ impl SloSeries {
                 *slot = WindowStats { index: w.index, ..WindowStats::default() };
                 slot.open_at_end = Some(0);
             }
-            slot.arrivals += w.arrivals;
-            slot.completed += w.completed;
-            slot.degraded += w.degraded;
-            slot.expired += w.expired;
-            slot.rejected += w.rejected;
-            slot.missed += w.missed;
-            slot.failures += w.failures;
-            slot.retries += w.retries;
-            slot.plans += w.plans;
-            slot.sched_cost_us += w.sched_cost_us;
-            slot.plan_work += w.plan_work;
-            slot.stolen += w.stolen;
-            slot.latency.merge_from(&w.latency);
+            slot.counts.add(&w.counts);
+            slot.latency.merge(&w.latency);
             slot.open_at_end = match (slot.open_at_end, w.open_at_end) {
                 (Some(a), Some(b)) => Some(a + b),
                 _ => None,
             };
         }
-        let t = &mut out.totals;
-        for src in [&self.totals, &other.totals] {
-            t.arrivals += src.arrivals;
-            t.completed += src.completed;
-            t.degraded += src.degraded;
-            t.expired += src.expired;
-            t.rejected += src.rejected;
-            t.missed += src.missed;
-            t.failures += src.failures;
-            t.retries += src.retries;
-            t.plans += src.plans;
-            t.sched_cost_us += src.sched_cost_us;
-            t.plan_work += src.plan_work;
-            t.stolen += src.stolen;
-        }
+        out.totals = self.totals;
+        out.totals.add(&other.totals);
         out.live_open = self.live_open + other.live_open;
         out
     }
@@ -449,9 +347,9 @@ mod tests {
         s.on_expired(at(250));
         let ws = s.windows();
         assert_eq!(ws.len(), 3);
-        assert_eq!((ws[0].index, ws[0].arrivals), (0, 2));
-        assert_eq!((ws[1].index, ws[1].completed), (1, 1));
-        assert_eq!((ws[2].index, ws[2].expired, ws[2].missed), (2, 1, 1));
+        assert_eq!((ws[0].index, ws[0].counts.arrivals), (0, 2));
+        assert_eq!((ws[1].index, ws[1].counts.completed), (1, 1));
+        assert_eq!((ws[2].index, ws[2].counts.expired, ws[2].counts.missed), (2, 1, 1));
         // Queue depth: 2 open after window 0, 1 after window 1, 0 now.
         assert_eq!(ws[0].open_at_end, Some(2));
         assert_eq!(ws[1].open_at_end, Some(1));
@@ -487,25 +385,7 @@ mod tests {
         s.on_completed(at(65), 60_000, true);
         let ws = s.windows();
         assert_eq!(ws.iter().map(|w| w.index).collect::<Vec<_>>(), vec![0, 6]);
-        assert_eq!(ws[1].missed, 1);
-    }
-
-    #[test]
-    fn quantiles_are_integer_bucket_edges() {
-        let mut h = LatencyWindow::default();
-        for _ in 0..99 {
-            h.record_us(10_000);
-        }
-        h.record_us(1_000_000);
-        let p50 = h.quantile_us(0.50).unwrap();
-        let p99 = h.quantile_us(0.99).unwrap();
-        assert!((8_000..=14_000).contains(&p50), "p50 {p50}");
-        assert!((8_000..=14_000).contains(&p99), "p99 {p99}: 99 of 100 at 10ms");
-        assert_eq!(h.quantile_us(1.0).map(|q| q > 800_000), Some(true));
-        assert_eq!(LatencyWindow::default().quantile_us(0.5), None);
-        let mut tiny = LatencyWindow::default();
-        tiny.record_us(10); // below the first edge
-        assert_eq!(tiny.quantile_us(0.5), Some(0));
+        assert_eq!(ws[1].counts.missed, 1);
     }
 
     #[test]
@@ -518,9 +398,9 @@ mod tests {
         b.on_arrival(at(120));
         let m = a.merged(&b);
         let ws = m.windows();
-        assert_eq!(ws[0].arrivals, 2);
-        assert_eq!(ws[0].completed, 1);
-        assert_eq!(ws[1].arrivals, 1);
+        assert_eq!(ws[0].counts.arrivals, 2);
+        assert_eq!(ws[0].counts.completed, 1);
+        assert_eq!(ws[1].counts.arrivals, 1);
         assert_eq!(m.totals.arrivals, 3);
         assert_eq!(m.live_open(), 2);
         // Merge is symmetric.

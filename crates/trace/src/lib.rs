@@ -17,13 +17,15 @@
 //!   `chrome://tracing`: one track per executor plus a scheduler track.
 //! * [`prometheus_text`] — Prometheus text exposition of the runtime
 //!   counters, per-executor gauges, latency histogram and the scheduler's
-//!   self-profile.
+//!   self-profile, written with [`prometheus`]'s line writer (the obs
+//!   crate's exposition uses the same one).
 //! * [`audit_ndjson`] — a newline-delimited JSON decision audit log, one
 //!   line per query in deterministic order, built for diffing runs.
 //!
 //! The scheduler additionally self-profiles into [`PlanningProfile`]
-//! (always on, pure atomics): a wall-clock histogram of DP planning time,
-//! kept strictly out of the event stream so traces stay deterministic.
+//! (always on, pure atomics): a wall-clock histogram of DP planning time
+//! (100 ns to ~105 ms, 8 buckets per octave), kept strictly out of the
+//! event stream so traces stay deterministic.
 
 pub mod audit;
 pub mod chrome;

@@ -1,21 +1,32 @@
-//! Prometheus text-exposition exporter.
+//! Prometheus text-exposition writer and the runtime's exporter.
 //!
-//! Renders the runtime's lock-light metrics ([`RuntimeMetrics`] counters,
-//! per-executor gauges, the latency histogram) and the scheduler's
-//! self-profile ([`PlanningProfile`]) in the Prometheus text format
-//! (version 0.0.4), hand-rolled like the rest of the workspace's exporters.
-//! Histograms emit cumulative `le` buckets at the log-spaced bucket edges
-//! that actually hold observations, plus the mandatory `+Inf`/`_sum`/
-//! `_count` series.
+//! The writer functions ([`family`], [`single`], [`labeled_sample`],
+//! [`per_executor`] and the private `histogram`) are the only code in the
+//! workspace that formats exposition lines; [`prometheus_text`] and the obs
+//! crate's `ObsState::prometheus` are both written with them.
+//! [`prometheus_text`] renders the runtime's lock-light metrics
+//! ([`RuntimeMetrics`] counters, per-executor gauges, the latency and
+//! batch-size histograms) and the scheduler's self-profile
+//! ([`PlanningProfile`]) in the Prometheus text format (version 0.0.4).
+//! Histograms emit cumulative `le` rows at the log-spaced bucket edges that
+//! hold observations, plus the mandatory `+Inf`/`_sum`/`_count` series;
+//! observations past a layout's top edge count toward `+Inf` and `_count`
+//! only.
 
 use crate::sink::PlanningProfile;
-use schemble_metrics::{LatencyHistogram, RuntimeMetrics};
-use std::fmt::Write as _;
-use std::sync::atomic::Ordering::Relaxed;
+use schemble_metrics::{Counter, ExecutorGauges, LogHistogram, RuntimeMetrics};
+use std::fmt::{Display, Write as _};
 
-fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+/// Writes the `# HELP`/`# TYPE` header of one metric family.
+pub fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+/// Writes one family holding a single unlabelled sample.
+pub fn single(out: &mut String, name: &str, kind: &str, help: &str, value: impl Display) {
+    family(out, name, kind, help);
+    let _ = writeln!(out, "{name} {value}");
 }
 
 /// Escapes a label *value* per the Prometheus text format: backslash,
@@ -35,25 +46,48 @@ pub fn escape_label(value: &str) -> String {
     out
 }
 
-/// One `name{key="value"} value` sample line with the label value escaped.
-pub(crate) fn labeled_sample(
+/// One `name{key="value"} sample` line with the label value escaped.
+pub fn labeled_sample(
     out: &mut String,
     name: &str,
     label: &str,
     value: &str,
-    sample: impl std::fmt::Display,
+    sample: impl Display,
 ) {
     let _ = writeln!(out, "{name}{{{label}=\"{}\"}} {sample}", escape_label(value));
 }
 
-fn histogram(out: &mut String, name: &str, help: &str, hist: &LatencyHistogram) {
+/// Writes one family with a sample per executor, labelled by its index.
+pub fn per_executor<T: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = T>,
+) {
+    family(out, name, kind, help);
+    for (k, sample) in samples.into_iter().enumerate() {
+        labeled_sample(out, name, "executor", &k.to_string(), sample);
+    }
+}
+
+/// Writes one histogram family. `scale` is the histogram's unit per
+/// exported unit (1 for seconds and sizes, 1e9 for nanoseconds exported as
+/// seconds); it divides the `le` edges and the sum.
+fn histogram<const L: usize, C: Counter>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    hist: &LogHistogram<L, C>,
+    scale: f64,
+) {
     family(out, name, "histogram", help);
     let total = hist.count();
     for (upper, cumulative) in hist.cumulative_buckets() {
-        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
+        let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", upper / scale);
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {total}");
-    let _ = writeln!(out, "{name}_sum {}", hist.sum_secs());
+    let _ = writeln!(out, "{name}_sum {}", hist.sum() / scale);
     let _ = writeln!(out, "{name}_count {total}");
 }
 
@@ -68,149 +102,89 @@ pub fn prometheus_text(
     let mut out = String::with_capacity(4096);
     let c = &metrics.counters;
     for (name, help, value) in [
-        (
-            "schemble_queries_submitted_total",
-            "Queries handed to the pipeline.",
-            c.submitted.load(Relaxed),
-        ),
-        (
-            "schemble_queries_completed_total",
-            "Queries completed with a result.",
-            c.completed.load(Relaxed),
-        ),
-        (
-            "schemble_queries_rejected_total",
-            "Queries refused at arrival.",
-            c.rejected.load(Relaxed),
-        ),
-        (
-            "schemble_queries_expired_total",
-            "Queries dropped after admission.",
-            c.expired.load(Relaxed),
-        ),
-        (
-            "schemble_tasks_started_total",
-            "Tasks started on executors.",
-            c.tasks_started.load(Relaxed),
-        ),
-        (
-            "schemble_tasks_completed_total",
-            "Tasks finished by executors.",
-            c.tasks_completed.load(Relaxed),
-        ),
+        ("schemble_queries_submitted_total", "Queries handed to the pipeline.", &c.submitted),
+        ("schemble_queries_completed_total", "Queries completed with a result.", &c.completed),
+        ("schemble_queries_rejected_total", "Queries refused at arrival.", &c.rejected),
+        ("schemble_queries_expired_total", "Queries dropped after admission.", &c.expired),
+        ("schemble_tasks_started_total", "Tasks started on executors.", &c.tasks_started),
+        ("schemble_tasks_completed_total", "Tasks finished by executors.", &c.tasks_completed),
         (
             "schemble_queries_degraded_total",
             "Queries answered from a partial ensemble.",
-            c.degraded.load(Relaxed),
+            &c.degraded,
         ),
         (
             "schemble_tasks_failed_total",
             "Tasks that failed (transient fault, timeout, crash).",
-            c.tasks_failed.load(Relaxed),
+            &c.tasks_failed,
         ),
         (
             "schemble_tasks_retried_total",
             "Failed tasks re-dispatched after backoff.",
-            c.tasks_retried.load(Relaxed),
+            &c.tasks_retried,
         ),
         (
             "schemble_tasks_saved_total",
             "Planned tasks quit by the anytime policy before completing.",
-            c.tasks_saved.load(Relaxed),
+            &c.tasks_saved,
         ),
         (
             "schemble_tasks_batched_total",
             "Tasks launched as members of a cross-query batch.",
-            c.tasks_batched.load(Relaxed),
+            &c.tasks_batched,
         ),
     ] {
-        family(&mut out, name, "counter", help);
-        let _ = writeln!(out, "{name} {value}");
+        single(&mut out, name, "counter", help, value.get());
     }
     // Emitted only when the run actually stole work, so expositions from
     // runs without `--steal-epoch-ms` stay byte-identical to historical
     // output.
-    let stolen = c.queries_stolen.load(Relaxed);
+    let stolen = c.queries_stolen.get();
     if stolen > 0 {
-        family(
-            &mut out,
-            "schemble_queries_stolen_total",
-            "counter",
-            "Queries transferred between shards by work stealing.",
-        );
-        let _ = writeln!(out, "schemble_queries_stolen_total {stolen}");
+        let help = "Queries transferred between shards by work stealing.";
+        single(&mut out, "schemble_queries_stolen_total", "counter", help, stolen);
     }
-    family(&mut out, "schemble_queries_open", "gauge", "Queries submitted but not yet decided.");
-    let _ = writeln!(out, "schemble_queries_open {}", c.open());
+    let help = "Queries submitted but not yet decided.";
+    single(&mut out, "schemble_queries_open", "gauge", help, c.open());
 
-    family(
-        &mut out,
-        "schemble_executor_queue_depth",
-        "gauge",
-        "Tasks waiting in the executor's FIFO backlog.",
-    );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_queue_depth",
-            "executor",
-            &k.to_string(),
-            e.queue_depth.load(Relaxed),
-        );
-    }
-    family(
-        &mut out,
-        "schemble_executor_busy_seconds_total",
-        "counter",
-        "Cumulative busy time per executor.",
-    );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_busy_seconds_total",
-            "executor",
-            &k.to_string(),
-            e.busy_micros.load(Relaxed) as f64 / 1e6,
-        );
-    }
-    family(&mut out, "schemble_executor_tasks_total", "counter", "Tasks completed per executor.");
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_tasks_total",
-            "executor",
-            &k.to_string(),
-            e.tasks.load(Relaxed),
-        );
-    }
-    family(
-        &mut out,
-        "schemble_executor_up",
-        "gauge",
-        "Whether the executor is up (1) or down (0).",
-    );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        labeled_sample(
-            &mut out,
-            "schemble_executor_up",
-            "executor",
-            &k.to_string(),
-            e.up.load(Relaxed),
-        );
-    }
-    family(
-        &mut out,
-        "schemble_executor_utilization",
-        "gauge",
-        "Fraction of elapsed time the executor was busy.",
-    );
-    for (k, e) in metrics.executors.iter().enumerate() {
-        let util = if elapsed_secs > 0.0 {
-            (e.busy_micros.load(Relaxed) as f64 / 1e6 / elapsed_secs).min(1.0)
+    let busy_secs = |e: &ExecutorGauges| e.busy_micros.get() as f64 / 1e6;
+    let utilization = |e: &ExecutorGauges| {
+        if elapsed_secs > 0.0 {
+            (busy_secs(e) / elapsed_secs).min(1.0)
         } else {
             0.0
-        };
-        labeled_sample(&mut out, "schemble_executor_utilization", "executor", &k.to_string(), util);
+        }
+    };
+    // Counts are exact as f64 (and print without a fraction) below 2^53.
+    type Sample<'a> = &'a dyn Fn(&ExecutorGauges) -> f64;
+    let executor_families: [(&str, &str, &str, Sample); 5] = [
+        (
+            "schemble_executor_queue_depth",
+            "gauge",
+            "Tasks waiting in the executor's FIFO backlog.",
+            &|e| e.queue_depth.get() as f64,
+        ),
+        (
+            "schemble_executor_busy_seconds_total",
+            "counter",
+            "Cumulative busy time per executor.",
+            &busy_secs,
+        ),
+        ("schemble_executor_tasks_total", "counter", "Tasks completed per executor.", &|e| {
+            e.tasks.get() as f64
+        }),
+        ("schemble_executor_up", "gauge", "Whether the executor is up (1) or down (0).", &|e| {
+            e.up.get() as f64
+        }),
+        (
+            "schemble_executor_utilization",
+            "gauge",
+            "Fraction of elapsed time the executor was busy.",
+            &utilization,
+        ),
+    ];
+    for (name, kind, help, sample) in executor_families {
+        per_executor(&mut out, name, kind, help, metrics.executors.iter().map(sample));
     }
 
     histogram(
@@ -218,41 +192,38 @@ pub fn prometheus_text(
         "schemble_query_latency_seconds",
         "End-to-end latency of completed queries.",
         &metrics.latency,
+        1.0,
     );
     histogram(
         &mut out,
         "schemble_batch_size",
         "Size of each launched cross-query batch (observations are sizes, not seconds).",
         &metrics.batch_size,
+        1.0,
     );
 
     if let Some(p) = planning {
-        family(&mut out, "schemble_sched_plans_total", "counter", "Scheduler planning passes.");
-        let _ = writeln!(out, "schemble_sched_plans_total {}", p.plans.load(Relaxed));
-        family(
-            &mut out,
-            "schemble_sched_plan_work_units_total",
-            "counter",
-            "Abstract work units consumed by the scheduler.",
-        );
-        let _ =
-            writeln!(out, "schemble_sched_plan_work_units_total {}", p.work_units.load(Relaxed));
-        family(
-            &mut out,
-            "schemble_sched_plan_wall_seconds_total",
-            "counter",
-            "Wall-clock time spent planning.",
-        );
-        let _ = writeln!(
-            out,
-            "schemble_sched_plan_wall_seconds_total {}",
-            p.wall_nanos.load(Relaxed) as f64 / 1e9
-        );
+        for (name, help, value) in [
+            ("schemble_sched_plans_total", "Scheduler planning passes.", p.plans.get() as f64),
+            (
+                "schemble_sched_plan_work_units_total",
+                "Abstract work units consumed by the scheduler.",
+                p.work_units.get() as f64,
+            ),
+            (
+                "schemble_sched_plan_wall_seconds_total",
+                "Wall-clock time spent planning.",
+                p.hist.sum() / 1e9,
+            ),
+        ] {
+            single(&mut out, name, "counter", help, value);
+        }
         histogram(
             &mut out,
             "schemble_sched_plan_seconds",
             "Wall-clock duration of one scheduler planning pass.",
             &p.hist,
+            1e9,
         );
     }
     out
@@ -261,6 +232,7 @@ pub fn prometheus_text(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering::Relaxed;
     use std::time::Duration;
 
     #[test]

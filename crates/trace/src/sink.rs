@@ -11,7 +11,7 @@
 //! truncated trace with an honest drop count beats a silently rewritten one.
 
 use crate::event::TraceEvent;
-use schemble_metrics::LatencyHistogram;
+use schemble_metrics::PlanHistogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -31,10 +31,9 @@ pub struct PlanningProfile {
     pub plans: AtomicU64,
     /// Total abstract work units consumed across plans.
     pub work_units: AtomicU64,
-    /// Total wall-clock nanoseconds spent planning.
-    pub wall_nanos: AtomicU64,
-    /// Wall-clock planning-time histogram, in seconds.
-    pub hist: LatencyHistogram,
+    /// Wall-clock planning time per plan, in nanoseconds (100 ns to
+    /// ~105 ms); its sum is the total time spent planning.
+    pub hist: PlanHistogram,
 }
 
 impl PlanningProfile {
@@ -42,14 +41,13 @@ impl PlanningProfile {
     pub fn record(&self, work: u64, wall: Duration) {
         self.plans.fetch_add(1, Relaxed);
         self.work_units.fetch_add(work, Relaxed);
-        self.wall_nanos.fetch_add(wall.as_nanos() as u64, Relaxed);
-        self.hist.record(wall.as_secs_f64());
+        self.hist.record(wall.as_nanos() as f64);
     }
 
     /// Mean wall-clock planning time in seconds, if any plan ran.
     pub fn mean_secs(&self) -> Option<f64> {
         let n = self.plans.load(Relaxed);
-        (n > 0).then(|| self.wall_nanos.load(Relaxed) as f64 / 1e9 / n as f64)
+        (n > 0).then(|| self.hist.sum() / 1e9 / n as f64)
     }
 
     /// Folds `other`'s profile into `self` (order-insensitive): used to
@@ -58,7 +56,6 @@ impl PlanningProfile {
     pub fn merge(&self, other: &PlanningProfile) {
         self.plans.fetch_add(other.plans.load(Relaxed), Relaxed);
         self.work_units.fetch_add(other.work_units.load(Relaxed), Relaxed);
-        self.wall_nanos.fetch_add(other.wall_nanos.load(Relaxed), Relaxed);
         self.hist.merge(&other.hist);
     }
 }
@@ -310,6 +307,16 @@ mod tests {
         let mean = sink.planning.mean_secs().expect("two plans recorded");
         assert!((mean - 500e-6).abs() < 1e-9, "mean {mean}");
         assert_eq!(sink.planning.hist.count(), 2);
+    }
+
+    #[test]
+    fn a_plan_of_five_microseconds_is_resolved_not_floored() {
+        let planning = PlanningProfile::default();
+        planning.record(1, Duration::from_micros(5));
+        let p95_us = planning.hist.quantile(0.95).expect("one plan") / 1e3;
+        assert!((p95_us / 5.0 - 1.0).abs() < 2f64.powf(1.0 / 8.0) - 1.0, "p95 {p95_us} us");
+        planning.record(1, Duration::from_nanos(1_234));
+        assert_eq!(planning.hist.sum_raw(), 6_234, "the sum keeps whole nanoseconds");
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl Session {
                 "  scheduler: {} plans, mean {:.1} us, p95 {:.1} us, {} work units planned",
                 p.plans.load(Relaxed),
                 mean * 1e6,
-                p.hist.quantile(0.95).unwrap_or(mean) * 1e6,
+                p.hist.quantile(0.95).map_or(mean * 1e6, |ns| ns / 1e3),
                 p.work_units.load(Relaxed)
             );
         }
