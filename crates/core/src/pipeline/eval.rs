@@ -2,6 +2,7 @@
 //! results from the original deep ensemble as the ground truth").
 
 use schemble_models::{Ensemble, ModelSet, Output, Sample, TaskSpec};
+use std::borrow::Cow;
 
 /// The set of models that produced `outputs`.
 pub(crate) fn produced_set(outputs: &[(usize, Output)]) -> ModelSet {
@@ -12,19 +13,16 @@ pub(crate) fn produced_set(outputs: &[(usize, Output)]) -> ModelSet {
 /// given that the outputs in `held` have been computed already.
 ///
 /// `infer` is a pure function of the model and the sample, and the
-/// aggregation runs over the same model-ordered slice `ensemble_output`
-/// builds, so the result is bit-equal to recomputing every output.
+/// aggregation streams every model's output in model order, as
+/// `ensemble_output` aggregates them, so the result is bit-equal to
+/// recomputing every output. A model missing from `held` is inferred when
+/// the aggregation reaches it; nothing but those outputs is allocated.
 fn reference_output(ensemble: &Ensemble, sample: &Sample, held: &[(usize, Output)]) -> Output {
-    let held_set = produced_set(held);
-    debug_assert_eq!(held_set.len(), held.len(), "two held outputs of one model");
-    let missing: Vec<(usize, Output)> = (0..ensemble.m())
-        .filter(|&k| !held_set.contains(k))
-        .map(|k| (k, ensemble.models[k].infer(sample, &ensemble.spec)))
-        .collect();
-    let mut present: Vec<(usize, &Output)> =
-        held.iter().chain(&missing).map(|(k, o)| (*k, o)).collect();
-    present.sort_unstable_by_key(|&(k, _)| k);
-    ensemble.aggregate(&present)
+    debug_assert_eq!(produced_set(held).len(), held.len(), "two held outputs of one model");
+    ensemble.aggregate_iter((0..ensemble.m()).map(|k| match held.iter().find(|(j, _)| *j == k) {
+        Some((_, output)) => (k, Cow::Borrowed(output)),
+        None => (k, Cow::Owned(ensemble.models[k].infer(sample, &ensemble.spec))),
+    }))
 }
 
 /// Scores a returned result for one query whose caller already holds some

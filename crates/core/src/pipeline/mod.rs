@@ -100,9 +100,7 @@ impl ResultAssembler {
     ) -> schemble_models::Output {
         match self {
             ResultAssembler::Direct => {
-                let present: Vec<(usize, &schemble_models::Output)> =
-                    outputs.iter().map(|(k, o)| (*k, o)).collect();
-                ensemble.aggregate(&present)
+                ensemble.aggregate_iter(outputs.iter().map(|(k, o)| (*k, o)))
             }
             ResultAssembler::KnnFill(filler) => {
                 let present: Vec<(usize, &schemble_models::Output)> =

@@ -44,17 +44,25 @@
 //!   index). So when the sorted scan reaches `s`, either `s'` or whatever
 //!   dominated `s'` has been kept and dominates `s`, or the cap already
 //!   ended the layer: `s` is never kept and never the final best, and
-//!   removing it changes nothing. Lists depend only on the utility table,
-//!   `δ` and the latencies, so queries sharing a table (same difficulty
-//!   bin) share one list per plan.
+//!   removing it changes nothing.
+//! * **Lists shared per run.** A list depends only on the utility row, `δ`
+//!   and the latencies. Queries of one difficulty bin share the profile's
+//!   row `Arc`, so the scratch keeps each row's list across plans, found by
+//!   pointer: a run sorts one list per bin, not one per bin per plan
+//!   ([`SchedScratch`] says what bounds and clears the cache).
 //! * **Ordered merge** (`Merge`). Sorting a list once by (`⌊U/δ⌋` desc,
 //!   Σ latency asc, mask asc) fixes the order of every parent's extensions,
 //!   with the skip-copy last (extensions add reward ≥ 1). A k-way merge
 //!   over the parents through a heap keyed (`u` desc, total asc, parent
 //!   asc) therefore pops candidates in exactly the sorted order — lazily,
-//!   so the ones behind the cap are never generated, and only a popped
-//!   candidate gets a finish-time row. Feasibility is one subset test
-//!   against the parent's "models that finish by the deadline" mask.
+//!   so the ones behind the cap are never generated. Feasibility is one
+//!   subset test against the parent's "models that finish by the deadline"
+//!   mask.
+//! * **Dominance on use counts** (`UseLanes`). A popped candidate is
+//!   dominated when some kept node's finish times are all ≤ its own, which
+//!   is when that node's per-model use counts are: one subtract-and-mask
+//!   per kept node on packed counts. Only a kept candidate gets a
+//!   finish-time row.
 //! * **Final layer.** Its only consumer is the best-node pick, and the best
 //!   node is the first one in sorted order: the maximum over each parent's
 //!   first feasible candidate. No layer is materialised.
@@ -71,7 +79,6 @@ use schemble_sim::{SimDuration, SimTime};
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Alg. 1 with quantization step `delta`.
 ///
@@ -170,13 +177,15 @@ impl Scheduler for DpScheduler {
         // final layer is never materialised.
         scratch.begin_plan(planned_len);
 
-        // Root: one node at the models' start times.
+        // Root: one node at the models' start times, having used no model.
         let mut root_total = 0u128;
         for &a in &input.availability {
             let t = a.max(input.now);
             root_total += t.as_micros() as u128;
             scratch.prev_times.push(t);
         }
+        let lanes = UseLanes::new(&input.latencies, planned_len);
+        scratch.prev_uses.resize(lanes.words, 0);
         scratch.layers[0].push(NodeMeta {
             u: 0,
             total: root_total,
@@ -184,18 +193,18 @@ impl Scheduler for DpScheduler {
             choice: ModelSet::EMPTY,
         });
 
-        // One sorted subset list per distinct utility table. The engine
-        // hands every query of a difficulty bin the same `Arc`, so pointer
-        // identity finds the sharing without comparing `2^m` floats.
-        for (step, &qi) in planned.iter().enumerate() {
+        // One sorted subset list per distinct utility row, kept across plans.
+        // The engine hands every query of a difficulty bin the profile's own
+        // `Arc`, so pointer identity finds the sharing without comparing
+        // `2^m` floats.
+        scratch.key_lists(&input.latencies, delta, planned_len);
+        for &qi in planned {
             let utilities = &input.queries[qi].utilities;
-            let shared = planned[..step]
-                .iter()
-                .position(|&earlier| Arc::ptr_eq(&input.queries[earlier].utilities, utilities));
-            let list = match shared {
-                Some(earlier) => scratch.lists[earlier].clone(),
-                None => subset_list(scratch, utilities, &input.latencies, delta),
-            };
+            let list = scratch.cached_list(utilities).unwrap_or_else(|| {
+                let list = subset_list(scratch, utilities, &input.latencies, delta);
+                scratch.cache_list(utilities, list.clone());
+                list
+            });
             scratch.lists.push(list);
         }
 
@@ -213,6 +222,8 @@ impl Scheduler for DpScheduler {
             let SchedScratch {
                 prev_times,
                 next_times,
+                prev_uses,
+                next_uses,
                 layers,
                 subsets,
                 lists,
@@ -242,26 +253,27 @@ impl Scheduler for DpScheduler {
             let kept = &mut rest[0];
             debug_assert!(kept.is_empty(), "begin_plan must have cleared the layer");
             next_times.clear();
+            next_uses.clear();
+            let w = lanes.words;
             for cand in Merge::new(heap, parents, ok_masks, list) {
                 stats.nodes_expanded += 1;
                 let choice = choice_at(list, cand.rank);
-                let parent_row = cand.parent as usize * m;
-                let base = next_times.len();
-                next_times.extend_from_slice(&prev_times[parent_row..parent_row + m]);
-                for k in choice.iter() {
-                    next_times[base + k] += input.latencies[k];
-                }
+                let parent = cand.parent as usize;
+                let base = next_uses.len();
+                next_uses.extend_from_slice(&prev_uses[parent * w..(parent + 1) * w]);
+                lanes.add(&mut next_uses[base..], choice);
                 // Kept nodes were visited earlier, so their reward is
                 // already ≥ the candidate's; dominance is down to the time
-                // rows, and a larger total rules it out without a row walk.
-                let (kept_rows, row) = next_times.split_at(base);
-                let dominated = kept.iter().enumerate().any(|(j, k)| {
-                    k.total <= cand.total
-                        && kept_rows[j * m..(j + 1) * m].iter().zip(row).all(|(a, b)| a <= b)
-                });
-                if dominated {
-                    next_times.truncate(base);
+                // rows, which is down to the use counts (`UseLanes`).
+                let (kept_uses, uses) = next_uses.split_at(base);
+                if lanes.any_le(kept_uses, uses) {
+                    next_uses.truncate(base);
                     continue;
+                }
+                let row = next_times.len();
+                next_times.extend_from_slice(&prev_times[parent * m..(parent + 1) * m]);
+                for k in choice.iter() {
+                    next_times[row + k] += input.latencies[k];
                 }
                 kept.push(NodeMeta { u: cand.u, total: cand.total, parent: cand.parent, choice });
                 if kept.len() >= cap {
@@ -270,6 +282,7 @@ impl Scheduler for DpScheduler {
             }
             stats.nodes_kept += kept.len() as u64;
             std::mem::swap(prev_times, next_times);
+            std::mem::swap(prev_uses, next_uses);
         }
 
         // Backtrack choices through the layers.
@@ -339,6 +352,65 @@ fn proper_subset_max(quant: &[u64], best_sub: &mut Vec<u64>) {
             .map(|sub| quant[sub].max(best_sub[sub]))
             .max()
             .unwrap_or(0);
+    }
+}
+
+/// How often each model has been chosen along a node's path, packed one
+/// count per lane of `u64` words: the node's dominance key.
+///
+/// Every node of a plan descends from the one root, and choosing model `k`
+/// adds exactly `latencies[k]` to its finish time, so a node's time for `k`
+/// is `root_k + count_k · latencies[k]`. One node's times are then all ≤
+/// another's exactly when its counts are, over the models with a non-zero
+/// latency (a zero-latency model's time never moves; its count is not
+/// kept). That holds as long as the time arithmetic does not overflow,
+/// which debug builds assert. Comparing counts lane-parallel replaces a walk
+/// over `m` times per kept node with one subtraction per word.
+#[derive(Debug, Clone, Copy)]
+struct UseLanes {
+    /// Lanes per word and bits per lane.
+    per_word: usize,
+    bits: usize,
+    /// Words per node.
+    words: usize,
+    /// Each lane's top bit, which a count never reaches.
+    high: u64,
+    /// The models with a non-zero latency.
+    counted: ModelSet,
+}
+
+impl UseLanes {
+    /// Lanes for a plan of `layers` layers: a count is at most the number
+    /// of layers, so byte lanes while that stays below 128, else a word per
+    /// model.
+    fn new(latencies: &[SimDuration], layers: usize) -> Self {
+        let per_word = if layers < 128 { 8 } else { 1 };
+        let bits = 64 / per_word;
+        let high = (0..per_word).fold(0, |high, lane| high | 1 << (lane * bits + bits - 1));
+        let counted = (0..latencies.len())
+            .filter(|&k| latencies[k] > SimDuration::ZERO)
+            .fold(ModelSet::EMPTY, ModelSet::with);
+        // One word even at m = 0, so rows stay countable.
+        let words = latencies.len().div_ceil(per_word).max(1);
+        Self { per_word, bits, words, high, counted }
+    }
+
+    /// Counts one more use of every counted model in `choice`.
+    fn add(&self, uses: &mut [u64], choice: ModelSet) {
+        for k in ModelSet(choice.0 & self.counted.0).iter() {
+            uses[k / self.per_word] += 1 << (k % self.per_word * self.bits);
+        }
+    }
+
+    /// Whether some row of `rows` has every count ≤ the same count in
+    /// `uses`: per lane, `b + 2^(bits-1) - a` keeps the lane's top bit
+    /// exactly when `b ≥ a`, and never borrows from the next lane.
+    fn any_le(&self, rows: &[u64], uses: &[u64]) -> bool {
+        let le = |a: u64, b: u64| ((b | self.high) - a) & self.high == self.high;
+        match uses {
+            &[b] => rows.iter().any(|&a| le(a, b)),
+            _ => rows.chunks_exact(self.words).any(|a| a.iter().zip(uses).all(|(&a, &b)| le(a, b))),
+        }
     }
 }
 
@@ -549,6 +621,7 @@ mod tests {
     use crate::scheduler::input::BufferedQuery;
     use proptest::prelude::*;
     use schemble_sim::SimDuration;
+    use std::sync::Arc;
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
@@ -870,7 +943,7 @@ mod tests {
     #[test]
     fn steady_state_stats_are_reproducible() {
         // Same input through a warm scratch yields the same counters — the
-        // property bench_dp's CI gate relies on.
+        // property the size-grid test pins them by.
         let sched = DpScheduler::default();
         let input = random_instance(11, 6, 3);
         let mut scratch = SchedScratch::new();
@@ -880,6 +953,239 @@ mod tests {
         assert!(first.nodes_expanded > 0 && first.nodes_kept > 0);
         sched.plan_into(&input, &mut scratch, &mut out);
         assert_eq!(scratch.stats(), first);
+    }
+
+    /// Plans `input` through the reused `shared` scratch and through a
+    /// fresh one, and checks both against the reference: same plan, same
+    /// frontier, same counters.
+    fn plan_matches_fresh(sched: &DpScheduler, input: &ScheduleInput, shared: &mut SchedScratch) {
+        let mut out = SchedulePlan::empty(0);
+        sched.plan_into(input, shared, &mut out);
+        let mut fresh = SchedScratch::new();
+        let mut fresh_out = SchedulePlan::empty(0);
+        sched.plan_into(input, &mut fresh, &mut fresh_out);
+        assert_eq!(out, fresh_out, "the cached lists changed a plan");
+        assert_eq!(out.frontier, fresh_out.frontier);
+        assert_eq!(shared.stats(), fresh.stats());
+        assert_eq!(out, reference::plan(sched, input));
+    }
+
+    /// `input` with every utility row copied behind a new `Arc`.
+    fn with_fresh_rows(input: &ScheduleInput) -> ScheduleInput {
+        let mut copy = input.clone();
+        for q in &mut copy.queries {
+            q.utilities = Arc::from(&q.utilities[..]);
+        }
+        copy
+    }
+
+    #[test]
+    fn cached_lists_serve_equal_rows_behind_new_arcs() {
+        let sched = DpScheduler::default();
+        let mut shared = SchedScratch::new();
+        for seed in 0..10 {
+            let input = tied_instance(seed, 8, 6);
+            for input in [&input, &with_fresh_rows(&input), &input] {
+                plan_matches_fresh(&sched, input, &mut shared);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_lists_follow_latencies_that_change_between_plans() {
+        // The same rows (same `Arcs`) under other latencies: a zero latency,
+        // reordered ones, and latencies that change which subsets survive.
+        let sched = DpScheduler::default();
+        let mut shared = SchedScratch::new();
+        for seed in 0..10 {
+            let mut input = tied_instance(seed, 8, 5);
+            for round in 0..4u64 {
+                plan_matches_fresh(&sched, &input, &mut shared);
+                input.latencies.rotate_left(1);
+                input.latencies[0] = ms(5 * round);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_lists_follow_delta_that_changes_between_plans() {
+        let mut shared = SchedScratch::new();
+        for seed in 0..10 {
+            let input = tied_instance(seed, 10, 6);
+            for delta in [0.01, 0.05, 0.01, 0.2, 0.001] {
+                plan_matches_fresh(&DpScheduler::with_delta(delta), &input, &mut shared);
+            }
+        }
+    }
+
+    #[test]
+    fn cached_lists_survive_more_distinct_rows_than_the_bound() {
+        use crate::scheduler::scratch::CACHED_ROWS;
+        // Every query its own row: a stream of small plans that overflows
+        // the cache several times, then one plan with more distinct rows
+        // than the bound, then the small plans again.
+        let mut shared = SchedScratch::new();
+        let small = DpScheduler::default();
+        let wide = DpScheduler { max_queries: CACHED_ROWS + 8, ..DpScheduler::default() };
+        let inputs: Vec<ScheduleInput> = (0..3 * CACHED_ROWS as u64 / 4)
+            .map(|seed| with_fresh_rows(&random_instance(seed, 4, 4)))
+            .collect();
+        for input in &inputs {
+            plan_matches_fresh(&small, input, &mut shared);
+        }
+        let mut many = random_instance(99, CACHED_ROWS + 8, 3);
+        for q in &mut many.queries {
+            q.deadline = at(10_000);
+        }
+        plan_matches_fresh(&wide, &many, &mut shared);
+        for input in inputs.iter().rev() {
+            plan_matches_fresh(&small, input, &mut shared);
+        }
+    }
+
+    #[test]
+    fn cached_lists_serve_two_schedulers_interleaved() {
+        let a = DpScheduler::default();
+        let b = DpScheduler { delta: 0.05, max_frontier: 8, max_queries: 5 };
+        let c = DpScheduler { max_frontier: 2, ..DpScheduler::default() };
+        let mut shared = SchedScratch::new();
+        for seed in 0..15 {
+            let input = tied_instance(seed, 9, 1 + seed as usize % 8);
+            for sched in [&a, &b, &a, &c, &b] {
+                plan_matches_fresh(sched, &input, &mut shared);
+            }
+        }
+    }
+
+    #[test]
+    fn use_counts_past_one_word_and_past_a_byte_match_reference() {
+        // More than eight models take two words per node; more than 127
+        // layers take a word per model, and with deadlines this loose a
+        // model is chosen more than 127 times along one path.
+        for seed in 0..3u64 {
+            let input = random_instance(seed, 3, 10);
+            let sched = DpScheduler { max_frontier: 16, ..DpScheduler::default() };
+            assert_eq!(sched.plan(&input), reference::plan(&sched, &input), "seed {seed} m 10");
+        }
+        let mut long = random_instance(5, 140, 2);
+        for q in &mut long.queries {
+            q.deadline = at(1_000_000);
+        }
+        let sched = DpScheduler { max_frontier: 8, max_queries: 140, ..DpScheduler::default() };
+        let plan = sched.plan(&long);
+        let uses = plan.assignments.iter().filter(|set| set.contains(0)).count();
+        assert!(uses > 127, "model 0 chosen {uses} times");
+        assert_eq!(plan, reference::plan(&sched, &long));
+    }
+
+    #[test]
+    fn use_lanes_compare_like_the_finish_times_they_count() {
+        use rand::Rng;
+        // Two paths share a random prefix of choices and then diverge for a
+        // few layers; their use counts must compare exactly as the finish
+        // times they imply do, zero-latency model included, in byte lanes,
+        // in words per model, and over more than one word.
+        let mut rng = schemble_sim::rng::stream_rng(31, "use-lanes");
+        let (mut le, mut not_le) = (0, 0);
+        for (m, layers) in [(1, 5), (3, 127), (8, 127), (8, 128), (3, 300), (9, 20), (12, 40)] {
+            let mut latencies: Vec<SimDuration> =
+                (0..m).map(|_| ms(rng.random_range(1..30))).collect();
+            latencies[rng.random_range(0..m)] = ms(0);
+            let lanes = UseLanes::new(&latencies, layers);
+            for _ in 0..300 {
+                let mut paths: [_; 2] =
+                    std::array::from_fn(|_| (vec![0; lanes.words], vec![at(0); m]));
+                let shared = rng.random_range(0..layers);
+                for step in 0..layers - 1 {
+                    let common = ModelSet(rng.random_range(0..1u32 << m));
+                    for (uses, times) in &mut paths {
+                        let choice = match step < shared {
+                            true => common,
+                            false => ModelSet(rng.random_range(0..1u32 << m)),
+                        };
+                        lanes.add(uses, choice);
+                        for k in choice.iter() {
+                            times[k] += latencies[k];
+                        }
+                    }
+                }
+                let [(a_uses, a_times), (b_uses, b_times)] = &paths;
+                let expected = a_times.iter().zip(b_times).all(|(a, b)| a <= b);
+                assert_eq!(lanes.any_le(a_uses, b_uses), expected, "m {m} layers {layers}");
+                assert_eq!(
+                    lanes.any_le(b_uses, a_uses),
+                    b_times.iter().zip(a_times).all(|(b, a)| b <= a)
+                );
+                *if expected { &mut le } else { &mut not_le } += 1;
+            }
+        }
+        assert!(le > 100 && not_le > 100, "{le} dominated, {not_le} not");
+    }
+
+    #[test]
+    fn visited_candidates_on_the_size_grid_are_pinned() {
+        // Buffer size × ensemble size over the paper's operating range, one
+        // warm scratch for all nine. The counts are exact: the DP is integer
+        // and the instances are seeded, so any change is an algorithm change.
+        let grid = [
+            ((4, 3), 172),
+            ((4, 5), 328),
+            ((4, 8), 367),
+            ((16, 3), 2447),
+            ((16, 5), 2493),
+            ((16, 8), 2414),
+            ((24, 3), 3886),
+            ((24, 5), 3099),
+            ((24, 8), 3934),
+        ];
+        let sched = DpScheduler::default();
+        let mut scratch = SchedScratch::new();
+        let mut out = SchedulePlan::empty(0);
+        for ((n, m), visited) in grid {
+            let input = grid_instance(n, m, 7);
+            for _ in 0..2 {
+                sched.plan_into(&input, &mut scratch, &mut out);
+                assert_eq!(scratch.stats().nodes_expanded, visited, "n {n} m {m}");
+            }
+            assert_eq!(out, reference::plan(&sched, &input), "n {n} m {m}");
+        }
+    }
+
+    /// The size grid's instances: monotone subset utilities, latencies
+    /// 15–50 ms, deadlines 60–400 ms.
+    fn grid_instance(n: usize, m: usize, seed: u64) -> ScheduleInput {
+        use rand::Rng;
+        let mut rng = schemble_sim::rng::stream_rng(seed, "bench-sched");
+        let latencies: Vec<SimDuration> = (0..m).map(|_| ms(rng.random_range(15..50))).collect();
+        let queries = (0..n as u64)
+            .map(|id| {
+                let mut utilities = vec![0.0; 1 << m];
+                let mut masks: Vec<u32> = (1..(1u32 << m)).collect();
+                masks.sort_by_key(|s| s.count_ones());
+                for &mask in &masks {
+                    let set = ModelSet(mask);
+                    let mut v: f64 = set
+                        .iter()
+                        .map(|k| 0.5 + 0.12 * k as f64 + rng.random_range(0.0..0.08))
+                        .fold(0.0, f64::max);
+                    for k in set.iter() {
+                        let sub = set.without(k);
+                        if !sub.is_empty() {
+                            v = v.max(utilities[sub.0 as usize]);
+                        }
+                    }
+                    utilities[mask as usize] = v.min(1.0);
+                }
+                BufferedQuery {
+                    id,
+                    arrival: at(id),
+                    deadline: at(rng.random_range(60..400)),
+                    utilities: utilities.into(),
+                    score: rng.random_range(0.0..1.0),
+                }
+            })
+            .collect();
+        ScheduleInput { now: at(0), availability: vec![at(0); m], latencies, queries }
     }
 
     /// Instances built to tie: utilities snapped to a 0.05 grid (after the

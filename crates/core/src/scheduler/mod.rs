@@ -44,9 +44,10 @@ pub trait Scheduler: Send + Sync {
     /// This is the hot path: the engine holds one [`SchedScratch`] and one
     /// [`SchedulePlan`] for the whole run, so a steady-state invocation
     /// allocates nothing. `out` is fully overwritten — no state carries over
-    /// from its previous contents, and none may carry over through `scratch`
-    /// (schedulers must produce identical plans through a shared and a fresh
-    /// scratch).
+    /// from its previous contents, and no decision state may carry over
+    /// through `scratch` (schedulers must produce identical plans through a
+    /// shared and a fresh scratch; a memo that is a pure function of its key,
+    /// like the DP's subset lists, is not decision state).
     fn plan_into(&self, input: &ScheduleInput, scratch: &mut SchedScratch, out: &mut SchedulePlan);
 
     /// Convenience wrapper around [`Scheduler::plan_into`] that allocates

@@ -6,8 +6,15 @@
 //! needs — finish-time arenas, per-layer node storage, sorted subset lists,
 //! the merge heap — and is held by the engine across invocations, so a
 //! steady-state `plan_into` call allocates nothing: capacity grown on the
-//! first few plans is recycled forever after (`bench_dp --features
-//! bench-alloc` pins allocations/plan at zero).
+//! first few plans is recycled forever after (`tests/alloc_gate.rs` pins
+//! allocations per plan at zero).
+//!
+//! One thing outlives a plan: the DP's sorted subset lists, cached per
+//! utility row. A list is a pure function of its key — the row's contents,
+//! the latencies and δ — so the cache is a memo, not decision state. Rows
+//! are recognised by `Arc` identity; each entry holds a clone of its row's
+//! `Arc`, so the address cannot be reused while the entry lives, and the
+//! contents behind it cannot change. New latencies or a new δ clear it.
 //!
 //! The finish-time storage is a flat structure-of-arrays arena: node `i`'s
 //! per-model times live at `times[i * m .. (i + 1) * m]` instead of one
@@ -17,16 +24,24 @@
 //! actually visits ever get a time row.
 
 use schemble_models::ModelSet;
-use schemble_sim::SimTime;
+use schemble_sim::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::Arc;
+
+/// Most utility rows whose subset lists a scratch keeps between plans. A
+/// plan that would take the cache past it clears it first (capacity kept),
+/// so a caller with a fresh `Arc` per plan still allocates nothing once
+/// warm; a plan of more distinct rows than this holds them all until the
+/// next plan clears them.
+pub(crate) const CACHED_ROWS: usize = 64;
 
 /// Deterministic counters describing the last `plan_into` call.
 ///
-/// These depend only on the problem instance (never on wall-clock or
-/// allocator state), which is what lets `bench_dp` gate them tightly in CI
-/// while wall-clock numbers get a wide tolerance.
+/// These depend only on the problem instance (never on wall-clock,
+/// allocator or cache state), which is what lets the DP's tests pin them
+/// exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpStats {
     /// Candidate nodes *visited* across all layers: every candidate the
@@ -55,8 +70,8 @@ pub(crate) struct NodeMeta {
     pub choice: ModelSet,
 }
 
-/// One subset a query may be extended with, precomputed once per plan and
-/// per distinct utility table.
+/// One subset a query may be extended with, precomputed once per distinct
+/// utility row and kept across plans.
 ///
 /// Subsets whose quantized reward is zero, or no higher than that of one of
 /// their own proper subsets, are filtered out here (see `dp::subset_list`);
@@ -89,11 +104,12 @@ impl Ord for MergeEntry {
     /// parent index and rank ascending — the candidate order of the
     /// generate-and-sort formulation.
     fn cmp(&self, other: &Self) -> Ordering {
-        self.u
-            .cmp(&other.u)
-            .then(other.total.cmp(&self.total))
-            .then(other.parent.cmp(&self.parent))
-            .then(other.rank.cmp(&self.rank))
+        (self.u, other.total, other.parent, other.rank).cmp(&(
+            other.u,
+            self.total,
+            self.parent,
+            self.rank,
+        ))
     }
 }
 
@@ -107,8 +123,9 @@ impl PartialOrd for MergeEntry {
 ///
 /// One scratch serves any scheduler and any instance size; buffers grow to
 /// the high-water mark and stay there. A scratch carries no decision state
-/// between calls — two consecutive plans through one scratch are identical
-/// to two plans through fresh scratches (pinned by `dp::tests`).
+/// between calls — only the subset-list memo (module docs) — so two
+/// consecutive plans through one scratch are identical to two plans through
+/// fresh scratches (pinned by `dp::tests`).
 #[derive(Debug, Default)]
 pub struct SchedScratch {
     /// Greedy's mutable availability vector.
@@ -118,12 +135,21 @@ pub struct SchedScratch {
     /// Finish times of the layer being built, row `j` = kept node `j`;
     /// swapped with `prev_times` when the layer is complete.
     pub(crate) next_times: Vec<SimTime>,
+    /// Per-model use counts of the current layer's nodes and of the layer
+    /// being built, in `dp::UseLanes` words, parallel to the time rows.
+    pub(crate) prev_uses: Vec<u64>,
+    pub(crate) next_uses: Vec<u64>,
     /// Pruned node metadata per layer, kept for backtracking. Inner vectors
     /// are recycled between plans.
     pub(crate) layers: Vec<Vec<NodeMeta>>,
-    /// Concatenated sorted subset lists, one per distinct utility table…
+    /// Concatenated sorted subset lists, one per cached utility row…
     pub(crate) subsets: Vec<SubsetCand>,
-    /// …and each planned query's slice of them (`len = planned`).
+    /// …each cached row and its slice of them (at most [`CACHED_ROWS`]
+    /// between plans)…
+    rows: Vec<(Arc<[f64]>, Range<usize>)>,
+    /// …the latencies and δ (as bits) every cached list was built for…
+    list_key: (Vec<SimDuration>, u64),
+    /// …and each planned query's slice (`len = planned`).
     pub(crate) lists: Vec<Range<usize>>,
     /// Quantized reward per subset mask for the table being filtered.
     pub(crate) quant: Vec<u64>,
@@ -161,7 +187,36 @@ impl SchedScratch {
         }
         self.prev_times.clear();
         self.next_times.clear();
-        self.subsets.clear();
+        self.prev_uses.clear();
+        self.next_uses.clear();
         self.lists.clear();
+    }
+
+    /// Readies the subset-list cache for a plan of `planned` queries with
+    /// `latencies` and `delta`: clears it when either differs from the
+    /// lists' key, or when `planned` new rows might not fit.
+    pub(crate) fn key_lists(&mut self, latencies: &[SimDuration], delta: f64, planned: usize) {
+        let (key_latencies, key_delta) = &mut self.list_key;
+        let stale = key_latencies[..] != *latencies || *key_delta != delta.to_bits();
+        if stale || self.rows.len() + planned > CACHED_ROWS {
+            self.rows.clear();
+            self.subsets.clear();
+        }
+        if stale {
+            key_latencies.clear();
+            key_latencies.extend_from_slice(latencies);
+            *key_delta = delta.to_bits();
+        }
+    }
+
+    /// The cached list of `utilities`' row, if there is one.
+    pub(crate) fn cached_list(&self, utilities: &Arc<[f64]>) -> Option<Range<usize>> {
+        let (_, range) = self.rows.iter().find(|(row, _)| Arc::ptr_eq(row, utilities))?;
+        Some(range.clone())
+    }
+
+    /// Files `range` of `subsets` as the list of `utilities`' row.
+    pub(crate) fn cache_list(&mut self, utilities: &Arc<[f64]>, range: Range<usize>) {
+        self.rows.push((Arc::clone(utilities), range));
     }
 }

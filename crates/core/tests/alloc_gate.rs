@@ -1,28 +1,33 @@
-//! Allocation gate for the engine's plain decision path.
+//! Allocation gate for the engine's plain decision path and its planner.
 //!
 //! Schemble re-plans on every arrival and completion and dispatches on every
 //! idle transition, so what one engine event costs bounds the event rate a
 //! deployment sustains. The contract (DESIGN.md, "Engine hot path"): once
 //! warm, bookkeeping allocates nothing — a `Wake` is free, a task completion
 //! pays only for the output it produces — and what a query allocates over
-//! its life is its outputs, the vector holding them and the two
-//! aggregations that close it. This binary counts allocation events on its
-//! own thread and replays a few thousand plain-path queries to hold the
-//! engine to that.
-//!
-//! It holds a single test: the counter belongs to the thread that runs it.
+//! its life is its outputs, the vector holding them and the two aggregated
+//! outputs that close it (the answer and the reference). A warm DP plan
+//! allocates nothing at all, even for a caller that hands it a new utility
+//! row on every plan. This binary counts allocation events per thread —
+//! each test counts on the thread that runs it — and replays a few thousand
+//! plain-path queries, and a few hundred m = 8 plans, to hold the engine
+//! and the planner to that.
 
 use schemble_core::backend::{BackendEvent, SimBackend};
 use schemble_core::engine::{PipelineEngine, SchembleEngine};
 use schemble_core::executor::ExecutorBank;
 use schemble_core::pipeline::SchembleConfig;
 use schemble_core::predictor::OnlineScorer;
-use schemble_core::scheduler::DpScheduler;
+use schemble_core::scheduler::{
+    BufferedQuery, DpScheduler, SchedScratch, ScheduleInput, SchedulePlan, Scheduler,
+};
 use schemble_core::AccuracyProfile;
 use schemble_data::{DeadlinePolicy, PoissonTrace, Workload};
-use schemble_models::{zoo, DifficultyDist, SampleGenerator};
+use schemble_models::{zoo, DifficultyDist, ModelSet, SampleGenerator};
+use schemble_sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     // `const` and without a destructor, so reading it from inside the
@@ -95,9 +100,9 @@ fn plain_path_bookkeeping_allocates_nothing() {
     let per_aggregate = allocs() - before;
     // A completed query's whole life: every model inferred once (run for
     // the answer, or inferred for the reference) + the vector of outputs in
-    // hand + the vector of reference-only outputs + the answer and the
-    // reference, each an aggregation input slice and an aggregated output.
-    let per_query_budget = m * per_output + 2 + 2 * (1 + per_aggregate);
+    // hand + the answer and the reference, each an aggregated output (both
+    // aggregations stream the outputs where they lie).
+    let per_query_budget = m * per_output + 1 + 2 * per_aggregate;
 
     let mut warm = false;
     let (mut wakes, mut wakes_on_open_queries, mut partial_completions) = (0u64, 0u64, 0u64);
@@ -148,4 +153,54 @@ fn plain_path_bookkeeping_allocates_nothing() {
         per_query <= per_query_budget as f64 + 0.2,
         "{per_query:.2} allocations per completed query, budget {per_query_budget}"
     );
+}
+
+#[test]
+fn warm_m8_plans_allocate_nothing_with_a_fresh_utility_row_each() {
+    // Sixteen queries over eight models, all sharing one utility row that
+    // is a new `Arc` on every plan (same contents): the DP's subset-list
+    // cache misses on every plan and overflows every few dozen, which is
+    // the worst its bound has to hold under. The rows are built before
+    // counting starts.
+    let m = 8;
+    let latencies: Vec<SimDuration> =
+        (0..m).map(|k| SimDuration::from_millis(15 + 4 * k as u64)).collect();
+    // One minus the chance that every chosen model misses (0 for ∅).
+    let table: Vec<f64> = (0..1u32 << m)
+        .map(|mask| 1.0 - ModelSet(mask).iter().map(|k| 0.45 - 0.03 * k as f64).product::<f64>())
+        .collect();
+    let inputs: Vec<ScheduleInput> = (0..400u64)
+        .map(|plan| {
+            let row: Arc<[f64]> = Arc::from(table.as_slice());
+            let queries = (0..16u64)
+                .map(|id| BufferedQuery {
+                    id,
+                    arrival: SimTime::from_millis(id),
+                    deadline: SimTime::from_millis(60 + 23 * ((id + plan) % 16)),
+                    utilities: Arc::clone(&row),
+                    score: 0.5,
+                })
+                .collect();
+            ScheduleInput {
+                now: SimTime::ZERO,
+                availability: vec![SimTime::ZERO; m],
+                latencies: latencies.clone(),
+                queries,
+            }
+        })
+        .collect();
+    let dp = DpScheduler::default();
+    let mut scratch = SchedScratch::new();
+    let mut plan = SchedulePlan::empty(0);
+    let (warm_up, measured) = inputs.split_at(200);
+    for input in warm_up {
+        dp.plan_into(input, &mut scratch, &mut plan);
+    }
+    let before = allocs();
+    for input in measured {
+        dp.plan_into(input, &mut scratch, &mut plan);
+    }
+    let spent = allocs() - before;
+    assert!(plan.scheduled_count() > 0, "the plans scheduled nothing");
+    assert_eq!(spent, 0, "{spent} allocations over {} warm m = 8 plans", measured.len());
 }

@@ -16,6 +16,7 @@ use schemble_nn::optim::Adam;
 use schemble_nn::{Activation, Mlp};
 use schemble_tensor::prob::softmax;
 use schemble_tensor::Matrix;
+use std::borrow::Borrow;
 
 /// How base-model outputs combine into the ensemble's output.
 #[derive(Debug, Clone)]
@@ -48,20 +49,36 @@ impl Aggregator {
     /// Panics on an empty `present` slice, or on a partial slice with
     /// stacking.
     pub fn aggregate(&self, present: &[(usize, &Output)], spec: &TaskSpec, m: usize) -> Output {
-        assert!(!present.is_empty(), "cannot aggregate zero outputs");
+        self.aggregate_iter(present.iter().copied(), spec, m)
+    }
+
+    /// [`Aggregator::aggregate`] over outputs streamed in one pass, borrowed
+    /// or owned, so a caller that holds them in another shape — or makes
+    /// some on the way — collects nothing. The result is bit-equal to
+    /// aggregating the same sequence as a slice.
+    ///
+    /// # Panics
+    /// As [`Aggregator::aggregate`].
+    pub fn aggregate_iter<O: Borrow<Output>>(
+        &self,
+        present: impl IntoIterator<Item = (usize, O)>,
+        spec: &TaskSpec,
+        m: usize,
+    ) -> Output {
+        let present = present.into_iter();
         match self {
             Aggregator::Voting => aggregate_voting(present, spec),
             Aggregator::WeightedAverage { weights } => aggregate_weighted(present, spec, weights),
             Aggregator::Stacking { meta } => {
-                assert_eq!(
-                    present.len(),
-                    m,
-                    "stacking needs all {m} outputs; fill missing values first"
-                );
-                for (pos, (idx, _)) in present.iter().enumerate() {
-                    assert_eq!(*idx, pos, "stacking inputs must be in model order");
+                let mut features = Vec::new();
+                let mut count = 0;
+                for (idx, o) in present {
+                    assert_eq!(idx, count, "stacking inputs must be in model order");
+                    features.extend(o.borrow().as_vec());
+                    count += 1;
                 }
-                let features: Vec<f64> = present.iter().flat_map(|(_, o)| o.as_vec()).collect();
+                assert_nonempty(count);
+                assert_eq!(count, m, "stacking needs all {m} outputs; fill missing values first");
                 let raw = meta.infer_one(&features);
                 match spec {
                     TaskSpec::Regression { .. } => Output::Scalar(raw[0]),
@@ -72,11 +89,19 @@ impl Aggregator {
     }
 }
 
-fn aggregate_voting(present: &[(usize, &Output)], spec: &TaskSpec) -> Output {
+fn assert_nonempty(count: usize) {
+    assert!(count > 0, "cannot aggregate zero outputs");
+}
+
+fn aggregate_voting<O: Borrow<Output>>(
+    present: impl Iterator<Item = (usize, O)>,
+    spec: &TaskSpec,
+) -> Output {
     match spec {
         TaskSpec::Regression { .. } => {
             // Median vote for scalars.
-            let mut vals: Vec<f64> = present.iter().map(|(_, o)| o.value()).collect();
+            let mut vals: Vec<f64> = present.map(|(_, o)| o.borrow().value()).collect();
+            assert_nonempty(vals.len());
             vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN in regression output"));
             let n = vals.len();
             let median =
@@ -86,36 +111,58 @@ fn aggregate_voting(present: &[(usize, &Output)], spec: &TaskSpec) -> Output {
         _ => {
             let c = spec.output_dim();
             let mut votes = vec![0.0f64; c];
+            let mut count = 0;
             for (_, o) in present {
-                votes[o.predicted_class()] += 1.0;
+                votes[o.borrow().predicted_class()] += 1.0;
+                count += 1;
             }
+            assert_nonempty(count);
             let total: f64 = votes.iter().sum();
             Output::Probs(votes.into_iter().map(|v| v / total).collect())
         }
     }
 }
 
-fn aggregate_weighted(present: &[(usize, &Output)], spec: &TaskSpec, weights: &[f64]) -> Output {
-    let wsum: f64 = present.iter().map(|(k, _)| weights[*k]).sum();
-    assert!(wsum > 0.0, "all present weights are zero");
-    match spec {
+fn aggregate_weighted<O: Borrow<Output>>(
+    present: impl Iterator<Item = (usize, O)>,
+    spec: &TaskSpec,
+    weights: &[f64],
+) -> Output {
+    // Sums start where `Iterator::sum` does for floats (−0.0), so one pass
+    // adds exactly what a sum per quantity over a slice would.
+    let (mut count, mut wsum) = (0, -0.0);
+    let out = match spec {
         TaskSpec::Regression { .. } => {
-            let v = present.iter().map(|(k, o)| weights[*k] * o.value()).sum::<f64>() / wsum;
+            let mut v = -0.0;
+            for (k, o) in present {
+                wsum += weights[k];
+                v += weights[k] * o.borrow().value();
+                count += 1;
+            }
             Output::Scalar(v)
         }
         _ => {
-            let c = spec.output_dim();
-            let mut acc = vec![0.0f64; c];
+            let mut acc = vec![0.0f64; spec.output_dim()];
             for (k, o) in present {
-                match o {
+                wsum += weights[k];
+                match o.borrow() {
                     Output::Probs(p) => {
                         for (a, &pi) in acc.iter_mut().zip(p) {
-                            *a += weights[*k] * pi;
+                            *a += weights[k] * pi;
                         }
                     }
                     Output::Scalar(_) => panic!("scalar output under categorical spec"),
                 }
+                count += 1;
             }
+            Output::Probs(acc)
+        }
+    };
+    assert_nonempty(count);
+    assert!(wsum > 0.0, "all present weights are zero");
+    match out {
+        Output::Scalar(v) => Output::Scalar(v / wsum),
+        Output::Probs(mut acc) => {
             for a in &mut acc {
                 *a /= wsum;
             }

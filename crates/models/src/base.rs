@@ -27,6 +27,7 @@ use crate::sample::Sample;
 use rand::Rng;
 use schemble_sim::rng::stream_rng_u64;
 use schemble_sim::LatencyModel;
+use std::sync::OnceLock;
 
 /// Shared true-vs-distractor margin at difficulty 0.
 const MARGIN_EASY: f64 = 4.0;
@@ -62,6 +63,18 @@ pub struct BaseModel {
     pub reg_bias: f64,
     /// Training seed — drives the idiosyncratic error stream.
     pub seed: u64,
+    /// [`BaseModel::logit_params`] and the `(acc_easy, acc_hard)` it was
+    /// solved for, solved on first use. The accuracy fields are public, so
+    /// a memo that no longer matches them is ignored (see `logit_wb`).
+    logit: OnceLock<LogitMemo>,
+}
+
+/// Logit-noise slope and offset, memoised with their inputs.
+#[derive(Debug, Clone, Copy)]
+struct LogitMemo {
+    accs: (f64, f64),
+    w: f64,
+    b: f64,
 }
 
 impl BaseModel {
@@ -85,6 +98,7 @@ impl BaseModel {
             reg_noise: 0.0,
             reg_bias: 0.0,
             seed,
+            logit: OnceLock::new(),
         }
     }
 
@@ -106,6 +120,7 @@ impl BaseModel {
             reg_noise,
             reg_bias,
             seed,
+            logit: OnceLock::new(),
         }
     }
 
@@ -131,6 +146,24 @@ impl BaseModel {
             s = (w * w * SIGMA_G * SIGMA_G + SIGMA_E * SIGMA_E).sqrt();
         }
         (w, b, s)
+    }
+
+    /// `(w, b)` of [`BaseModel::logit_params`], solved once per model: the
+    /// memo is used only while the accuracies it was solved for are still
+    /// the model's (bit for bit), so editing a field re-solves per call
+    /// rather than going stale.
+    fn logit_wb(&self) -> (f64, f64) {
+        let accs = (self.acc_easy, self.acc_hard);
+        let memo = self.logit.get_or_init(|| {
+            let (w, b, _) = self.logit_params();
+            LogitMemo { accs, w, b }
+        });
+        if memo.accs.0.to_bits() == accs.0.to_bits() && memo.accs.1.to_bits() == accs.1.to_bits() {
+            (memo.w, memo.b)
+        } else {
+            let (w, b, _) = self.logit_params();
+            (w, b)
+        }
     }
 
     /// Mean accuracy over uniform difficulty — used for aggregation weights.
@@ -178,7 +211,7 @@ impl BaseModel {
         rng: &mut impl Rng,
     ) -> Output {
         let z = sample.difficulty;
-        let (w, b, _) = self.logit_params();
+        let (w, b) = self.logit_wb();
         let mu = MARGIN_EASY * (1.0 - z) + MARGIN_HARD * z;
         let e = standard_normal(rng);
         let true_logit = w * (mu + SIGMA_G * sample.shared_noise) - b + SIGMA_E * e;
@@ -379,5 +412,43 @@ mod tests {
             }
             _ => panic!("retrieval must emit probabilities"),
         }
+    }
+
+    /// Every output's bits, for exact comparison.
+    fn bits(output: &Output) -> Vec<u64> {
+        output.as_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn memoised_logit_params_infer_bit_identically_to_solving_per_call() {
+        use crate::zoo;
+        for ens in [
+            zoo::text_matching(1),
+            zoo::vehicle_counting(2),
+            zoo::image_retrieval(3),
+            zoo::cifar_zoo(6, 4),
+        ] {
+            let samples = SampleGenerator::new(ens.spec, DifficultyDist::Uniform, 5).batch(0, 1000);
+            for model in &ens.models {
+                for s in &samples {
+                    // A memo-less copy solves the parameters on this call.
+                    let solving = BaseModel { logit: OnceLock::new(), ..model.clone() };
+                    let (memo, fresh) = (model.infer(s, &ens.spec), solving.infer(s, &ens.spec));
+                    assert_eq!(bits(&memo), bits(&fresh), "{} on sample {}", model.name, s.id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_edited_accuracy_is_not_served_from_the_stale_memo() {
+        let spec = spec();
+        let s = gen().sample(3);
+        let mut edited = model(9);
+        let before = edited.infer(&s, &spec);
+        edited.acc_hard = 0.75;
+        let fresh = BaseModel::classifier("test", 0.97, 0.75, 20.0, 2.0, 9);
+        assert_eq!(bits(&edited.infer(&s, &spec)), bits(&fresh.infer(&s, &spec)));
+        assert_ne!(bits(&edited.infer(&s, &spec)), bits(&before));
     }
 }

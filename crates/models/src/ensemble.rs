@@ -6,6 +6,7 @@ use crate::modelset::ModelSet;
 use crate::output::{Output, TaskSpec};
 use crate::sample::Sample;
 use schemble_sim::{LatencyModel, SimDuration};
+use std::borrow::Borrow;
 
 /// A deep ensemble: `m` base models, a task spec and an aggregation module.
 #[derive(Debug, Clone)]
@@ -54,6 +55,15 @@ impl Ensemble {
     /// Aggregates already-computed outputs of the present models.
     pub fn aggregate(&self, present: &[(usize, &Output)]) -> Output {
         self.aggregator.aggregate(present, &self.spec, self.m())
+    }
+
+    /// [`Ensemble::aggregate`] over outputs streamed in one pass, borrowed or
+    /// owned ([`Aggregator::aggregate_iter`]).
+    pub fn aggregate_iter<O: Borrow<Output>>(
+        &self,
+        present: impl IntoIterator<Item = (usize, O)>,
+    ) -> Output {
+        self.aggregator.aggregate_iter(present, &self.spec, self.m())
     }
 
     /// The full ensemble's output on `sample` — the evaluation ground truth
