@@ -34,71 +34,12 @@ mod table;
 pub use fault::FailurePolicy;
 pub use immediate::ImmediateEngine;
 pub use schemble::{AnytimePolicy, SchembleEngine};
+pub use schemble_metrics::EngineStats;
 
 use crate::backend::{BackendEvent, ExecutionBackend};
 use schemble_data::Query;
 use schemble_metrics::QueryRecord;
 use schemble_sim::SimTime;
-
-/// Live query-outcome counters, maintained incrementally by every engine.
-///
-/// Conservation invariant (the serve runtime's property tests check it):
-/// `submitted + stolen_in == completed + degraded + rejected + expired +
-/// stolen_out + open`, with `open` reaching zero after
-/// [`PipelineEngine::drain`]. Without work stealing both `stolen_*` terms
-/// are zero and this is the familiar `submitted == terminals + open`; with
-/// it, summing per-shard stats cancels the transfer terms (every release is
-/// someone's adoption), so the *global* invariant is unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Arrival events handled.
-    pub submitted: u64,
-    /// Queries completed with an assembled result.
-    pub completed: u64,
-    /// Queries answered from a partial ensemble after task failures or a
-    /// deadline cut the planned set short.
-    pub degraded: u64,
-    /// Queries refused at arrival by admission control.
-    pub rejected: u64,
-    /// Queries dropped after admission (deadline or end-of-trace).
-    pub expired: u64,
-    /// Task executions that failed (transient fault, timeout or crash).
-    /// Not part of conservation: a failure may be retried.
-    pub tasks_failed: u64,
-    /// Failed tasks that were re-dispatched.
-    pub tasks_retried: u64,
-    /// Planned tasks quit before completing because the anytime policy
-    /// judged the partial ensemble already confident enough. Not part of
-    /// conservation: the query itself still completes.
-    pub tasks_saved: u64,
-    /// Queries adopted from another shard engine by work stealing.
-    pub stolen_in: u64,
-    /// Queries released to another shard engine by work stealing.
-    pub stolen_out: u64,
-}
-
-impl EngineStats {
-    /// Queries owned by this engine but not yet decided.
-    pub fn open(&self) -> u64 {
-        (self.submitted + self.stolen_in)
-            - (self.completed + self.degraded + self.rejected + self.expired + self.stolen_out)
-    }
-
-    /// Adds `other`'s counts to `self`. Addition commutes, so folding any
-    /// number of per-shard stats in any order gives the same global stats.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.degraded += other.degraded;
-        self.rejected += other.rejected;
-        self.expired += other.expired;
-        self.tasks_failed += other.tasks_failed;
-        self.tasks_retried += other.tasks_retried;
-        self.tasks_saved += other.tasks_saved;
-        self.stolen_in += other.stolen_in;
-        self.stolen_out += other.stolen_out;
-    }
-}
 
 /// A query released by one shard engine for adoption by another, carrying
 /// the admission state that must survive the transfer. The thief re-plans

@@ -24,6 +24,7 @@
 
 use crate::backend::{BackendEvent, ExecutorUsage};
 use rand::rngs::StdRng;
+pub use schemble_metrics::TaskCounters;
 use schemble_sim::rng::stream_rng;
 use schemble_sim::{
     BatchConfig, FaultPlan, FaultState, FaultTransition, LatencyModel, SimDuration, SimTime,
@@ -53,17 +54,6 @@ pub struct Retired {
     /// The backlog task that took over the executor, when this was the
     /// pass's last member and the backlog was not empty.
     pub next: Option<PassStart>,
-}
-
-/// Lifetime task totals across the bank's executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskCounters {
-    /// Tasks that began executing (batch members count individually).
-    pub started: u64,
-    /// Tasks that completed.
-    pub completed: u64,
-    /// Tasks launched as members of a batch.
-    pub batched: u64,
 }
 
 /// A submitted task with its fate, drawn at submission.

@@ -95,6 +95,8 @@ fn plain_path_bookkeeping_allocates_nothing() {
     let before = allocs();
     let output = ens.models[0].infer(sample, &ens.spec);
     let per_output = allocs() - before;
+    // The probabilities are the logits vector, softmaxed where it lies.
+    assert_eq!(per_output, 1, "one categorical output is one allocation");
     let before = allocs();
     let _aggregated = ens.aggregate(&[(0, &output)]);
     let per_aggregate = allocs() - before;

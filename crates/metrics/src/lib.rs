@@ -14,7 +14,7 @@
 //! * **trade-off objective** — `c = 100·Acc − λ·Latency` (Fig. 11/15);
 //! * **per-time-segment aggregation** — hourly series (Fig. 9/14);
 //!
-//! and the serving runtime's telemetry: live counters ([`runtime`]) and one
+//! and the serving runtime's telemetry: one counter record ([`runtime`]) and one
 //! [`LogHistogram`] under every latency-shaped aggregate ([`histogram`]).
 
 pub mod aggregate;
@@ -31,6 +31,8 @@ pub use export::{to_csv, write_csv};
 pub use histogram::{Counter, LatencyHistogram, LatencyWindow, LogHistogram, PlanHistogram};
 pub use latency::LatencyStats;
 pub use outcome::{ModelUsage, QueryOutcome, QueryRecord, RunSummary};
-pub use runtime::{ExecutorGauges, RuntimeCounters, RuntimeMetrics, RuntimeSnapshot};
+pub use runtime::{
+    EngineStats, ExecutorGauges, RuntimeMetrics, RuntimeRecord, RuntimeSnapshot, TaskCounters,
+};
 pub use segments::SegmentSeries;
 pub use tradeoff::tradeoff_objective;

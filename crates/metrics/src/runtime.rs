@@ -1,141 +1,140 @@
-//! Lock-light live metrics for the serving runtime (`schemble-serve`).
+//! Live metrics for the serving runtime (`schemble-serve`): one plain record
+//! behind one lock.
 //!
-//! The runtime's hot path (scheduler loop, worker threads) updates plain
-//! atomics; observers take consistent-enough [`RuntimeSnapshot`]s without
-//! stopping the world. Counters use `Relaxed` ordering throughout — each
-//! value is independently meaningful and monotone, which is all a metrics
-//! export needs. The latency and batch-size histograms are
-//! [`LatencyHistogram`]s, the seconds instantiation of the crate's one
-//! [`LogHistogram`](crate::LogHistogram); counters and histograms merge
-//! through the same saturating [`Counter::add`].
+//! The record's counters are the run's own counts, declared here once: the
+//! engine's [`EngineStats`] and the executor bank's [`TaskCounters`]
+//! (`schemble-core` re-exports both at their old paths). Beside them sit a
+//! row of [`ExecutorGauges`] per executor and the latency and batch-size
+//! [`LatencyHistogram`]s. Only the runtime's scheduler thread writes the
+//! record; an observer (the periodic reporter, the exporter after the run)
+//! locks it and reads one consistent instant.
 
-use crate::histogram::{Counter, LatencyHistogram};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use crate::histogram::LatencyHistogram;
+use std::sync::{Mutex, MutexGuard};
 
-/// Query- and task-level counters shared between the runtime and observers.
+/// Live query-outcome counters, maintained incrementally by every engine.
 ///
-/// Query conservation invariant (checked by `schemble-serve`'s property
-/// tests): `submitted == completed + degraded + rejected + expired + open`,
-/// and at drain `open == 0`.
-#[derive(Debug, Default)]
-pub struct RuntimeCounters {
-    /// Queries handed to the pipeline (arrival events delivered).
-    pub submitted: AtomicU64,
-    /// Queries that finished with a full assembled result.
-    pub completed: AtomicU64,
-    /// Queries answered from a partial ensemble after task failures or at
-    /// the deadline (graceful degradation).
-    pub degraded: AtomicU64,
-    /// Queries refused at arrival (admission control).
-    pub rejected: AtomicU64,
-    /// Queries dropped after admission (deadline passed before completion).
-    pub expired: AtomicU64,
-    /// Tasks started on executors.
-    pub tasks_started: AtomicU64,
-    /// Tasks finished by executors.
-    pub tasks_completed: AtomicU64,
-    /// Tasks that failed (transient fault, timeout kill, executor crash).
-    pub tasks_failed: AtomicU64,
-    /// Failed tasks that were re-dispatched after backoff.
-    pub tasks_retried: AtomicU64,
-    /// Planned tasks quit by the anytime policy before completing (the
-    /// partial ensemble was already confident enough).
-    pub tasks_saved: AtomicU64,
-    /// Tasks launched as members of a cross-query batch (sum of launched
-    /// batch sizes, singleton batches included).
-    pub tasks_batched: AtomicU64,
-    /// Queries transferred between shards by work stealing. Counted on the
-    /// thief at adoption; conservation is unaffected because the victim's
-    /// `submitted` and the thief's terminal outcome still pair up globally.
-    pub queries_stolen: AtomicU64,
+/// Conservation invariant (the serve runtime's property tests check it):
+/// `submitted + stolen_in == completed + degraded + rejected + expired +
+/// stolen_out + open`, with `open` reaching zero once the engine has
+/// drained. Without work stealing both `stolen_*` terms are zero and this
+/// is the familiar `submitted == terminals + open`; with it, summing
+/// per-shard stats cancels the transfer terms (every release is someone's
+/// adoption), so the *global* invariant is unchanged.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Arrival events handled.
+    pub submitted: u64,
+    /// Queries completed with an assembled result.
+    pub completed: u64,
+    /// Queries answered from a partial ensemble after task failures or a
+    /// deadline cut the planned set short.
+    pub degraded: u64,
+    /// Queries refused at arrival by admission control.
+    pub rejected: u64,
+    /// Queries dropped after admission (deadline or end-of-trace).
+    pub expired: u64,
+    /// Task executions that failed (transient fault, timeout or crash).
+    /// Not part of conservation: a failure may be retried.
+    pub tasks_failed: u64,
+    /// Failed tasks that were re-dispatched.
+    pub tasks_retried: u64,
+    /// Planned tasks quit before completing because the anytime policy
+    /// judged the partial ensemble already confident enough. Not part of
+    /// conservation: the query itself still completes.
+    pub tasks_saved: u64,
+    /// Queries adopted from another shard engine by work stealing.
+    pub stolen_in: u64,
+    /// Queries released to another shard engine by work stealing.
+    pub stolen_out: u64,
 }
 
-impl RuntimeCounters {
-    /// A zeroed counter block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds `other`'s counts into `self` (saturating).
-    ///
-    /// Addition is commutative and associative, so merging any number of
-    /// per-shard counter blocks in any order produces the same totals —
-    /// the property cross-shard aggregation relies on.
-    pub fn merge(&self, other: &RuntimeCounters) {
-        self.submitted.add(other.submitted.get());
-        self.completed.add(other.completed.get());
-        self.degraded.add(other.degraded.get());
-        self.rejected.add(other.rejected.get());
-        self.expired.add(other.expired.get());
-        self.tasks_started.add(other.tasks_started.get());
-        self.tasks_completed.add(other.tasks_completed.get());
-        self.tasks_failed.add(other.tasks_failed.get());
-        self.tasks_retried.add(other.tasks_retried.get());
-        self.tasks_saved.add(other.tasks_saved.get());
-        self.tasks_batched.add(other.tasks_batched.get());
-        self.queries_stolen.add(other.queries_stolen.get());
-    }
-
-    /// Queries submitted but not yet decided.
+impl EngineStats {
+    /// Queries owned by this engine but not yet decided.
     pub fn open(&self) -> u64 {
-        let submitted = self.submitted.load(Relaxed);
-        let closed = self.completed.load(Relaxed)
-            + self.degraded.load(Relaxed)
-            + self.rejected.load(Relaxed)
-            + self.expired.load(Relaxed);
-        submitted.saturating_sub(closed)
+        (self.submitted + self.stolen_in)
+            - (self.completed + self.degraded + self.rejected + self.expired + self.stolen_out)
+    }
+
+    /// Adds `other`'s counts to `self`. Addition commutes, so folding any
+    /// number of per-shard stats in any order gives the same global stats.
+    pub fn merge(&mut self, other: &EngineStats) {
+        self.submitted += other.submitted;
+        self.completed += other.completed;
+        self.degraded += other.degraded;
+        self.rejected += other.rejected;
+        self.expired += other.expired;
+        self.tasks_failed += other.tasks_failed;
+        self.tasks_retried += other.tasks_retried;
+        self.tasks_saved += other.tasks_saved;
+        self.stolen_in += other.stolen_in;
+        self.stolen_out += other.stolen_out;
     }
 }
 
-/// Per-executor gauges: queue depth, liveness and cumulative busy time.
-#[derive(Debug)]
+/// Lifetime task totals across an executor bank's executors.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TaskCounters {
+    /// Tasks that began executing (batch members count individually).
+    pub started: u64,
+    /// Tasks that completed.
+    pub completed: u64,
+    /// Tasks launched as members of a batch.
+    pub batched: u64,
+}
+
+impl TaskCounters {
+    /// Adds `other`'s counts to `self`.
+    pub fn merge(&mut self, other: &TaskCounters) {
+        self.started += other.started;
+        self.completed += other.completed;
+        self.batched += other.batched;
+    }
+}
+
+/// One executor's gauges, as the bank last reported them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorGauges {
     /// Tasks waiting in the executor's FIFO backlog.
-    pub queue_depth: AtomicU64,
+    pub queue_depth: u64,
     /// 1 while a task is running, 0 while idle.
-    pub running: AtomicU64,
+    pub running: u64,
     /// 1 while the executor is up, 0 while crashed/dead.
-    pub up: AtomicU64,
+    pub up: u64,
     /// Cumulative busy time, in simulated microseconds.
-    pub busy_micros: AtomicU64,
+    pub busy_micros: u64,
     /// Tasks completed by this executor.
-    pub tasks: AtomicU64,
+    pub tasks: u64,
 }
 
 impl Default for ExecutorGauges {
     fn default() -> Self {
-        Self {
-            queue_depth: AtomicU64::new(0),
-            running: AtomicU64::new(0),
-            up: AtomicU64::new(1),
-            busy_micros: AtomicU64::new(0),
-            tasks: AtomicU64::new(0),
-        }
+        Self { queue_depth: 0, running: 0, up: 1, busy_micros: 0, tasks: 0 }
     }
 }
 
 impl ExecutorGauges {
-    /// A point-in-time copy of the gauge values (used when concatenating
-    /// per-shard gauge blocks into one merged metrics view).
-    pub fn copied(&self) -> ExecutorGauges {
-        ExecutorGauges {
-            queue_depth: AtomicU64::new(self.queue_depth.load(Relaxed)),
-            running: AtomicU64::new(self.running.load(Relaxed)),
-            up: AtomicU64::new(self.up.load(Relaxed)),
-            busy_micros: AtomicU64::new(self.busy_micros.load(Relaxed)),
-            tasks: AtomicU64::new(self.tasks.load(Relaxed)),
+    /// Fraction of `elapsed_secs` the executor was busy (0 before any time
+    /// has passed).
+    pub fn utilization(&self, elapsed_secs: f64) -> f64 {
+        if elapsed_secs > 0.0 {
+            (self.busy_micros as f64 / 1e6 / elapsed_secs).min(1.0)
+        } else {
+            0.0
         }
     }
 }
 
-/// Everything the runtime exposes to observers, behind one allocation.
-#[derive(Debug)]
-pub struct RuntimeMetrics {
-    /// Query/task counters.
-    pub counters: RuntimeCounters,
-    /// Per-executor gauges, fixed at construction.
+/// What the runtime has counted of one run.
+#[derive(Debug, Default)]
+pub struct RuntimeRecord {
+    /// The engine's query-outcome counters.
+    pub stats: EngineStats,
+    /// The executor bank's task totals.
+    pub tasks: TaskCounters,
+    /// Per-executor gauges.
     pub executors: Vec<ExecutorGauges>,
-    /// End-to-end latency of completed queries.
+    /// End-to-end latency of answered queries.
     pub latency: LatencyHistogram,
     /// Size of each launched batch. The histogram machinery is shared with
     /// latency, so "observations" here are batch sizes (1, 2, …), not
@@ -143,135 +142,80 @@ pub struct RuntimeMetrics {
     pub batch_size: LatencyHistogram,
 }
 
+/// The runtime's [`RuntimeRecord`], shared between the scheduler thread
+/// that writes it and the observers that read it.
+#[derive(Debug)]
+pub struct RuntimeMetrics(Mutex<RuntimeRecord>);
+
 impl RuntimeMetrics {
-    /// Metrics for a runtime with `executors` executors.
+    /// Metrics for a runtime with `executors` executors (all up and idle
+    /// until the first report).
     pub fn new(executors: usize) -> Self {
-        Self {
-            counters: RuntimeCounters::new(),
-            executors: (0..executors).map(|_| ExecutorGauges::default()).collect(),
-            latency: LatencyHistogram::default(),
-            batch_size: LatencyHistogram::default(),
-        }
+        let executors = vec![ExecutorGauges::default(); executors];
+        Self(Mutex::new(RuntimeRecord { executors, ..RuntimeRecord::default() }))
     }
 
-    /// Aggregates per-shard metrics blocks into one view: counters and
-    /// latency histograms are merged (order-insensitive), executor gauges
-    /// are concatenated in the order given, so shard `s`'s executor `k`
-    /// lands at global index `s * m + k`.
+    /// Locks the record. Every write leaves it valid (whole-struct stores,
+    /// histogram records), so a lock poisoned by a panicking writer is
+    /// recovered: a later report shows the counts as they stood.
+    pub fn lock(&self) -> MutexGuard<'_, RuntimeRecord> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Aggregates per-shard metrics into one view: counters and histograms
+    /// are summed (order-insensitive), executor gauges concatenated in the
+    /// order given, so shard `s`'s executor `k` lands at global index
+    /// `s * m + k`.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a RuntimeMetrics>) -> RuntimeMetrics {
-        let mut out = RuntimeMetrics::new(0);
+        let mut out = RuntimeRecord::default();
         for part in parts {
-            out.counters.merge(&part.counters);
+            let part = part.lock();
+            out.stats.merge(&part.stats);
+            out.tasks.merge(&part.tasks);
+            out.executors.extend_from_slice(&part.executors);
             out.latency.merge(&part.latency);
             out.batch_size.merge(&part.batch_size);
-            out.executors.extend(part.executors.iter().map(ExecutorGauges::copied));
         }
-        out
+        RuntimeMetrics(Mutex::new(out))
     }
 
-    /// Takes a point-in-time snapshot. `elapsed_secs` is the (simulated)
-    /// time base for utilisation; pass the run's elapsed sim time.
+    /// A consistent copy of the query counters and gauges. `elapsed_secs`
+    /// is the (simulated) time base for utilisation; pass the run's elapsed
+    /// time.
     pub fn snapshot(&self, elapsed_secs: f64) -> RuntimeSnapshot {
-        let c = &self.counters;
-        RuntimeSnapshot {
-            submitted: c.submitted.load(Relaxed),
-            completed: c.completed.load(Relaxed),
-            degraded: c.degraded.load(Relaxed),
-            rejected: c.rejected.load(Relaxed),
-            expired: c.expired.load(Relaxed),
-            open: c.open(),
-            tasks_started: c.tasks_started.load(Relaxed),
-            tasks_completed: c.tasks_completed.load(Relaxed),
-            tasks_failed: c.tasks_failed.load(Relaxed),
-            tasks_retried: c.tasks_retried.load(Relaxed),
-            tasks_saved: c.tasks_saved.load(Relaxed),
-            tasks_batched: c.tasks_batched.load(Relaxed),
-            queries_stolen: c.queries_stolen.load(Relaxed),
-            up: self.executors.iter().map(|e| e.up.load(Relaxed) == 1).collect(),
-            queue_depths: self
-                .executors
-                .iter()
-                .map(|e| e.queue_depth.load(Relaxed) as usize)
-                .collect(),
-            running: self.executors.iter().map(|e| e.running.load(Relaxed) == 1).collect(),
-            utilization: self
-                .executors
-                .iter()
-                .map(|e| {
-                    if elapsed_secs > 0.0 {
-                        (e.busy_micros.load(Relaxed) as f64 / 1e6 / elapsed_secs).min(1.0)
-                    } else {
-                        0.0
-                    }
-                })
-                .collect(),
-            latency_p50: self.latency.quantile(0.50),
-            latency_p95: self.latency.quantile(0.95),
-            latency_p99: self.latency.quantile(0.99),
-        }
+        let r = self.lock();
+        RuntimeSnapshot { stats: r.stats, executors: r.executors.clone(), elapsed_secs }
     }
 }
 
-/// A point-in-time view of [`RuntimeMetrics`], safe to print or export.
+/// A point-in-time copy of a [`RuntimeRecord`]'s query counters and gauges,
+/// what the periodic reporter prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeSnapshot {
-    /// Queries handed to the pipeline.
-    pub submitted: u64,
-    /// Queries completed with a full result.
-    pub completed: u64,
-    /// Queries answered from a partial ensemble.
-    pub degraded: u64,
-    /// Queries refused at arrival.
-    pub rejected: u64,
-    /// Queries dropped after admission.
-    pub expired: u64,
-    /// Queries still in flight.
-    pub open: u64,
-    /// Tasks started on executors.
-    pub tasks_started: u64,
-    /// Tasks finished by executors.
-    pub tasks_completed: u64,
-    /// Tasks that failed.
-    pub tasks_failed: u64,
-    /// Failed tasks re-dispatched after backoff.
-    pub tasks_retried: u64,
-    /// Planned tasks quit early by the anytime policy.
-    pub tasks_saved: u64,
-    /// Tasks launched as members of a cross-query batch.
-    pub tasks_batched: u64,
-    /// Queries transferred between shards by work stealing.
-    pub queries_stolen: u64,
-    /// Whether each executor is up.
-    pub up: Vec<bool>,
-    /// Backlog length per executor.
-    pub queue_depths: Vec<usize>,
-    /// Whether each executor is mid-task.
-    pub running: Vec<bool>,
-    /// Fraction of elapsed time each executor was busy.
-    pub utilization: Vec<f64>,
-    /// Median completed-query latency, seconds.
-    pub latency_p50: Option<f64>,
-    /// 95th-percentile completed-query latency, seconds.
-    pub latency_p95: Option<f64>,
-    /// 99th-percentile completed-query latency, seconds.
-    pub latency_p99: Option<f64>,
+    /// The engine's query-outcome counters.
+    pub stats: EngineStats,
+    /// Per-executor gauges.
+    pub executors: Vec<ExecutorGauges>,
+    /// Simulated seconds elapsed at the copy, the utilisation base.
+    pub elapsed_secs: f64,
 }
 
 impl RuntimeSnapshot {
     /// One-line human-readable form for periodic progress output.
     pub fn brief(&self) -> String {
+        let s = &self.stats;
         format!(
             "submitted {} | completed {} | degraded {} | rejected {} | expired {} | open {} | queues {:?} | util {}",
-            self.submitted,
-            self.completed,
-            self.degraded,
-            self.rejected,
-            self.expired,
-            self.open,
-            self.queue_depths,
-            self.utilization
+            s.submitted,
+            s.completed,
+            s.degraded,
+            s.rejected,
+            s.expired,
+            s.open(),
+            self.executors.iter().map(|e| e.queue_depth).collect::<Vec<_>>(),
+            self.executors
                 .iter()
-                .map(|u| format!("{:.0}%", u * 100.0))
+                .map(|e| format!("{:.0}%", e.utilization(self.elapsed_secs) * 100.0))
                 .collect::<Vec<_>>()
                 .join("/"),
         )
@@ -283,176 +227,66 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_conserve_queries() {
-        let c = RuntimeCounters::new();
-        c.submitted.fetch_add(10, Relaxed);
-        c.completed.fetch_add(5, Relaxed);
-        c.degraded.fetch_add(1, Relaxed);
-        c.rejected.fetch_add(1, Relaxed);
-        c.expired.fetch_add(2, Relaxed);
-        assert_eq!(c.open(), 1, "degraded queries are closed, not open");
-    }
-
-    #[test]
-    fn executors_default_to_up() {
-        let m = RuntimeMetrics::new(2);
-        let s = m.snapshot(0.0);
-        assert_eq!(s.up, vec![true, true]);
-        m.executors[1].up.store(0, Relaxed);
-        assert_eq!(m.snapshot(0.0).up, vec![true, false]);
-    }
-
-    #[test]
-    fn open_never_underflows_under_concurrent_updates() {
-        use std::sync::Arc;
-        // Each worker closes every query it submits, but a reader may see
-        // the close before the submit (all updates are Relaxed). open()
-        // must saturate rather than wrap, and must settle to exactly zero.
-        let m = Arc::new(RuntimeMetrics::new(1));
-        const WORKERS: usize = 4;
-        const PER_WORKER: u64 = 5_000;
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|w| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for i in 0..PER_WORKER {
-                        m.counters.submitted.fetch_add(1, Relaxed);
-                        match (w as u64 + i) % 3 {
-                            0 => m.counters.completed.fetch_add(1, Relaxed),
-                            1 => m.counters.rejected.fetch_add(1, Relaxed),
-                            _ => m.counters.expired.fetch_add(1, Relaxed),
-                        };
-                    }
-                })
-            })
-            .collect();
-        let reader = {
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || {
-                let total = (WORKERS as u64) * PER_WORKER;
-                for _ in 0..10_000 {
-                    let open = m.counters.open();
-                    assert!(open <= total, "open {open} exceeds every possible in-flight count");
-                }
-            })
+    fn degraded_queries_are_closed_and_steals_balance_open() {
+        let s = EngineStats {
+            submitted: 10,
+            completed: 5,
+            degraded: 1,
+            rejected: 1,
+            expired: 2,
+            stolen_in: 3,
+            stolen_out: 2,
+            ..EngineStats::default()
         };
-        for t in workers {
-            t.join().unwrap();
-        }
-        reader.join().unwrap();
-        assert_eq!(m.counters.open(), 0, "every submitted query was closed");
-        assert_eq!(m.counters.submitted.load(Relaxed), (WORKERS as u64) * PER_WORKER);
-    }
-
-    fn seeded_counters(base: u64) -> RuntimeCounters {
-        let c = RuntimeCounters::new();
-        c.submitted.store(base + 9, Relaxed);
-        c.completed.store(base + 4, Relaxed);
-        c.degraded.store(base + 1, Relaxed);
-        c.rejected.store(base + 2, Relaxed);
-        c.expired.store(base + 2, Relaxed);
-        c.tasks_started.store(base * 3, Relaxed);
-        c.tasks_completed.store(base * 2, Relaxed);
-        c.tasks_failed.store(base, Relaxed);
-        c.tasks_retried.store(base / 2, Relaxed);
-        c.tasks_saved.store(base / 3, Relaxed);
-        c.tasks_batched.store(base / 4, Relaxed);
-        c
-    }
-
-    fn counter_values(c: &RuntimeCounters) -> [u64; 11] {
-        [
-            c.submitted.load(Relaxed),
-            c.completed.load(Relaxed),
-            c.degraded.load(Relaxed),
-            c.rejected.load(Relaxed),
-            c.expired.load(Relaxed),
-            c.tasks_started.load(Relaxed),
-            c.tasks_completed.load(Relaxed),
-            c.tasks_failed.load(Relaxed),
-            c.tasks_retried.load(Relaxed),
-            c.tasks_saved.load(Relaxed),
-            c.tasks_batched.load(Relaxed),
-        ]
-    }
-
-    #[test]
-    fn counter_merge_is_order_insensitive_and_saturating() {
-        let parts = [seeded_counters(3), seeded_counters(40), seeded_counters(700)];
-        let forward = RuntimeCounters::new();
-        for p in &parts {
-            forward.merge(p);
-        }
-        let backward = RuntimeCounters::new();
-        for p in parts.iter().rev() {
-            backward.merge(p);
-        }
-        assert_eq!(counter_values(&forward), counter_values(&backward));
-        assert_eq!(forward.submitted.load(Relaxed), 9 * 3 + 3 + 40 + 700);
-        assert_eq!(forward.open(), parts.iter().map(|p| p.open()).sum::<u64>());
-
-        // Merging near-full counters clamps instead of wrapping.
-        let full = RuntimeCounters::new();
-        full.submitted.store(u64::MAX - 1, Relaxed);
-        full.merge(&parts[0]);
-        assert_eq!(full.submitted.load(Relaxed), u64::MAX);
-    }
-
-    #[test]
-    fn merging_empty_counters_and_histograms_is_identity() {
-        let c = RuntimeCounters::new();
-        c.merge(&RuntimeCounters::new());
-        assert_eq!(counter_values(&c), [0; 11]);
-        assert_eq!(c.open(), 0);
-
-        let h = LatencyHistogram::default();
-        h.merge(&LatencyHistogram::default());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
-        assert_eq!(h.quantile(0.5), None);
-        assert!(h.cumulative_buckets().is_empty());
-
-        // Identity also holds asymmetrically: empty ⊕ seeded == seeded.
-        let seeded = seeded_counters(5);
-        let into = RuntimeCounters::new();
-        into.merge(&seeded);
-        assert_eq!(counter_values(&into), counter_values(&seeded));
+        assert_eq!(s.open(), 2, "degraded queries are closed, adoptions are owned");
     }
 
     #[test]
     fn merged_metrics_concatenate_executors_and_sum_counts() {
         let s0 = RuntimeMetrics::new(2);
         let s1 = RuntimeMetrics::new(2);
-        s0.counters.submitted.store(5, Relaxed);
-        s0.counters.completed.store(5, Relaxed);
-        s1.counters.submitted.store(3, Relaxed);
-        s1.counters.completed.store(3, Relaxed);
-        s0.latency.record(0.010);
-        s1.latency.record(0.020);
-        s0.executors[1].busy_micros.store(250_000, Relaxed);
-        s1.executors[0].busy_micros.store(750_000, Relaxed);
-        s1.executors[1].up.store(0, Relaxed);
-
-        let merged = RuntimeMetrics::merged([&s0, &s1]);
-        let snap = merged.snapshot(1.0);
-        assert_eq!(snap.submitted, 8);
-        assert_eq!(snap.open, 0);
-        assert_eq!(merged.latency.count(), 2);
-        assert_eq!(snap.up, vec![true, true, true, false]);
-        assert!((snap.utilization[1] - 0.25).abs() < 1e-9);
-        assert!((snap.utilization[2] - 0.75).abs() < 1e-9, "shard 1 executor 0 at index 2");
+        {
+            let (mut r0, mut r1) = (s0.lock(), s1.lock());
+            r0.stats = EngineStats { submitted: 5, completed: 6, stolen_in: 1, ..r0.stats };
+            r1.stats = EngineStats { submitted: 3, completed: 2, stolen_out: 1, ..r1.stats };
+            r0.tasks = TaskCounters { started: 7, completed: 6, batched: 2 };
+            r1.tasks = TaskCounters { started: 1, completed: 1, batched: 0 };
+            r0.latency.record(0.010);
+            r1.latency.record(0.020);
+            r0.executors[1].busy_micros = 250_000;
+            r1.executors[0].busy_micros = 750_000;
+            r1.executors[1].up = 0;
+        }
+        let forward = RuntimeMetrics::merged([&s0, &s1]);
+        let backward = RuntimeMetrics::merged([&s1, &s0]);
+        let (f, b) = (forward.lock(), backward.lock());
+        assert_eq!((f.stats, f.tasks), (b.stats, b.tasks), "sums do not depend on order");
+        assert_eq!((f.stats.submitted, f.stats.open()), (8, 0), "transfers cancel globally");
+        assert_eq!(f.tasks, TaskCounters { started: 8, completed: 7, batched: 2 });
+        assert_eq!(f.latency.count(), 2);
+        let up: Vec<u64> = f.executors.iter().map(|e| e.up).collect();
+        assert_eq!(up, [1, 1, 1, 0]);
+        assert!((f.executors[1].utilization(1.0) - 0.25).abs() < 1e-9);
+        assert!((f.executors[2].utilization(1.0) - 0.75).abs() < 1e-9, "shard 1 executor 0");
     }
 
     #[test]
     fn snapshot_reflects_gauges() {
         let m = RuntimeMetrics::new(2);
-        m.counters.submitted.fetch_add(3, Relaxed);
-        m.executors[1].queue_depth.store(4, Relaxed);
-        m.executors[0].busy_micros.store(500_000, Relaxed);
+        {
+            let mut r = m.lock();
+            r.stats.submitted = 3;
+            r.executors[1].queue_depth = 4;
+            r.executors[0].busy_micros = 500_000;
+        }
         let s = m.snapshot(1.0);
-        assert_eq!(s.submitted, 3);
-        assert_eq!(s.queue_depths, vec![0, 4]);
-        assert!((s.utilization[0] - 0.5).abs() < 1e-9);
-        assert!(s.brief().contains("submitted 3"));
+        assert_eq!(s.executors[1].queue_depth, 4);
+        assert!((s.executors[0].utilization(1.0) - 0.5).abs() < 1e-9);
+        assert_eq!(s.executors[0].utilization(0.0), 0.0, "no time, no utilisation");
+        assert_eq!(
+            s.brief(),
+            "submitted 3 | completed 0 | degraded 0 | rejected 0 | expired 0 | open 3 \
+             | queues [0, 4] | util 50%/0%"
+        );
     }
 }

@@ -248,7 +248,8 @@ impl BaseModel {
         for logit in &mut logits {
             *logit *= scale;
         }
-        Output::Probs(schemble_tensor::prob::softmax(&logits))
+        schemble_tensor::prob::softmax_in_place(&mut logits);
+        Output::Probs(logits)
     }
 
     fn infer_regression(&self, sample: &Sample, rng: &mut impl Rng) -> Output {

@@ -14,52 +14,21 @@
 //! Beside the bank live the things only a wall clock needs: the wake heap,
 //! the cursor over the fault plan's crash/recovery schedule
 //! ([`ThreadedBackend::take_due_fault_events`]), dead-worker detection
-//! ([`ThreadedBackend::reap_dead`], permanent executor-down), the
-//! `QUEUE_CAPACITY` bound, and the mirror of the bank's state into the
-//! shared [`RuntimeMetrics`] atomics so observer threads can snapshot
-//! without locks. All methods run on the runtime's scheduler thread.
+//! ([`ThreadedBackend::reap_dead`], permanent executor-down) and the
+//! `QUEUE_CAPACITY` bound. The runtime reports from the bank itself
+//! ([`ThreadedBackend::bank`]). All methods run on the runtime's scheduler
+//! thread.
 
 use crate::clock::DilatedClock;
 use crate::worker::WorkerPool;
 use schemble_core::backend::{BackendEvent, ExecutionBackend, ExecutorUsage};
 use schemble_core::executor::{ExecutorBank, PassStart};
-use schemble_metrics::RuntimeMetrics;
 use schemble_sim::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
 
 /// Per-executor backlog bound; exceeding it is a bug, not backpressure.
 const QUEUE_CAPACITY: usize = 4096;
-
-/// Mirrors what `bank` has counted into the shared atomics: `executor`'s
-/// gauges, the task totals, and the size of every batch launched since the
-/// last call (`batches` is the caller's cursor into the bank's launch log).
-/// Both clock modes report through this, so neither derives a task count of
-/// its own.
-pub(crate) fn mirror(
-    bank: &ExecutorBank,
-    executor: usize,
-    metrics: &RuntimeMetrics,
-    batches: &mut usize,
-) {
-    let g = &metrics.executors[executor];
-    g.queue_depth.store(bank.backlog_len(executor) as u64, Relaxed);
-    g.running.store(bank.running_pass(executor).is_some() as u64, Relaxed);
-    g.up.store(bank.is_up(executor) as u64, Relaxed);
-    g.busy_micros.store(bank.busy(executor).as_micros(), Relaxed);
-    g.tasks.store(bank.tasks(executor), Relaxed);
-    let totals = bank.counters();
-    let c = &metrics.counters;
-    c.tasks_started.store(totals.started, Relaxed);
-    c.tasks_completed.store(totals.completed, Relaxed);
-    c.tasks_batched.store(totals.batched, Relaxed);
-    for &size in &bank.batch_sizes()[*batches..] {
-        metrics.batch_size.record(size as f64);
-    }
-    *batches = bank.batch_sizes().len();
-}
 
 /// [`ExecutionBackend`] over per-executor worker threads.
 pub struct ThreadedBackend {
@@ -68,36 +37,23 @@ pub struct ThreadedBackend {
     clock: DilatedClock,
     /// Pending wake-ups requested by the engine.
     wakes: BinaryHeap<Reverse<SimTime>>,
-    metrics: Arc<RuntimeMetrics>,
     /// Next fault-plan transition not yet surfaced.
     cursor: usize,
     /// Worker thread exited (panic); never recovers.
     dead: Vec<bool>,
-    /// Launched batches already recorded in the `batch_size` histogram.
-    batches_published: usize,
 }
 
 impl ThreadedBackend {
     /// A backend timing `bank`'s executors on `pool`'s workers, one each.
-    pub fn new(
-        bank: ExecutorBank,
-        pool: WorkerPool,
-        clock: DilatedClock,
-        metrics: Arc<RuntimeMetrics>,
-    ) -> Self {
+    pub fn new(bank: ExecutorBank, pool: WorkerPool, clock: DilatedClock) -> Self {
         assert_eq!(pool.len(), bank.executors(), "one worker per executor");
-        assert_eq!(metrics.executors.len(), bank.executors());
         let dead = vec![false; bank.executors()];
-        Self {
-            bank,
-            pool,
-            clock,
-            wakes: BinaryHeap::new(),
-            metrics,
-            cursor: 0,
-            dead,
-            batches_published: 0,
-        }
+        Self { bank, pool, clock, wakes: BinaryHeap::new(), cursor: 0, dead }
+    }
+
+    /// The executors this backend times (what the runtime reports from).
+    pub fn bank(&self) -> &ExecutorBank {
+        &self.bank
     }
 
     /// Access to the worker pool (fault-injection tests poison workers).
@@ -106,20 +62,13 @@ impl ThreadedBackend {
     }
 
     /// Hands a pass the bank just started on `executor` (if any) to its
-    /// worker, then mirrors the executor's state into the metrics block.
-    /// The job is a pure timer keyed by the pass id: member fates are the
-    /// bank's to apply at retirement, so it always reports `TaskDone`.
+    /// worker. The job is a pure timer keyed by the pass id: member fates
+    /// are the bank's to apply at retirement, so it always reports
+    /// `TaskDone`.
     fn run(&mut self, executor: usize, pass: Option<PassStart>) {
         if let Some(p) = pass {
             self.pool.submit(executor, p.pass, self.clock.dilate(p.duration), false);
         }
-        self.publish(executor);
-    }
-
-    /// Mirrors `executor`'s gauges and the bank's task totals into the
-    /// shared atomics.
-    fn publish(&mut self, executor: usize) {
-        mirror(&self.bank, executor, &self.metrics, &mut self.batches_published);
     }
 
     /// Applies the report of `executor`'s worker for `pass`: retires the
@@ -141,7 +90,6 @@ impl ThreadedBackend {
         out.push(BackendEvent::ExecutorDown { executor });
         let lost = self.bank.crash(executor, now);
         out.extend(lost.iter().map(|&query| BackendEvent::TaskFailed { executor, query }));
-        self.publish(executor);
     }
 
     /// Surfaces fault-plan transitions due at or before `now` as backend
@@ -158,7 +106,6 @@ impl ThreadedBackend {
             } else if !self.dead[tr.executor] {
                 // (a dead worker never recovers)
                 self.bank.recover(tr.executor, now);
-                self.publish(tr.executor);
                 out.push(BackendEvent::ExecutorUp { executor: tr.executor });
             }
         }
@@ -302,9 +249,8 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::sync_channel(64);
         let pool = WorkerPool::spawn(latencies.len(), tx);
         let clock = DilatedClock::start(dilation);
-        let metrics = Arc::new(RuntimeMetrics::new(latencies.len()));
         let bank = arm(ExecutorBank::new(latencies, 1, "test"));
-        (ThreadedBackend::new(bank, pool, clock, metrics), rx)
+        (ThreadedBackend::new(bank, pool, clock), rx)
     }
 
     /// The pass id carried by the next worker report.
@@ -316,13 +262,12 @@ mod tests {
     }
 
     #[test]
-    fn passes_round_trip_through_workers_and_mirror_into_the_gauges() {
+    fn passes_round_trip_through_workers_and_retire_into_the_bank() {
         let (mut b, rx) = backend(&[2.0], 50.0, |bank| bank);
         let now = SimTime::ZERO;
         b.enqueue_task(0, 1, now);
         b.enqueue_task(0, 2, now);
-        let gauges = &b.metrics.executors[0];
-        assert_eq!((gauges.running.load(Relaxed), gauges.queue_depth.load(Relaxed)), (1, 1));
+        assert_eq!((b.bank.running_pass(0).is_some(), b.bank.backlog_len(0)), (true, 1));
         let first = report(&rx);
         let done = b.retire(0, first, now + SimDuration::from_millis(2));
         assert_eq!(done, Some(BackendEvent::TaskDone { executor: 0, query: 1 }));
@@ -332,10 +277,9 @@ mod tests {
         let done = b.retire(0, second, now + SimDuration::from_millis(4));
         assert_eq!(done, Some(BackendEvent::TaskDone { executor: 0, query: 2 }));
         assert!(b.all_idle());
-        let gauges = &b.metrics.executors[0];
-        assert_eq!((gauges.running.load(Relaxed), gauges.queue_depth.load(Relaxed)), (0, 0));
-        assert_eq!((gauges.tasks.load(Relaxed), gauges.busy_micros.load(Relaxed)), (2, 4_000));
-        assert_eq!(b.metrics.counters.tasks_completed.load(Relaxed), 2);
+        assert_eq!((b.bank.running_pass(0).is_some(), b.bank.backlog_len(0)), (false, 0));
+        assert_eq!((b.bank.tasks(0), b.bank.busy(0).as_micros()), (2, 4_000));
+        assert_eq!(b.bank.counters().completed, 2);
         b.shutdown();
     }
 
@@ -362,7 +306,7 @@ mod tests {
         assert_eq!(b.open_batch_len(0), 2, "window not expired yet");
         b.launch_due_batches(SimTime::from_millis(2));
         assert_eq!(b.open_batch_len(0), 0);
-        assert_eq!(b.metrics.counters.tasks_batched.load(Relaxed), 2);
+        assert_eq!(b.bank.counters().batched, 2);
         // One report stands in for the whole pass; members retire in turn.
         let pass = report(&rx);
         let now = SimTime::from_micros(7_750);
@@ -397,7 +341,7 @@ mod tests {
             BackendEvent::TaskFailed { executor: 0, query: 5 },
         ];
         assert_eq!(b.take_due_fault_events(SimTime::from_millis(1)), down);
-        assert!(!b.is_up(0) && b.metrics.executors[0].up.load(Relaxed) == 0);
+        assert!(!b.is_up(0));
         assert_eq!(b.available_at(0, SimTime::from_millis(1)), SimTime::from_millis(2));
         let up = vec![BackendEvent::ExecutorUp { executor: 0 }];
         assert_eq!(b.take_due_fault_events(SimTime::from_millis(2)), up);

@@ -23,9 +23,9 @@
 //!                       │ scheduler loop │                    (wait τ/γ)
 //!   timers ───Wake────▶ │ PipelineEngine │ ◀────TaskDone────────┘
 //!                       └────────────────┘
-//!                               │ lock-light atomics
+//!                               │ sync_metrics, one lock per step
 //!                               ▼
-//!                        RuntimeMetrics snapshots
+//!                  RuntimeMetrics record ──▶ snapshots, exporters
 //! ```
 //!
 //! Loadgen, loop and workers all wait on [`clock::precise_sleep`] /

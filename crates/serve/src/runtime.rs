@@ -13,13 +13,13 @@
 //! pipelines of `schemble-core` run too — so a virtual-clock serve run
 //! makes those pipelines' decisions bit-for-bit by construction (the
 //! `serve_runtime` integration test checks what is left to differ: how
-//! each side sets up its bank and engine). Either way
-//! the run's task counts and busy times are the [`ExecutorBank`]'s own,
-//! mirrored into the metrics block by one function
-//! (`backend::mirror` — live on the wall clock, once at the end on the
-//! virtual one).
+//! each side sets up its bank and engine). Either way the run's counters
+//! are the engine's [`EngineStats`] and the [`ExecutorBank`]'s own task
+//! counts and busy times, copied into the [`RuntimeMetrics`] record by one
+//! function (`sync_metrics` — after every loop step on the wall clock, once
+//! at the end on the virtual one).
 
-use crate::backend::{mirror, ThreadedBackend};
+use crate::backend::ThreadedBackend;
 use crate::clock::{precise_recv_timeout, precise_sleep, DilatedClock};
 use crate::steal::{execute_steal_round, LoadSnapshot, Rendezvous, StealHandle};
 use crate::worker::{RuntimeMsg, WorkerPool};
@@ -31,11 +31,10 @@ use schemble_core::executor::ExecutorBank;
 use schemble_core::pipeline::immediate::{Deployment, SelectionPolicy};
 use schemble_core::pipeline::{drive, run_out, AdmissionMode, ResultAssembler, SchembleConfig};
 use schemble_data::Workload;
-use schemble_metrics::{RunSummary, RuntimeMetrics, RuntimeSnapshot};
+use schemble_metrics::{ExecutorGauges, RunSummary, RuntimeMetrics, RuntimeSnapshot};
 use schemble_models::Ensemble;
 use schemble_sim::{BatchConfig, FaultPlan, LatencyModel, SimTime};
 use schemble_trace::TraceSink;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -146,10 +145,8 @@ pub struct ServeReport {
     pub summary: RunSummary,
     /// The engine's final admission counters.
     pub stats: EngineStats,
-    /// Final metrics snapshot (queues, utilisation, latency quantiles).
-    pub snapshot: RuntimeSnapshot,
-    /// The live metrics block itself (full latency histogram, per-executor
-    /// gauges) — what the Prometheus exporter renders.
+    /// The run's metrics record (task totals, per-executor gauges, latency
+    /// and batch-size histograms) — what the Prometheus exporter renders.
     pub metrics: Arc<RuntimeMetrics>,
     /// Wall-clock seconds the run took.
     pub wall_secs: f64,
@@ -157,29 +154,41 @@ pub struct ServeReport {
     pub sim_secs: f64,
 }
 
-/// Mirrors the engine's counters into the shared atomics and feeds fresh
-/// completions into the latency histogram.
-fn sync_metrics(engine: &mut dyn PipelineEngine, metrics: &RuntimeMetrics) {
-    let s = engine.stats();
-    let c = &metrics.counters;
-    c.submitted.store(s.submitted, Relaxed);
-    c.completed.store(s.completed, Relaxed);
-    c.rejected.store(s.rejected, Relaxed);
-    c.expired.store(s.expired, Relaxed);
-    c.degraded.store(s.degraded, Relaxed);
-    c.tasks_failed.store(s.tasks_failed, Relaxed);
-    c.tasks_retried.store(s.tasks_retried, Relaxed);
-    c.tasks_saved.store(s.tasks_saved, Relaxed);
-    // Thief-side counting: per-shard sums of `stolen_in` merge into the
-    // global transfer total (each transfer has exactly one adoption).
-    c.queries_stolen.store(s.stolen_in, Relaxed);
-    for (_, latency_secs) in engine.take_completions() {
-        metrics.latency.record(latency_secs);
+/// Copies what the engine and the bank have counted into `metrics` under
+/// one lock: the engine's stats, the bank's task totals and executor
+/// gauges, and the answers and launched batches since the last call
+/// (`batches` is the caller's cursor into the bank's launch log). Both clock
+/// modes report through this — the wall clock after every loop step, the
+/// virtual one once at the end — so neither counts anything of its own.
+fn sync_metrics(
+    engine: &mut dyn PipelineEngine,
+    bank: &ExecutorBank,
+    metrics: &RuntimeMetrics,
+    batches: &mut usize,
+) {
+    let answers = engine.take_completions();
+    let mut r = metrics.lock();
+    r.stats = engine.stats();
+    r.tasks = bank.counters();
+    r.executors.clear();
+    r.executors.extend((0..bank.executors()).map(|k| ExecutorGauges {
+        queue_depth: bank.backlog_len(k) as u64,
+        running: bank.running_pass(k).is_some() as u64,
+        up: bank.is_up(k) as u64,
+        busy_micros: bank.busy(k).as_micros(),
+        tasks: bank.tasks(k),
+    }));
+    for (_, latency_secs) in answers {
+        r.latency.record(latency_secs);
     }
+    for &size in &bank.batch_sizes()[*batches..] {
+        r.batch_size.record(size as f64);
+    }
+    *batches = bank.batch_sizes().len();
 }
 
 /// The periodic reporter: a thread printing what `snapshot` returns — the
-/// simulated seconds elapsed and the metrics at that instant — to stderr
+/// metrics at one instant of simulated time — to stderr
 /// every `every` of wall time. Dropping the guard stops and joins it; the
 /// stop flag lives under a condvar, so shutdown interrupts the interval
 /// sleep at once instead of blocking the run for up to a full period.
@@ -191,7 +200,7 @@ pub(crate) struct Reporter {
 impl Reporter {
     pub(crate) fn spawn(
         every: Duration,
-        snapshot: impl Fn() -> (f64, RuntimeSnapshot) + Send + 'static,
+        snapshot: impl Fn() -> RuntimeSnapshot + Send + 'static,
     ) -> Self {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let signal = Arc::clone(&stop);
@@ -207,8 +216,8 @@ impl Reporter {
                         cv.wait_timeout(stopped, every).unwrap_or_else(|e| e.into_inner());
                     stopped = guard;
                     if !*stopped && timeout.timed_out() {
-                        let (sim_secs, snap) = snapshot();
-                        eprintln!("[serve t={sim_secs:.1}s] {}", snap.brief());
+                        let snap = snapshot();
+                        eprintln!("[serve t={:.1}s] {}", snap.elapsed_secs, snap.brief());
                     }
                 }
             })
@@ -251,7 +260,7 @@ pub fn run_wall(
     let (tx, rx) = sync_channel::<RuntimeMsg>(CHANNEL_CAPACITY);
     let pool = WorkerPool::spawn(latencies.len(), tx.clone());
     let bank = config.bank(latencies, seed, stream);
-    let mut backend = ThreadedBackend::new(bank, pool, clock, Arc::clone(metrics));
+    let mut backend = ThreadedBackend::new(bank, pool, clock);
 
     // Trace-replay load generator: one thread sleeping to each arrival.
     let arrivals: Vec<SimTime> = workload.queries.iter().map(|q| q.arrival).collect();
@@ -271,13 +280,10 @@ pub fn run_wall(
         })
         .expect("spawn load generator");
 
-    // Optional periodic reporter, reading the shared atomics lock-free.
+    // Optional periodic reporter, copying the metrics record under its lock.
     let _reporter = config.report_every.map(|every| {
         let metrics = Arc::clone(metrics);
-        Reporter::spawn(every, move || {
-            let now = clock.now_sim().as_secs_f64();
-            (now, metrics.snapshot(now))
-        })
+        Reporter::spawn(every, move || metrics.snapshot(clock.now_sim().as_secs_f64()))
     });
 
     // Applies one runtime message to the engine. Shared between the main
@@ -312,6 +318,7 @@ pub fn run_wall(
 
     let mut arrivals_done = false;
     let mut stalled = 0u32;
+    let mut batches = 0;
     let mut steal_stopped = steal.is_none();
     loop {
         let now = clock.now_sim();
@@ -347,7 +354,7 @@ pub fn run_wall(
                         execute_steal_round(engine, &mut backend, handle, &plan, now);
                     }
                 }
-                sync_metrics(engine, metrics);
+                sync_metrics(engine, backend.bank(), metrics, &mut batches);
                 continue;
             }
         }
@@ -358,13 +365,13 @@ pub fn run_wall(
             for event in fault_events {
                 engine.handle(event, now, &mut backend);
             }
-            sync_metrics(engine, metrics);
+            sync_metrics(engine, backend.bank(), metrics, &mut batches);
             continue;
         }
         // Engine-requested wake-ups that have come due fire next.
         if backend.take_due_wake(now) {
             engine.handle(BackendEvent::Wake, now, &mut backend);
-            sync_metrics(engine, metrics);
+            sync_metrics(engine, backend.bank(), metrics, &mut batches);
             continue;
         }
         // Open batches whose coalescing window expired launch before the
@@ -431,7 +438,7 @@ pub fn run_wall(
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        sync_metrics(engine, metrics);
+        sync_metrics(engine, backend.bank(), metrics, &mut batches);
     }
 
     // An early exit (wedge breaker, disconnect) leaves the rendezvous for
@@ -441,7 +448,7 @@ pub fn run_wall(
     }
     let end = clock.now_sim();
     engine.drain(end);
-    sync_metrics(engine, metrics);
+    sync_metrics(engine, backend.bank(), metrics, &mut batches);
     let _ = loadgen.join();
     let usage = backend.usage();
     backend.shutdown();
@@ -500,13 +507,9 @@ pub fn run_virtual(
             run_out(engine, &mut backend, end)
         }
     };
-    sync_metrics(engine, metrics);
-    // The simulator has no observer to keep gauges live for: mirror what
-    // the bank counted once, at the end.
-    let mut batches = 0;
-    for executor in 0..backend.executors() {
-        mirror(backend.bank(), executor, metrics, &mut batches);
-    }
+    // The simulator has no observer to keep the record live for: report
+    // once, at the end.
+    sync_metrics(engine, backend.bank(), metrics, &mut 0);
     RunStats {
         usage: backend.usage(),
         wall_secs: wall_start.elapsed().as_secs_f64(),
@@ -592,11 +595,9 @@ fn serve_engine<E: PipelineEngine>(
     let metrics = Arc::new(RuntimeMetrics::new(latencies.len()));
     let run = run_with(&mut engine, latencies, workload, seed, stream, config, &metrics, None);
     let stats = engine.stats();
-    let snapshot = metrics.snapshot(run.sim_secs);
     ServeReport {
         summary: into_summary(engine, run.usage),
         stats,
-        snapshot,
         metrics,
         wall_secs: run.wall_secs,
         sim_secs: run.sim_secs,

@@ -32,7 +32,7 @@
 
 use crate::runtime::{run_with, ClockMode, Reporter, RunStats, ServeConfig, ServeReport};
 use crate::steal::StealCoordinator;
-use schemble_core::engine::{EngineStats, PipelineEngine, SchembleEngine};
+use schemble_core::engine::{PipelineEngine, SchembleEngine};
 use schemble_core::pipeline::SchembleConfig;
 use schemble_data::Workload;
 use schemble_metrics::{ModelUsage, QueryRecord, RunSummary, RuntimeMetrics};
@@ -77,7 +77,6 @@ impl ShardRouter {
 
 /// What one shard thread hands back to the merger.
 struct ShardOutcome {
-    stats: EngineStats,
     records: Vec<QueryRecord>,
     run: RunStats,
     events: Vec<TraceEvent>,
@@ -130,8 +129,7 @@ pub fn serve_schemble_sharded(
             let shard_metrics = shard_metrics.clone();
             Some(Reporter::spawn(every, move || {
                 let sim = wall_start.elapsed().as_secs_f64() * dilation;
-                let merged = RuntimeMetrics::merged(shard_metrics.iter().map(Arc::as_ref));
-                (sim, merged.snapshot(sim))
+                RuntimeMetrics::merged(shard_metrics.iter().map(Arc::as_ref)).snapshot(sim)
             }))
         }
         _ => None,
@@ -170,7 +168,6 @@ pub fn serve_schemble_sharded(
                         &metrics,
                         steal.as_mut(),
                     );
-                    let stats = PipelineEngine::stats(&engine);
                     // Stealing extends the id map (adopted queries) and
                     // marks released slots stale; without it, both reduce
                     // to the partition's own map.
@@ -191,7 +188,7 @@ pub fn serve_schemble_sharded(
                         r.id = global_ids[r.id as usize];
                     }
                     let events = globalize_events(sink.drain(), &global_ids, (s * m) as u16);
-                    ShardOutcome { stats, records, run, events }
+                    ShardOutcome { records, run, events }
                 })
             })
             .collect();
@@ -201,12 +198,10 @@ pub fn serve_schemble_sharded(
 
     // --- Order-insensitive merge (outcomes are indexed by shard id; no
     // step below depends on which shard thread finished first). ---
-    let mut stats = EngineStats::default();
     let mut records: Vec<QueryRecord> = Vec::with_capacity(workload.len());
     let mut runs: Vec<RunStats> = Vec::with_capacity(shards);
     let mut streams: Vec<Vec<TraceEvent>> = Vec::with_capacity(shards);
     for outcome in outcomes {
-        stats.merge(&outcome.stats);
         records.extend(outcome.records);
         runs.push(outcome.run);
         streams.push(outcome.events);
@@ -239,16 +234,8 @@ pub fn serve_schemble_sharded(
     let summary = RunSummary::new(records).with_usage(models);
 
     let metrics = Arc::new(RuntimeMetrics::merged(shard_metrics.iter().map(Arc::as_ref)));
-
-    let snapshot = metrics.snapshot(sim_secs);
-    ServeReport {
-        summary,
-        stats,
-        snapshot,
-        metrics,
-        wall_secs: wall_start.elapsed().as_secs_f64(),
-        sim_secs,
-    }
+    let stats = metrics.lock().stats;
+    ServeReport { summary, stats, metrics, wall_secs: wall_start.elapsed().as_secs_f64(), sim_secs }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ mod common;
 use common::{assert_conserved, fixture, run_once, Fixture};
 use proptest::prelude::*;
 use schemble_core::engine::AnytimePolicy;
+use schemble_trace::TraceEvent;
 
 fn armed(seed: u64, n_queries: usize, rate: f64, anytime: Option<AnytimePolicy>) -> Fixture {
     fixture(seed, n_queries, rate).build(|pipeline| pipeline.anytime = anytime)
@@ -49,7 +50,7 @@ proptest! {
 
     /// Enabled mode: conservation still holds — every submitted query
     /// resolves exactly once even when parts of its plan were quit — and
-    /// the runtime counters mirror the engine's saved-task count.
+    /// the engine counts one saved task per `TaskQuit` on the trace.
     #[test]
     fn enabled_policy_conserves_queries(
         seed in 0u64..1000,
@@ -61,7 +62,8 @@ proptest! {
         let run = run_once(&fx, |c| c.shards = shards);
         assert_conserved(&run, fx.workload.len());
         let report = &run.report;
-        prop_assert_eq!(report.snapshot.tasks_saved, report.stats.tasks_saved, "counters mirror stats");
+        let quits = run.events.iter().filter(|e| matches!(e, TraceEvent::TaskQuit { .. })).count();
+        prop_assert_eq!(report.stats.tasks_saved, quits as u64, "one trace event per saved task");
     }
 }
 

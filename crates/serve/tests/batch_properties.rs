@@ -56,7 +56,7 @@ proptest! {
         let a = run_once(&none, |c| c.shards = shards);
         let b = run_once(&inert, |c| c.shards = shards);
         prop_assert_eq!(a.report.stats, b.report.stats, "engine stats must match");
-        prop_assert_eq!(b.report.snapshot.tasks_batched, 0, "batch_max = 1 never batches");
+        prop_assert_eq!(b.report.metrics.lock().tasks.batched, 0, "batch_max = 1 never batches");
         prop_assert_eq!(
             a.report.summary.records(), b.report.summary.records(),
             "per-query outcomes must be byte-identical"
@@ -106,7 +106,7 @@ proptest! {
             saw_multi |= queries.len() > 1;
         }
         // A multi-member launch group must be reflected in the counter.
-        prop_assert!(!saw_multi || run.report.snapshot.tasks_batched > 0);
+        prop_assert!(!saw_multi || run.report.metrics.lock().tasks.batched > 0);
     }
 }
 
@@ -116,7 +116,7 @@ proptest! {
 fn batching_is_deterministic_and_actually_batches() {
     let fx = armed(11, 300, 60.0, Some(BatchConfig::new(8, SimDuration::from_millis(2))));
     let a = run_once(&fx, |_| {});
-    assert!(a.report.snapshot.tasks_batched > 0, "a loaded run forms real batches");
+    assert!(a.report.metrics.lock().tasks.batched > 0, "a loaded run forms real batches");
     let b = run_once(&fx, |_| {});
     assert_eq!(a.report.stats, b.report.stats);
     assert_eq!(a.report.summary.records(), b.report.summary.records());

@@ -59,13 +59,13 @@ fn wall_clock_shutdown_drains_all_queues() {
     assert_eq!(s.submitted, s.completed + s.rejected + s.expired);
     assert_eq!(s.open(), 0);
 
-    let snap = &report.snapshot;
+    let record = report.metrics.lock();
     assert_eq!(
-        snap.tasks_started, snap.tasks_completed,
+        record.tasks.started, record.tasks.completed,
         "every task handed to a worker came back before shutdown"
     );
-    assert!(snap.queue_depths.iter().all(|&d| d == 0), "backlogs drained: {:?}", snap.queue_depths);
-    assert!(!snap.running.iter().any(|&r| r), "no worker mid-task at shutdown");
+    assert!(record.executors.iter().all(|e| e.queue_depth == 0), "backlogs drained");
+    assert!(record.executors.iter().all(|e| e.running == 0), "no worker mid-task at shutdown");
 }
 
 /// ForceAll on the wall clock: heavy overload, yet nothing is lost and the
@@ -76,7 +76,8 @@ fn wall_clock_force_all_completes_everything() {
     let report = run_wall(&fx, |_| {}).report;
     assert_eq!(report.stats.completed, fx.workload.len() as u64);
     assert_eq!(report.stats.rejected + report.stats.expired, 0);
-    assert_eq!(report.snapshot.tasks_started, report.snapshot.tasks_completed);
+    let tasks = report.metrics.lock().tasks;
+    assert_eq!(tasks.started, tasks.completed);
 }
 
 /// Everything at once on real threads: batched passes, anytime cancels,
@@ -105,8 +106,8 @@ fn wall_clock_conserves_under_batching_anytime_and_short_crashes() {
     assert!(report.stats.tasks_failed > 0, "the plan must actually bite");
     // `serve_schemble` returning means the workers, the load generator and
     // the reporter were joined; the gauges agree nothing was left behind.
-    let snap = &report.snapshot;
-    assert!(snap.queue_depths.iter().all(|&d| d == 0), "backlogs drained: {:?}", snap.queue_depths);
-    assert!(!snap.running.iter().any(|&r| r), "no worker mid-task at shutdown");
-    assert!(snap.up.iter().all(|&u| u), "every crash window closed");
+    let record = report.metrics.lock();
+    assert!(record.executors.iter().all(|e| e.queue_depth == 0), "backlogs drained");
+    assert!(record.executors.iter().all(|e| e.running == 0), "no worker mid-task at shutdown");
+    assert!(record.executors.iter().all(|e| e.up == 1), "every crash window closed");
 }

@@ -35,10 +35,12 @@ proptest! {
         let fx = armed(seed, 120, rate, deadline_ms, force_all);
         let run = run_once(&fx, |c| c.shards = shards);
         assert_conserved(&run, fx.workload.len());
-        // The merged runtime counters agree with the engine stats.
-        let (s, snapshot) = (&run.report.stats, &run.report.snapshot);
-        prop_assert_eq!(snapshot.submitted, s.submitted);
-        prop_assert_eq!(snapshot.completed, s.completed);
+        // The merged gauges are every shard's, and their task counts sum to
+        // the merged bank total.
+        let s = &run.report.stats;
+        let record = run.report.metrics.lock();
+        prop_assert_eq!(record.executors.len(), shards * fx.ensemble.m());
+        prop_assert_eq!(record.executors.iter().map(|e| e.tasks).sum::<u64>(), record.tasks.completed);
         if force_all {
             prop_assert_eq!(s.rejected, 0, "ForceAll never rejects");
         }
@@ -94,11 +96,11 @@ fn wall_clock_sharded_serve_drains_cleanly() {
     assert_eq!(s.submitted, 120);
     assert_eq!(s.submitted, s.completed + s.degraded + s.rejected + s.expired);
     assert_eq!(s.open(), 0);
-    let snap = &report.snapshot;
-    assert_eq!(snap.tasks_started, snap.tasks_completed, "all tasks returned before shutdown");
-    assert!(snap.queue_depths.iter().all(|&d| d == 0), "backlogs drained");
+    let record = report.metrics.lock();
+    assert_eq!(record.tasks.started, record.tasks.completed, "all tasks returned before shutdown");
+    assert!(record.executors.iter().all(|e| e.queue_depth == 0), "backlogs drained");
     assert_eq!(
-        snap.queue_depths.len(),
+        record.executors.len(),
         4 * fx.ensemble.m(),
         "merged metrics expose every shard's executor replica"
     );

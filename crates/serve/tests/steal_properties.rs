@@ -184,7 +184,7 @@ fn wall_clock_stealing_drains_cleanly() {
     assert_eq!(s.submitted, s.completed + s.degraded + s.rejected + s.expired);
     assert_eq!(s.open(), 0);
     assert_eq!(s.stolen_in, s.stolen_out);
-    let snap = &report.snapshot;
-    assert_eq!(snap.tasks_started, snap.tasks_completed, "all tasks returned before shutdown");
-    assert!(snap.queue_depths.iter().all(|&d| d == 0), "backlogs drained");
+    let record = report.metrics.lock();
+    assert_eq!(record.tasks.started, record.tasks.completed, "all tasks returned before shutdown");
+    assert!(record.executors.iter().all(|e| e.queue_depth == 0), "backlogs drained");
 }

@@ -15,10 +15,21 @@
 /// assert!((p[0] - 0.5).abs() < 1e-12);
 /// ```
 pub fn softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&x| (x - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let mut probs = logits.to_vec();
+    softmax_in_place(&mut probs);
+    probs
+}
+
+/// [`softmax`] over `xs` itself: the logits become the probabilities.
+pub fn softmax_in_place(xs: &mut [f64]) {
+    let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for x in xs.iter_mut() {
+        *x = (*x - max).exp();
+    }
+    let sum: f64 = xs.iter().sum();
+    for x in xs.iter_mut() {
+        *x /= sum;
+    }
 }
 
 /// Softmax with temperature `t` (`t > 1` softens, `t < 1` sharpens).

@@ -4,9 +4,9 @@
 //! [`per_executor`] and the private `histogram`) are the only code in the
 //! workspace that formats exposition lines; [`prometheus_text`] and the obs
 //! crate's `ObsState::prometheus` are both written with them.
-//! [`prometheus_text`] renders the runtime's lock-light metrics
-//! ([`RuntimeMetrics`] counters, per-executor gauges, the latency and
-//! batch-size histograms) and the scheduler's self-profile
+//! [`prometheus_text`] renders the runtime's metrics record
+//! ([`RuntimeMetrics`]: engine and task counters, per-executor gauges, the
+//! latency and batch-size histograms) and the scheduler's self-profile
 //! ([`PlanningProfile`]) in the Prometheus text format (version 0.0.4).
 //! Histograms emit cumulative `le` rows at the log-spaced bucket edges that
 //! hold observations, plus the mandatory `+Inf`/`_sum`/`_count` series;
@@ -100,61 +100,54 @@ pub fn prometheus_text(
     planning: Option<&PlanningProfile>,
 ) -> String {
     let mut out = String::with_capacity(4096);
-    let c = &metrics.counters;
+    let r = metrics.lock();
+    let (s, t) = (&r.stats, &r.tasks);
     for (name, help, value) in [
-        ("schemble_queries_submitted_total", "Queries handed to the pipeline.", &c.submitted),
-        ("schemble_queries_completed_total", "Queries completed with a result.", &c.completed),
-        ("schemble_queries_rejected_total", "Queries refused at arrival.", &c.rejected),
-        ("schemble_queries_expired_total", "Queries dropped after admission.", &c.expired),
-        ("schemble_tasks_started_total", "Tasks started on executors.", &c.tasks_started),
-        ("schemble_tasks_completed_total", "Tasks finished by executors.", &c.tasks_completed),
+        ("schemble_queries_submitted_total", "Queries handed to the pipeline.", s.submitted),
+        ("schemble_queries_completed_total", "Queries completed with a result.", s.completed),
+        ("schemble_queries_rejected_total", "Queries refused at arrival.", s.rejected),
+        ("schemble_queries_expired_total", "Queries dropped after admission.", s.expired),
+        ("schemble_tasks_started_total", "Tasks started on executors.", t.started),
+        ("schemble_tasks_completed_total", "Tasks finished by executors.", t.completed),
         (
             "schemble_queries_degraded_total",
             "Queries answered from a partial ensemble.",
-            &c.degraded,
+            s.degraded,
         ),
         (
             "schemble_tasks_failed_total",
             "Tasks that failed (transient fault, timeout, crash).",
-            &c.tasks_failed,
+            s.tasks_failed,
         ),
         (
             "schemble_tasks_retried_total",
             "Failed tasks re-dispatched after backoff.",
-            &c.tasks_retried,
+            s.tasks_retried,
         ),
         (
             "schemble_tasks_saved_total",
             "Planned tasks quit by the anytime policy before completing.",
-            &c.tasks_saved,
+            s.tasks_saved,
         ),
         (
             "schemble_tasks_batched_total",
             "Tasks launched as members of a cross-query batch.",
-            &c.tasks_batched,
+            t.batched,
         ),
     ] {
-        single(&mut out, name, "counter", help, value.get());
+        single(&mut out, name, "counter", help, value);
     }
     // Emitted only when the run actually stole work, so expositions from
     // runs without `--steal-epoch-ms` stay byte-identical to historical
-    // output.
-    let stolen = c.queries_stolen.get();
-    if stolen > 0 {
+    // output. Thieves count adoptions, so the sum over shards is the number
+    // of transfers.
+    if s.stolen_in > 0 {
         let help = "Queries transferred between shards by work stealing.";
-        single(&mut out, "schemble_queries_stolen_total", "counter", help, stolen);
+        single(&mut out, "schemble_queries_stolen_total", "counter", help, s.stolen_in);
     }
     let help = "Queries submitted but not yet decided.";
-    single(&mut out, "schemble_queries_open", "gauge", help, c.open());
+    single(&mut out, "schemble_queries_open", "gauge", help, s.open());
 
-    let busy_secs = |e: &ExecutorGauges| e.busy_micros.get() as f64 / 1e6;
-    let utilization = |e: &ExecutorGauges| {
-        if elapsed_secs > 0.0 {
-            (busy_secs(e) / elapsed_secs).min(1.0)
-        } else {
-            0.0
-        }
-    };
     // Counts are exact as f64 (and print without a fraction) below 2^53.
     type Sample<'a> = &'a dyn Fn(&ExecutorGauges) -> f64;
     let executor_families: [(&str, &str, &str, Sample); 5] = [
@@ -162,43 +155,43 @@ pub fn prometheus_text(
             "schemble_executor_queue_depth",
             "gauge",
             "Tasks waiting in the executor's FIFO backlog.",
-            &|e| e.queue_depth.get() as f64,
+            &|e| e.queue_depth as f64,
         ),
         (
             "schemble_executor_busy_seconds_total",
             "counter",
             "Cumulative busy time per executor.",
-            &busy_secs,
+            &|e| e.busy_micros as f64 / 1e6,
         ),
         ("schemble_executor_tasks_total", "counter", "Tasks completed per executor.", &|e| {
-            e.tasks.get() as f64
+            e.tasks as f64
         }),
         ("schemble_executor_up", "gauge", "Whether the executor is up (1) or down (0).", &|e| {
-            e.up.get() as f64
+            e.up as f64
         }),
         (
             "schemble_executor_utilization",
             "gauge",
             "Fraction of elapsed time the executor was busy.",
-            &utilization,
+            &|e| e.utilization(elapsed_secs),
         ),
     ];
     for (name, kind, help, sample) in executor_families {
-        per_executor(&mut out, name, kind, help, metrics.executors.iter().map(sample));
+        per_executor(&mut out, name, kind, help, r.executors.iter().map(sample));
     }
 
     histogram(
         &mut out,
         "schemble_query_latency_seconds",
         "End-to-end latency of completed queries.",
-        &metrics.latency,
+        &r.latency,
         1.0,
     );
     histogram(
         &mut out,
         "schemble_batch_size",
         "Size of each launched cross-query batch (observations are sizes, not seconds).",
-        &metrics.batch_size,
+        &r.batch_size,
         1.0,
     );
 
@@ -232,15 +225,16 @@ pub fn prometheus_text(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering::Relaxed;
     use std::time::Duration;
 
     #[test]
     fn exposition_contains_all_families_and_is_line_shaped() {
         let metrics = RuntimeMetrics::new(2);
-        metrics.counters.submitted.fetch_add(10, Relaxed);
-        metrics.counters.completed.fetch_add(9, Relaxed);
-        metrics.latency.record(0.05);
+        {
+            let mut r = metrics.lock();
+            (r.stats.submitted, r.stats.completed) = (10, 9);
+            r.latency.record(0.05);
+        }
         let planning = PlanningProfile::default();
         planning.record(40, Duration::from_micros(200));
         let text = prometheus_text(&metrics, 2.0, Some(&planning));

@@ -6,9 +6,8 @@
 //! a checked-in fixture. Regenerate deliberately with
 //! `BLESS_GOLDEN=1 cargo test -p schemble-trace --test prometheus_golden`.
 
-use schemble_metrics::RuntimeMetrics;
+use schemble_metrics::{EngineStats, ExecutorGauges, RuntimeMetrics, TaskCounters};
 use schemble_trace::{prometheus_text, PlanningProfile};
-use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_metrics.prom");
@@ -18,24 +17,26 @@ const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_met
 /// histogram, and the scheduler self-profile.
 fn fixture() -> (RuntimeMetrics, PlanningProfile) {
     let metrics = RuntimeMetrics::new(2);
-    let c = &metrics.counters;
-    c.submitted.store(20, Relaxed);
-    c.completed.store(14, Relaxed);
-    c.rejected.store(2, Relaxed);
-    c.expired.store(1, Relaxed);
-    c.degraded.store(3, Relaxed);
-    c.tasks_started.store(31, Relaxed);
-    c.tasks_completed.store(29, Relaxed);
-    c.tasks_failed.store(2, Relaxed);
-    c.tasks_retried.store(1, Relaxed);
-    metrics.executors[0].queue_depth.store(3, Relaxed);
-    metrics.executors[0].busy_micros.store(1_500_000, Relaxed);
-    metrics.executors[0].tasks.store(17, Relaxed);
-    metrics.executors[1].busy_micros.store(250_000, Relaxed);
-    metrics.executors[1].tasks.store(12, Relaxed);
-    metrics.executors[1].up.store(0, Relaxed);
-    for lat in [0.0005, 0.004, 0.004, 0.032, 0.25] {
-        metrics.latency.record(lat);
+    {
+        let mut r = metrics.lock();
+        r.stats = EngineStats {
+            submitted: 20,
+            completed: 14,
+            rejected: 2,
+            expired: 1,
+            degraded: 3,
+            tasks_failed: 2,
+            tasks_retried: 1,
+            ..EngineStats::default()
+        };
+        r.tasks = TaskCounters { started: 31, completed: 29, batched: 0 };
+        r.executors[0] =
+            ExecutorGauges { queue_depth: 3, busy_micros: 1_500_000, tasks: 17, ..r.executors[0] };
+        r.executors[1] =
+            ExecutorGauges { busy_micros: 250_000, tasks: 12, up: 0, ..r.executors[1] };
+        for lat in [0.0005, 0.004, 0.004, 0.032, 0.25] {
+            r.latency.record(lat);
+        }
     }
     let planning = PlanningProfile::default();
     planning.record(40, Duration::from_micros(200));

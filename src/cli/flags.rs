@@ -170,7 +170,8 @@ flags! {
             "simulated seconds per wall second  (default: serve 1, loadtest 20)";
         virtual_clock: bool = false, "--virtual-clock" "" on,
             "deterministic virtual time: decisions match the DES";
-        report_ms: Option<u64> = None, "--report-ms" "<MS>" |v| num(v, 0..=u64::MAX).map(Some),
+        // A zero interval would print from a busy loop for the whole run.
+        report_ms: Option<u64> = None, "--report-ms" "<MS>" |v| num(v, 1..=u64::MAX).map(Some),
             "print a live metrics snapshot every MS wall millis";
         trace: Option<String> = None, "--trace" "<T>" |v| match v {
             "one-day" | "poisson" => path(v),

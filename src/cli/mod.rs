@@ -64,7 +64,7 @@ fn print_report(method: &str, report: &ServeReport, mode: ClockMode) {
         report.sim_secs,
         report.wall_secs,
         report.sim_secs / report.wall_secs.max(1e-9),
-        report.snapshot.brief()
+        report.metrics.snapshot(report.sim_secs).brief()
     );
 }
 
@@ -228,7 +228,7 @@ impl Session {
             })
             .max()
             .unwrap_or(0)
-            .max(report.metrics.executors.len());
+            .max(report.metrics.lock().executors.len());
         if let Some(path) = &cli.trace_out {
             // Sharded runs name tracks by shard: global executor s*m+k is
             // shard s's replica of model k.

@@ -101,7 +101,7 @@ fn every_numeric_flag_rejects_hostile_values() {
         ("--seed", "run --method schemble", &["-1", "18446744073709551616", "x"]),
         ("--max-retries", "serve --method schemble", &["-1", "4294967296", "x"]),
         ("--breach-expired", "run --method schemble --flight-recorder f", &["-1", "x"]),
-        ("--report-ms", "serve --method schemble", &["-1", "0.5", "x"]),
+        ("--report-ms", "serve --method schemble", &["0", "-1", "0.5", "x"]),
         ("--query", "explain", &["-1", "x", "18446744073709551616"]),
     ];
     for (flag, prefix, bad) in cases {

@@ -78,7 +78,7 @@ fn sharded(shards: usize) -> ServeConfig {
 /// are ~9 % wide, so a pinned quantile moves only when latency shifts by a
 /// bucket; the miss rates pinned beside it move with a single query.
 fn latency_ms(report: &ServeReport, q: f64) -> String {
-    format!("{:.4}", 1e3 * report.metrics.latency.quantile(q).expect("queries completed"))
+    format!("{:.4}", 1e3 * report.metrics.lock().latency.quantile(q).expect("queries completed"))
 }
 
 fn miss_rate(report: &ServeReport) -> String {
@@ -177,8 +177,8 @@ fn anytime_saves_work_without_costing_accuracy() {
     fx.pipeline.anytime = Some(AnytimePolicy::default());
     let anytime = serve(&fx, ServeConfig::default());
 
-    let saved = anytime.snapshot.tasks_saved;
-    let attempted = anytime.snapshot.tasks_completed + saved;
+    let saved = anytime.stats.tasks_saved;
+    let attempted = anytime.metrics.lock().tasks.completed + saved;
     let saved_frac = saved as f64 / attempted as f64;
     assert!(
         saved_frac >= SAVED_FLOOR,
@@ -206,8 +206,8 @@ fn batching_lifts_served_throughput_at_no_deadline_cost() {
     };
     let (b1, b16) = (batched(1), batched(16));
 
-    assert_eq!(b1.snapshot.tasks_batched, 0, "batch_max = 1 must not batch");
-    assert!(b16.snapshot.tasks_batched > 0, "batch_max = 16 never batched under saturation");
+    assert_eq!(b1.metrics.lock().tasks.batched, 0, "batch_max = 1 must not batch");
+    assert!(b16.metrics.lock().tasks.batched > 0, "batch_max = 16 never batched under saturation");
     let speedup = served_per_sec(&b16) / served_per_sec(&b1);
     assert!(speedup >= SPEEDUP_FLOOR, "batching served only {speedup:.4}x (< {SPEEDUP_FLOOR}x)");
     let (dmr1, dmr16) = (b1.summary.deadline_miss_rate(), b16.summary.deadline_miss_rate());

@@ -129,25 +129,60 @@ fn assert_round_trip(case: &str, report: &ServeReport, events: &[TraceEvent], sh
     }
 
     // The runtime's counters are the event stream's, exactly.
-    let c = &report.metrics.counters;
+    let record = report.metrics.lock();
+    let (s, t) = (&record.stats, &record.tasks);
     let rejected = |e: &TraceEvent| {
         matches!(e, TraceEvent::Admission { verdict: AdmissionVerdict::Rejected, .. })
     };
-    for (name, counter, events) in [
-        ("submitted", &c.submitted, count(events, |e| matches!(e, TraceEvent::Arrival { .. }))),
-        ("completed", &c.completed, count(events, |e| matches!(e, TraceEvent::QueryDone { .. }))),
-        ("rejected", &c.rejected, count(events, rejected)),
-        ("expired", &c.expired, count(events, |e| matches!(e, TraceEvent::QueryExpired { .. }))),
-        ("tasks_started", &c.tasks_started, starts),
-        ("tasks_completed", &c.tasks_completed, done),
+    let batched: u64 = events
+        .iter()
+        .map(|e| match *e {
+            TraceEvent::BatchFormed { size, .. } => u64::from(size),
+            _ => 0,
+        })
+        .sum();
+    for (name, counter, traced) in [
+        ("submitted", s.submitted, count(events, |e| matches!(e, TraceEvent::Arrival { .. }))),
+        ("completed", s.completed, count(events, |e| matches!(e, TraceEvent::QueryDone { .. }))),
+        ("degraded", s.degraded, count(events, |e| matches!(e, TraceEvent::DegradedAnswer { .. }))),
+        ("rejected", s.rejected, count(events, rejected)),
+        ("expired", s.expired, count(events, |e| matches!(e, TraceEvent::QueryExpired { .. }))),
         (
-            "tasks_saved",
-            &c.tasks_saved,
-            count(events, |e| matches!(e, TraceEvent::TaskQuit { .. })),
+            "tasks_failed",
+            s.tasks_failed,
+            count(events, |e| matches!(e, TraceEvent::TaskFailed { .. })),
         ),
+        (
+            "tasks_retried",
+            s.tasks_retried,
+            count(events, |e| matches!(e, TraceEvent::TaskRetried { .. })),
+        ),
+        ("tasks_saved", s.tasks_saved, count(events, |e| matches!(e, TraceEvent::TaskQuit { .. }))),
+        ("stolen", s.stolen_in, count(events, |e| matches!(e, TraceEvent::QueryStolen { .. }))),
+        ("tasks_started", t.started, starts),
+        ("tasks_completed", t.completed, done),
+        ("tasks_batched", t.batched, batched),
     ] {
-        assert_eq!(counter.load(Relaxed), events, "{case}: {name} diverges from the trace");
+        assert_eq!(counter, traced, "{case}: {name} diverges from the trace");
     }
+
+    // The obs fold counts the same outcomes from the same stream: its run
+    // totals are the engine's counters wherever both count one thing.
+    let fold = ObsState::fold(&ObsConfig::default(), events);
+    let totals = &fold.series.totals;
+    for (name, engine, obs) in [
+        ("submitted / arrivals", s.submitted, totals.arrivals),
+        ("completed", s.completed, totals.completed),
+        ("degraded", s.degraded, totals.degraded),
+        ("rejected", s.rejected, totals.rejected),
+        ("expired", s.expired, totals.expired),
+        ("tasks_failed / failures", s.tasks_failed, totals.failures),
+        ("tasks_retried / retries", s.tasks_retried, totals.retries),
+        ("stolen_in / stolen", s.stolen_in, totals.stolen),
+    ] {
+        assert_eq!(engine, obs, "{case}: {name}: the engine and the obs fold disagree");
+    }
+
     let answer = |e: &TraceEvent| match *e {
         TraceEvent::QueryDone { query, .. } | TraceEvent::DegradedAnswer { query, .. } => {
             Some(query)
@@ -155,7 +190,7 @@ fn assert_round_trip(case: &str, report: &ServeReport, events: &[TraceEvent], sh
         _ => None,
     };
     let answered = count(events, |e| answer(e).is_some());
-    assert_eq!(report.metrics.latency.count(), answered, "{case}: one latency per answer");
+    assert_eq!(record.latency.count(), answered, "{case}: one latency per answer");
 
     // Every answer is evaluated on the trace, right before it is announced,
     // and the drift fold counts exactly the answers the records call wrong.
@@ -173,8 +208,7 @@ fn assert_round_trip(case: &str, report: &ServeReport, events: &[TraceEvent], sh
                 | QueryOutcome::Degraded { correct: false, .. }
         )
     });
-    let drift = ObsState::fold(&ObsConfig::default(), events).drift;
-    assert_eq!(drift.incorrect, wrong.count() as u64, "{case}: incorrect answers");
+    assert_eq!(fold.drift.incorrect, wrong.count() as u64, "{case}: incorrect answers");
 }
 
 #[test]
@@ -209,6 +243,17 @@ fn serve_trace_round_trips_every_submitted_query() {
         let sheds_tasks = anytime.is_some() && batching.is_none();
         assert_round_trip(&case, &report, &sink.drain(), sheds_tasks);
     }
+
+    // Two shards stealing from each other on a hot-key trace: the thief
+    // counts each adoption, and the trace carries it once.
+    let hot = workload.clone().with_zipf_keys(64, 2.0, seed);
+    let (sink, serve_cfg) = traced();
+    let steal_epoch = Some(SimDuration::from_millis(50));
+    let serve_cfg = ServeConfig { shards: 2, steal_epoch, ..serve_cfg };
+    let cfg = schemble_config(&mut ctx);
+    let report = serve_schemble(&ctx.ensemble, &cfg, &hot, seed, &serve_cfg);
+    assert!(report.stats.stolen_in > 0, "the hot shard shed no work");
+    assert_round_trip("2 shards, stealing", &report, &sink.drain(), false);
 
     // The immediate family: every model on the identity deployment, a fixed
     // subset on a replicated one — clean, and with one task in ten failing.
