@@ -16,7 +16,7 @@
 //! [`TraceEvent::Realized`]: schemble_trace::TraceEvent::Realized
 
 use schemble_sim::SimTime;
-use std::collections::HashMap;
+use schemble_trace::IdMap;
 
 /// Fixed guard band for the latency detector: a task deviating more than
 /// this fraction from its profiled latency counts as an outlier.
@@ -45,9 +45,9 @@ pub struct DriftState {
     /// `k % profiled.len()`.
     profiled_us: Vec<u64>,
     /// Predicted bin per open query.
-    predicted: HashMap<u64, u8>,
+    predicted: IdMap<u64, u8>,
     /// Start instant of each in-flight task.
-    starts: HashMap<(u64, u16), SimTime>,
+    starts: IdMap<(u64, u16), SimTime>,
     /// (predicted, realized) bin pairs observed.
     pub pairs: u64,
     /// Pairs where predicted == realized bin.

@@ -39,8 +39,8 @@ pub use series::{LatencyWindow, SloCounters, SloSeries, WindowStats};
 
 use schemble_sim::{SimDuration, SimTime};
 use schemble_trace::prometheus::{family, labeled_sample, per_executor, single};
-use schemble_trace::{AdmissionVerdict, TraceEvent};
-use std::collections::{BTreeMap, HashMap};
+use schemble_trace::{AdmissionVerdict, IdMap, TraceEvent};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Configuration for an [`ObsState`] fold.
@@ -81,7 +81,7 @@ pub struct ObsState {
     pub series: SloSeries,
     /// The drift detectors.
     pub drift: DriftState,
-    open: HashMap<u64, OpenQuery>,
+    open: IdMap<u64, OpenQuery>,
     /// Last steal-eligible queue depth each shard published at a steal
     /// epoch (keyed by shard id; populated only by `QueryStolen` events, so
     /// runs without stealing carry — and export — nothing here).
@@ -94,7 +94,7 @@ impl ObsState {
         Self {
             series: SloSeries::new(config.window, config.capacity),
             drift: DriftState::new(config.bins, config.profiled_latencies_us.clone()),
-            open: HashMap::new(),
+            open: IdMap::default(),
             shard_backlog: BTreeMap::new(),
         }
     }

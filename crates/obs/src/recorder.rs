@@ -57,7 +57,8 @@ struct Inner {
     reason: Option<TripReason>,
 }
 
-/// A lock-light bounded flight recorder (one short mutex hold per event).
+/// A lock-light bounded flight recorder (one short mutex hold per event, or
+/// per batch through [`EventTap::on_events`]).
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -138,21 +139,30 @@ impl FlightRecorder {
 
 impl EventTap for FlightRecorder {
     fn on_event(&self, event: TraceEvent) {
+        self.on_events(std::slice::from_ref(&event));
+    }
+
+    /// One lock for the whole batch. Expiries are counted in order, so a
+    /// breach trips at the same event; then only the last `capacity` events
+    /// are kept and the rest counted as overwritten — the state one
+    /// [`on_event`](EventTap::on_event) per event leaves.
+    fn on_events(&self, events: &[TraceEvent]) {
         let mut g = self.lock();
-        if g.ring.len() >= self.capacity {
-            g.ring.pop_front();
-            g.overwritten += 1;
-        }
-        g.ring.push_back(event);
-        if let TraceEvent::QueryExpired { .. } = event {
-            g.expired += 1;
-            if let Some(threshold) = self.breach_expired {
-                if g.expired >= threshold && g.reason.is_none() {
+        for event in events {
+            if let TraceEvent::QueryExpired { .. } = event {
+                g.expired += 1;
+                let breached = self.breach_expired.is_some_and(|at| g.expired >= at);
+                if breached && g.reason.is_none() {
                     g.reason = Some(TripReason::SloBreach);
                     self.tripped.store(true, Relaxed);
                 }
             }
         }
+        let kept = &events[events.len().saturating_sub(self.capacity)..];
+        let evicted = (g.ring.len() + kept.len()).saturating_sub(self.capacity);
+        g.ring.drain(..evicted);
+        g.overwritten += (evicted + events.len() - kept.len()) as u64;
+        g.ring.extend(kept);
     }
 }
 
@@ -239,6 +249,7 @@ pub fn event_json(ev: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use schemble_sim::{SimDuration, SimTime};
     use schemble_trace::json::validate;
     use schemble_trace::TraceSink;
@@ -347,5 +358,59 @@ mod tests {
         sink.emit(TraceEvent::QueryExpired { t: at(1), query: 7 });
         assert_eq!(rec.events().len(), 1);
         assert_eq!(sink.drain().len(), 0, "the main ring stayed disabled");
+    }
+
+    /// Everything the recorder keeps: ring, overwritten, expired, reason.
+    fn state(rec: &FlightRecorder) -> (Vec<TraceEvent>, u64, u64, Option<TripReason>) {
+        let g = rec.lock();
+        (g.ring.iter().copied().collect(), g.overwritten, g.expired, g.reason)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Batches fed through `on_events` leave, after every batch, the
+        /// state one `on_event` per event leaves — including when a manual
+        /// trip lands between two batches, so the breach trips at the same
+        /// event.
+        #[test]
+        fn a_batch_equals_one_event_at_a_time(
+            kinds in collection::vec(0u8..4, 0..200),
+            cuts in collection::vec(1usize..24, 1..16),
+            capacity_pick in 0usize..3,
+            threshold in 1u64..12,
+            wedge_after in 0usize..16,
+        ) {
+            let capacity = [1, 3, 4096][capacity_pick];
+            // One event in four is an expiry, so batches straddle the
+            // threshold.
+            let events: Vec<TraceEvent> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| match kind {
+                    0 => TraceEvent::QueryExpired { t: at(i as u64), query: i as u64 },
+                    _ => TraceEvent::Arrival { t: at(i as u64), query: i as u64, deadline: at(9) },
+                })
+                .collect();
+            let batched = FlightRecorder::new(capacity, Some(threshold));
+            let single = FlightRecorder::new(capacity, Some(threshold));
+            batched.on_events(&[]);
+            let mut rest = events.as_slice();
+            for (b, &cut) in cuts.iter().cycle().enumerate() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (batch, tail) = rest.split_at(cut.min(rest.len()));
+                rest = tail;
+                batched.on_events(batch);
+                batch.iter().for_each(|&event| single.on_event(event));
+                if b == wedge_after {
+                    let wedge = TripReason::Wedge;
+                    prop_assert_eq!(batched.trip(wedge), single.trip(wedge));
+                }
+                prop_assert_eq!(state(&batched), state(&single));
+            }
+            prop_assert_eq!(batched.dump_json(), single.dump_json());
+        }
     }
 }

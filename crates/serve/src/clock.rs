@@ -28,7 +28,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// A wall-clock anchored, dilated view of simulated time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DilatedClock {
     origin: Instant,
     dilation: f64,
@@ -41,8 +41,15 @@ impl DilatedClock {
     /// # Panics
     /// Panics unless `dilation` is positive and finite.
     pub fn start(dilation: f64) -> Self {
+        Self::starting_at(Instant::now(), dilation)
+    }
+
+    /// A clock whose sim time `ZERO` is `origin`: the shards of one
+    /// stealing run share their coordinator's, so an instant means the
+    /// same on every shard.
+    pub(crate) fn starting_at(origin: Instant, dilation: f64) -> Self {
         assert!(dilation.is_finite() && dilation > 0.0, "dilation must be positive");
-        Self { origin: Instant::now(), dilation }
+        Self { origin, dilation }
     }
 
     /// The dilation factor.

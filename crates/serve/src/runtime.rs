@@ -256,7 +256,8 @@ pub fn run_wall(
     mut steal: Option<&mut StealHandle>,
 ) -> RunStats {
     let wall_start = Instant::now();
-    let clock = DilatedClock::start(dilation);
+    let clock =
+        steal.as_deref().map_or_else(|| DilatedClock::start(dilation), |h| h.clock(dilation));
     let (tx, rx) = sync_channel::<RuntimeMsg>(CHANNEL_CAPACITY);
     let pool = WorkerPool::spawn(latencies.len(), tx.clone());
     let bank = config.bank(latencies, seed, stream);

@@ -45,11 +45,13 @@
 //! therefore resolves deterministically: either the rendezvous completes
 //! with the shard, or the shard is detached for the whole round.
 
+use crate::clock::DilatedClock;
 use schemble_core::backend::ExecutionBackend;
 use schemble_core::engine::{PipelineEngine, StealLineage, StolenQuery};
 use schemble_sim::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering::Acquire, Ordering::Release};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// One shard's published load at an epoch boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -227,6 +229,10 @@ pub struct StealCoordinator {
     /// Whether a waiting shard polls `published` before parking. Off on a
     /// single core, where the peer cannot be running while this shard polls.
     poll: bool,
+    /// Sim time zero of every wall-clock shard: a query stolen at a
+    /// boundary arrived at the same instant on the thief's clock as on the
+    /// victim's, so its latency can never come out negative.
+    origin: Instant,
 }
 
 impl StealCoordinator {
@@ -251,6 +257,7 @@ impl StealCoordinator {
             cv: Condvar::new(),
             published: AtomicU64::new(0),
             poll,
+            origin: Instant::now(),
         })
     }
 
@@ -370,6 +377,11 @@ impl StealHandle {
     /// This handle's shard id.
     pub fn shard(&self) -> u16 {
         self.shard as u16
+    }
+
+    /// This shard's wall clock, counting from the coordinator's origin.
+    pub(crate) fn clock(&self, dilation: f64) -> DilatedClock {
+        DilatedClock::starting_at(self.coord.origin, dilation)
     }
 
     /// The next epoch boundary this shard must rendezvous at.
@@ -549,6 +561,16 @@ mod tests {
 
     fn snap(depth: u64, backlog_us: u64) -> LoadSnapshot {
         LoadSnapshot { depth, backlog_us, done: false }
+    }
+
+    #[test]
+    fn every_shard_clock_counts_from_the_coordinators_origin() {
+        let coord = StealCoordinator::new(2, SimDuration::from_millis(50));
+        let first = coord.handle(0, Vec::new()).clock(100.0);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let second = coord.handle(1, Vec::new()).clock(100.0);
+        assert_eq!(first, second, "both shards count from one origin");
+        assert_ne!(first, DilatedClock::start(100.0), "a clock of its own starts later");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 pub mod audit;
 pub mod chrome;
 pub mod event;
+pub mod idhash;
 pub mod json;
 pub mod prometheus;
 pub mod shard;
@@ -38,6 +39,7 @@ pub mod sink;
 pub use audit::{audit_ndjson, audit_records, AuditRecord};
 pub use chrome::{chrome_trace, chrome_trace_named, complete_task_spans, SCHEDULER_TID};
 pub use event::{score_fixed_point, set_members, AdmissionVerdict, TraceEvent};
+pub use idhash::{IdHasher, IdMap};
 pub use prometheus::{escape_label, prometheus_text};
 pub use shard::{
     globalize_event, globalize_events, merge_shard_events, merge_shard_streams, ShardMerge,

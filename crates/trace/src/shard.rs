@@ -59,20 +59,27 @@ pub fn globalize_events(
 }
 
 /// A streaming k-way merge over per-shard event streams (indexed by shard
-/// id), yielding them in `(time, shard, within-shard sequence)` order.
+/// id), yielding them in `(time, shard, within-shard sequence)` order as
+/// maximal runs of consecutive events from one stream
+/// ([`next_run`](ShardMerge::next_run)).
 ///
 /// A stream that is non-decreasing in [`TraceEvent::time`] — what a shard's
 /// sink holds, its engine and backend emit in virtual-time order — is
 /// borrowed and walked by a cursor: the next merged event is the earliest
 /// stream head, ties to the lower shard id, which is exactly the order a
-/// global sort on that key would produce. A stream that is *not* sorted is
-/// copied and stable-sorted by time first, which puts it in `(time,
-/// sequence)` order and so leaves the merged order unchanged. The shard
-/// count is small (a handful), so the head scan is linear — no heap.
+/// global sort on that key would produce. That head's stream keeps the
+/// lead for as long as its events still sort before every other stream's
+/// head, so the whole stretch is handed out as one slice. A stream that is
+/// *not* sorted is copied and stable-sorted by time first, which puts it in
+/// `(time, sequence)` order and so leaves the merged order unchanged. The
+/// shard count is small (a handful), so the head scan is linear — no heap.
 pub struct ShardMerge<'a> {
     streams: Vec<Cow<'a, [TraceEvent]>>,
     /// Per stream: index of its head event.
     cursors: Vec<usize>,
+    /// Per stream: its head event's time, `None` once spent. Each event's
+    /// time is read once, when it is checked against the other heads.
+    heads: Vec<Option<SimTime>>,
 }
 
 /// Merges borrowed shard streams lazily; see [`ShardMerge`].
@@ -89,53 +96,86 @@ pub fn merge_shard_streams(streams: &[Vec<TraceEvent>]) -> ShardMerge<'_> {
             }
         })
         .collect();
-    ShardMerge { cursors: vec![0; streams.len()], streams }
+    let heads = streams.iter().map(|s| s.first().map(TraceEvent::time)).collect();
+    ShardMerge { cursors: vec![0; streams.len()], streams, heads }
 }
 
-impl Iterator for ShardMerge<'_> {
-    type Item = TraceEvent;
+/// The merge order: by time, ties to the lower shard id. Within a stream
+/// the cursor keeps emission order, so this is the whole tie rule.
+fn merge_key(time: SimTime, shard: usize) -> (SimTime, usize) {
+    (time, shard)
+}
 
-    fn next(&mut self) -> Option<TraceEvent> {
+impl ShardMerge<'_> {
+    /// The next run of the merged order: the longest stretch of one
+    /// stream whose events all sort before every other stream's head.
+    /// `None` once every stream is spent.
+    pub fn next_run(&mut self) -> Option<&[TraceEvent]> {
+        // The earliest head and the runner-up, under `merge_key`.
         let mut best: Option<(SimTime, usize)> = None;
-        for (shard, (stream, &cursor)) in self.streams.iter().zip(&self.cursors).enumerate() {
-            if let Some(head) = stream.get(cursor) {
-                // Strict `<` over ascending shard ids: ties keep the lower.
-                let t = head.time();
-                if best.is_none_or(|(b, _)| t < b) {
-                    best = Some((t, shard));
-                }
+        let mut runner_up: Option<(SimTime, usize)> = None;
+        for (shard, head) in self.heads.iter().enumerate() {
+            let Some(time) = *head else { continue };
+            let key = merge_key(time, shard);
+            if best.is_none_or(|b| key < b) {
+                runner_up = best;
+                best = Some(key);
+            } else if runner_up.is_none_or(|r| key < r) {
+                runner_up = Some(key);
             }
         }
         let (_, shard) = best?;
-        let event = self.streams[shard][self.cursors[shard]];
-        self.cursors[shard] += 1;
-        Some(event)
+        let stream = &self.streams[shard];
+        let start = self.cursors[shard];
+        self.heads[shard] = None;
+        let mut end = start + 1;
+        match runner_up {
+            // The only stream left is one run.
+            None => end = stream.len(),
+            Some(bound) => {
+                while let Some(event) = stream.get(end) {
+                    let time = event.time();
+                    if merge_key(time, shard) > bound {
+                        self.heads[shard] = Some(time);
+                        break;
+                    }
+                    end += 1;
+                }
+            }
+        }
+        self.cursors[shard] = end;
+        Some(&stream[start..end])
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.streams.iter().zip(&self.cursors).map(|(s, &c)| s.len() - c).sum();
-        (left, Some(left))
+    /// Events not yet handed out.
+    pub fn len(&self) -> usize {
+        self.streams.iter().zip(&self.cursors).map(|(s, &c)| s.len() - c).sum()
+    }
+
+    /// True once every stream is spent.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
-impl ExactSizeIterator for ShardMerge<'_> {}
-
 /// Merges per-shard event streams (indexed by shard id) into one stream
 /// ordered by `(time, shard, within-shard sequence)`: [`merge_shard_streams`]
-/// collected into a vector of exact capacity.
+/// collected run by run into a vector of exact capacity.
 ///
 /// The key is a total order over all events that depends only on the
 /// streams' contents, never on which shard thread delivered its stream
 /// first — merging in any shard order yields byte-identical output.
 pub fn merge_shard_events(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
-    let merge = merge_shard_streams(&streams);
+    let mut merge = merge_shard_streams(&streams);
     let mut merged = Vec::with_capacity(merge.len());
-    merged.extend(merge);
+    while let Some(run) = merge.next_run() {
+        merged.extend_from_slice(run);
+    }
     merged
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::AdmissionVerdict;
     use proptest::prelude::*;
@@ -231,8 +271,10 @@ mod tests {
         // Empty streams between non-empty ones neither yield nor shift ids.
         let merged = merge_shard_events(vec![Vec::new(), only.clone(), Vec::new()]);
         assert_eq!(merged, only);
-        let merge = merge_shard_streams(std::slice::from_ref(&only));
+        let mut merge = merge_shard_streams(std::slice::from_ref(&only));
         assert_eq!(merge.len(), 2);
+        assert_eq!(merge.next_run(), Some(only.as_slice()), "one stream is one run");
+        assert!(merge.is_empty() && merge.next_run().is_none());
     }
 
     #[test]
@@ -254,7 +296,7 @@ mod tests {
     /// timestamps are the norm within and across shards. Streams are built
     /// time-sorted; `scramble` reverses one to exercise the fallback. The
     /// query id encodes `(shard, sequence)`, making every event distinct.
-    fn streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
+    pub(crate) fn streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
         (proptest::collection::vec(proptest::collection::vec(0u64..6, 0..40), 1..=4), 0usize..8)
             .prop_map(|(times, scramble)| {
                 let shards = times.len();
@@ -287,9 +329,18 @@ mod tests {
             rotate in 0usize..4,
         ) {
             let oracle = merge_by_global_sort(&streams);
-            let streamed: Vec<TraceEvent> = merge_shard_streams(&streams).collect();
-            prop_assert_eq!(&streamed, &oracle);
             prop_assert_eq!(&merge_shard_events(streams.clone()), &oracle);
+            // Runs are maximal: consecutive runs come from different streams.
+            let mut merge = merge_shard_streams(&streams);
+            let mut last_stream = None;
+            let stream_of = |e: &TraceEvent| e.query().map(|q| q as usize % streams.len());
+            while let Some(run) = merge.next_run() {
+                prop_assert!(!run.is_empty());
+                let stream = stream_of(&run[0]);
+                prop_assert!(run.iter().all(|e| stream_of(e) == stream));
+                prop_assert_ne!(stream, last_stream);
+                last_stream = stream;
+            }
             // Hand the streams over in another order, ids kept: the merge
             // reads them by shard id, so the result cannot change.
             let shards = streams.len();

@@ -11,6 +11,7 @@
 //! truncated trace with an honest drop count beats a silently rewritten one.
 
 use crate::event::TraceEvent;
+use crate::shard::ShardMerge;
 use schemble_metrics::PlanHistogram;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -74,6 +75,14 @@ struct Ring {
 pub trait EventTap: Send + Sync {
     /// Observes one emitted event.
     fn on_event(&self, event: TraceEvent);
+
+    /// Observes consecutive events in order, as one [`on_event`] each
+    /// would. A tap that takes a lock per event can take it once here.
+    ///
+    /// [`on_event`]: EventTap::on_event
+    fn on_events(&self, events: &[TraceEvent]) {
+        events.iter().for_each(|&event| self.on_event(event));
+    }
 }
 
 /// The shared event sink engines and backends emit into.
@@ -196,34 +205,33 @@ impl TraceSink {
         ring.events.push(event);
     }
 
-    /// Records an ordered batch exactly as one [`emit`](TraceSink::emit)
-    /// per event would — the tap sees every event in order, a disabled ring
-    /// stores nothing, events past the capacity are counted as dropped —
-    /// but takes the tap lock and the ring lock once each and grows the
-    /// ring once, to the size it will end at. The sharded serve path hands
-    /// its merged shard streams over through this.
-    pub fn emit_all(&self, events: impl ExactSizeIterator<Item = TraceEvent>) {
+    /// Records a merged shard stream exactly as one [`emit`](TraceSink::emit)
+    /// per event in merge order would — the tap sees every event in order,
+    /// a disabled ring stores nothing, events past the capacity are counted
+    /// as dropped — but takes the tap lock and the ring lock once each,
+    /// grows the ring once, to the size it will end at, and hands each run
+    /// of the merge to the tap and the ring as one slice. The sharded serve
+    /// path hands its shard streams over through this.
+    pub fn emit_all(&self, mut merge: ShardMerge<'_>) {
         let tap_slot =
             self.has_tap.load(Relaxed).then(|| self.tap.lock().expect("trace tap poisoned"));
         let tap = tap_slot.as_ref().and_then(|slot| slot.as_deref());
-        if !self.is_enabled() {
-            if let Some(tap) = tap {
-                events.for_each(|event| tap.on_event(event));
-            }
+        let mut ring = self.is_enabled().then(|| self.ring.lock().expect("trace ring poisoned"));
+        if let Some(ring) = &mut ring {
+            let room = ring.capacity.saturating_sub(ring.events.len());
+            ring.events.reserve_exact(merge.len().min(room));
+        } else if tap.is_none() {
             return;
         }
-        let mut ring = self.ring.lock().expect("trace ring poisoned");
-        let room = ring.capacity.saturating_sub(ring.events.len());
-        ring.events.reserve_exact(events.len().min(room));
-        let mut dropped = 0u64;
-        for event in events {
+        let mut dropped = 0;
+        while let Some(run) = merge.next_run() {
             if let Some(tap) = tap {
-                tap.on_event(event);
+                tap.on_events(run);
             }
-            if ring.events.len() < ring.capacity {
-                ring.events.push(event);
-            } else {
-                dropped += 1;
+            if let Some(ring) = &mut ring {
+                let kept = run.len().min(ring.capacity.saturating_sub(ring.events.len()));
+                ring.events.extend_from_slice(&run[..kept]);
+                dropped += (run.len() - kept) as u64;
             }
         }
         self.dropped.fetch_add(dropped, Relaxed);
@@ -270,6 +278,8 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::{merge_shard_events, merge_shard_streams};
+    use proptest::prelude::*;
     use schemble_sim::SimTime;
 
     fn arrival(q: u64) -> TraceEvent {
@@ -362,61 +372,89 @@ mod tests {
     }
 
     /// Ring contents, drop count and tap call sequence after `preload`
-    /// single emits followed by `batch` events, emitted in bulk or singly.
+    /// single emits followed by the merge of `streams`, emitted run by run
+    /// (`bulk`) or one event at a time in merge order.
     fn after_emitting(
         capacity: usize,
         enabled: bool,
         preload: u64,
-        batch: u64,
+        streams: &[Vec<TraceEvent>],
         bulk: bool,
     ) -> (Vec<TraceEvent>, u64, Vec<TraceEvent>) {
         let sink = TraceSink::new(capacity);
         sink.set_enabled(enabled);
         let tap = Arc::new(Recording::default());
         sink.set_tap(Some(tap.clone()));
-        (0..preload).for_each(|q| sink.emit(arrival(q)));
-        let events: Vec<TraceEvent> = (preload..preload + batch).map(arrival).collect();
+        (0..preload).for_each(|q| sink.emit(arrival(1_000 + q)));
         if bulk {
-            sink.emit_all(events.into_iter());
+            sink.emit_all(merge_shard_streams(streams));
         } else {
-            events.into_iter().for_each(|event| sink.emit(event));
+            merge_shard_events(streams.to_vec()).into_iter().for_each(|event| sink.emit(event));
         }
         let seen = tap.0.lock().unwrap().clone();
         (sink.drain(), sink.dropped(), seen)
     }
 
     #[test]
-    fn bulk_emit_equals_single_emits() {
-        // (capacity, enabled, preloaded, batch): room to spare, exactly
-        // full, one past the boundary, a ring already full, a ring disabled
-        // but tapped, and an empty batch.
-        for (capacity, enabled, preload, batch) in [
-            (16, true, 0, 5),
-            (5, true, 0, 5),
-            (5, true, 0, 6),
-            (8, true, 3, 5),
-            (8, true, 3, 9),
-            (4, true, 4, 3),
-            (8, false, 0, 5),
-            (8, true, 2, 0),
+    fn run_wise_emit_equals_single_emits() {
+        let one = |n: u64| vec![(0..n).map(arrival).collect::<Vec<_>>()];
+        // Equal timestamps across shards, and a stream running backwards.
+        let tied = vec![vec![arrival(0), arrival(0), arrival(2)], vec![arrival(0), arrival(1)]];
+        let unsorted = vec![vec![arrival(2)], vec![arrival(3), arrival(2), arrival(2)]];
+        // (capacity, enabled, preloaded, streams): room to spare, exactly
+        // full, one past the boundary, a ring already full, a ring smaller
+        // than the stream, a ring disabled but tapped, an empty merge.
+        for (capacity, enabled, preload, streams) in [
+            (16, true, 0, one(5)),
+            (5, true, 0, one(5)),
+            (5, true, 0, one(6)),
+            (8, true, 3, one(5)),
+            (8, true, 3, one(9)),
+            (4, true, 4, one(3)),
+            (8, false, 0, one(5)),
+            (8, true, 2, one(0)),
+            (16, true, 0, tied.clone()),
+            (3, true, 1, tied.clone()),
+            (2, false, 1, tied),
+            (16, true, 0, unsorted.clone()),
+            (2, true, 0, unsorted),
         ] {
-            let bulk = after_emitting(capacity, enabled, preload, batch, true);
-            let single = after_emitting(capacity, enabled, preload, batch, false);
-            assert_eq!(bulk, single, "capacity {capacity} enabled {enabled} {preload}+{batch}");
-            assert_eq!(bulk.2.len() as u64, preload + batch, "the tap sees every event");
+            let bulk = after_emitting(capacity, enabled, preload, &streams, true);
+            let single = after_emitting(capacity, enabled, preload, &streams, false);
+            assert_eq!(bulk, single, "capacity {capacity} enabled {enabled} {preload}+{streams:?}");
+            let total = preload as usize + streams.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(bulk.2.len(), total, "the tap sees every event");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn run_wise_emit_equals_single_emits_on_any_merge(
+            streams in crate::shard::tests::streams_strategy(),
+            capacity in 1usize..64,
+            enabled in any::<bool>(),
+            preload in 0u64..8,
+        ) {
+            prop_assert_eq!(
+                after_emitting(capacity, enabled, preload, &streams, true),
+                after_emitting(capacity, enabled, preload, &streams, false)
+            );
         }
     }
 
     #[test]
     fn bulk_emit_without_a_tap_stores_and_counts() {
+        let stream = [(0..5).map(arrival).collect::<Vec<_>>()];
         let sink = TraceSink::new(3);
-        sink.emit_all((0..5u32).map(|q| arrival(q.into())));
+        sink.emit_all(merge_shard_streams(&stream));
         assert_eq!(sink.drain(), vec![arrival(0), arrival(1), arrival(2)]);
         assert_eq!(sink.dropped(), 2);
         sink.add_dropped(4);
         assert_eq!(sink.dropped(), 6, "upstream losses fold into the same count");
         let dark = TraceSink::disabled();
-        dark.emit_all((0..5u32).map(|q| arrival(q.into())));
+        dark.emit_all(merge_shard_streams(&stream));
         assert!(dark.is_empty());
         assert_eq!(dark.dropped(), 0);
         assert_eq!(dark.capacity(), DEFAULT_CAPACITY);
