@@ -101,7 +101,8 @@ impl Dense {
 
     /// Forward pass over a batch (`rows = samples`), caching for backward.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w).add_row_broadcast(&self.b);
+        let mut out = x.matmul(&self.w);
+        out.add_row_broadcast(&self.b);
         out.map_inplace(|z| self.activation.apply(z));
         self.input_cache = Some(x.clone());
         self.output_cache = Some(out.clone());
@@ -110,7 +111,8 @@ impl Dense {
 
     /// Forward pass without caching — for inference.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w).add_row_broadcast(&self.b);
+        let mut out = x.matmul(&self.w);
+        out.add_row_broadcast(&self.b);
         out.map_inplace(|z| self.activation.apply(z));
         out
     }

@@ -23,15 +23,22 @@
 //!   streams merge on the total order `(time, shard, sequence)` — so every
 //!   export folded from the merged stream (the audit log included) is the
 //!   same whichever shard finishes first.
+//! * **The trace merges while the shards run.** The calling thread drains
+//!   the shard sinks every `DRAIN_INTERVAL` and emits into the caller's
+//!   sink whatever no running shard can still precede
+//!   ([`StreamingMerge`]). Each shard emits in time order, so that is the
+//!   same stream, tap sequence and drop count as one merge after the join,
+//!   whenever the drains happen; the stream is held once, not twice.
 //!
 //! Shared across shards (immutably): the ensemble, the pipeline config
 //! (schedulers are `Send + Sync` and plan out of caller-owned scratch), and
 //! the fault plan. Owned per shard: the engine and its buffers, the
 //! sub-workload, executors `s*m .. (s+1)*m`, the RNG streams, a trace sink
-//! and a metrics block.
+//! and a metrics block. A stealing shard's id map is shared with the
+//! merging thread, which reads it to globalize the shard's events.
 
 use crate::runtime::{run_with, ClockMode, Reporter, RunStats, ServeConfig, ServeReport};
-use crate::steal::StealCoordinator;
+use crate::steal::{StealCoordinator, StealHandle};
 use schemble_core::engine::{PipelineEngine, SchembleEngine};
 use schemble_core::pipeline::SchembleConfig;
 use schemble_data::Workload;
@@ -39,10 +46,11 @@ use schemble_metrics::{ModelUsage, QueryRecord, RunSummary, RuntimeMetrics};
 use schemble_models::Ensemble;
 use schemble_sim::rng::{mix, splitmix64};
 use schemble_sim::LatencyModel;
-use schemble_trace::{globalize_events, merge_shard_streams, TraceEvent, TraceSink};
+use schemble_trace::{globalize_event, StreamingMerge, TraceSink};
 use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering::Acquire, Ordering::Release};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Deterministic, seed-independent hash router from routing keys to shards.
 ///
@@ -79,7 +87,31 @@ impl ShardRouter {
 struct ShardOutcome {
     records: Vec<QueryRecord>,
     run: RunStats,
-    events: Vec<TraceEvent>,
+}
+
+/// How often the calling thread drains the shard sinks while a traced
+/// sharded run is in flight. It bounds how many events wait in the shard
+/// rings between drains; nothing in the output depends on it.
+const DRAIN_INTERVAL: Duration = Duration::from_micros(500);
+
+/// One shard's trace as the calling thread sees it while the shard runs.
+struct ShardTrace {
+    sink: Arc<TraceSink>,
+    /// Local query id -> global id; a stealing shard extends it as it
+    /// adopts.
+    ids: Arc<Mutex<Vec<u64>>>,
+    /// Set once the shard has emitted its last event.
+    finished: AtomicBool,
+}
+
+/// Sets a shard's `finished` flag when dropped: at the end of the run, or
+/// while unwinding from a panic, which `join` then reports.
+struct FinishOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for FinishOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Release);
+    }
 }
 
 /// Serves `workload` through `config.shards` parallel Schemble engine
@@ -102,20 +134,30 @@ pub fn serve_schemble_sharded(
     // decision it mediates is a pure function of epoch snapshots — see
     // `crate::steal` for the determinism argument.
     let coordinator = config.steal_epoch.map(|epoch| StealCoordinator::new(shards, epoch));
+    let mut steal: Vec<Option<StealHandle>> = (0..shards)
+        .map(|s| coordinator.as_ref().map(|c| c.handle(s as u16, parts[s].global_ids.clone())))
+        .collect();
 
     // Shard sinks record whenever the outer sink is enabled *or* tapped
-    // (e.g. by a flight recorder): the merged re-emission below feeds the
-    // outer tap, so a tap-only sink still needs shard-level capture. Each
-    // holds as much as the outer sink: more could not be kept anyway, and
-    // what a shard drops is added to the outer drop count below. The
-    // rings are allocated here, on the calling thread, at their full size:
-    // they are the run's largest buffers, and one grown on a shard thread
-    // sits in whichever malloc arena that thread drew, so how much memory
-    // stays resident afterwards differs from run to run.
-    let sinks: Vec<Arc<TraceSink>> = (0..shards)
-        .map(|_| match &config.trace {
-            Some(outer) if outer.observing() => TraceSink::preallocated(outer.capacity()),
-            _ => TraceSink::disabled(),
+    // (e.g. by a flight recorder): the merged stream feeds the outer tap,
+    // so a tap-only sink still needs shard-level capture. They are
+    // unbounded: the calling thread empties them as the shards run, and
+    // only the outer sink applies its capacity — to the merged stream, so
+    // what a truncated trace keeps never depends on when the drains ran.
+    let outer = config.trace.as_ref().filter(|sink| sink.observing());
+    let traces: Vec<ShardTrace> = parts
+        .iter()
+        .zip(&steal)
+        .map(|(part, handle)| ShardTrace {
+            sink: match outer {
+                Some(_) => TraceSink::new(usize::MAX),
+                None => TraceSink::disabled(),
+            },
+            ids: match handle {
+                Some(handle) => handle.id_map(),
+                None => Arc::new(Mutex::new(part.global_ids.clone())),
+            },
+            finished: AtomicBool::new(false),
         })
         .collect();
     let shard_metrics: Vec<Arc<RuntimeMetrics>> =
@@ -137,12 +179,14 @@ pub fn serve_schemble_sharded(
     let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = parts
             .iter()
+            .zip(&traces)
+            .zip(&mut steal)
             .enumerate()
-            .map(|(s, part)| {
-                let sink = Arc::clone(&sinks[s]);
+            .map(|(s, ((part, trace), steal))| {
                 let metrics = Arc::clone(&shard_metrics[s]);
-                let coordinator = coordinator.clone();
+                let mut steal = steal.take();
                 scope.spawn(move || {
+                    let finished = FinishOnDrop(&trace.finished);
                     // Everything random in this shard — task latencies,
                     // fault fates — derives from (seed, shard).
                     let shard_seed = mix(seed, s as u64);
@@ -150,14 +194,12 @@ pub fn serve_schemble_sharded(
                         (0..m).map(|k| ensemble.latency(k)).collect();
                     let shard_config = ServeConfig {
                         report_every: None,
-                        trace: Some(Arc::clone(&sink)),
+                        trace: Some(Arc::clone(&trace.sink)),
                         shards: 1,
                         ..config.clone()
                     };
                     let mut engine = SchembleEngine::new(ensemble, pipeline, &part.workload)
-                        .with_trace(Arc::clone(&sink));
-                    let mut steal =
-                        coordinator.map(|c| c.handle(s as u16, part.global_ids.clone()));
+                        .with_trace(Arc::clone(&trace.sink));
                     let run = run_with(
                         &mut engine,
                         latencies,
@@ -168,14 +210,14 @@ pub fn serve_schemble_sharded(
                         &metrics,
                         steal.as_mut(),
                     );
-                    // Stealing extends the id map (adopted queries) and
-                    // marks released slots stale; without it, both reduce
-                    // to the partition's own map.
-                    let (global_ids, released_slots) = match steal {
-                        Some(handle) => handle.into_maps(),
-                        None => (part.global_ids.clone(), Vec::new()),
-                    };
-                    let released_slots: HashSet<u64> = released_slots.into_iter().collect();
+                    drop(finished);
+                    // Stealing marks released slots stale; without it there
+                    // are none.
+                    let released_slots: HashSet<u64> = steal
+                        .map(StealHandle::into_released_slots)
+                        .unwrap_or_default()
+                        .into_iter()
+                        .collect();
                     let mut records = engine.take_records();
                     // A released query's blank record slot stays behind on
                     // the victim; its current owner's record is the live
@@ -184,42 +226,37 @@ pub fn serve_schemble_sharded(
                     // must survive even though an older slot of the same
                     // global id went stale.
                     records.retain(|r| !released_slots.contains(&r.id));
+                    let global_ids = trace.ids.lock().unwrap_or_else(|e| e.into_inner());
                     for r in &mut records {
                         r.id = global_ids[r.id as usize];
                     }
-                    let events = globalize_events(sink.drain(), &global_ids, (s * m) as u16);
-                    ShardOutcome { records, run, events }
+                    ShardOutcome { records, run }
                 })
             })
             .collect();
+        // The calling thread merges the shard traces while the shards run.
+        if let Some(outer) = outer {
+            merge_while_running(outer, &traces, m);
+        }
         handles.into_iter().map(|h| h.join().expect("shard thread panicked")).collect()
     });
     drop(reporter);
+    if let Some(sink) = &config.trace {
+        for trace in &traces {
+            sink.planning.merge(&trace.sink.planning);
+        }
+    }
 
     // --- Order-insensitive merge (outcomes are indexed by shard id; no
     // step below depends on which shard thread finished first). ---
     let mut records: Vec<QueryRecord> = Vec::with_capacity(workload.len());
     let mut runs: Vec<RunStats> = Vec::with_capacity(shards);
-    let mut streams: Vec<Vec<TraceEvent>> = Vec::with_capacity(shards);
     for outcome in outcomes {
         records.extend(outcome.records);
         runs.push(outcome.run);
-        streams.push(outcome.events);
     }
     let sim_secs = runs.iter().map(|run| run.sim_secs).fold(0f64, f64::max);
     records.sort_by_key(|r| r.id);
-
-    // The shard streams are each in time order, so they merge lazily
-    // straight into the outer sink and are freed right after: the event
-    // stream is held twice at most (shard streams + outer ring).
-    if let Some(sink) = &config.trace {
-        sink.emit_all(merge_shard_streams(&streams));
-        for shard_sink in &sinks {
-            sink.add_dropped(shard_sink.dropped());
-            sink.planning.merge(&shard_sink.planning);
-        }
-    }
-    drop(streams);
 
     // Each shard ran a full executor replica, so model `k`'s usage sums
     // over shards and reports `instances = S`.
@@ -238,12 +275,53 @@ pub fn serve_schemble_sharded(
     ServeReport { summary, stats, metrics, wall_secs: wall_start.elapsed().as_secs_f64(), sim_secs }
 }
 
+/// The calling thread's part of a traced sharded run: every
+/// [`DRAIN_INTERVAL`] it takes each running shard's new events, globalizes
+/// them, and emits into `outer` whatever [`StreamingMerge`]'s horizon lets
+/// through; once every shard has finished, it emits the rest. Each event is
+/// held once — in its shard's ring, in the merge's pending chunk or in
+/// `outer` — and `outer`, its tap and its drop count end exactly as one
+/// emit of the whole merged stream after the join would leave them.
+fn merge_while_running(outer: &TraceSink, traces: &[ShardTrace], executors_per_shard: usize) {
+    // The outer ring ends as the largest buffer of the run; grown by
+    // doubling, each step would copy it and peak memory would depend on
+    // where the copies landed.
+    outer.preallocate();
+    let mut merge = StreamingMerge::new(traces.len());
+    let mut spare = Vec::new();
+    loop {
+        for (s, trace) in traces.iter().enumerate() {
+            if merge.is_finished(s) {
+                continue;
+            }
+            // Read before the drain: a shard seen finished has emitted its
+            // last event, so this drain takes the rest of its stream.
+            let finished = trace.finished.load(Acquire);
+            trace.sink.swap_out(&mut spare);
+            // Locked after the drain, the map holds every id the drained
+            // events name (`StealHandle::id_map`).
+            let ids = trace.ids.lock().unwrap_or_else(|e| e.into_inner());
+            let offset = (s * executors_per_shard) as u16;
+            merge.push(s, spare.drain(..).map(|event| globalize_event(event, &ids, offset)));
+            if finished {
+                merge.finish(s);
+            }
+        }
+        merge.emit_before(merge.horizon(), outer);
+        if merge.all_finished() {
+            return;
+        }
+        std::thread::sleep(DRAIN_INTERVAL);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use schemble_core::experiment::{ExperimentConfig, ExperimentContext};
     use schemble_data::TaskKind;
-    use schemble_trace::DEFAULT_CAPACITY;
+    use schemble_sim::SimDuration;
+    use schemble_trace::{TraceEvent, DEFAULT_CAPACITY};
 
     #[test]
     fn shared_shard_state_is_sync() {
@@ -277,9 +355,14 @@ mod tests {
     }
 
     /// Two-shard virtual-clock runs of one `queries`-long workload, each
-    /// traced into an outer sink of the given capacity: per run, the
-    /// stored events and the sink's drop count.
-    fn traced_runs(queries: usize, capacities: &[usize]) -> Vec<(Vec<TraceEvent>, u64)> {
+    /// traced into an outer sink of the given capacity, stealing every
+    /// `steal_epoch` if given: per run, the stored events and the sink's
+    /// drop count.
+    fn traced_runs(
+        queries: usize,
+        steal_epoch: Option<SimDuration>,
+        capacities: &[usize],
+    ) -> Vec<(Vec<TraceEvent>, u64)> {
         let mut config = ExperimentConfig::small(TaskKind::TextMatching, 11);
         config.n_queries = queries;
         let mut ctx = ExperimentContext::new(config);
@@ -293,6 +376,7 @@ mod tests {
                     mode: ClockMode::Virtual,
                     trace: Some(Arc::clone(&sink)),
                     shards: 2,
+                    steal_epoch,
                     ..ServeConfig::default()
                 };
                 serve_schemble_sharded(&ctx.ensemble, &pipeline, &workload, 11, &config);
@@ -301,18 +385,24 @@ mod tests {
             .collect()
     }
 
+    /// Only the outer sink bounds the trace, and it bounds the merged
+    /// stream: a truncated run keeps exactly the head of the untruncated
+    /// one and counts the rest, whatever the drains happened to find, run
+    /// after run.
     #[test]
-    fn a_truncated_sharded_trace_owns_up_to_every_dropped_event() {
-        let runs = traced_runs(150, &[DEFAULT_CAPACITY, 64]);
-        let (full, none_dropped) = &runs[0];
-        let (kept, dropped) = &runs[1];
-        assert_eq!(*none_dropped, 0);
-        assert!(full.len() > 64 * 4, "the run must overflow both shard sinks");
-        // Shard sinks are sized like the outer one: each drops its own
-        // tail, the outer sink drops again at the merge, and the count
-        // covers both.
-        assert_eq!(kept.len(), 64);
-        assert_eq!(*dropped, (full.len() - kept.len()) as u64);
+    fn a_truncated_sharded_trace_is_the_head_of_the_whole_one() {
+        for steal_epoch in [None, Some(SimDuration::from_millis(25))] {
+            let runs = traced_runs(150, steal_epoch, &[DEFAULT_CAPACITY, 64, 64, 64]);
+            let (full, none_dropped) = &runs[0];
+            assert_eq!(*none_dropped, 0);
+            assert!(full.len() > 64 * 4, "the run must overflow the outer sink");
+            let stole = full.iter().any(|e| matches!(e, TraceEvent::QueryStolen { .. }));
+            assert_eq!(stole, steal_epoch.is_some(), "only the stealing run steals");
+            for (kept, dropped) in &runs[1..] {
+                assert_eq!(kept[..], full[..64]);
+                assert_eq!(*dropped, (full.len() - 64) as u64);
+            }
+        }
     }
 
     /// Where it used to break: more events per shard than the default
@@ -321,7 +411,7 @@ mod tests {
     #[test]
     fn shard_sinks_hold_what_a_larger_outer_sink_can() {
         let queries = 180_000;
-        let (events, dropped) = traced_runs(queries, &[DEFAULT_CAPACITY * 4]).remove(0);
+        let (events, dropped) = traced_runs(queries, None, &[DEFAULT_CAPACITY * 4]).remove(0);
         assert!(events.len() > DEFAULT_CAPACITY * 2, "only {} events", events.len());
         assert_eq!(dropped, 0);
         let arrivals = events.iter().filter(|e| matches!(e, TraceEvent::Arrival { .. })).count();

@@ -275,7 +275,7 @@ impl StealCoordinator {
             shard: shard as usize,
             round: 0,
             exchange_pending: false,
-            global_ids,
+            global_ids: Arc::new(Mutex::new(global_ids)),
             released_slots: Vec::new(),
         }
     }
@@ -366,7 +366,8 @@ pub struct StealHandle {
     /// barrier.
     exchange_pending: bool,
     /// Local query id -> global query id; adopted queries push onto it.
-    global_ids: Vec<u64>,
+    /// Shared with whoever globalizes this shard's trace while it runs.
+    global_ids: Arc<Mutex<Vec<u64>>>,
     /// Local record slots this shard released — each slot went stale the
     /// moment its query left (a re-adoption gets a *fresh* slot, so stale
     /// slots never come back to life).
@@ -389,10 +390,19 @@ impl StealHandle {
         SimTime::from_micros(self.coord.epoch.as_micros() * (self.round + 1))
     }
 
-    /// The (extended) local-to-global id map and the stale local record
-    /// slots.
-    pub fn into_maps(mut self) -> (Vec<u64>, Vec<u64>) {
-        (std::mem::take(&mut self.global_ids), std::mem::take(&mut self.released_slots))
+    /// The shard's local-to-global id map, shared: adoption extends it.
+    /// An adopted query's id is in it before the first trace event naming
+    /// the query is emitted, so a reader that drains this shard's trace
+    /// sink and then locks the map finds every id the drained events name
+    /// (the sink's lock orders the two).
+    pub fn id_map(&self) -> Arc<Mutex<Vec<u64>>> {
+        Arc::clone(&self.global_ids)
+    }
+
+    /// The local record slots this shard released (stale: their queries
+    /// live on elsewhere).
+    pub fn into_released_slots(mut self) -> Vec<u64> {
+        std::mem::take(&mut self.released_slots)
     }
 
     /// Publishes this shard's snapshot for the current round and waits
@@ -505,6 +515,11 @@ impl Drop for StealHandle {
     }
 }
 
+/// A shard's id map, locked; a peer that panicked holding it left it whole.
+fn lock_ids(ids: &Mutex<Vec<u64>>) -> MutexGuard<'_, Vec<u64>> {
+    ids.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Executes one rendezvoused round for this shard: releases and deposits
 /// what the plan demands, exchanges, adopts, and — only if this shard
 /// actually transferred something — re-plans via
@@ -526,23 +541,31 @@ pub fn execute_steal_round(
             transfer.count as usize,
             "snapshot promised more eligible queries than release found"
         );
+        let ids = lock_ids(&handle.global_ids);
         for q in &mut queries {
             // Cross the shard boundary under the *global* id; the thief
             // re-localises at adoption.
-            let global = handle.global_ids[q.query.id as usize];
+            let global = ids[q.query.id as usize];
             handle.released_slots.push(q.query.id);
             q.query.id = global;
         }
+        drop(ids);
         released_any = true;
         handle.deposit(transfer, queries);
     }
     let adopted = handle.exchange();
     let adopted_any = !adopted.is_empty();
-    for (stolen, lineage) in adopted {
-        let global = stolen.query.id;
+    // Adoption hands out local ids in order, so the ids go into the map
+    // first: the adoption's trace events name queries the map already has.
+    let first = {
+        let mut ids = lock_ids(&handle.global_ids);
+        let first = ids.len();
+        ids.extend(adopted.iter().map(|(stolen, _)| stolen.query.id));
+        first
+    };
+    for (i, (stolen, lineage)) in adopted.into_iter().enumerate() {
         let local = engine.adopt_stolen(stolen, lineage, now);
-        debug_assert_eq!(local as usize, handle.global_ids.len());
-        handle.global_ids.push(global);
+        debug_assert_eq!(local as usize, first + i);
     }
     if released_any || adopted_any {
         engine.on_rebalanced(now, backend);

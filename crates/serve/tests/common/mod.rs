@@ -1,7 +1,7 @@
 //! The one harness under the serve runtime's property tests: a fixture
 //! builder, one traced run per clock, and the global invariants every run
 //! must keep (conservation, causal order). The full-product proptest of
-//! ROADMAP item 4 lands here.
+//! ROADMAP item 5 lands here.
 #![allow(dead_code)] // each test binary uses its own part of the harness
 
 use schemble_core::experiment::{ExperimentConfig, ExperimentContext, Traffic};

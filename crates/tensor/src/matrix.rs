@@ -145,18 +145,22 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
+        if self.cols == 0 || rhs.cols == 0 {
+            return out;
+        }
         // ikj order: the innermost loop walks contiguous memory in both
         // `rhs` and `out`, which matters even for the small matrices here.
-        for i in 0..self.rows {
-            let out_row = i * rhs.cols;
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+        // Row slices carry their own bounds, so the loops check none.
+        let rhs_rows = || rhs.data.chunks_exact(rhs.cols);
+        for (a_row, out_row) in
+            self.data.chunks_exact(self.cols).zip(out.data.chunks_exact_mut(rhs.cols))
+        {
+            for (&a, rhs_row) in a_row.iter().zip(rhs_rows()) {
                 if a == 0.0 {
                     continue;
                 }
-                let rhs_row = k * rhs.cols;
-                for j in 0..rhs.cols {
-                    out.data[out_row + j] += a * rhs.data[rhs_row + j];
+                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
+                    *o += a * b;
                 }
             }
         }
@@ -204,20 +208,22 @@ impl Matrix {
         }
     }
 
-    /// Adds `bias` (a 1×cols row vector) to every row; used by dense layers.
+    /// Adds `bias` (a 1×cols row vector) to every row, in place; used by
+    /// dense layers.
     ///
     /// # Panics
     /// Panics if `bias` is not `1 × self.cols`.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
+    pub fn add_row_broadcast(&mut self, bias: &Matrix) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += bias.data[c];
+        if self.cols == 0 {
+            return;
+        }
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (x, &b) in row.iter_mut().zip(&bias.data) {
+                *x += b;
             }
         }
-        out
     }
 
     /// Sum over rows, producing a 1×cols row vector (used for bias gradients).
@@ -303,6 +309,53 @@ impl Mul<f64> for &Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The triple loop `matmul` was before it walked row slices: the oracle
+    /// the kernel must match bit for bit.
+    fn matmul_by_index(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(lhs.rows, rhs.cols);
+        for i in 0..lhs.rows {
+            for k in 0..lhs.cols {
+                let a = lhs.data[i * lhs.cols + k];
+                if a == 0.0 {
+                    continue;
+                }
+                for j in 0..rhs.cols {
+                    out.data[i * rhs.cols + j] += a * rhs.data[k * rhs.cols + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// A `rows × cols` matrix whose entries are often `0.0` or `-0.0`.
+    fn matrix_with_zeros(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
+        let entry = (0u8..4, -3.0f64..3.0).prop_map(|(kind, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            _ => x,
+        });
+        proptest::collection::vec(entry, rows * cols)
+            .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+    }
+
+    proptest! {
+        /// Shapes from empty through 1×n and n×1 up to 4×4.
+        #[test]
+        fn matmul_is_bitwise_the_indexed_triple_loop(
+            operands in (0usize..5, 0usize..5, 0usize..5).prop_flat_map(|(n, k, m)| {
+                (matrix_with_zeros(n, k), matrix_with_zeros(k, m))
+            }),
+        ) {
+            let (a, b) = operands;
+            let fast = a.matmul(&b);
+            let slow = matmul_by_index(&a, &b);
+            prop_assert_eq!(fast.shape(), slow.shape());
+            let bits = |m: &Matrix| m.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        }
+    }
 
     #[test]
     fn matmul_matches_hand_computation() {
@@ -340,9 +393,9 @@ mod tests {
 
     #[test]
     fn add_row_broadcast_adds_bias_to_every_row() {
-        let a = Matrix::zeros(3, 2);
+        let mut out = Matrix::zeros(3, 2);
         let bias = Matrix::row_vector(&[1.0, -2.0]);
-        let out = a.add_row_broadcast(&bias);
+        out.add_row_broadcast(&bias);
         for r in 0..3 {
             assert_eq!(out[(r, 0)], 1.0);
             assert_eq!(out[(r, 1)], -2.0);

@@ -43,5 +43,6 @@ pub use idhash::{IdHasher, IdMap};
 pub use prometheus::{escape_label, prometheus_text};
 pub use shard::{
     globalize_event, globalize_events, merge_shard_events, merge_shard_streams, ShardMerge,
+    StreamingMerge,
 };
 pub use sink::{EventTap, PlanningProfile, TraceSink, DEFAULT_CAPACITY};

@@ -18,9 +18,14 @@
 //! so the merged trace is invariant to thread interleaving — the property
 //! the serve crate's shard proptests pin.
 //!
+//! [`StreamingMerge`] is the same merge over streams that are still being
+//! written: it takes each shard's stream in chunks, as the shards run, and
+//! emits whatever no later chunk can sort before.
+//!
 //! [`TraceSink`]: crate::sink::TraceSink
 
 use crate::event::TraceEvent;
+use crate::sink::TraceSink;
 use schemble_sim::SimTime;
 use std::borrow::Cow;
 
@@ -96,8 +101,7 @@ pub fn merge_shard_streams(streams: &[Vec<TraceEvent>]) -> ShardMerge<'_> {
             }
         })
         .collect();
-    let heads = streams.iter().map(|s| s.first().map(TraceEvent::time)).collect();
-    ShardMerge { cursors: vec![0; streams.len()], streams, heads }
+    ShardMerge::over(streams)
 }
 
 /// The merge order: by time, ties to the lower shard id. Within a stream
@@ -106,7 +110,13 @@ fn merge_key(time: SimTime, shard: usize) -> (SimTime, usize) {
     (time, shard)
 }
 
-impl ShardMerge<'_> {
+impl<'a> ShardMerge<'a> {
+    /// The merge of `streams`, each already in time order.
+    fn over(streams: Vec<Cow<'a, [TraceEvent]>>) -> Self {
+        let heads = streams.iter().map(|s| s.first().map(TraceEvent::time)).collect();
+        ShardMerge { cursors: vec![0; streams.len()], streams, heads }
+    }
+
     /// The next run of the merged order: the longest stretch of one
     /// stream whose events all sort before every other stream's head.
     /// `None` once every stream is spent.
@@ -172,6 +182,118 @@ pub fn merge_shard_events(streams: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
         merged.extend_from_slice(run);
     }
     merged
+}
+
+/// The shard merge over streams that are still being written: each shard's
+/// stream arrives in chunks ([`push`](StreamingMerge::push)), and
+/// [`emit_before`](StreamingMerge::emit_before) hands every pending event
+/// older than a horizon to a [`TraceSink`] in merge order, through
+/// [`TraceSink::emit_all`].
+///
+/// *Precondition:* each shard's stream is non-decreasing in
+/// [`TraceEvent::time`] (its engine and backend emit in backend-time order;
+/// debug builds assert it per chunk). A shard that has not finished can
+/// then add nothing older than its last pushed event, so every pending
+/// event older than [`horizon`](StreamingMerge::horizon) — the earliest of
+/// those last events over unfinished shards — sorts before everything
+/// still to come. Emitting up to any horizon no later than that one, as
+/// often as the caller likes, therefore writes the sink exactly as one
+/// `emit_all(merge_shard_streams(..))` over the whole streams would: the
+/// same ring, the same `dropped()`, the same tap sequence.
+#[derive(Debug)]
+pub struct StreamingMerge {
+    /// Per shard: events pushed, emitted up to `emitted[shard]`.
+    pending: Vec<Vec<TraceEvent>>,
+    emitted: Vec<usize>,
+    /// Per shard: the time of its last pushed event, zero before any.
+    last: Vec<SimTime>,
+    /// Per shard: its whole stream has been pushed.
+    finished: Vec<bool>,
+}
+
+impl StreamingMerge {
+    /// A merge over `shards` streams, none of them pushed yet.
+    pub fn new(shards: usize) -> Self {
+        Self {
+            pending: vec![Vec::new(); shards],
+            emitted: vec![0; shards],
+            last: vec![SimTime::ZERO; shards],
+            finished: vec![false; shards],
+        }
+    }
+
+    /// Appends `chunk`, the next events of `shard`'s stream in emission
+    /// order (already globalized).
+    pub fn push(&mut self, shard: usize, chunk: impl IntoIterator<Item = TraceEvent>) {
+        debug_assert!(!self.finished[shard], "shard {shard} pushed after it finished");
+        let pending = &mut self.pending[shard];
+        let start = pending.len();
+        pending.extend(chunk);
+        let Some(last) = pending.last() else { return };
+        debug_assert!(
+            pending[start..].first().is_none_or(|e| e.time() >= self.last[shard])
+                && pending[start..].windows(2).all(|w| w[0].time() <= w[1].time()),
+            "shard {shard} emitted out of time order"
+        );
+        self.last[shard] = last.time();
+    }
+
+    /// Marks `shard`'s stream complete: it no longer holds the horizon back.
+    pub fn finish(&mut self, shard: usize) {
+        self.finished[shard] = true;
+    }
+
+    /// True once `shard`'s stream is complete.
+    pub fn is_finished(&self, shard: usize) -> bool {
+        self.finished[shard]
+    }
+
+    /// True once every stream is complete.
+    pub fn all_finished(&self) -> bool {
+        self.finished.iter().all(|&f| f)
+    }
+
+    /// The latest horizon [`emit_before`](StreamingMerge::emit_before) may
+    /// be given: the earliest last-pushed time over unfinished shards, or
+    /// `None` (no bound) once every shard has finished.
+    pub fn horizon(&self) -> Option<SimTime> {
+        self.last.iter().zip(&self.finished).filter(|(_, &f)| !f).map(|(&t, _)| t).min()
+    }
+
+    /// Emits into `sink`, in merge order, every pending event older than
+    /// `horizon` (every pending event when `None`). `horizon` must not be
+    /// later than [`horizon`](StreamingMerge::horizon).
+    pub fn emit_before(&mut self, horizon: Option<SimTime>, sink: &TraceSink) {
+        let bound = self.horizon();
+        debug_assert!(
+            bound.is_none_or(|b| horizon.is_some_and(|h| h <= b)),
+            "horizon {horizon:?} is past the shards' bound {bound:?}"
+        );
+        let before = |e: &TraceEvent| horizon.is_none_or(|h| e.time() < h);
+        let cuts: Vec<usize> = self
+            .pending
+            .iter()
+            .zip(&self.emitted)
+            .map(|(pending, &from)| from + pending[from..].partition_point(before))
+            .collect();
+        let ready = self
+            .pending
+            .iter()
+            .zip(&self.emitted)
+            .zip(&cuts)
+            .map(|((pending, &from), &to)| Cow::Borrowed(&pending[from..to]))
+            .collect();
+        sink.emit_all(ShardMerge::over(ready));
+        for ((pending, emitted), cut) in self.pending.iter_mut().zip(&mut self.emitted).zip(cuts) {
+            *emitted = cut;
+            // Drop the emitted prefix once it is at least half the buffer,
+            // so each event is moved at most a bounded number of times.
+            if 2 * cut >= pending.len() {
+                pending.drain(..cut);
+                *emitted = 0;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -297,27 +419,72 @@ pub(crate) mod tests {
     /// time-sorted; `scramble` reverses one to exercise the fallback. The
     /// query id encodes `(shard, sequence)`, making every event distinct.
     pub(crate) fn streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
-        (proptest::collection::vec(proptest::collection::vec(0u64..6, 0..40), 1..=4), 0usize..8)
-            .prop_map(|(times, scramble)| {
-                let shards = times.len();
-                times
-                    .into_iter()
+        (stream_times(), 0usize..8).prop_map(|(times, scramble)| build_streams(times, scramble))
+    }
+
+    /// [`streams_strategy`] with every stream in time order.
+    pub(crate) fn sorted_streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
+        stream_times().prop_map(|times| build_streams(times, usize::MAX))
+    }
+
+    fn stream_times() -> impl Strategy<Value = Vec<Vec<u64>>> {
+        proptest::collection::vec(proptest::collection::vec(0u64..6, 0..40), 1..=4)
+    }
+
+    fn build_streams(times: Vec<Vec<u64>>, scramble: usize) -> Vec<Vec<TraceEvent>> {
+        let shards = times.len();
+        times
+            .into_iter()
+            .enumerate()
+            .map(|(shard, mut ts)| {
+                ts.sort_unstable();
+                if scramble == shard {
+                    ts.reverse();
+                }
+                ts.into_iter()
                     .enumerate()
-                    .map(|(shard, mut ts)| {
-                        ts.sort_unstable();
-                        if scramble == shard {
-                            ts.reverse();
-                        }
-                        ts.into_iter()
-                            .enumerate()
-                            .map(|(seq, t)| TraceEvent::QueryExpired {
-                                t: at(t),
-                                query: (seq * shards + shard) as u64,
-                            })
-                            .collect()
+                    .map(|(seq, t)| TraceEvent::QueryExpired {
+                        t: at(t),
+                        query: (seq * shards + shard) as u64,
                     })
                     .collect()
             })
+            .collect()
+    }
+
+    #[test]
+    fn a_streaming_merge_emits_only_what_no_running_shard_can_precede() {
+        let expired = |t, query| TraceEvent::QueryExpired { t: at(t), query };
+        let sink = TraceSink::new(64);
+        let mut merge = StreamingMerge::new(2);
+        assert_eq!(merge.horizon(), Some(SimTime::ZERO), "nothing pushed bounds everything");
+        merge.push(0, [expired(1, 0), expired(3, 1), expired(5, 2)]);
+        merge.push(1, [expired(1, 3), expired(2, 4)]);
+        // Shard 1 may still emit at 2 ms, so only what is older goes.
+        assert_eq!(merge.horizon(), Some(at(2)));
+        merge.emit_before(merge.horizon(), &sink);
+        assert_eq!(sink.drain(), vec![expired(1, 0), expired(1, 3)]);
+        // A finished shard holds nothing back: shard 0's events all go, the
+        // equal-time tie to the lower shard id.
+        merge.push(1, [expired(3, 5)]);
+        merge.finish(1);
+        assert_eq!(merge.horizon(), Some(at(5)));
+        merge.emit_before(merge.horizon(), &sink);
+        assert_eq!(sink.drain(), vec![expired(2, 4), expired(3, 1), expired(3, 5)]);
+        merge.finish(0);
+        assert!(merge.all_finished() && merge.horizon().is_none());
+        merge.emit_before(None, &sink);
+        assert_eq!(sink.drain(), vec![expired(5, 2)]);
+        assert_eq!(sink.dropped(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    #[cfg(debug_assertions)]
+    fn a_chunk_older_than_its_shards_last_event_is_refused() {
+        let mut merge = StreamingMerge::new(1);
+        merge.push(0, [TraceEvent::QueryExpired { t: at(4), query: 0 }]);
+        merge.push(0, [TraceEvent::QueryExpired { t: at(3), query: 1 }]);
     }
 
     proptest! {

@@ -122,19 +122,6 @@ impl TraceSink {
         })
     }
 
-    /// An enabled sink whose ring is allocated at `capacity` once, here,
-    /// instead of doubling as events arrive. Pages the run never writes are
-    /// never resident, so this costs address space, not memory; a capacity
-    /// the allocator refuses falls back to growing on demand. For rings
-    /// filled on short-lived threads (the sharded serve path): a buffer
-    /// regrown there lands in whichever allocator arena the thread drew,
-    /// and the process's peak memory then differs from run to run.
-    pub fn preallocated(capacity: usize) -> Arc<Self> {
-        let sink = Self::new(capacity);
-        let _ = sink.ring.lock().expect("trace ring poisoned").events.try_reserve_exact(capacity);
-        sink
-    }
-
     /// An enabled sink at the default capacity.
     pub fn enabled() -> Arc<Self> {
         Self::new(DEFAULT_CAPACITY)
@@ -142,8 +129,8 @@ impl TraceSink {
 
     /// A disabled sink: emission is a no-op (one atomic load), planning
     /// self-profiling still records. The default for untraced runs. It
-    /// keeps the default capacity, so enabling it later — or sizing shard
-    /// sinks from it when only a tap observes — behaves like `enabled()`.
+    /// keeps the default capacity, so enabling it later behaves like
+    /// `enabled()`.
     pub fn disabled() -> Arc<Self> {
         let sink = Self::enabled();
         sink.enabled.store(false, Relaxed);
@@ -208,19 +195,16 @@ impl TraceSink {
     /// Records a merged shard stream exactly as one [`emit`](TraceSink::emit)
     /// per event in merge order would — the tap sees every event in order,
     /// a disabled ring stores nothing, events past the capacity are counted
-    /// as dropped — but takes the tap lock and the ring lock once each,
-    /// grows the ring once, to the size it will end at, and hands each run
-    /// of the merge to the tap and the ring as one slice. The sharded serve
-    /// path hands its shard streams over through this.
+    /// as dropped — but takes the tap lock and the ring lock once each and
+    /// hands each run of the merge to the tap and the ring as one slice.
+    /// The sharded serve path hands its shard streams over through this,
+    /// one [`StreamingMerge`](crate::shard::StreamingMerge) step at a time.
     pub fn emit_all(&self, mut merge: ShardMerge<'_>) {
         let tap_slot =
             self.has_tap.load(Relaxed).then(|| self.tap.lock().expect("trace tap poisoned"));
         let tap = tap_slot.as_ref().and_then(|slot| slot.as_deref());
         let mut ring = self.is_enabled().then(|| self.ring.lock().expect("trace ring poisoned"));
-        if let Some(ring) = &mut ring {
-            let room = ring.capacity.saturating_sub(ring.events.len());
-            ring.events.reserve_exact(merge.len().min(room));
-        } else if tap.is_none() {
+        if ring.is_none() && tap.is_none() {
             return;
         }
         let mut dropped = 0;
@@ -242,13 +226,6 @@ impl TraceSink {
         self.dropped.load(Relaxed)
     }
 
-    /// Counts `n` events lost upstream of this sink as dropped: a sharded
-    /// run's per-shard rings fill (and drop) before their streams reach the
-    /// outer sink, and its count must own up to those too.
-    pub fn add_dropped(&self, n: u64) {
-        self.dropped.fetch_add(n, Relaxed);
-    }
-
     /// The most events the ring holds before it starts dropping.
     pub fn capacity(&self) -> usize {
         self.ring.lock().expect("trace ring poisoned").capacity
@@ -264,9 +241,32 @@ impl TraceSink {
         self.len() == 0
     }
 
+    /// Allocates the ring at its capacity once, here, instead of doubling
+    /// it as events arrive (a no-op while disabled). Pages the run never
+    /// writes are never resident, so this costs address space, not memory;
+    /// a capacity the allocator refuses falls back to growing on demand. A
+    /// ring doubled up to tens of megabytes is copied at every step and
+    /// leaves the process's peak memory depending on where each copy
+    /// landed.
+    pub fn preallocate(&self) {
+        if self.is_enabled() {
+            let mut ring = self.ring.lock().expect("trace ring poisoned");
+            let room = ring.capacity.saturating_sub(ring.events.len());
+            let _ = ring.events.try_reserve_exact(room);
+        }
+    }
+
     /// Takes every buffered event, leaving the sink empty.
     pub fn drain(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.ring.lock().expect("trace ring poisoned").events)
+    }
+
+    /// Takes every buffered event into `spare`, whose allocation (cleared)
+    /// becomes the ring's: a caller draining a running sink again and
+    /// again recycles one buffer instead of allocating one per drain.
+    pub fn swap_out(&self, spare: &mut Vec<TraceEvent>) {
+        spare.clear();
+        std::mem::swap(&mut self.ring.lock().expect("trace ring poisoned").events, spare);
     }
 
     /// A copy of the buffered events (the run can keep going).
@@ -278,7 +278,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{merge_shard_events, merge_shard_streams};
+    use crate::shard::{merge_shard_events, merge_shard_streams, StreamingMerge};
     use proptest::prelude::*;
     use schemble_sim::SimTime;
 
@@ -371,8 +371,25 @@ mod tests {
         }
     }
 
-    /// Ring contents, drop count and tap call sequence after `preload`
-    /// single emits followed by the merge of `streams`, emitted run by run
+    /// Ring contents, drop count and tap call sequence of a tapped sink
+    /// after `preload` single emits and then `emit`.
+    fn observed(
+        capacity: usize,
+        enabled: bool,
+        preload: u64,
+        emit: impl FnOnce(&TraceSink),
+    ) -> (Vec<TraceEvent>, u64, Vec<TraceEvent>) {
+        let sink = TraceSink::new(capacity);
+        sink.set_enabled(enabled);
+        let tap = Arc::new(Recording::default());
+        sink.set_tap(Some(tap.clone()));
+        (0..preload).for_each(|q| sink.emit(arrival(1_000 + q)));
+        emit(&sink);
+        let seen = tap.0.lock().unwrap().clone();
+        (sink.drain(), sink.dropped(), seen)
+    }
+
+    /// [`observed`] after the merge of `streams`, emitted run by run
     /// (`bulk`) or one event at a time in merge order.
     fn after_emitting(
         capacity: usize,
@@ -381,18 +398,13 @@ mod tests {
         streams: &[Vec<TraceEvent>],
         bulk: bool,
     ) -> (Vec<TraceEvent>, u64, Vec<TraceEvent>) {
-        let sink = TraceSink::new(capacity);
-        sink.set_enabled(enabled);
-        let tap = Arc::new(Recording::default());
-        sink.set_tap(Some(tap.clone()));
-        (0..preload).for_each(|q| sink.emit(arrival(1_000 + q)));
-        if bulk {
-            sink.emit_all(merge_shard_streams(streams));
-        } else {
-            merge_shard_events(streams.to_vec()).into_iter().for_each(|event| sink.emit(event));
-        }
-        let seen = tap.0.lock().unwrap().clone();
-        (sink.drain(), sink.dropped(), seen)
+        observed(capacity, enabled, preload, |sink| {
+            if bulk {
+                sink.emit_all(merge_shard_streams(streams));
+            } else {
+                merge_shard_events(streams.to_vec()).into_iter().for_each(|event| sink.emit(event));
+            }
+        })
     }
 
     #[test]
@@ -427,6 +439,73 @@ mod tests {
         }
     }
 
+    /// One step of a streaming schedule: which shard drains, how many of
+    /// its next events the drain finds, whether a drain that reaches the
+    /// stream's end also sees the shard finished, and an optional earlier
+    /// horizon (in ms) to emit up to instead of the merge's own.
+    type Drain = (usize, usize, bool, Option<u64>);
+
+    /// Feeds `streams` (each in time order) through a [`StreamingMerge`]
+    /// chunk by chunk as `schedule` says, emitting into `sink` after every
+    /// step, then pushes what is left, finishes every shard and emits the
+    /// rest.
+    fn emit_streaming(sink: &TraceSink, streams: &[Vec<TraceEvent>], schedule: &[Drain]) {
+        let mut merge = StreamingMerge::new(streams.len());
+        let mut taken = vec![0; streams.len()];
+        for &(shard, take, finish, earlier) in schedule {
+            let shard = shard % streams.len();
+            if merge.is_finished(shard) {
+                continue;
+            }
+            let stream = &streams[shard];
+            let end = (taken[shard] + take).min(stream.len());
+            merge.push(shard, stream[taken[shard]..end].iter().copied());
+            taken[shard] = end;
+            if finish && end == stream.len() {
+                merge.finish(shard);
+            }
+            let earlier = earlier.map(SimTime::from_millis);
+            let horizon = match (merge.horizon(), earlier) {
+                (Some(h), Some(e)) => Some(h.min(e)),
+                (h, e) => e.or(h),
+            };
+            merge.emit_before(horizon, sink);
+        }
+        for (shard, stream) in streams.iter().enumerate() {
+            if !merge.is_finished(shard) {
+                merge.push(shard, stream[taken[shard]..].iter().copied());
+                merge.finish(shard);
+            }
+        }
+        assert!(merge.all_finished() && merge.horizon().is_none());
+        merge.emit_before(None, sink);
+    }
+
+    #[test]
+    fn a_streamed_merge_equals_one_emit_of_the_whole_merge() {
+        let tied = vec![
+            vec![arrival(0), arrival(0), arrival(2), arrival(2)],
+            vec![arrival(0), arrival(1), arrival(2)],
+        ];
+        // Drains of one event each, alternating, emitting up to the merge's
+        // own horizon; then drains that hold an earlier horizon back.
+        let alternate: Vec<Drain> = (0..8).map(|i| (i % 2, 1, true, None)).collect();
+        let lagging: Vec<Drain> = (0..8).map(|i| (i % 2, 1, i > 3, Some(1))).collect();
+        for (capacity, enabled, schedule) in [
+            (16, true, &alternate),
+            (4, true, &alternate),
+            (16, false, &alternate),
+            (3, true, &lagging),
+            (16, true, &Vec::new()),
+        ] {
+            let whole = after_emitting(capacity, enabled, 0, &tied, true);
+            let streamed = observed(capacity, enabled, 0, |sink| {
+                emit_streaming(sink, &tied, schedule);
+            });
+            assert_eq!(streamed, whole, "capacity {capacity} enabled {enabled} {schedule:?}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -442,6 +521,31 @@ mod tests {
                 after_emitting(capacity, enabled, preload, &streams, false)
             );
         }
+
+        /// Wherever the drains cut the streams and whatever horizon each
+        /// step emits up to, the sink ends as one emit of the whole merge
+        /// leaves it — rings smaller than the stream and a disabled ring
+        /// with a tap included.
+        #[test]
+        fn a_streamed_merge_equals_one_emit_on_any_schedule(
+            streams in crate::shard::tests::sorted_streams_strategy(),
+            schedule in proptest::collection::vec(
+                (
+                    0usize..4,
+                    0usize..12,
+                    any::<bool>(),
+                    (0u64..14).prop_map(|t| (t < 7).then_some(t)),
+                ),
+                0..24,
+            ),
+            capacity in 1usize..96,
+            enabled in any::<bool>(),
+        ) {
+            prop_assert_eq!(
+                observed(capacity, enabled, 0, |sink| emit_streaming(sink, &streams, &schedule)),
+                after_emitting(capacity, enabled, 0, &streams, true)
+            );
+        }
     }
 
     #[test]
@@ -451,8 +555,6 @@ mod tests {
         sink.emit_all(merge_shard_streams(&stream));
         assert_eq!(sink.drain(), vec![arrival(0), arrival(1), arrival(2)]);
         assert_eq!(sink.dropped(), 2);
-        sink.add_dropped(4);
-        assert_eq!(sink.dropped(), 6, "upstream losses fold into the same count");
         let dark = TraceSink::disabled();
         dark.emit_all(merge_shard_streams(&stream));
         assert!(dark.is_empty());
@@ -462,7 +564,8 @@ mod tests {
 
     #[test]
     fn a_preallocated_ring_never_regrows_and_bounds_like_any_other() {
-        let sink = TraceSink::preallocated(3);
+        let sink = TraceSink::new(3);
+        sink.preallocate();
         let allocated = sink.ring.lock().unwrap().events.capacity();
         assert!(allocated >= 3);
         (0..5).for_each(|q| sink.emit(arrival(q)));
@@ -470,8 +573,27 @@ mod tests {
         assert_eq!(sink.drain(), vec![arrival(0), arrival(1), arrival(2)]);
         assert_eq!(sink.dropped(), 2);
         // A bound no allocator can honour is still a valid bound.
-        let vast = TraceSink::preallocated(usize::MAX);
+        let vast = TraceSink::new(usize::MAX);
+        vast.preallocate();
         vast.emit(arrival(0));
         assert_eq!((vast.len(), vast.capacity()), (1, usize::MAX));
+        // A disabled ring is left unallocated.
+        let dark = TraceSink::disabled();
+        dark.preallocate();
+        assert_eq!(dark.ring.lock().unwrap().events.capacity(), 0);
+    }
+
+    #[test]
+    fn swap_out_takes_the_events_and_recycles_the_spare() {
+        let sink = TraceSink::enabled();
+        (0..3).for_each(|q| sink.emit(arrival(q)));
+        let mut spare = Vec::with_capacity(64);
+        spare.push(arrival(9));
+        let recycled = spare.as_ptr();
+        sink.swap_out(&mut spare);
+        assert_eq!(spare, vec![arrival(0), arrival(1), arrival(2)]);
+        assert!(sink.is_empty(), "the spare was cleared before it went in");
+        sink.emit(arrival(3));
+        assert_eq!(sink.ring.lock().unwrap().events.as_ptr(), recycled);
     }
 }
