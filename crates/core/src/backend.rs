@@ -21,7 +21,9 @@
 //! immediate-selection family maps instances to base models through its
 //! `Deployment`.
 
+use crate::engine::PipelineEngine;
 use crate::executor::{ExecutorBank, PassStart};
+use crate::pipeline::EventSource;
 use schemble_sim::{EventQueue, SimTime};
 
 /// An event surfaced by a backend to the engine driving it.
@@ -404,6 +406,30 @@ impl SimBackend {
         if let Some(p) = pass {
             self.events.push(p.completes_at, Timer::PassEnd { executor: p.executor, pass: p.pass });
         }
+    }
+}
+
+/// The simulator's clock is its event queue.
+impl EventSource for SimBackend {
+    type Backend = Self;
+
+    fn backend(&mut self) -> &mut Self {
+        self
+    }
+
+    fn next_event(
+        &mut self,
+        _: &mut dyn PipelineEngine,
+        until: Option<SimTime>,
+    ) -> Option<(SimTime, BackendEvent)> {
+        match until {
+            Some(limit) => self.pop_event_before(limit),
+            None => self.pop_event(),
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.peek_time().is_none()
     }
 }
 

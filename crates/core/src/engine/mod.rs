@@ -3,12 +3,11 @@
 //! An engine is the pure *decision* half of a serving pipeline — admission,
 //! scoring, planning, dispatch order, result assembly — expressed as a state
 //! machine over [`BackendEvent`]s. The *execution* half (where tasks run,
-//! how time passes) lives behind [`ExecutionBackend`]. The deterministic
-//! loop [`crate::pipeline::drive`] — under the DES drivers of
-//! [`crate::pipeline`] and `schemble-serve`'s virtual clock alike — and that
-//! crate's wall-clock loop drive these same engines, which is what makes
-//! their admission decisions comparable: same events in, same decisions
-//! out, regardless of substrate.
+//! how time passes) lives behind [`ExecutionBackend`]. One driver loop,
+//! [`crate::pipeline::advance`], drives these engines — under the DES
+//! drivers of [`crate::pipeline`] and under `schemble-serve`'s runtime on
+//! both of its clocks — which is what makes their admission decisions
+//! comparable: same events in, same decisions out, regardless of substrate.
 //!
 //! Two engines cover the paper's pipeline families:
 //!

@@ -92,8 +92,8 @@ impl Deployment {
 ///
 /// This is a thin driver: all decision logic lives in [`ImmediateEngine`],
 /// which [`drive`] steps over a [`SimBackend`]. The `schemble-serve`
-/// runtime drives the identical engine — through the same loop on its
-/// virtual clock, over worker threads on the wall clock — and is where a
+/// runtime drives the identical engine through the same loop, over the
+/// simulator on its virtual clock and over worker threads on the wall clock — and is where a
 /// traced or fault-injected run of this family goes.
 pub fn run_immediate(
     ensemble: &Ensemble,

@@ -29,17 +29,68 @@ pub use immediate::{
 pub use schemble::{run_schemble, run_schemble_traced, SchembleConfig};
 pub use static_select::best_static_deployment;
 
-use crate::backend::SimBackend;
+use crate::backend::{BackendEvent, ExecutionBackend, SimBackend};
 use crate::engine::PipelineEngine;
 use schemble_data::Workload;
 use schemble_sim::SimTime;
 
-/// The deterministic replay, written once: every arrival of `workload` is
-/// pushed into `backend`, every event is popped and handled in virtual-time
-/// order, and the engine is drained at the last instant handled, which is
-/// returned. The DES drivers of this module and `schemble-serve`'s
-/// virtual-clock runtime all run this loop, so their decisions agree by
-/// construction.
+/// Where the driver loop's events come from: the simulator ([`SimBackend`],
+/// whose queue is its clock) or `schemble-serve`'s wall clock (worker
+/// reports, timers and an arrival lane). Either way [`advance`] is the one
+/// loop that hands the events to an engine.
+pub trait EventSource {
+    /// The backend an engine dispatches into while it handles an event.
+    type Backend: ExecutionBackend;
+
+    /// The backend an engine dispatches into.
+    fn backend(&mut self) -> &mut Self::Backend;
+
+    /// The next event strictly before `until` (with no bound, the next at
+    /// all) and the instant to handle it at. `None` ends the advance:
+    /// `until` is reached, or, with no bound, nothing is left for `engine`
+    /// or the source has [`halted`](Self::halted).
+    fn next_event(
+        &mut self,
+        engine: &mut dyn PipelineEngine,
+        until: Option<SimTime>,
+    ) -> Option<(SimTime, BackendEvent)>;
+
+    /// True once every arrival is delivered and every executor is idle.
+    fn exhausted(&self) -> bool;
+
+    /// The instant a driver stands at once it has advanced to `t`: `t`
+    /// itself, unless the source's clock runs on its own.
+    fn instant(&self, t: SimTime) -> SimTime {
+        t
+    }
+
+    /// True once the source has ended the run early.
+    fn halted(&self) -> bool {
+        false
+    }
+}
+
+/// The driver loop, written once for both clocks ("advance to instant
+/// `until`"): hands `engine` every event `source` surfaces strictly before
+/// `until`, or until the source has nothing left. Returns the last instant
+/// handled. Generic over the source, so the simulator's per-event path has
+/// no dynamic dispatch beyond the engine's own.
+pub fn advance<S: EventSource>(
+    engine: &mut dyn PipelineEngine,
+    source: &mut S,
+    until: Option<SimTime>,
+) -> Option<SimTime> {
+    let mut last = None;
+    while let Some((now, event)) = source.next_event(engine, until) {
+        engine.handle(event, now, source.backend());
+        last = Some(now);
+    }
+    last
+}
+
+/// The deterministic replay: pushes every arrival of `workload` into
+/// `backend` and runs it out. `schemble-serve`'s runtime runs the same
+/// [`advance`], so its decisions agree with the DES drivers' by construction.
 pub fn drive(
     engine: &mut dyn PipelineEngine,
     backend: &mut SimBackend,
@@ -51,19 +102,17 @@ pub fn drive(
     run_out(engine, backend, SimTime::ZERO)
 }
 
-/// The tail of [`drive`], for a driver that has already consumed a prefix
-/// of the events under its own cut rule (the steal-epoch rendezvous): pops
-/// and handles whatever is left, then drains the engine. `end` is the last
-/// instant that driver handled.
-pub fn run_out(
+/// The end of every run: advances `source` with no bound, then drains the
+/// engine at the instant it stands at (after the last instant handled, or
+/// `end` — the last a driver that paused at its own boundaries reached)
+/// and returns that instant.
+pub fn run_out<S: EventSource>(
     engine: &mut dyn PipelineEngine,
-    backend: &mut SimBackend,
-    mut end: SimTime,
+    source: &mut S,
+    end: SimTime,
 ) -> SimTime {
-    while let Some((now, event)) = backend.pop_event() {
-        engine.handle(event, now, backend);
-        end = now;
-    }
+    let last = advance(engine, source, None).unwrap_or(end);
+    let end = source.instant(last);
     engine.drain(end);
     end
 }

@@ -95,8 +95,8 @@ impl SchembleConfig {
 ///
 /// This is a thin driver: all decision logic lives in [`SchembleEngine`],
 /// which [`drive`] steps over a [`SimBackend`]. The `schemble-serve`
-/// runtime drives the identical engine — through the same loop on its
-/// virtual clock, over worker threads on the wall clock.
+/// runtime drives the identical engine through the same loop, over the
+/// simulator on its virtual clock and over worker threads on the wall clock.
 pub fn run_schemble(
     ensemble: &Ensemble,
     config: &SchembleConfig,
@@ -124,7 +124,7 @@ pub fn run_schemble_traced(
 /// simulated backend.
 ///
 /// The `schemble-serve` virtual-clock runtime builds its backend the same
-/// way (faults installed before arrivals) and runs the same [`drive`], so
+/// way (faults installed before arrivals) and runs the same loop, so
 /// what `tests/fault_properties` pins — a faulted DES run and a faulted
 /// serve run byte-identical — is a statement about this setup alone. `None`
 /// (or a no-op plan) leaves the backend untouched.

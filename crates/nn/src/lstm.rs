@@ -86,11 +86,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden size.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
         self.in_dim

@@ -94,7 +94,7 @@ impl ThreadedBackend {
 
     /// Surfaces fault-plan transitions due at or before `now` as backend
     /// events (executor down/up plus the tasks a crash killed). Call at the
-    /// top of the scheduler loop, before waiting on the channel.
+    /// top of each wall-clock step, before waiting on the channel.
     pub fn take_due_fault_events(&mut self, now: SimTime) -> Vec<BackendEvent> {
         let mut out = Vec::new();
         while let Some(&tr) = self.bank.transitions().get(self.cursor).filter(|t| t.at <= now) {
@@ -114,7 +114,7 @@ impl ThreadedBackend {
 
     /// Detects worker threads that died (panicked) and marks their
     /// executors permanently down, returning the resulting events. Poll
-    /// this from the scheduler loop's timeout path.
+    /// this from the wall-clock source's timeout path.
     pub fn reap_dead(&mut self, now: SimTime) -> Vec<BackendEvent> {
         let mut out = Vec::new();
         for e in 0..self.dead.len() {
@@ -130,7 +130,7 @@ impl ThreadedBackend {
     }
 
     /// Launches every open batch whose window expired at or before `now`.
-    /// Poll from the scheduler loop's top, before waiting on the channel
+    /// Poll at the top of each wall-clock step, before waiting on the channel
     /// ([`Self::next_wake`] includes the earliest launch deadline).
     pub fn launch_due_batches(&mut self, now: SimTime) {
         while let Some((_, k)) = self.bank.next_launch_due().filter(|&(due, _)| due <= now) {

@@ -1,26 +1,22 @@
-//! The serving runtime: scheduler loop, load generator and reports.
+//! The serving runtime: one driver for both clocks, and reports.
 //!
-//! [`run_wall`] drives a [`PipelineEngine`] in real (dilated) time: a load
-//! generator thread replays the workload's arrival trace, worker threads
-//! realise task latencies as timed waits, and the scheduler loop reacts to
-//! arrivals, completions and timer wake-ups — re-running the engine's
-//! planning logic on every event exactly as the simulator does, and
-//! enforcing deadlines by waiting on its channel with the calibrated timer
-//! of [`crate::clock`] ([`precise_recv_timeout`]) until the next instant
-//! [`PipelineEngine::next_wake_hint`] or the backend asks for.
-//! [`run_virtual`] drives the same engine over the deterministic
-//! [`SimBackend`] instead, through [`drive`] — the one loop the DES
-//! pipelines of `schemble-core` run too — so a virtual-clock serve run
-//! makes those pipelines' decisions bit-for-bit by construction (the
-//! `serve_runtime` integration test checks what is left to differ: how
-//! each side sets up its bank and engine). Either way the run's counters
-//! are the engine's [`EngineStats`] and the [`ExecutorBank`]'s own task
-//! counts and busy times, copied into the [`RuntimeMetrics`] record by one
-//! function (`sync_metrics` — after every loop step on the wall clock, once
-//! at the end on the virtual one).
+//! Every run goes through [`schemble_core::pipeline::advance`]: pop the next
+//! event strictly before an instant `t` from an [`EventSource`] and hand it
+//! to [`PipelineEngine::handle`]. [`run_virtual`]'s source is the DES
+//! [`SimBackend`], so a virtual-clock serve run makes the DES pipelines'
+//! decisions bit-for-bit by construction (the `serve_runtime` integration
+//! test checks what is left to differ: each side's bank and engine setup).
+//! [`run_wall`]'s source is real (dilated) time: worker threads realise
+//! task latencies as timed waits, arrivals are read off a lane, and the
+//! source waits on [`precise_recv_timeout`] in between. The steal-epoch
+//! rendezvous is written once on top, for both clocks (`run_source`). The
+//! run's counters are the engine's [`EngineStats`] and the
+//! [`ExecutorBank`]'s task counts and busy times, copied into the
+//! [`RuntimeMetrics`] record by one function (`sync_metrics` — after every
+//! step on the wall clock, once at the end on the virtual one).
 
 use crate::backend::ThreadedBackend;
-use crate::clock::{precise_recv_timeout, precise_sleep, DilatedClock};
+use crate::clock::{precise_recv_timeout, DilatedClock};
 use crate::steal::{execute_steal_round, LoadSnapshot, Rendezvous, StealHandle};
 use crate::worker::{RuntimeMsg, WorkerPool};
 use schemble_core::backend::{BackendEvent, ExecutionBackend, ExecutorUsage, SimBackend};
@@ -29,17 +25,21 @@ use schemble_core::engine::{
 };
 use schemble_core::executor::ExecutorBank;
 use schemble_core::pipeline::immediate::{Deployment, SelectionPolicy};
-use schemble_core::pipeline::{drive, run_out, AdmissionMode, ResultAssembler, SchembleConfig};
+use schemble_core::pipeline::{
+    advance, run_out, AdmissionMode, EventSource, ResultAssembler, SchembleConfig,
+};
 use schemble_data::Workload;
 use schemble_metrics::{ExecutorGauges, RunSummary, RuntimeMetrics, RuntimeSnapshot};
 use schemble_models::Ensemble;
+use schemble_obs::{FlightRecorder, TripReason};
 use schemble_sim::{BatchConfig, FaultPlan, LatencyModel, SimTime};
 use schemble_trace::TraceSink;
-use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Capacity of the bounded channel feeding the scheduler loop.
+/// Capacity of the bounded channel carrying worker reports.
 const CHANNEL_CAPACITY: usize = 1024;
 
 /// How the runtime's clock advances.
@@ -237,12 +237,208 @@ impl Drop for Reporter {
     }
 }
 
+/// The wall clock as an [`EventSource`]: worker reports arrive on `rx` and
+/// arrivals are read off a lane; in between, the source waits on
+/// [`precise_recv_timeout`] until the earliest of the lane's head, a
+/// backend timer, the engine's wake hint and the advance's bound.
+struct WallSource<'a> {
+    backend: ThreadedBackend,
+    rx: Receiver<RuntimeMsg>,
+    clock: DilatedClock,
+    /// The arrival lane: `workload.queries[next..]` have not arrived yet.
+    workload: &'a Workload,
+    next: usize,
+    /// The instant the events in hand are handled at: a worker report whose
+    /// pass may still have members to retire, and the rest of what one
+    /// instant brought (fault transitions, or a timeout's dead workers and
+    /// its wake).
+    now: SimTime,
+    draining: Option<(usize, u64)>,
+    pending: VecDeque<BackendEvent>,
+    /// The events in hand came from a timeout: the wedge breaker looks
+    /// once they are handled. `stalled` counts such timeouts in a row.
+    timed_out: bool,
+    stalled: u32,
+    halted: bool,
+    recorder: Option<Arc<FlightRecorder>>,
+    metrics: &'a RuntimeMetrics,
+    /// Cursor into the bank's launch log for [`sync_metrics`].
+    batches: usize,
+}
+
+impl EventSource for WallSource<'_> {
+    type Backend = ThreadedBackend;
+
+    fn backend(&mut self) -> &mut ThreadedBackend {
+        &mut self.backend
+    }
+
+    fn next_event(
+        &mut self,
+        engine: &mut dyn PipelineEngine,
+        until: Option<SimTime>,
+    ) -> Option<(SimTime, BackendEvent)> {
+        loop {
+            // A batched pass retires one member per event, so the engine
+            // handles each before the next retires, as in the simulator.
+            // A stale report retires nothing.
+            if let Some((executor, pass)) = self.draining {
+                match self.backend.retire(executor, pass, self.now) {
+                    Some(event) => return Some((self.now, event)),
+                    None => self.draining = None,
+                }
+            }
+            if let Some(event) = self.pending.pop_front() {
+                return Some((self.now, event));
+            }
+            // Keep the record live for `--report-ms` after every step.
+            sync_metrics(engine, self.backend.bank(), self.metrics, &mut self.batches);
+            // Wedge breaker: open queries, but nothing running, no timer
+            // pending anywhere and the trace replayed. Three such timeouts
+            // in a row end the run; `drain` then closes the stranded
+            // queries (degraded or expired), so they are never lost.
+            if std::mem::take(&mut self.timed_out) {
+                let stuck = self.exhausted()
+                    && self.backend.next_wake().is_none()
+                    && engine.next_wake_hint(self.clock.now_sim()).is_none()
+                    && engine.open_count() > 0;
+                self.stalled = if stuck { self.stalled + 1 } else { 0 };
+                if self.stalled >= 3 {
+                    if let Some(recorder) = &self.recorder {
+                        recorder.trip(TripReason::Wedge);
+                    }
+                    self.halted = true;
+                }
+            }
+            if self.halted {
+                return None;
+            }
+            // At one instant: due fault transitions, a due wake, due batch
+            // launches (their deadline is part of `next_wake`), then due
+            // arrivals — none at or past `until`.
+            let now = self.clock.now_sim();
+            self.now = now;
+            let faults = self.backend.take_due_fault_events(now);
+            if !faults.is_empty() {
+                self.pending.extend(faults);
+                continue;
+            }
+            if self.backend.take_due_wake(now) {
+                return Some((now, BackendEvent::Wake));
+            }
+            self.backend.launch_due_batches(now);
+            let arrival = self.workload.queries.get(self.next).map(|q| q.arrival);
+            let lane_due = |t| arrival.is_some_and(|at| at <= t && until.is_none_or(|u| at < u));
+            if lane_due(now) {
+                self.next += 1;
+                self.stalled = 0;
+                return Some((now, BackendEvent::Arrival(self.next - 1)));
+            }
+            match until {
+                Some(t) if now >= t => return None,
+                None if self.exhausted() && engine.open_count() == 0 => return None,
+                _ => {}
+            }
+            let timer = [self.backend.next_wake(), engine.next_wake_hint(now)];
+            let timer = timer.into_iter().flatten().min();
+            let timeout = match [arrival, timer, until].into_iter().flatten().min() {
+                Some(t) => self.clock.wall_until(t),
+                None => Duration::from_millis(20),
+            };
+            match precise_recv_timeout(&self.rx, timeout) {
+                // A worker report is a pass's timer firing, keyed by the
+                // pass id (the backend always submits with `failed =
+                // false`; fates are the bank's).
+                Ok(RuntimeMsg::TaskDone { executor, query: pass })
+                | Ok(RuntimeMsg::TaskFailed { executor, query: pass }) => {
+                    self.now = self.clock.now_sim();
+                    self.draining = Some((executor, pass));
+                    self.stalled = 0;
+                }
+                // Dead (panicked) workers surface on a timeout, as
+                // executor-down; then the engine gets a wake, unless all
+                // that came due is an arrival (delivered on the next turn).
+                Err(RecvTimeoutError::Timeout) => {
+                    self.now = self.clock.now_sim();
+                    let dead = self.backend.reap_dead(self.now);
+                    if !dead.is_empty() {
+                        if let Some(recorder) = &self.recorder {
+                            recorder.trip(TripReason::WorkerPanic);
+                        }
+                    }
+                    self.pending.extend(dead);
+                    if !lane_due(self.now) || timer.is_some_and(|t| t <= self.now) {
+                        self.pending.push_back(BackendEvent::Wake);
+                        self.timed_out = true;
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => self.halted = true,
+            }
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.next == self.workload.len() && self.backend.all_idle()
+    }
+
+    /// Real time does not stop at `t`: the driver stands at the clock's
+    /// reading.
+    fn instant(&self, _: SimTime) -> SimTime {
+        self.clock.now_sim()
+    }
+
+    fn halted(&self) -> bool {
+        self.halted
+    }
+}
+
+/// Runs `engine` over `source` to the end, on either clock. With a
+/// [`StealHandle`] the shard advances to each epoch boundary (events
+/// strictly before it), rendezvouses, and runs the round at the instant the
+/// source stands at — the boundary itself on the virtual clock, so sharded
+/// runs with stealing are byte-identical across DES and virtual drivers.
+/// Once the rounds stop, or the source halts, the rest runs out.
+fn run_source<S: EventSource>(
+    engine: &mut dyn PipelineEngine,
+    source: &mut S,
+    steal: Option<&mut StealHandle>,
+) -> SimTime {
+    let mut end = SimTime::ZERO;
+    if let Some(handle) = steal {
+        loop {
+            let boundary = handle.next_boundary();
+            if let Some(last) = advance(engine, source, Some(boundary)) {
+                end = last;
+            }
+            if source.halted() {
+                break;
+            }
+            let done = source.exhausted() && engine.open_count() == 0;
+            let (depth, backlog_us) = engine.steal_backlog();
+            match handle.rendezvous(LoadSnapshot { depth, backlog_us, done }) {
+                Rendezvous::Stop => break,
+                Rendezvous::Round(plan) => {
+                    let now = source.instant(boundary);
+                    if execute_steal_round(engine, source.backend(), handle, &plan, now) {
+                        end = now;
+                    }
+                }
+            }
+        }
+        // An early exit (wedge breaker, disconnect) leaves the rendezvous
+        // for good, so the peer shards' barriers recompute without this
+        // one; after a stop it is a no-op.
+        handle.detach();
+    }
+    run_out(engine, source, end)
+}
+
 /// Drives `engine` in wall-clock mode over a [`ThreadedBackend`].
 ///
 /// Returns once the whole trace has been replayed, every admitted query has
-/// completed or expired, and all executors have drained; worker threads are
-/// then shut down (queues are empty; a killed pass still being timed is
-/// abandoned).
+/// completed or expired, and all executors have drained (or the wedge
+/// breaker or a lost channel ended the run); worker threads are then shut
+/// down, abandoning a killed pass still being timed.
 #[allow(clippy::too_many_arguments)]
 pub fn run_wall(
     engine: &mut dyn PipelineEngine,
@@ -253,220 +449,46 @@ pub fn run_wall(
     config: &ServeConfig,
     dilation: f64,
     metrics: &Arc<RuntimeMetrics>,
-    mut steal: Option<&mut StealHandle>,
+    steal: Option<&mut StealHandle>,
 ) -> RunStats {
     let wall_start = Instant::now();
+    // Stealing shards share the coordinator's clock origin.
     let clock =
         steal.as_deref().map_or_else(|| DilatedClock::start(dilation), |h| h.clock(dilation));
     let (tx, rx) = sync_channel::<RuntimeMsg>(CHANNEL_CAPACITY);
-    let pool = WorkerPool::spawn(latencies.len(), tx.clone());
-    let bank = config.bank(latencies, seed, stream);
-    let mut backend = ThreadedBackend::new(bank, pool, clock);
-
-    // Trace-replay load generator: one thread sleeping to each arrival.
-    let arrivals: Vec<SimTime> = workload.queries.iter().map(|q| q.arrival).collect();
-    let loadgen = std::thread::Builder::new()
-        .name("schemble-loadgen".into())
-        .spawn(move || {
-            for (i, at) in arrivals.into_iter().enumerate() {
-                let wait = clock.wall_until(at);
-                if !wait.is_zero() {
-                    precise_sleep(wait);
-                }
-                if tx.send(RuntimeMsg::Arrive(i)).is_err() {
-                    return; // runtime gone; stop replaying.
-                }
-            }
-            let _ = tx.send(RuntimeMsg::ArrivalsDone);
-        })
-        .expect("spawn load generator");
-
+    let pool = WorkerPool::spawn(latencies.len(), tx);
+    let backend = ThreadedBackend::new(config.bank(latencies, seed, stream), pool, clock);
     // Optional periodic reporter, copying the metrics record under its lock.
     let _reporter = config.report_every.map(|every| {
         let metrics = Arc::clone(metrics);
         Reporter::spawn(every, move || metrics.snapshot(clock.now_sim().as_secs_f64()))
     });
-
-    // Applies one runtime message to the engine. Shared between the main
-    // recv loop and the pre-rendezvous drain.
-    fn deliver(
-        msg: RuntimeMsg,
-        now: SimTime,
-        engine: &mut dyn PipelineEngine,
-        backend: &mut ThreadedBackend,
-        arrivals_done: &mut bool,
-        stalled: &mut u32,
-    ) {
-        match msg {
-            RuntimeMsg::Arrive(i) => {
-                engine.handle(BackendEvent::Arrival(i), now, backend);
-                *stalled = 0;
-            }
-            // A worker report is a pass's timer firing, keyed by the pass
-            // id (the backend always submits with `failed = false`; fates
-            // are the bank's). Each member retires and is handled in turn;
-            // a stale report retires nothing.
-            RuntimeMsg::TaskDone { executor, query: pass }
-            | RuntimeMsg::TaskFailed { executor, query: pass } => {
-                while let Some(event) = backend.retire(executor, pass, now) {
-                    engine.handle(event, now, backend);
-                }
-                *stalled = 0;
-            }
-            RuntimeMsg::ArrivalsDone => *arrivals_done = true,
-        }
-    }
-
-    let mut arrivals_done = false;
-    let mut stalled = 0u32;
-    let mut batches = 0;
-    let mut steal_stopped = steal.is_none();
-    loop {
-        let now = clock.now_sim();
-        // Epoch rendezvous: once wall time passes a steal boundary, pause
-        // and rebalance with the peer shards.
-        if !steal_stopped {
-            let handle = steal.as_deref_mut().expect("steal handle present until stopped");
-            let boundary = handle.next_boundary();
-            if now >= boundary {
-                // A rendezvous round can outlast the wall time between
-                // epoch boundaries (small epochs, high dilation). Drain
-                // everything already due before blocking on the barrier —
-                // back-to-back rounds would otherwise starve the message
-                // channel, wedging the loadgen against its bounded buffer
-                // so arrivals (and the run) never finish.
-                while let Ok(msg) = rx.try_recv() {
-                    let now = clock.now_sim();
-                    deliver(msg, now, &mut *engine, &mut backend, &mut arrivals_done, &mut stalled);
-                }
-                let now = clock.now_sim();
-                for event in backend.take_due_fault_events(now) {
-                    engine.handle(event, now, &mut backend);
-                }
-                if backend.take_due_wake(now) {
-                    engine.handle(BackendEvent::Wake, now, &mut backend);
-                }
-                backend.launch_due_batches(now);
-                let done = arrivals_done && engine.open_count() == 0 && backend.all_idle();
-                let (depth, backlog_us) = engine.steal_backlog();
-                match handle.rendezvous(LoadSnapshot { depth, backlog_us, done }) {
-                    Rendezvous::Stop => steal_stopped = true,
-                    Rendezvous::Round(plan) => {
-                        execute_steal_round(engine, &mut backend, handle, &plan, now);
-                    }
-                }
-                sync_metrics(engine, backend.bank(), metrics, &mut batches);
-                continue;
-            }
-        }
-        // Fault-plan transitions due now (crashes, recoveries, and the
-        // tasks a crash killed) reach the engine before anything else.
-        let fault_events = backend.take_due_fault_events(now);
-        if !fault_events.is_empty() {
-            for event in fault_events {
-                engine.handle(event, now, &mut backend);
-            }
-            sync_metrics(engine, backend.bank(), metrics, &mut batches);
-            continue;
-        }
-        // Engine-requested wake-ups that have come due fire next.
-        if backend.take_due_wake(now) {
-            engine.handle(BackendEvent::Wake, now, &mut backend);
-            sync_metrics(engine, backend.bank(), metrics, &mut batches);
-            continue;
-        }
-        // Open batches whose coalescing window expired launch before the
-        // loop sleeps again (their deadline is part of `next_wake`).
-        backend.launch_due_batches(now);
-        // With stealing live, a drained shard keeps rendezvousing (it may
-        // yet adopt work) until the coordinator declares a global stop.
-        if arrivals_done && engine.open_count() == 0 && backend.all_idle() && steal_stopped {
-            break;
-        }
-        // Sleep until the next arrival/completion, or the next timer the
-        // engine needs (pending plan, predictor done, earliest deadline).
-        let mut next = backend.next_wake();
-        if let Some(hint) = engine.next_wake_hint(now) {
-            next = Some(next.map_or(hint, |n| n.min(hint)));
-        }
-        if !steal_stopped {
-            let boundary = steal.as_ref().expect("steal handle present").next_boundary();
-            next = Some(next.map_or(boundary, |n| n.min(boundary)));
-        }
-        let timeout = match next {
-            Some(t) => clock.wall_until(t),
-            None => Duration::from_millis(20),
-        };
-        match precise_recv_timeout(&rx, timeout) {
-            Ok(msg) => {
-                let now = clock.now_sim();
-                deliver(msg, now, &mut *engine, &mut backend, &mut arrivals_done, &mut stalled);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let now = clock.now_sim();
-                // Dead (panicked) workers surface here, as executor-down.
-                let dead = backend.reap_dead(now);
-                if !dead.is_empty() {
-                    if let Some(rec) = &config.recorder {
-                        rec.trip(schemble_obs::TripReason::WorkerPanic);
-                    }
-                }
-                for event in dead {
-                    engine.handle(event, now, &mut backend);
-                }
-                engine.handle(BackendEvent::Wake, now, &mut backend);
-                // Wedge breaker: open queries but nothing running, no timer
-                // pending anywhere, trace replayed — nothing can make
-                // progress. Three consecutive idle timeouts end the loop;
-                // drain() below closes the stranded queries (degraded or
-                // expired), so they are never silently lost.
-                if arrivals_done
-                    && backend.all_idle()
-                    && backend.next_wake().is_none()
-                    && engine.next_wake_hint(clock.now_sim()).is_none()
-                    && engine.open_count() > 0
-                {
-                    stalled += 1;
-                    if stalled >= 3 {
-                        if let Some(rec) = &config.recorder {
-                            rec.trip(schemble_obs::TripReason::Wedge);
-                        }
-                        break;
-                    }
-                } else {
-                    stalled = 0;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        sync_metrics(engine, backend.bank(), metrics, &mut batches);
-    }
-
-    // An early exit (wedge breaker, disconnect) leaves the rendezvous for
-    // good so the peer shards' barriers recompute without this one.
-    if let Some(handle) = steal {
-        handle.detach();
-    }
-    let end = clock.now_sim();
-    engine.drain(end);
-    sync_metrics(engine, backend.bank(), metrics, &mut batches);
-    let _ = loadgen.join();
-    let usage = backend.usage();
-    backend.shutdown();
+    let mut source = WallSource {
+        backend,
+        rx,
+        clock,
+        workload,
+        next: 0,
+        now: SimTime::ZERO,
+        draining: None,
+        pending: VecDeque::new(),
+        timed_out: false,
+        stalled: 0,
+        halted: false,
+        recorder: config.recorder.clone(),
+        metrics,
+        batches: 0,
+    };
+    let end = run_source(engine, &mut source, steal);
+    sync_metrics(engine, source.backend.bank(), metrics, &mut source.batches);
+    let usage = source.backend.usage();
+    source.backend.shutdown();
     RunStats { usage, wall_secs: wall_start.elapsed().as_secs_f64(), sim_secs: end.as_secs_f64() }
 }
 
 /// Drives `engine` deterministically over the DES [`SimBackend`] through
-/// [`drive`] — the loop `run_schemble`/`run_immediate` run, so decisions
-/// (admissions, model sets, completion times) are those pipelines'.
-///
-/// With a [`StealHandle`], the shard additionally pauses at every epoch
-/// boundary: events strictly before the boundary are processed first, then
-/// the shard rendezvouses (boundary-time events run after), so every shard
-/// cuts its epochs at identical virtual instants — the property that makes
-/// sharded runs with stealing byte-identical across DES and wall drivers.
-/// Once the coordinator stops the rounds, the rest of the trace runs out
-/// through [`drive`]'s own tail, [`run_out`].
+/// the loop `run_schemble`/`run_immediate` run, so decisions (admissions,
+/// model sets, completion times) are those pipelines'.
 #[allow(clippy::too_many_arguments)]
 pub fn run_virtual(
     engine: &mut dyn PipelineEngine,
@@ -480,34 +502,10 @@ pub fn run_virtual(
 ) -> RunStats {
     let wall_start = Instant::now();
     let mut backend = SimBackend::new(config.bank(latencies, seed, stream));
-    let end = match steal {
-        None => drive(engine, &mut backend, workload),
-        Some(handle) => {
-            for (i, q) in workload.queries.iter().enumerate() {
-                backend.push_arrival(q.arrival, i);
-            }
-            let mut end = SimTime::ZERO;
-            loop {
-                let boundary = handle.next_boundary();
-                while let Some((now, event)) = backend.pop_event_before(boundary) {
-                    engine.handle(event, now, &mut backend);
-                    end = now;
-                }
-                let done = backend.peek_time().is_none() && engine.open_count() == 0;
-                let (depth, backlog_us) = engine.steal_backlog();
-                match handle.rendezvous(LoadSnapshot { depth, backlog_us, done }) {
-                    Rendezvous::Stop => break,
-                    Rendezvous::Round(plan) => {
-                        if execute_steal_round(engine, &mut backend, handle, &plan, boundary) {
-                            end = boundary;
-                        }
-                    }
-                }
-            }
-            handle.detach();
-            run_out(engine, &mut backend, end)
-        }
-    };
+    for (i, q) in workload.queries.iter().enumerate() {
+        backend.push_arrival(q.arrival, i);
+    }
+    let end = run_source(engine, &mut backend, steal);
     // The simulator has no observer to keep the record live for: report
     // once, at the end.
     sync_metrics(engine, backend.bank(), metrics, &mut 0);
@@ -602,5 +600,74 @@ fn serve_engine<E: PipelineEngine>(
         metrics,
         wall_secs: run.wall_secs,
         sim_secs: run.sim_secs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use schemble_data::Query;
+    use schemble_metrics::QueryRecord;
+    use schemble_models::{Label, Sample};
+
+    /// Admits every query and never dispatches one: the shape of a wedge.
+    #[derive(Default)]
+    struct Stuck {
+        open: usize,
+        stats: EngineStats,
+    }
+
+    impl PipelineEngine for Stuck {
+        fn handle(&mut self, event: BackendEvent, _: SimTime, _: &mut dyn ExecutionBackend) {
+            if let BackendEvent::Arrival(_) = event {
+                self.open += 1;
+                self.stats.submitted += 1;
+            }
+        }
+        fn open_count(&self) -> usize {
+            self.open
+        }
+        fn next_wake_hint(&self, _: SimTime) -> Option<SimTime> {
+            None
+        }
+        fn drain(&mut self, _: SimTime) {
+            self.stats.expired += std::mem::take(&mut self.open) as u64;
+        }
+        fn take_records(&mut self) -> Vec<QueryRecord> {
+            Vec::new()
+        }
+        fn stats(&self) -> EngineStats {
+            self.stats
+        }
+        fn take_completions(&mut self) -> Vec<(u64, f64)> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn the_wedge_breaker_ends_a_stuck_wall_run_and_drains_it() {
+        let sample = Sample {
+            id: 0,
+            difficulty: 0.0,
+            shared_noise: 0.0,
+            label: Label::Class(0),
+            features: Vec::new(),
+        };
+        let deadline = SimTime::from_millis(50);
+        let query = Query { id: 0, key: 0, sample, arrival: SimTime::ZERO, deadline };
+        let workload = Workload { queries: vec![query], duration: deadline };
+        let recorder = Arc::new(FlightRecorder::new(16, None));
+        let config = ServeConfig { recorder: Some(Arc::clone(&recorder)), ..Default::default() };
+        let metrics = Arc::new(RuntimeMetrics::new(1));
+        let mut engine = Stuck::default();
+        let latencies = vec![LatencyModel::constant_millis(1.0)];
+        let started = Instant::now();
+        run_wall(&mut engine, latencies, &workload, 1, "test", &config, 100.0, &metrics, None);
+        // Three idle waits of 20 ms each, then the breaker.
+        assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
+        assert_eq!(recorder.tripped(), Some(TripReason::Wedge));
+        assert_eq!(engine.open_count(), 0, "drain closed the stranded query");
+        let stats = metrics.lock().stats;
+        assert_eq!((stats.submitted, stats.expired), (1, 1));
     }
 }

@@ -7,7 +7,7 @@
 //! [`ExecutorBank`](schemble_core::executor::ExecutorBank), which hands a
 //! worker one job per *pass*, keyed by the pass id (the `query` field of the
 //! messages below is an opaque `u64` key the worker echoes back). Reports
-//! flow back to the runtime loop over a shared bounded channel, so a stalled
+//! flow back to the runtime over a shared bounded channel, so a stalled
 //! scheduler exerts backpressure instead of accumulating unbounded buffers.
 //!
 //! A worker times its job by waiting on its own channel
@@ -48,11 +48,9 @@ pub enum WorkerMsg {
     Shutdown,
 }
 
-/// Messages into the runtime's scheduler loop.
+/// Worker reports into the runtime's wall-clock event source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeMsg {
-    /// The load generator delivered query `workload.queries[i]`.
-    Arrive(usize),
     /// `executor` finished its task for `query`.
     TaskDone {
         /// Executor index.
@@ -67,8 +65,6 @@ pub enum RuntimeMsg {
         /// Query id.
         query: u64,
     },
-    /// The load generator replayed the whole trace.
-    ArrivalsDone,
 }
 
 /// Handles to the spawned worker threads.

@@ -184,19 +184,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).collect(),
-        }
-    }
-
     /// `self + scale * rhs`, in place. The workhorse of the optimisers.
     ///
     /// # Panics
@@ -417,13 +404,6 @@ mod tests {
         let g = Matrix::filled(2, 2, 2.0);
         a.axpy(-0.5, &g);
         assert_eq!(a, Matrix::zeros(2, 2));
-    }
-
-    #[test]
-    fn hadamard_is_elementwise() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;
 use schemble_sim::SimTime;
-use std::borrow::Cow;
 
 /// Rewrites `event` from a shard-local namespace into the global one.
 ///
@@ -68,18 +67,17 @@ pub fn globalize_events(
 /// maximal runs of consecutive events from one stream
 /// ([`next_run`](ShardMerge::next_run)).
 ///
-/// A stream that is non-decreasing in [`TraceEvent::time`] — what a shard's
-/// sink holds, its engine and backend emit in virtual-time order — is
-/// borrowed and walked by a cursor: the next merged event is the earliest
-/// stream head, ties to the lower shard id, which is exactly the order a
-/// global sort on that key would produce. That head's stream keeps the
-/// lead for as long as its events still sort before every other stream's
-/// head, so the whole stretch is handed out as one slice. A stream that is
-/// *not* sorted is copied and stable-sorted by time first, which puts it in
-/// `(time, sequence)` order and so leaves the merged order unchanged. The
-/// shard count is small (a handful), so the head scan is linear — no heap.
+/// Each stream must be non-decreasing in [`TraceEvent::time`] — what a
+/// shard's sink holds, its engine and backend emit in virtual-time order
+/// (debug builds assert it). A stream is borrowed and walked by a cursor:
+/// the next merged event is the earliest stream head, ties to the lower
+/// shard id, which is exactly the order a global sort on that key would
+/// produce. That head's stream keeps the lead for as long as its events
+/// still sort before every other stream's head, so the whole stretch is
+/// handed out as one slice. The shard count is small (a handful), so the
+/// head scan is linear — no heap.
 pub struct ShardMerge<'a> {
-    streams: Vec<Cow<'a, [TraceEvent]>>,
+    streams: Vec<&'a [TraceEvent]>,
     /// Per stream: index of its head event.
     cursors: Vec<usize>,
     /// Per stream: its head event's time, `None` once spent. Each event's
@@ -87,21 +85,10 @@ pub struct ShardMerge<'a> {
     heads: Vec<Option<SimTime>>,
 }
 
-/// Merges borrowed shard streams lazily; see [`ShardMerge`].
+/// Merges borrowed shard streams, each in time order, lazily; see
+/// [`ShardMerge`].
 pub fn merge_shard_streams(streams: &[Vec<TraceEvent>]) -> ShardMerge<'_> {
-    let streams: Vec<Cow<'_, [TraceEvent]>> = streams
-        .iter()
-        .map(|stream| {
-            if stream.windows(2).all(|w| w[0].time() <= w[1].time()) {
-                Cow::Borrowed(stream.as_slice())
-            } else {
-                let mut sorted = stream.clone();
-                sorted.sort_by_key(TraceEvent::time);
-                Cow::Owned(sorted)
-            }
-        })
-        .collect();
-    ShardMerge::over(streams)
+    ShardMerge::over(streams.iter().map(Vec::as_slice).collect())
 }
 
 /// The merge order: by time, ties to the lower shard id. Within a stream
@@ -112,7 +99,11 @@ fn merge_key(time: SimTime, shard: usize) -> (SimTime, usize) {
 
 impl<'a> ShardMerge<'a> {
     /// The merge of `streams`, each already in time order.
-    fn over(streams: Vec<Cow<'a, [TraceEvent]>>) -> Self {
+    fn over(streams: Vec<&'a [TraceEvent]>) -> Self {
+        debug_assert!(
+            streams.iter().all(|s| s.windows(2).all(|w| w[0].time() <= w[1].time())),
+            "a shard stream is out of time order"
+        );
         let heads = streams.iter().map(|s| s.first().map(TraceEvent::time)).collect();
         ShardMerge { cursors: vec![0; streams.len()], streams, heads }
     }
@@ -281,7 +272,7 @@ impl StreamingMerge {
             .iter()
             .zip(&self.emitted)
             .zip(&cuts)
-            .map(|((pending, &from), &to)| Cow::Borrowed(&pending[from..to]))
+            .map(|((pending, &from), &to)| &pending[from..to])
             .collect();
         sink.emit_all(ShardMerge::over(ready));
         for ((pending, emitted), cut) in self.pending.iter_mut().zip(&mut self.emitted).zip(cuts) {
@@ -399,57 +390,28 @@ pub(crate) mod tests {
         assert!(merge.is_empty() && merge.next_run().is_none());
     }
 
-    #[test]
-    fn unsorted_stream_falls_back_to_a_stable_sort_of_that_stream() {
-        // Shard 1 runs backwards in time; its equal-time pair must keep its
-        // emission order, and shard 0 still wins the cross-shard tie.
-        let shard0 = vec![TraceEvent::Arrival { t: at(2), query: 0, deadline: at(9) }];
-        let shard1 = vec![
-            TraceEvent::QueryDone { t: at(3), query: 1, set: 0b1 },
-            TraceEvent::TaskStart { t: at(2), query: 1, executor: 0 },
-            TraceEvent::TaskDone { t: at(2), query: 1, executor: 0 },
-        ];
-        let merged = merge_shard_events(vec![shard0.clone(), shard1.clone()]);
-        assert_eq!(merged, vec![shard0[0], shard1[1], shard1[2], shard1[0]]);
-        assert_eq!(merged, merge_by_global_sort(&[shard0, shard1]));
-    }
-
-    /// 1..=4 streams over a handful of distinct instants, so equal
-    /// timestamps are the norm within and across shards. Streams are built
-    /// time-sorted; `scramble` reverses one to exercise the fallback. The
-    /// query id encodes `(shard, sequence)`, making every event distinct.
-    pub(crate) fn streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
-        (stream_times(), 0usize..8).prop_map(|(times, scramble)| build_streams(times, scramble))
-    }
-
-    /// [`streams_strategy`] with every stream in time order.
+    /// 1..=4 time-sorted streams over a handful of distinct instants, so
+    /// equal timestamps are the norm within and across shards. The query id
+    /// encodes `(shard, sequence)`, making every event distinct.
     pub(crate) fn sorted_streams_strategy() -> impl Strategy<Value = Vec<Vec<TraceEvent>>> {
-        stream_times().prop_map(|times| build_streams(times, usize::MAX))
-    }
-
-    fn stream_times() -> impl Strategy<Value = Vec<Vec<u64>>> {
-        proptest::collection::vec(proptest::collection::vec(0u64..6, 0..40), 1..=4)
-    }
-
-    fn build_streams(times: Vec<Vec<u64>>, scramble: usize) -> Vec<Vec<TraceEvent>> {
-        let shards = times.len();
-        times
-            .into_iter()
-            .enumerate()
-            .map(|(shard, mut ts)| {
-                ts.sort_unstable();
-                if scramble == shard {
-                    ts.reverse();
-                }
-                ts.into_iter()
-                    .enumerate()
-                    .map(|(seq, t)| TraceEvent::QueryExpired {
-                        t: at(t),
-                        query: (seq * shards + shard) as u64,
-                    })
-                    .collect()
-            })
-            .collect()
+        let times = proptest::collection::vec(proptest::collection::vec(0u64..6, 0..40), 1..=4);
+        times.prop_map(|times| {
+            let shards = times.len();
+            times
+                .into_iter()
+                .enumerate()
+                .map(|(shard, mut ts)| {
+                    ts.sort_unstable();
+                    ts.into_iter()
+                        .enumerate()
+                        .map(|(seq, t)| TraceEvent::QueryExpired {
+                            t: at(t),
+                            query: (seq * shards + shard) as u64,
+                        })
+                        .collect()
+                })
+                .collect()
+        })
     }
 
     #[test]
@@ -492,7 +454,7 @@ pub(crate) mod tests {
 
         #[test]
         fn streaming_merge_equals_the_global_sort(
-            streams in streams_strategy(),
+            streams in sorted_streams_strategy(),
             rotate in 0usize..4,
         ) {
             let oracle = merge_by_global_sort(&streams);

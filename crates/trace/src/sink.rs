@@ -410,9 +410,8 @@ mod tests {
     #[test]
     fn run_wise_emit_equals_single_emits() {
         let one = |n: u64| vec![(0..n).map(arrival).collect::<Vec<_>>()];
-        // Equal timestamps across shards, and a stream running backwards.
+        // Equal timestamps across shards.
         let tied = vec![vec![arrival(0), arrival(0), arrival(2)], vec![arrival(0), arrival(1)]];
-        let unsorted = vec![vec![arrival(2)], vec![arrival(3), arrival(2), arrival(2)]];
         // (capacity, enabled, preloaded, streams): room to spare, exactly
         // full, one past the boundary, a ring already full, a ring smaller
         // than the stream, a ring disabled but tapped, an empty merge.
@@ -428,8 +427,6 @@ mod tests {
             (16, true, 0, tied.clone()),
             (3, true, 1, tied.clone()),
             (2, false, 1, tied),
-            (16, true, 0, unsorted.clone()),
-            (2, true, 0, unsorted),
         ] {
             let bulk = after_emitting(capacity, enabled, preload, &streams, true);
             let single = after_emitting(capacity, enabled, preload, &streams, false);
@@ -511,7 +508,7 @@ mod tests {
 
         #[test]
         fn run_wise_emit_equals_single_emits_on_any_merge(
-            streams in crate::shard::tests::streams_strategy(),
+            streams in crate::shard::tests::sorted_streams_strategy(),
             capacity in 1usize..64,
             enabled in any::<bool>(),
             preload in 0u64..8,

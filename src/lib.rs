@@ -18,7 +18,8 @@
 //! * [`core`] — discrepancy score, profiling, DP scheduler, pipelines.
 //! * [`baselines`] — DES and gating-network selection baselines.
 //! * [`serve`] — wall-clock multi-threaded serving runtime (worker threads,
-//!   trace-replay load generator, live re-planning scheduler loop).
+//!   an arrival lane replaying the trace, and the simulator's driver loop
+//!   re-planning live on a dilated clock).
 //! * [`metrics`] — accuracy / deadline-miss-rate / latency evaluation.
 //! * [`trace`] — query lifecycle tracing, scheduler audit log, and the
 //!   Chrome-trace / Prometheus / NDJSON exporters.
