@@ -20,6 +20,7 @@
 //! Schemble(ea) ablation swaps cleanly.
 
 use crate::calibration::Calibration;
+use crate::history::{workers, HistoryPass};
 use schemble_models::{Ensemble, Output, Sample};
 use schemble_tensor::stats::{MinMax, ZScore};
 
@@ -52,35 +53,63 @@ impl DiscrepancyScorer {
     /// # Panics
     /// Panics on an empty history.
     pub fn fit(ensemble: &Ensemble, history: &[Sample], metric: DifficultyMetric) -> Self {
+        let workers = workers();
+        let calibration = Self::calibration_for(workers, ensemble, history, metric);
+        let pass = HistoryPass {
+            ensemble,
+            distances: Some((&calibration, metric)),
+            agreement: None,
+            labels: false,
+        };
+        let rows = pass.run(workers, history);
+        Self::from_distances(metric, calibration, ensemble.m(), &rows.distances).0
+    }
+
+    /// The calibration `metric` scores under: fitted for the discrepancy
+    /// score, identity for the agreement baseline — which deliberately skips
+    /// calibration, one of the two failure modes the paper identifies in it.
+    ///
+    /// # Panics
+    /// Panics on an empty history.
+    pub(crate) fn calibration_for(
+        workers: usize,
+        ensemble: &Ensemble,
+        history: &[Sample],
+        metric: DifficultyMetric,
+    ) -> Calibration {
         assert!(!history.is_empty(), "cannot fit scorer on empty history");
-        let calibration = match metric {
-            // Agreement baseline deliberately skips calibration — that is
-            // one of the two failure modes the paper identifies in it.
+        match metric {
             DifficultyMetric::EnsembleAgreement => Calibration::identity(ensemble.m()),
-            DifficultyMetric::Discrepancy => Calibration::fit(ensemble, history),
-        };
-        // First pass: raw per-model distances on the whole history.
-        let m = ensemble.m();
-        let mut per_model: Vec<Vec<f64>> = vec![Vec::with_capacity(history.len()); m];
-        for s in history {
-            let d = raw_distances(ensemble, &calibration, s, metric);
-            for (k, v) in d.into_iter().enumerate() {
-                per_model[k].push(v);
-            }
+            DifficultyMetric::Discrepancy => Calibration::fit_on(workers, ensemble, history),
         }
+    }
+
+    /// Fits the normalisers and the `[0, 1]` map on the raw distances of a
+    /// history (`distances[i * m + k]`, see [`HistoryPass`]), and returns
+    /// the scorer with the score of every history sample — bit-equal to
+    /// [`DiscrepancyScorer::score`] on it.
+    pub(crate) fn from_distances(
+        metric: DifficultyMetric,
+        calibration: Calibration,
+        m: usize,
+        distances: &[f64],
+    ) -> (Self, Vec<f64>) {
         let norms: Vec<ZScore> = match metric {
-            DifficultyMetric::Discrepancy => per_model.iter().map(|xs| ZScore::fit(xs)).collect(),
+            DifficultyMetric::Discrepancy => (0..m)
+                .map(|k| {
+                    let column: Vec<f64> = distances.iter().skip(k).step_by(m).copied().collect();
+                    ZScore::fit(&column)
+                })
+                .collect(),
             // Agreement has no per-model normalisation.
-            DifficultyMetric::EnsembleAgreement => {
-                per_model.iter().map(|_| ZScore { mean: 0.0, std: 1.0 }).collect()
-            }
+            DifficultyMetric::EnsembleAgreement => vec![ZScore { mean: 0.0, std: 1.0 }; m],
         };
-        // Second pass: averaged normalised scores, then fit the [0,1] map.
-        let combined: Vec<f64> = (0..history.len())
-            .map(|i| (0..m).map(|k| norms[k].apply(per_model[k][i])).sum::<f64>() / m as f64)
-            .collect();
-        let rescale = MinMax::fit(&combined);
-        Self { metric, calibration, norms, rescale }
+        let mut scorer =
+            Self { metric, calibration, norms, rescale: MinMax { min: 0.0, max: 1.0 } };
+        let combined: Vec<f64> = distances.chunks_exact(m).map(|d| scorer.combine(d)).collect();
+        scorer.rescale = MinMax::fit(&combined);
+        let scores = combined.into_iter().map(|c| scorer.rescale.apply(c)).collect();
+        (scorer, scores)
     }
 
     /// The metric this scorer computes.
@@ -95,62 +124,70 @@ impl DiscrepancyScorer {
 
     /// Scores one sample in `[0, 1]` (runs all base models — offline only).
     pub fn score(&self, ensemble: &Ensemble, sample: &Sample) -> f64 {
-        let d = raw_distances(ensemble, &self.calibration, sample, self.metric);
-        let avg = d.into_iter().enumerate().map(|(k, v)| self.norms[k].apply(v)).sum::<f64>()
-            / ensemble.m() as f64;
-        self.rescale.apply(avg)
+        let outputs = ensemble.infer_all(sample);
+        let reference = ensemble.aggregate_iter(outputs.iter().enumerate());
+        let mut d = vec![0.0; outputs.len()];
+        raw_distances(&self.calibration, self.metric, &outputs, &reference, &mut d);
+        self.rescale.apply(self.combine(&d))
     }
 
-    /// Scores a batch of samples.
+    /// Scores a batch of samples, on every core.
     pub fn score_batch(&self, ensemble: &Ensemble, samples: &[Sample]) -> Vec<f64> {
-        samples.iter().map(|s| self.score(ensemble, s)).collect()
+        let pass = HistoryPass {
+            ensemble,
+            distances: Some((&self.calibration, self.metric)),
+            agreement: None,
+            labels: false,
+        };
+        let rows = pass.run(workers(), samples);
+        rows.distances
+            .chunks_exact(ensemble.m())
+            .map(|d| self.rescale.apply(self.combine(d)))
+            .collect()
+    }
+
+    /// The averaged normalised distance of one sample, before the `[0, 1]`
+    /// map.
+    fn combine(&self, distances: &[f64]) -> f64 {
+        distances.iter().zip(&self.norms).map(|(&v, norm)| norm.apply(v)).sum::<f64>()
+            / distances.len() as f64
     }
 }
 
-/// Raw (pre-normalisation) per-model distances for one sample.
-fn raw_distances(
-    ensemble: &Ensemble,
+/// Writes into `out` the raw (pre-normalisation) per-model distances of one
+/// sample, from its base-model outputs and the ensemble's output on them.
+pub(crate) fn raw_distances(
     calibration: &Calibration,
-    sample: &Sample,
     metric: DifficultyMetric,
-) -> Vec<f64> {
-    let outputs = ensemble.infer_all(sample);
-    let calibrated: Vec<Output> =
-        outputs.iter().enumerate().map(|(k, o)| calibration.apply(k, o)).collect();
+    outputs: &[Output],
+    ensemble_output: &Output,
+    out: &mut [f64],
+) {
     match metric {
         DifficultyMetric::Discrepancy => {
-            // Ensemble output aggregates the *raw* outputs (aggregation is
-            // part of the deployed model); distances use calibrated ones.
-            let raw_refs: Vec<(usize, &Output)> = outputs.iter().enumerate().collect();
-            let ens_raw = ensemble.aggregate(&raw_refs);
-            // Calibrate the reference with each model's own temperature so
-            // both sides of the divergence live on the same confidence scale.
-            calibrated
-                .iter()
-                .enumerate()
-                .map(|(k, o)| o.distance(&self_calibrated(&ens_raw, calibration, k)))
-                .collect()
+            // The ensemble output aggregates the *raw* outputs (aggregation
+            // is part of the deployed model); distances use calibrated ones,
+            // and the reference is calibrated with each model's own
+            // temperature so both sides of the divergence live on the same
+            // confidence scale.
+            for (k, (o, d)) in outputs.iter().zip(out).enumerate() {
+                *d = calibration.apply(k, o).distance(&calibration.apply(k, ensemble_output));
+            }
         }
         DifficultyMetric::EnsembleAgreement => {
             // Mean pairwise symmetric KL of raw outputs, attributed equally
             // to each model (so the same per-model averaging code applies).
             let m = outputs.len();
-            let mut total = vec![0.0; m];
-            for i in 0..m {
-                for j in 0..m {
-                    if i != j {
-                        total[i] += outputs[i].agreement_distance(&outputs[j]);
-                    }
-                }
-            }
             let denom = (m.max(2) - 1) as f64;
-            total.into_iter().map(|t| t / denom).collect()
+            for (i, d) in out.iter_mut().enumerate() {
+                let mut total = 0.0;
+                for j in (0..m).filter(|&j| j != i) {
+                    total += outputs[i].agreement_distance(&outputs[j]);
+                }
+                *d = total / denom;
+            }
         }
     }
-}
-
-fn self_calibrated(ens_out: &Output, calibration: &Calibration, k: usize) -> Output {
-    calibration.apply(k, ens_out)
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ pub mod engine;
 pub mod executor;
 pub mod experiment;
 pub mod filling;
+mod history;
 pub mod pipeline;
 pub mod predictor;
 pub mod profiling;

@@ -11,6 +11,7 @@
 //!   (`Schemble(t)`, the no-difficulty ablation of Exp-3).
 
 use crate::discrepancy::DiscrepancyScorer;
+use crate::history::{workers, HistoryPass};
 use rand::Rng;
 use schemble_models::{Ensemble, Output, Sample, TaskSpec};
 use schemble_nn::predictor::{PredictorConfig, TaskLoss};
@@ -78,6 +79,9 @@ impl OnlineScorer {
     }
 }
 
+/// Eq. 2's weight λ on the discrepancy head, as the paper fixes it.
+pub(crate) const DEFAULT_LAMBDA: f64 = 0.2;
+
 /// Trains the two-headed predictor on historical samples labelled with their
 /// true discrepancy scores (Eq. 2's training setup: task label = ensemble
 /// output, `dis` = ground-truth score).
@@ -87,7 +91,7 @@ pub fn train_score_predictor(
     scores: &[f64],
     rng: &mut impl Rng,
 ) -> DiscrepancyPredictor {
-    train_score_predictor_with_lambda(ensemble, history, scores, 0.2, rng)
+    train_score_predictor_with_lambda(ensemble, history, scores, DEFAULT_LAMBDA, rng)
 }
 
 /// Like [`train_score_predictor`] with an explicit Eq. 2 weight λ — the
@@ -101,12 +105,25 @@ pub fn train_score_predictor_with_lambda(
 ) -> DiscrepancyPredictor {
     assert_eq!(history.len(), scores.len(), "history/scores length mismatch");
     assert!(!history.is_empty(), "cannot train predictor on empty history");
+    let (task_loss, task_labels) = task_labels_for(ensemble, history);
+    train_on_labels(history, task_loss, &task_labels, scores, lambda, rng)
+}
+
+/// Trains the predictor on history features against given task-head labels
+/// and discrepancy scores.
+pub(crate) fn train_on_labels(
+    history: &[Sample],
+    task_loss: TaskLoss,
+    task_labels: &[f64],
+    scores: &[f64],
+    lambda: f64,
+    rng: &mut impl Rng,
+) -> DiscrepancyPredictor {
     let feat_dim = history[0].features.len();
     let features = Matrix::from_fn(history.len(), feat_dim, |r, c| history[r].features[c]);
-    let (task_loss, task_labels) = task_labels_for(ensemble, history);
     let config = PredictorConfig { lambda, ..PredictorConfig::default_for(feat_dim, task_loss) };
     let mut predictor = DiscrepancyPredictor::new(config, rng);
-    predictor.fit(&features, &task_labels, scores, rng);
+    predictor.fit(&features, task_labels, scores, rng);
     predictor
 }
 
@@ -115,33 +132,28 @@ pub fn train_score_predictor_with_lambda(
 /// other categorical tasks use the ensemble's top-1 confidence; regression
 /// rescales the scalar into a trainable range.
 pub fn task_labels_for(ensemble: &Ensemble, history: &[Sample]) -> (TaskLoss, Vec<f64>) {
-    match ensemble.spec {
-        TaskSpec::Classification { num_classes: 2 } => {
-            let labels = history
-                .iter()
-                .map(|s| match ensemble.ensemble_output(s) {
-                    Output::Probs(p) => p[1],
-                    Output::Scalar(_) => unreachable!("categorical spec"),
-                })
-                .collect();
-            (TaskLoss::Binary, labels)
+    let pass = HistoryPass { ensemble, distances: None, agreement: None, labels: true };
+    (task_loss(&ensemble.spec), pass.run(workers(), history).labels)
+}
+
+/// The loss the task head trains under for `spec`.
+pub(crate) fn task_loss(spec: &TaskSpec) -> TaskLoss {
+    match spec {
+        TaskSpec::Classification { num_classes: 2 } => TaskLoss::Binary,
+        _ => TaskLoss::Regression,
+    }
+}
+
+/// One sample's task-head label, from the ensemble's output on it.
+pub(crate) fn task_label(spec: &TaskSpec, ensemble_output: &Output) -> f64 {
+    match (spec, ensemble_output) {
+        (TaskSpec::Classification { num_classes: 2 }, Output::Probs(p)) => p[1],
+        (TaskSpec::Classification { .. } | TaskSpec::Retrieval { .. }, Output::Probs(p)) => {
+            p.iter().cloned().fold(0.0, f64::max)
         }
-        TaskSpec::Classification { .. } | TaskSpec::Retrieval { .. } => {
-            let labels = history
-                .iter()
-                .map(|s| match ensemble.ensemble_output(s) {
-                    Output::Probs(p) => p.iter().cloned().fold(0.0, f64::max),
-                    Output::Scalar(_) => unreachable!("categorical spec"),
-                })
-                .collect();
-            (TaskLoss::Regression, labels)
-        }
-        TaskSpec::Regression { .. } => {
-            // Counts live in roughly [0, 25]; scale into [0, 1] for training.
-            let labels =
-                history.iter().map(|s| ensemble.ensemble_output(s).value() / 25.0).collect();
-            (TaskLoss::Regression, labels)
-        }
+        // Counts live in roughly [0, 25]; scale into [0, 1] for training.
+        (TaskSpec::Regression { .. }, output) => output.value() / 25.0,
+        (_, Output::Scalar(_)) => unreachable!("categorical spec"),
     }
 }
 

@@ -15,7 +15,10 @@
 //!   are estimated from pair/singleton profiles with a fitted diminishing
 //!   factor `γ_k` (Fig. 20a checks the estimation error).
 
-use schemble_models::{Ensemble, ModelSet, Sample};
+use crate::history::{workers, HistoryPass};
+use crate::pipeline::ResultAssembler;
+use schemble_models::aggregate::SubsetAverages;
+use schemble_models::{Aggregator, Ensemble, ModelSet, Output, Sample, TaskSpec};
 use std::sync::Arc;
 
 /// The per-bin subset-accuracy table.
@@ -61,7 +64,7 @@ impl AccuracyProfile {
             scores,
             bins,
             profile_cutoff,
-            &crate::pipeline::ResultAssembler::Direct,
+            &ResultAssembler::Direct,
         )
     }
 
@@ -74,32 +77,47 @@ impl AccuracyProfile {
         scores: &[f64],
         bins: usize,
         profile_cutoff: usize,
-        assembler: &crate::pipeline::ResultAssembler,
+        assembler: &ResultAssembler,
     ) -> Self {
         assert!(!history.is_empty(), "cannot profile on empty history");
         assert_eq!(history.len(), scores.len(), "history/scores length mismatch");
+        let cutoff = profile_cutoff.min(ensemble.m());
+        let pass = HistoryPass {
+            ensemble,
+            distances: None,
+            agreement: Some((assembler, cutoff)),
+            labels: false,
+        };
+        let rows = pass.run(workers(), history);
+        Self::from_masks(ensemble, scores, &rows.masks, bins, cutoff)
+    }
+
+    /// Counts each sample's agreement mask (see [`HistoryPass`]) into its
+    /// score's bin and fits the table: measured for subsets of at most
+    /// `cutoff` models, Eq. 3 estimates above, then repaired to be monotone.
+    pub(crate) fn from_masks(
+        ensemble: &Ensemble,
+        scores: &[f64],
+        masks: &[u64],
+        bins: usize,
+        cutoff: usize,
+    ) -> Self {
         assert!(bins > 0, "need at least one bin");
         let m = ensemble.m();
         let n_sets = 1usize << m;
-        let cutoff = profile_cutoff.min(m);
+        let words = mask_words(m);
+        assert_eq!(masks.len(), scores.len() * words, "one agreement mask per score");
 
         let mut hits = vec![vec![0usize; n_sets]; bins];
         let mut counts = vec![0usize; bins];
-        for (s, &score) in history.iter().zip(scores) {
+        for (mask, &score) in masks.chunks_exact(words).zip(scores) {
             let b = bin_of_score(score, bins);
             counts[b] += 1;
-            let reference = ensemble.ensemble_output(s);
-            // Cache per-model outputs once; subset aggregation reuses them.
-            let outputs = ensemble.infer_all(s);
-            for set in ModelSet::all_nonempty(m) {
-                if set.len() > cutoff {
-                    continue;
-                }
-                let present: Vec<(usize, schemble_models::Output)> =
-                    set.iter().map(|k| (k, outputs[k].clone())).collect();
-                let sub = assembler.assemble(ensemble, &present, set);
-                if sub.agrees_with(&reference, &ensemble.spec) {
-                    hits[b][set.0 as usize] += 1;
+            for (w, &word) in mask.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    hits[b][w * 64 + bits.trailing_zeros() as usize] += 1;
+                    bits &= bits - 1;
                 }
             }
         }
@@ -300,6 +318,62 @@ impl AccuracyProfile {
     }
 }
 
+/// Words of one sample's agreement mask: a bit per subset of `m` models.
+pub(crate) fn mask_words(m: usize) -> usize {
+    (1usize << m).div_ceil(64)
+}
+
+/// Sets in `mask` the bit of every non-empty subset of at most `cutoff`
+/// models whose assembled output agrees with `reference`, the ensemble's
+/// output on the same `outputs`.
+///
+/// A weighted average assembled directly is extended subset by subset
+/// through `averages` ([`SubsetAverages`], bit-equal to aggregating each
+/// subset); any other aggregator or assembler assembles each subset anew.
+pub(crate) fn agreement_mask(
+    ensemble: &Ensemble,
+    assembler: &ResultAssembler,
+    cutoff: usize,
+    outputs: &[Output],
+    reference: &Output,
+    averages: &mut SubsetAverages,
+    mask: &mut [u64],
+) {
+    let spec = &ensemble.spec;
+    let mut mark = |set: ModelSet, agrees: bool| {
+        if agrees {
+            mask[set.0 as usize / 64] |= 1 << (set.0 % 64);
+        }
+    };
+    match (assembler, &ensemble.aggregator) {
+        (ResultAssembler::Direct, Aggregator::WeightedAverage { weights }) => {
+            // `Output::agrees_with` on each subset's average.
+            match (spec, reference) {
+                (TaskSpec::Regression { tolerance }, Output::Scalar(want)) => {
+                    averages.visit(outputs, weights, spec, cutoff, |set, average| {
+                        mark(set, (average.value(0) - want).abs() <= *tolerance);
+                    });
+                }
+                (_, Output::Probs(_)) => {
+                    let want = reference.predicted_class();
+                    averages.visit(outputs, weights, spec, cutoff, |set, average| {
+                        mark(set, average.predicted_class() == want);
+                    });
+                }
+                _ => panic!("output kind does not match task spec"),
+            }
+        }
+        _ => {
+            for set in ModelSet::all_nonempty(ensemble.m()).filter(|set| set.len() <= cutoff) {
+                let present: Vec<(usize, Output)> =
+                    set.iter().map(|k| (k, outputs[k].clone())).collect();
+                let assembled = assembler.assemble(ensemble, &present, set);
+                mark(set, assembled.agrees_with(reference, spec));
+            }
+        }
+    }
+}
+
 fn bin_of_score(score: f64, bins: usize) -> usize {
     ((score * bins as f64).floor() as isize).clamp(0, bins as isize - 1) as usize
 }
@@ -410,5 +484,86 @@ mod tests {
         assert_eq!(p.bin_of(1.0), 9);
         assert_eq!(p.bin_of(7.0), 9);
         drop(ens);
+    }
+
+    /// `m` models' outputs under `kind` (0: scalar, 1: 2 classes, 2: 100
+    /// classes), with the weights of a weighted average. Entries are drawn
+    /// from `0.0`, `-0.0`, subnormal and tiny values and ordinary ones, so
+    /// ties, signed zeros and underflow all occur.
+    fn outputs_of(m: usize, kind: usize, seed: u64) -> (Ensemble, Vec<Output>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let entry = |rng: &mut rand::rngs::StdRng| match rng.random_range(0..5) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits(rng.random_range(1..1u64 << 20)),
+            3 => rng.random_range(-1.0..1.0) * 1e-300,
+            _ => rng.random_range(0.0..1.0),
+        };
+        let (spec, dim) = match kind {
+            0 => (TaskSpec::Regression { tolerance: 0.5 }, 1),
+            1 => (TaskSpec::Classification { num_classes: 2 }, 2),
+            _ => (TaskSpec::Classification { num_classes: 100 }, 100),
+        };
+        let outputs = (0..m)
+            .map(|_| {
+                let values: Vec<f64> = (0..dim).map(|_| entry(&mut rng)).collect();
+                if spec.is_categorical() {
+                    Output::Probs(values)
+                } else {
+                    Output::Scalar(values[0] * 30.0)
+                }
+            })
+            .collect();
+        let weights = (0..m)
+            .map(|_| if rng.random_range(0..4) == 0 { 1e-300 } else { rng.random_range(0.01..1.0) })
+            .collect();
+        let models = (0..m).map(|k| zoo::cifar_model(k % 6, k as u64)).collect();
+        let ensemble =
+            Ensemble { models, spec, aggregator: Aggregator::WeightedAverage { weights } };
+        (ensemble, outputs)
+    }
+
+    proptest::proptest! {
+        /// The extension reproduces every subset's aggregate bit for bit,
+        /// and its mask is `assemble` + `agrees_with` per subset.
+        #[test]
+        fn extension_mask_equals_assembling_every_subset(
+            m in 1usize..9,
+            kind in 0usize..3,
+            cutoff in 1usize..9,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (ens, outputs) = outputs_of(m, kind, seed);
+            let reference = ens.aggregate_iter(outputs.iter().enumerate());
+            let direct = ResultAssembler::Direct;
+            let assembled: Vec<Output> = ModelSet::all(m)
+                .map(|set| {
+                    let present: Vec<(usize, Output)> =
+                        set.iter().map(|k| (k, outputs[k].clone())).collect();
+                    if set.is_empty() { reference.clone() } else { direct.assemble(&ens, &present, set) }
+                })
+                .collect();
+            // Every subset's average, bit for bit, each visited once.
+            let mut averages = SubsetAverages::default();
+            let mut visits = vec![0; 1 << m];
+            let Aggregator::WeightedAverage { weights } = &ens.aggregator else { unreachable!() };
+            averages.visit(&outputs, weights, &ens.spec, m, |set, average| {
+                visits[set.0 as usize] += 1;
+                for (c, v) in assembled[set.0 as usize].as_vec().into_iter().enumerate() {
+                    assert_eq!(average.value(c).to_bits(), v.to_bits(), "{set} class {c}");
+                }
+            });
+            proptest::prop_assert!(visits[1..].iter().all(|&n| n == 1));
+            // The mask is `assemble` + `agrees_with` per subset up to the cutoff.
+            let mut mask = vec![0u64; mask_words(m)];
+            agreement_mask(&ens, &direct, cutoff, &outputs, &reference, &mut averages, &mut mask);
+            for set in ModelSet::all_nonempty(m) {
+                let agrees = set.len() <= cutoff.min(m)
+                    && assembled[set.0 as usize].agrees_with(&reference, &ens.spec);
+                let bit = mask[set.0 as usize / 64] >> (set.0 % 64) & 1 == 1;
+                proptest::prop_assert_eq!(bit, agrees);
+            }
+        }
     }
 }

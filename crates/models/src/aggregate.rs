@@ -9,6 +9,7 @@
 //!   *requires* a full output vector, so callers must fill missing outputs
 //!   first (the KNN filler in `schemble-core`).
 
+use crate::modelset::ModelSet;
 use crate::output::{Output, TaskSpec};
 use rand::Rng;
 use schemble_nn::loss::{mse, softmax_ce_with_logits};
@@ -167,6 +168,120 @@ fn aggregate_weighted<O: Borrow<Output>>(
                 *a /= wsum;
             }
             Output::Probs(acc)
+        }
+    }
+}
+
+/// Every subset's weighted average of one sample's outputs, built by
+/// extension.
+///
+/// Subsets are visited depth first, each grown from the set without its
+/// highest model by adding that model's weighted output
+/// (`acc(S) = acc(S−hi) + w_hi·p_hi`, `wsum(S) = wsum(S−hi) + w_hi`). Each
+/// sum therefore adds the terms [`Aggregator::WeightedAverage`] adds, in the
+/// same ascending model order, from the same start (`0.0` per class, `−0.0`
+/// for a scalar and for the weight sum), and [`SubsetAverage`] divides as it
+/// does: every average is bit-equal to aggregating the subset, at one
+/// multiply-add per dimension per subset instead of one per member. Only
+/// the current path's sums are held: `(m + 1) × dim` floats, kept across
+/// calls.
+#[derive(Debug, Clone, Default)]
+pub struct SubsetAverages {
+    dim: usize,
+    /// Row `d` holds the weighted sums of the path's set of `d` models.
+    sums: Vec<f64>,
+    /// `weight_sums[d]`: the sum of that set's weights.
+    weight_sums: Vec<f64>,
+}
+
+/// One subset's weighted average, as [`SubsetAverages::visit`] hands it out.
+#[derive(Debug, Clone, Copy)]
+pub struct SubsetAverage<'a> {
+    sums: &'a [f64],
+    weight_sum: f64,
+}
+
+impl SubsetAverage<'_> {
+    /// The average in output dimension `c`.
+    pub fn value(&self, c: usize) -> f64 {
+        self.sums[c] / self.weight_sum
+    }
+
+    /// [`Output::predicted_class`] of the average, without materialising it.
+    pub fn predicted_class(&self) -> usize {
+        let (mut best, mut best_value) = (0, self.value(0));
+        for c in 1..self.sums.len() {
+            let v = self.value(c);
+            if v > best_value {
+                (best, best_value) = (c, v);
+            }
+        }
+        best
+    }
+}
+
+impl SubsetAverages {
+    /// Visits every non-empty subset of `outputs` (one per model, in model
+    /// order) of at most `max_len` models, with its average under `weights`.
+    ///
+    /// # Panics
+    /// Panics if a weight is not positive (the average of its singleton
+    /// would have no weight), or if an output's kind or dimension does not
+    /// match `spec`.
+    pub fn visit(
+        &mut self,
+        outputs: &[Output],
+        weights: &[f64],
+        spec: &TaskSpec,
+        max_len: usize,
+        mut visit: impl FnMut(ModelSet, SubsetAverage<'_>),
+    ) {
+        let m = outputs.len();
+        assert!(weights[..m].iter().all(|&w| w > 0.0), "all present weights are zero");
+        self.dim = spec.output_dim();
+        let start = if spec.is_categorical() { 0.0 } else { -0.0 };
+        self.sums.clear();
+        self.sums.resize((m + 1) * self.dim, start);
+        self.weight_sums.clear();
+        self.weight_sums.resize(m + 1, -0.0);
+        self.extend(outputs, weights, spec, ModelSet::EMPTY, max_len.min(m), &mut visit);
+    }
+
+    /// Visits every extension of `set`, whose sums are on the path, by one
+    /// model above its highest, each followed by its own extensions.
+    fn extend(
+        &mut self,
+        outputs: &[Output],
+        weights: &[f64],
+        spec: &TaskSpec,
+        set: ModelSet,
+        max_len: usize,
+        visit: &mut impl FnMut(ModelSet, SubsetAverage<'_>),
+    ) {
+        let depth = set.len();
+        if depth == max_len {
+            return;
+        }
+        let dim = self.dim;
+        let from = set.iter().last().map_or(0, |hi| hi + 1);
+        for k in from..outputs.len() {
+            let values = match (&outputs[k], spec.is_categorical()) {
+                (Output::Probs(p), true) => p.as_slice(),
+                (Output::Scalar(v), false) => std::slice::from_ref(v),
+                _ => panic!("output kind does not match task spec"),
+            };
+            assert_eq!(values.len(), dim, "output dimension does not match task spec");
+            let w = weights[k];
+            let (path, next) = self.sums.split_at_mut((depth + 1) * dim);
+            let row = &mut next[..dim];
+            for ((a, &b), &p) in row.iter_mut().zip(&path[depth * dim..]).zip(values) {
+                *a = b + w * p;
+            }
+            let weight_sum = self.weight_sums[depth] + w;
+            self.weight_sums[depth + 1] = weight_sum;
+            let grown = set.with(k);
+            visit(grown, SubsetAverage { sums: row, weight_sum });
+            self.extend(outputs, weights, spec, grown, max_len, visit);
         }
     }
 }

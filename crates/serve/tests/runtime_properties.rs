@@ -104,8 +104,8 @@ fn wall_clock_conserves_under_batching_anytime_and_short_crashes() {
     assert_conserved(&run, fx.workload.len());
     let report = &run.report;
     assert!(report.stats.tasks_failed > 0, "the plan must actually bite");
-    // `serve_schemble` returning means the workers, the load generator and
-    // the reporter were joined; the gauges agree nothing was left behind.
+    // `serve_schemble` returning means the workers and the reporter were
+    // joined; the gauges agree nothing was left behind.
     let record = report.metrics.lock();
     assert!(record.executors.iter().all(|e| e.queue_depth == 0), "backlogs drained");
     assert!(record.executors.iter().all(|e| e.running == 0), "no worker mid-task at shutdown");

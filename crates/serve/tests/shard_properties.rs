@@ -87,7 +87,7 @@ fn router_partition_matches_workload_split() {
 }
 
 /// Wall-clock sharded serve: conservation and a drained shutdown hold when
-/// every shard runs its own worker pool and load generator.
+/// every shard runs its own worker pool and arrival lane.
 #[test]
 fn wall_clock_sharded_serve_drains_cleanly() {
     let fx = armed(7, 120, 60.0, 100.0, false);

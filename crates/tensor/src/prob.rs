@@ -32,25 +32,17 @@ pub fn softmax_in_place(xs: &mut [f64]) {
     }
 }
 
-/// Softmax with temperature `t` (`t > 1` softens, `t < 1` sharpens).
+/// Applies temperature scaling directly to a probability vector: the
+/// logits `ln p` (floored at [`crate::dist::EPS`]) divided by `t`, then
+/// softmax (`t > 1` softens, `t < 1` sharpens). One allocation, the result.
 ///
 /// # Panics
 /// Panics if `t <= 0`.
-pub fn softmax_with_temperature(logits: &[f64], t: f64) -> Vec<f64> {
-    assert!(t > 0.0, "temperature must be positive, got {t}");
-    let scaled: Vec<f64> = logits.iter().map(|&x| x / t).collect();
-    softmax(&scaled)
-}
-
-/// Recovers logits (up to an additive constant) from a probability vector, so
-/// an already-softmaxed output can be re-calibrated with a new temperature.
-pub fn logits_from_probs(probs: &[f64]) -> Vec<f64> {
-    probs.iter().map(|&p| p.max(crate::dist::EPS).ln()).collect()
-}
-
-/// Applies temperature scaling directly to a probability vector.
 pub fn rescale_probs(probs: &[f64], t: f64) -> Vec<f64> {
-    softmax_with_temperature(&logits_from_probs(probs), t)
+    assert!(t > 0.0, "temperature must be positive, got {t}");
+    let mut scaled: Vec<f64> = probs.iter().map(|&p| p.max(crate::dist::EPS).ln() / t).collect();
+    softmax_in_place(&mut scaled);
+    scaled
 }
 
 /// Shannon entropy in nats.
@@ -70,26 +62,31 @@ pub fn argmax(xs: &[f64]) -> usize {
     best
 }
 
-/// Negative log-likelihood of `label` under distribution `p`; the objective
-/// minimised when fitting a calibration temperature.
-pub fn nll(p: &[f64], label: usize) -> f64 {
-    -p[label].max(crate::dist::EPS).ln()
+/// Negative log-likelihood of `label` after temperature scaling, from the
+/// output's logits `logs[c] = ln(max(p_c, EPS))`: the term
+/// `-ln(max(rescale_probs(p, t)[label], EPS))` a calibration fit sums, bit
+/// for bit, without materialising the rescaled vector. The steps are
+/// [`rescale_probs`]'s: each logit divided by `t`, the maximum, `exp` of each
+/// minus it summed in class order, the label's term over the sum. The
+/// maximum is taken before dividing: a correctly rounded division by `t > 0`
+/// never reorders two values, so the largest quotient is the largest
+/// logit's, and a division per class is saved.
+pub fn temperature_nll(logs: &[f64], label: usize, t: f64) -> f64 {
+    let max = logs.iter().copied().fold(f64::NEG_INFINITY, f64::max) / t;
+    let sum: f64 = logs.iter().map(|&l| (l / t - max).exp()).sum();
+    let q = (logs[label] / t - max).exp() / sum;
+    -q.max(crate::dist::EPS).ln()
 }
 
-/// Fits a calibration temperature by golden-section search on held-out
-/// `(probability vector, label)` pairs, minimising average NLL.
+/// Fits a calibration temperature by golden-section search, minimising
+/// `mean_nll(t)` — the average [`temperature_nll`] over held-out samples.
 ///
 /// This is the one-parameter optimisation from Guo et al.; the search
 /// interval `[0.05, 20]` comfortably covers the miscalibration range of the
-/// synthetic models.
-pub fn fit_temperature(outputs: &[Vec<f64>], labels: &[usize]) -> f64 {
-    assert_eq!(outputs.len(), labels.len(), "outputs/labels length mismatch");
-    assert!(!outputs.is_empty(), "cannot fit temperature on empty data");
-    let loss = |t: f64| -> f64 {
-        outputs.iter().zip(labels).map(|(p, &y)| nll(&rescale_probs(p, t), y)).sum::<f64>()
-            / outputs.len() as f64
-    };
-    golden_section_min(loss, 0.05, 20.0, 1e-4)
+/// synthetic models. `mean_nll` is evaluated once per probe, in a fixed probe
+/// order, so the result is a function of the values it returns.
+pub fn fit_temperature(mean_nll: impl Fn(f64) -> f64) -> f64 {
+    golden_section_min(mean_nll, 0.05, 20.0, 1e-4)
 }
 
 /// Golden-section minimisation of a unimodal function on `[a, b]`.
@@ -144,8 +141,9 @@ mod tests {
 
     #[test]
     fn high_temperature_flattens() {
-        let sharp = softmax_with_temperature(&[0.0, 4.0], 1.0);
-        let flat = softmax_with_temperature(&[0.0, 4.0], 10.0);
+        let p = softmax(&[0.0, 4.0]);
+        let sharp = rescale_probs(&p, 1.0);
+        let flat = rescale_probs(&p, 10.0);
         assert!(flat[1] < sharp[1]);
         assert!(flat[1] > 0.5, "order must be preserved");
     }
@@ -173,30 +171,41 @@ mod tests {
         assert_eq!(argmax(&[0.1, 0.9, 0.9]), 1);
     }
 
+    /// The mean [`temperature_nll`] of 100 copies of `probs` whose label is
+    /// class 0 seven times in ten.
+    fn seventy_percent_right(probs: [f64; 2]) -> impl Fn(f64) -> f64 {
+        let logs = probs.map(|p| p.max(crate::dist::EPS).ln());
+        move |t| {
+            (0..100).map(|i| temperature_nll(&logs, usize::from(i % 10 >= 7), t)).sum::<f64>()
+                / 100.0
+        }
+    }
+
     #[test]
     fn fit_temperature_softens_overconfident_model() {
         // Model says 0.99 for class 0 but is right only ~70% of the time:
         // the fitted temperature must be > 1 (softening).
-        let mut outputs = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..100 {
-            outputs.push(vec![0.99, 0.01]);
-            labels.push(if i % 10 < 7 { 0 } else { 1 });
-        }
-        let t = fit_temperature(&outputs, &labels);
+        let t = fit_temperature(seventy_percent_right([0.99, 0.01]));
         assert!(t > 1.5, "expected strong softening, got t = {t}");
     }
 
     #[test]
     fn fit_temperature_keeps_calibrated_model_near_one() {
         // Model says 0.7/0.3 and is right exactly 70% of the time.
-        let mut outputs = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..100 {
-            outputs.push(vec![0.7, 0.3]);
-            labels.push(if i % 10 < 7 { 0 } else { 1 });
-        }
-        let t = fit_temperature(&outputs, &labels);
+        let t = fit_temperature(seventy_percent_right([0.7, 0.3]));
         assert!((t - 1.0).abs() < 0.25, "calibrated model should keep t ≈ 1, got {t}");
+    }
+
+    #[test]
+    fn temperature_nll_is_the_nll_of_the_rescaled_output() {
+        let p = softmax(&[0.3, -1.2, 2.0, 0.0]);
+        let logs: Vec<f64> = p.iter().map(|&x| x.max(crate::dist::EPS).ln()).collect();
+        for t in [0.05, 0.7, 1.0, 3.3, 20.0] {
+            let q = rescale_probs(&p, t);
+            for (label, &q_label) in q.iter().enumerate() {
+                let want = -q_label.max(crate::dist::EPS).ln();
+                assert_eq!(temperature_nll(&logs, label, t).to_bits(), want.to_bits());
+            }
+        }
     }
 }

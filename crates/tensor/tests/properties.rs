@@ -1,8 +1,9 @@
 //! Property-based tests of the numeric kernels.
 
 use proptest::prelude::*;
+use schemble_tensor::dist::EPS;
 use schemble_tensor::dist::{euclidean_sq, js_divergence, kl_divergence, total_variation};
-use schemble_tensor::prob::{argmax, entropy, rescale_probs, softmax};
+use schemble_tensor::prob::{argmax, entropy, rescale_probs, softmax, temperature_nll};
 use schemble_tensor::stats::{histogram, mean, percentile, MinMax, ZScore};
 use schemble_tensor::Matrix;
 
@@ -43,6 +44,29 @@ proptest! {
         let q = rescale_probs(&p, 1.0);
         for (a, b) in p.iter().zip(&q) {
             prop_assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    /// `rescale_probs` takes the logits in place; its result is the old
+    /// three-vector composition's (logits, scaled logits, softmax) bit for
+    /// bit, and `temperature_nll` is that result's NLL bit for bit.
+    #[test]
+    fn rescale_probs_matches_the_three_vector_composition(
+        p in prob_vec(6),
+        zeros in proptest::collection::vec(any::<bool>(), 6),
+        t in 0.05f64..20.0,
+    ) {
+        // Exact zeros exercise the EPS floor.
+        let p: Vec<f64> = p.iter().zip(&zeros).map(|(&x, &z)| if z { 0.0 } else { x }).collect();
+        let logits: Vec<f64> = p.iter().map(|&x| x.max(EPS).ln()).collect();
+        let scaled: Vec<f64> = logits.iter().map(|&x| x / t).collect();
+        let old = softmax(&scaled);
+        let new = rescale_probs(&p, t);
+        prop_assert_eq!(old.len(), new.len());
+        for (label, (a, b)) in old.iter().zip(&new).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+            let nll = -a.max(EPS).ln();
+            prop_assert_eq!(temperature_nll(&logits, label, t).to_bits(), nll.to_bits());
         }
     }
 
