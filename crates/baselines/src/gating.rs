@@ -49,7 +49,7 @@ impl GatingSelector {
                     .collect()
             })
             .collect();
-        let features = Matrix::from_fn(history.len(), feat_dim, |r, c| history[r].features[c]);
+        let features = Matrix::from_rows(feat_dim, history.iter().map(|s| s.features.as_slice()));
         // Same architecture family as the discrepancy predictor (§VIII).
         let mut gate =
             Mlp::new(&[feat_dim, 32, 16, m], Activation::Relu, Activation::Identity, rng);

@@ -138,7 +138,7 @@ fn train_seq_score_predictor(
     assert_eq!(history.len(), scores.len(), "history/scores length mismatch");
     assert!(!history.is_empty(), "cannot train predictor on empty history");
     let feat_dim = history[0].features.len();
-    let features = Matrix::from_fn(history.len(), feat_dim, |r, c| history[r].features[c]);
+    let features = Matrix::from_rows(feat_dim, history.iter().map(|s| s.features.as_slice()));
     let (task_loss, task_labels) = task_labels_for(ensemble, history);
     let config = SeqPredictorConfig::default_for(feat_dim, task_loss);
     let mut predictor = SequencePredictor::new(config, rng);

@@ -58,9 +58,8 @@ impl OnlineScorer {
         }
         match self {
             OnlineScorer::Predictor(nn) => {
-                let dim = samples[0].features.len();
-                let m = Matrix::from_fn(samples.len(), dim, |r, c| samples[r].features[c]);
-                nn.predict_scores(&m)
+                let rows = samples.iter().map(|s| s.features.as_slice());
+                nn.predict_scores(&Matrix::from_rows(samples[0].features.len(), rows))
             }
             OnlineScorer::Oracle(scorer) => {
                 samples.iter().map(|s| scorer.score(ensemble, s)).collect()
@@ -120,7 +119,7 @@ pub(crate) fn train_on_labels(
     rng: &mut impl Rng,
 ) -> DiscrepancyPredictor {
     let feat_dim = history[0].features.len();
-    let features = Matrix::from_fn(history.len(), feat_dim, |r, c| history[r].features[c]);
+    let features = Matrix::from_rows(feat_dim, history.iter().map(|s| s.features.as_slice()));
     let config = PredictorConfig { lambda, ..PredictorConfig::default_for(feat_dim, task_loss) };
     let mut predictor = DiscrepancyPredictor::new(config, rng);
     predictor.fit(&features, task_labels, scores, rng);

@@ -1,7 +1,7 @@
 //! Fully connected layer with fused activation.
 
 use rand::Rng;
-use schemble_tensor::Matrix;
+use schemble_tensor::{gemm, Layout, Matrix};
 
 /// Activation functions supported by [`Dense`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +48,11 @@ impl Activation {
 /// A dense layer `y = act(x·W + b)` over row-major batches.
 ///
 /// `forward` caches the input batch and activated output; `backward` consumes
-/// those caches to accumulate `grad_w`/`grad_b` and return the gradient with
-/// respect to the input.
+/// those caches to accumulate `grad_w`/`grad_b` and computes the gradient with
+/// respect to the input. The caches, `δ` and the input gradient are buffers
+/// the layer keeps from step to step, so a training step allocates nothing
+/// once the first batch has sized them. Every product is one
+/// [`schemble_tensor::gemm`]; no transpose is built.
 #[derive(Debug, Clone)]
 pub struct Dense {
     /// Weight matrix, `in_dim × out_dim`.
@@ -61,8 +64,10 @@ pub struct Dense {
     /// Accumulated bias gradient.
     pub grad_b: Matrix,
     activation: Activation,
-    input_cache: Option<Matrix>,
-    output_cache: Option<Matrix>,
+    input: Matrix,
+    output: Matrix,
+    delta: Matrix,
+    grad_input: Matrix,
 }
 
 impl Dense {
@@ -73,14 +78,17 @@ impl Dense {
         // tiny depths used here.
         let limit = (6.0 / in_dim as f64).sqrt();
         let w = Matrix::from_fn(in_dim, out_dim, |_, _| rng.random_range(-limit..limit));
+        let empty = || Matrix::zeros(0, 0);
         Self {
             w,
             b: Matrix::zeros(1, out_dim),
             grad_w: Matrix::zeros(in_dim, out_dim),
             grad_b: Matrix::zeros(1, out_dim),
             activation,
-            input_cache: None,
-            output_cache: None,
+            input: empty(),
+            output: empty(),
+            delta: empty(),
+            grad_input: empty(),
         }
     }
 
@@ -100,20 +108,17 @@ impl Dense {
     }
 
     /// Forward pass over a batch (`rows = samples`), caching for backward.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w);
-        out.add_row_broadcast(&self.b);
-        out.map_inplace(|z| self.activation.apply(z));
-        self.input_cache = Some(x.clone());
-        self.output_cache = Some(out.clone());
-        out
+    pub fn forward(&mut self, x: &Matrix) -> &Matrix {
+        self.input.clone_from(x);
+        self.output.reset(x.rows(), self.out_dim());
+        affine_into(&self.w, &self.b, self.activation, x, &mut self.output);
+        &self.output
     }
 
     /// Forward pass without caching — for inference.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut out = x.matmul(&self.w);
-        out.add_row_broadcast(&self.b);
-        out.map_inplace(|z| self.activation.apply(z));
+        let mut out = Matrix::zeros(x.rows(), self.out_dim());
+        affine_into(&self.w, &self.b, self.activation, x, &mut out);
         out
     }
 
@@ -121,24 +126,52 @@ impl Dense {
     /// `grad_w`/`grad_b` and returns ∂L/∂input.
     ///
     /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.input_cache.as_ref().expect("backward before forward");
-        let a = self.output_cache.as_ref().expect("backward before forward");
+    /// Panics if `grad_out` is not the shape of the last `forward`'s output.
+    pub fn backward(&mut self, grad_out: &Matrix) -> &Matrix {
+        self.backward_params(grad_out);
+        self.grad_input.reset(self.delta.rows(), self.in_dim());
+        gemm(Layout::TransposeRhs, &self.delta, &self.w, self.grad_input.as_mut_slice());
+        &self.grad_input
+    }
+
+    /// [`Dense::backward`] without ∂L/∂input, for a network's first layer,
+    /// whose input gradient nothing reads.
+    ///
+    /// # Panics
+    /// Panics if `grad_out` is not the shape of the last `forward`'s output.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        assert_eq!(grad_out.shape(), self.output.shape(), "backward before forward");
         // δ = grad_out ⊙ act'(a)
-        let delta = Matrix::from_fn(grad_out.rows(), grad_out.cols(), |r, c| {
-            grad_out[(r, c)] * self.activation.derivative_from_output(a[(r, c)])
-        });
-        self.grad_w.axpy(1.0, &x.transpose().matmul(&delta));
-        self.grad_b.axpy(1.0, &delta.sum_rows());
-        delta.matmul(&self.w.transpose())
+        self.delta.clone_from(grad_out);
+        for (d, &a) in self.delta.as_mut_slice().iter_mut().zip(self.output.as_slice()) {
+            *d *= self.activation.derivative_from_output(a);
+        }
+        gemm(Layout::TransposeLhs, &self.input, &self.delta, self.grad_w.as_mut_slice());
+        for r in 0..self.delta.rows() {
+            for (g, &d) in self.grad_b.as_mut_slice().iter_mut().zip(self.delta.row(r)) {
+                *g += d;
+            }
+        }
     }
 
     /// Zeroes accumulated gradients.
     pub fn zero_grad(&mut self) {
-        self.grad_w.map_inplace(|_| 0.0);
-        self.grad_b.map_inplace(|_| 0.0);
+        self.grad_w.as_mut_slice().fill(0.0);
+        self.grad_b.as_mut_slice().fill(0.0);
     }
+
+    /// The activation this layer applies.
+    #[cfg(test)]
+    pub(crate) fn activation(&self) -> Activation {
+        self.activation
+    }
+}
+
+/// `out = act(x·W + b)` into a zeroed `out`.
+fn affine_into(w: &Matrix, b: &Matrix, activation: Activation, x: &Matrix, out: &mut Matrix) {
+    gemm(Layout::Plain, x, w, out.as_mut_slice());
+    out.add_row_broadcast(b);
+    out.map_inplace(|z| activation.apply(z));
 }
 
 #[cfg(test)]
@@ -187,7 +220,7 @@ mod tests {
             let out = layer.forward(&x);
             let ones = Matrix::filled(out.rows(), out.cols(), 1.0);
             layer.zero_grad();
-            let grad_x = layer.backward(&ones);
+            let grad_x = layer.backward(&ones).clone();
 
             let eps = 1e-6;
             // Check a few weight gradients.
@@ -224,8 +257,8 @@ mod tests {
     fn zero_grad_resets_accumulators() {
         let mut layer = Dense::new(2, 2, Activation::Tanh, &mut rng());
         let x = Matrix::filled(1, 2, 1.0);
-        let out = layer.forward(&x);
-        layer.backward(&Matrix::filled(out.rows(), out.cols(), 1.0));
+        let (rows, cols) = layer.forward(&x).shape();
+        layer.backward(&Matrix::filled(rows, cols, 1.0));
         assert!(layer.grad_w.frobenius_norm() > 0.0);
         layer.zero_grad();
         assert_eq!(layer.grad_w.frobenius_norm(), 0.0);

@@ -16,6 +16,27 @@
 //! mean-squared error, SGD and Adam optimisers, and a mini-batch training
 //! loop. No autograd graph — backprop is hand-derived per layer, which keeps
 //! the implementation small, fast and easy to audit.
+//!
+//! # One kernel, no per-step allocation
+//!
+//! Every product a training step or a score takes — the forward `X·W`, the
+//! weight gradient `Xᵀ·δ` and the input gradient `δ·Wᵀ` — is one call of
+//! [`schemble_tensor::gemm`], which reads a transposed operand in place and
+//! writes into the layer's own buffer. A [`Dense`] layer keeps its input and
+//! output caches, `δ`, its gradients and its input gradient from step to
+//! step, and the training loops keep their batch, so once the first batch
+//! has sized them a step of [`DiscrepancyPredictor::fit`] allocates nothing
+//! (a test gate counts it). A network's first layer computes no input
+//! gradient: nothing reads it.
+//!
+//! The kernel has no branch on the data; it adds a zero term like any other.
+//! Its one precondition: it is bit-equal to a loop that skips the zeros of
+//! the left-hand side only while the right-hand side (the weights, or `δ`
+//! in a weight gradient) is finite — a zero times an infinity is NaN where
+//! the skip would have added nothing. Weights start finite and Adam's step
+//! is bounded, and `δ` is finite while the forward pass is, so the right-hand
+//! side of a step is non-finite only after a step has already overflowed,
+//! when training is lost either way; no caller keeps the skip.
 
 pub mod dense;
 pub mod loss;
@@ -31,3 +52,6 @@ pub use mlp::Mlp;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use predictor::{DiscrepancyPredictor, PredictorConfig};
 pub use seq_predictor::{SeqPredictorConfig, SequencePredictor};
+
+#[cfg(test)]
+mod oracle;

@@ -13,11 +13,24 @@ use schemble_tensor::Matrix;
 /// `loss = mean((pred − target)²)`, `grad = 2(pred − target)/n`.
 pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len() as f64;
-    let diff = pred - target;
-    let loss = diff.as_slice().iter().map(|d| d * d).sum::<f64>() / n;
-    let grad = diff.map(|d| 2.0 * d / n);
+    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    let loss = mse_into(pred.as_slice(), target.as_slice().iter().copied(), grad.as_mut_slice());
     (loss, grad)
+}
+
+/// [`mse`] against targets read in element order, writing the gradient into
+/// `grad` (one slot per prediction): the training loops' allocation-free
+/// form, with the same arithmetic.
+pub(crate) fn mse_into(pred: &[f64], target: impl Iterator<Item = f64>, grad: &mut [f64]) -> f64 {
+    let n = pred.len() as f64;
+    for ((d, &p), t) in grad.iter_mut().zip(pred).zip(target) {
+        *d = p - t;
+    }
+    let loss = grad.iter().map(|d| d * d).sum::<f64>() / n;
+    for d in grad.iter_mut() {
+        *d = 2.0 * *d / n;
+    }
+    loss
 }
 
 /// Binary cross-entropy on logits, averaged over the batch.
@@ -28,19 +41,29 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
 /// `max(z,0) − z·y + ln(1 + e^(−|z|))`; gradient is `(σ(z) − y)/n`.
 pub fn bce_with_logits(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
     assert_eq!(pred.shape(), target.shape(), "bce shape mismatch");
+    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    let loss = bce_with_logits_into(
+        pred.as_slice(),
+        target.as_slice().iter().copied(),
+        grad.as_mut_slice(),
+    );
+    (loss, grad)
+}
+
+/// [`bce_with_logits`] in the form of [`mse_into`].
+pub(crate) fn bce_with_logits_into(
+    pred: &[f64],
+    target: impl Iterator<Item = f64>,
+    grad: &mut [f64],
+) -> f64 {
     let n = pred.len() as f64;
     let mut loss = 0.0;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    for r in 0..pred.rows() {
-        for c in 0..pred.cols() {
-            let z = pred[(r, c)];
-            let y = target[(r, c)];
-            loss += z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln();
-            let sig = 1.0 / (1.0 + (-z).exp());
-            grad[(r, c)] = (sig - y) / n;
-        }
+    for ((g, &z), y) in grad.iter_mut().zip(pred).zip(target) {
+        loss += z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln();
+        let sig = 1.0 / (1.0 + (-z).exp());
+        *g = (sig - y) / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Multi-class cross-entropy on logits with integer class labels, averaged

@@ -369,7 +369,7 @@ mod tests {
             let outs = lstm.forward(&s);
             let last = Matrix::row_vector(outs.last().expect("non-empty"));
             let z = head.forward(&last);
-            let (_, grad) = crate::loss::bce_with_logits(&z, &Matrix::row_vector(&[label]));
+            let (_, grad) = crate::loss::bce_with_logits(z, &Matrix::row_vector(&[label]));
             let gh = head.backward(&grad);
             let mut grad_h = vec![vec![0.0; 8]; s.len()];
             grad_h[s.len() - 1] = gh.as_slice().to_vec();

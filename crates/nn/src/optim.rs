@@ -76,21 +76,21 @@ impl Optimizer for Adam {
             t: 0,
         });
         assert_eq!(slot.m.shape(), grad.shape(), "optimizer key reused for different shape");
+        assert_eq!(param.shape(), grad.shape(), "parameter and gradient shapes differ");
         slot.t += 1;
         let (b1, b2) = (self.beta1, self.beta2);
-        for i in 0..grad.len() {
-            let g = grad.as_slice()[i];
-            let m = &mut slot.m.as_mut_slice()[i];
+        let moments = slot.m.as_mut_slice().iter_mut().zip(slot.v.as_mut_slice());
+        for ((m, v), &g) in moments.zip(grad.as_slice()) {
             *m = b1 * *m + (1.0 - b1) * g;
-            let v = &mut slot.v.as_mut_slice()[i];
             *v = b2 * *v + (1.0 - b2) * g * g;
         }
         let bc1 = 1.0 - b1.powi(slot.t as i32);
         let bc2 = 1.0 - b2.powi(slot.t as i32);
-        for i in 0..param.len() {
-            let m_hat = slot.m.as_slice()[i] / bc1;
-            let v_hat = slot.v.as_slice()[i] / bc2;
-            param.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let moments = slot.m.as_slice().iter().zip(slot.v.as_slice());
+        for (p, (&m, &v)) in param.as_mut_slice().iter_mut().zip(moments) {
+            let m_hat = m / bc1;
+            let v_hat = v / bc2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 }

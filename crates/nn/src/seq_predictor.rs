@@ -116,13 +116,13 @@ impl SequencePredictor {
                 let t_target = Matrix::row_vector(&[task_labels[idx]]);
                 let d_target = Matrix::row_vector(&[dis_labels[idx]]);
                 let (task_l, task_g) = match self.config.task_loss {
-                    TaskLoss::Binary => bce_with_logits(&task_out, &t_target),
-                    TaskLoss::Regression => mse(&task_out, &t_target),
+                    TaskLoss::Binary => bce_with_logits(task_out, &t_target),
+                    TaskLoss::Regression => mse(task_out, &t_target),
                 };
-                let (dis_l, dis_g) = mse(&dis_out, &d_target);
+                let (dis_l, dis_g) = mse(dis_out, &d_target);
                 let g_task = self.task_head.backward(&task_g);
                 let g_dis = self.dis_head.backward(&dis_g.map(|g| g * self.config.lambda));
-                let g_feat = &g_task + &g_dis;
+                let g_feat = g_task + g_dis;
                 // Split [h_last ‖ mean] gradient back across the steps.
                 let h = self.config.hidden;
                 let mut grad_h = vec![vec![0.0f64; h]; outs.len()];

@@ -4,8 +4,10 @@
 //! provides exactly what the upper layers need and nothing more:
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with the handful of BLAS-like
-//!   operations the neural-network crate uses (matmul, transpose, elementwise
-//!   maps, row/column reductions).
+//!   operations the neural-network crate uses (matmul, elementwise
+//!   maps, row/column reductions), and [`gemm`], the one dense kernel under
+//!   every product: `out += a·b`, `aᵀ·b` or `a·bᵀ` into a caller's slice,
+//!   register-tiled and branch-free.
 //! * [`dist`] — distances between probability distributions (KL, symmetric
 //!   KL, Jensen–Shannon) and vectors (Euclidean), used by the discrepancy
 //!   score (Eq. 1 of the paper) and the ensemble-agreement baseline.
@@ -23,4 +25,4 @@ pub mod matrix;
 pub mod prob;
 pub mod stats;
 
-pub use matrix::Matrix;
+pub use matrix::{gemm, Layout, Matrix};

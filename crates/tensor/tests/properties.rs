@@ -122,20 +122,6 @@ proptest! {
     }
 
     #[test]
-    fn transpose_reverses_matmul(
-        a in proptest::collection::vec(-3.0f64..3.0, 6),
-        b in proptest::collection::vec(-3.0f64..3.0, 6),
-    ) {
-        let a = Matrix::from_vec(2, 3, a);
-        let b = Matrix::from_vec(3, 2, b);
-        let lhs = a.matmul(&b).transpose();
-        let rhs = b.transpose().matmul(&a.transpose());
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn euclidean_sq_is_square_of_norm(a in proptest::collection::vec(-9.0f64..9.0, 4)) {
         let zero = vec![0.0; 4];
         let d2 = euclidean_sq(&a, &zero);
